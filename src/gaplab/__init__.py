@@ -49,7 +49,6 @@ from .errors import (
 from .learners import (
     LabeledSample,
     MemorizerPredictor,
-    PosteriorPredictor,
     PosteriorState,
     bayes_bit_predictor,
     bayes_posterior_predict,

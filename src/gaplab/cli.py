@@ -11,12 +11,16 @@ import csv
 import hashlib
 import io
 import json
+import os
+import platform
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import click
+import numpy as np
+import scipy
 
 from . import __version__
 from .concepts import (
@@ -44,6 +48,7 @@ from .mc_harness import (
     lower_bound_experiment,
     lower_bound_m,
     no_gap_experiment,
+    resolve_workers,
     sample_complexity_search,
     FixedTarget,
     RandomPair,
@@ -62,6 +67,8 @@ DEFAULT_SEED = 0x5EED5EED
 DEFAULT_SEPARATION_NS = tuple(2**k for k in range(4, 17))
 
 SEPARATION_LEARNERS = ("erm", "cover", "bayes-posterior")
+
+TRIALS = click.IntRange(min=1)
 
 
 def fmt_float(x: float) -> str:
@@ -143,6 +150,11 @@ def _write_manifest(ctx_obj: CLIContext, resolved) -> None:
         "started_at": ctx_obj.started_at,
         "finished_at": datetime.now(timezone.utc).isoformat(),
         "outputs": outputs,
+        "workers": resolve_workers(ctx_obj.threads),
+        "cpu_count": os.cpu_count(),
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
     }
     manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     click.echo(f"manifest: {manifest_path}")
@@ -193,11 +205,11 @@ def _handle_errors(fn):
 @click.group()
 @click.option("--seed", type=int, envvar="GAPLAB_SEED", default=DEFAULT_SEED,
               show_default=True, help="Master seed (GAPLAB_SEED as fallback).")
-@click.option("--trials", type=int, default=None, help="Override trial counts.")
+@click.option("--trials", type=TRIALS, default=None, help="Override trial counts.")
 @click.option("--out", type=str, default=None, help="Output file path.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True, help="Result format.")
-@click.option("--threads", type=int, default=1, show_default=True,
+@click.option("--threads", type=click.IntRange(min=0), default=1, show_default=True,
               help="Worker processes for trials (0 = auto).")
 @click.version_option(version=__version__)
 @click.pass_context
@@ -340,7 +352,7 @@ def _target_from_string(s: str):
 @click.option("--m", type=int, default=10, show_default=True)
 @click.option("--eps-acc", type=float, default=0.0625, show_default=True)
 @click.option("--gamma", type=float, default=0.01, show_default=True)
-@click.option("--trials", "trials_opt", type=int, default=2000, show_default=True)
+@click.option("--trials", "trials_opt", type=TRIALS, default=2000, show_default=True)
 @click.pass_context
 @_handle_errors
 def learn(ctx, config, n, eps, target, learner, m, eps_acc, gamma, trials_opt):
@@ -410,7 +422,7 @@ def learn(ctx, config, n, eps, target, learner, m, eps_acc, gamma, trials_opt):
 @click.option("--eps-acc", type=float, default=1.0 / 16.0, show_default=True)
 @click.option("--delta", type=float, default=1.0 / 16.0, show_default=True)
 @click.option("--learners", type=str, default="erm,cover", show_default=True)
-@click.option("--trials", "trials_opt", type=int, default=4000, show_default=True)
+@click.option("--trials", "trials_opt", type=TRIALS, default=4000, show_default=True)
 @click.option("--m-max", type=int, default=4096, show_default=True)
 @click.pass_context
 @_handle_errors
@@ -480,7 +492,7 @@ def separation(ctx, config, n_list, eps, eps_acc, delta, learners, trials_opt, m
 @click.option("--eps", type=float, default=0.2, show_default=True)
 @click.option("--learner", type=click.Choice(["erm", "bayes-posterior", "cover"]),
               default="bayes-posterior", show_default=True)
-@click.option("--trials", "trials_opt", type=int, default=20000, show_default=True)
+@click.option("--trials", "trials_opt", type=TRIALS, default=20000, show_default=True)
 @click.option("--gamma", type=float, default=0.01, show_default=True)
 @click.pass_context
 @_handle_errors
@@ -526,7 +538,7 @@ def lower_bound(ctx, config, n, eps, learner, trials_opt, gamma):
 @click.option("--n", type=int, default=1 << 17, show_default=True)
 @click.option("--eps", type=float, default=0.2, show_default=True)
 @click.option("--m", type=int, default=None, help="Defaults to the lower-bound budget.")
-@click.option("--trials", "trials_opt", type=int, default=20000, show_default=True)
+@click.option("--trials", "trials_opt", type=TRIALS, default=20000, show_default=True)
 @click.option("--gamma", type=float, default=0.01, show_default=True)
 @click.pass_context
 @_handle_errors
@@ -587,7 +599,7 @@ def ks_stats(ctx, config, n, eps, m, trials_opt, gamma):
 @click.option("--m-grid", type=str, default=None,
               help="Comma-separated sizes; default 1 .. 2 * domain size.")
 @click.option("--eps-acc", type=float, default=0.1, show_default=True)
-@click.option("--trials", "trials_opt", type=int, default=5000, show_default=True)
+@click.option("--trials", "trials_opt", type=TRIALS, default=5000, show_default=True)
 @click.pass_context
 @_handle_errors
 def no_gap(ctx, config, domain_size, dist_kind, dist_json, m_grid, eps_acc, trials_opt):
@@ -614,7 +626,9 @@ def no_gap(ctx, config, domain_size, dist_kind, dist_json, m_grid, eps_acc, tria
             if e_grid
             else list(range(1, 2 * e_d + 1))
         )
-        table = no_gap_experiment(dist, grid, e_trials, e_acc, RngSeed(obj.seed))
+        table = no_gap_experiment(
+            dist, grid, e_trials, e_acc, RngSeed(obj.seed), threads=obj.threads
+        )
         spec = {"kind": "no-gap", "dist": dist.to_json_dict(), "m_grid": grid,
                 "eps_acc": e_acc, "trials": e_trials, "seed": obj.seed}
         resolved.append(spec)

@@ -8,6 +8,7 @@ results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -129,9 +130,14 @@ class PneFamily:
 
 
 class FiniteSupportDistribution:
-    """A distribution with finite support on an enumerated list of points."""
+    """A distribution with finite support on an enumerated list of points.
 
-    __slots__ = ("support", "probs", "_index", "_cum")
+    Every float probability is a dyadic rational, so the probabilities are
+    also held exactly as integer numerators over one common denominator:
+    probs[t] == Fraction(numerators[t], denominator).
+    """
+
+    __slots__ = ("support", "probs", "numerators", "denominator", "_index", "_cum")
 
     def __init__(self, support: Sequence[Point], probs: Sequence[float]):
         support = tuple(support)
@@ -149,8 +155,12 @@ class FiniteSupportDistribution:
         if len(index) != len(support):
             raise InvalidParameterError("support points must be distinct")
         p.setflags(write=False)
+        exact = [Fraction(float(q)) for q in p]
+        denominator = math.lcm(*(f.denominator for f in exact))
         self.support = support
         self.probs = p
+        self.numerators = tuple(f.numerator * (denominator // f.denominator) for f in exact)
+        self.denominator = denominator
         self._index = index
         self._cum = np.cumsum(p)
 
@@ -263,19 +273,13 @@ def missing_mass_fraction(
 ) -> Fraction:
     """Probability mass of the support points not observed, as an exact rational.
 
-    Float probabilities are converted to exact binary rationals and summed,
-    so missing + covered equals the total support mass as an identity.
+    The exact numerators of the unseen points are summed over the common
+    denominator, so missing + covered equals the total support mass as an
+    identity.
     """
-    seen_positions = set()
-    for p in observed:
-        pos = dist.support_position(p)
-        if pos is not None:
-            seen_positions.add(pos)
-    total = Fraction(0)
-    for t in range(len(dist.support)):
-        if t not in seen_positions:
-            total += Fraction(float(dist.probs[t]))
-    return total
+    seen = {dist.support_position(p) for p in observed}
+    unseen = sum(a for t, a in enumerate(dist.numerators) if t not in seen)
+    return Fraction(unseen, dist.denominator)
 
 
 def missing_mass(dist: FiniteSupportDistribution, observed: Iterable[Point]) -> float:

@@ -19,7 +19,6 @@ from .concepts import (
     Point,
     ProjectionClass,
     TableClass,
-    eval_concept,
     full_mask_words,
     pack_bit_rows,
     unpack_bit_rows,
@@ -298,19 +297,6 @@ def posterior_threshold(state: PosteriorState) -> int:
     return lo
 
 
-@dataclass(frozen=True)
-class ConceptPredictor:
-    """A predictor that is just a concept of the class."""
-
-    cls: ConceptClass
-    cid: ConceptId
-
-    def predict(self, x: Point) -> int:
-        return eval_concept(self.cls, self.cid, x)
-
-    __call__ = predict
-
-
 class MemorizerPredictor:
     """Memorized sample labels with a default bit elsewhere."""
 
@@ -327,21 +313,6 @@ class MemorizerPredictor:
         return self.mapping.get(x, self.default)
 
     __call__ = predict
-
-
-@dataclass(frozen=True)
-class PosteriorPredictor:
-    """The distribution-independent posterior rule as a total predictor."""
-
-    state: PosteriorState
-
-    def predict(self, x: Point) -> int:
-        return bayes_posterior_predict(self.state, x)
-
-    __call__ = predict
-
-
-Predictor = ConceptPredictor | MemorizerPredictor | PosteriorPredictor
 
 
 def consistent_memorizer(sample: LabeledSample, default: int = 0) -> MemorizerPredictor:

@@ -15,7 +15,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import bdtr
@@ -421,26 +421,38 @@ def resolve_workers(threads: int) -> int:
     return threads if threads else (os.cpu_count() or 1)
 
 
+def _map_trials(
+    chunk_fn: Callable[..., tuple[np.ndarray, ...]],
+    args: tuple,
+    trials: int,
+    threads: int,
+) -> tuple[np.ndarray, ...]:
+    """chunk_fn(*args, lo, hi) over trials [0, trials), arrays joined in trial order.
+
+    chunk_fn must be a module-level function returning one array per output,
+    each holding trials lo..hi-1 in order.  With one worker, or fewer than
+    two trials per worker, it runs serially in this process; otherwise the
+    trials are cut into 4 spans per worker.  Trial t depends only on its
+    index, so the result is bit-identical for any worker count.
+    """
+    workers = resolve_workers(threads)
+    if workers <= 1 or trials < 2 * workers:
+        return chunk_fn(*args, 0, trials)
+    bounds = np.linspace(0, trials, 4 * workers + 1, dtype=int)
+    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+    per_span_args = zip(*[(*args, lo, hi) for lo, hi in spans])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(chunk_fn, *per_span_args))
+    return tuple(np.concatenate(outputs) for outputs in zip(*parts))
+
+
 def run_trials(cfg: TrialConfig, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial exact errors and failure indicators, in trial-index order.
 
     The result is bit-identical for any worker count: trial t depends only
-    on (seed, t), and chunks are reassembled by position.
+    on (seed, t).
     """
-    workers = resolve_workers(threads)
-    if workers <= 1 or cfg.trials < 2 * workers:
-        return _run_chunk(cfg, 0, cfg.trials)
-    bounds = np.linspace(0, cfg.trials, 4 * workers + 1, dtype=int)
-    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    errors = np.empty(cfg.trials, dtype=np.float64)
-    fails = np.empty(cfg.trials, dtype=np.uint8)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for (lo, hi), (err, fl) in zip(
-            spans, pool.map(_run_chunk, [cfg] * len(spans), *zip(*spans))
-        ):
-            errors[lo:hi] = err
-            fails[lo:hi] = fl
-    return errors, fails
+    return _map_trials(_run_chunk, (cfg,), cfg.trials, threads)
 
 
 def estimate_failure_prob(cfg: TrialConfig, threads: int = 1) -> EstimateWithCI:
@@ -671,30 +683,7 @@ def ks_statistics_experiment(
         raise InvalidParameterError(f"eps must lie in (0, 1/2), got {eps}")
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
-    workers = resolve_workers(threads)
-    if workers <= 1 or trials < 2 * workers:
-        ks, ss = _ks_chunk(n, eps, m, seed, 0, trials)
-    else:
-        bounds = np.linspace(0, trials, 4 * workers + 1, dtype=int)
-        spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        ks = np.empty(trials, dtype=np.int64)
-        ss = np.empty(trials, dtype=np.int64)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            args = list(zip(*spans))
-            for (lo, hi), (k_arr, s_arr) in zip(
-                spans,
-                pool.map(
-                    _ks_chunk,
-                    [n] * len(spans),
-                    [eps] * len(spans),
-                    [m] * len(spans),
-                    [seed] * len(spans),
-                    args[0],
-                    args[1],
-                ),
-            ):
-                ks[lo:hi] = k_arr
-                ss[lo:hi] = s_arr
+    ks, ss = _map_trials(_ks_chunk, (n, eps, m, seed), trials, threads)
 
     ratio = ss / ks
     band = (eps / 2.0, 6.0 * eps / 5.0)
@@ -745,6 +734,53 @@ class NoGapRow:
         }
 
 
+def _no_gap_chunk(
+    dist: FiniteSupportDistribution,
+    m: int,
+    seed: RngSeed,
+    threshold: Fraction,
+    default_bit: int,
+    lo: int,
+    hi: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """No-gap trials lo..hi-1 at sample size m.
+
+    Returns per-trial flags for d > Z, Z >= threshold and d > threshold,
+    then Z as a float.  d (the memorizer's disagreement with the target) and
+    Z (the missing mass) are exact rationals over the distribution's common
+    denominator.
+    """
+    cls = all_functions_class(dist.support)
+    positions = [cls.domain_position(p) for p in dist.support]
+    violated = np.empty(hi - lo, dtype=np.uint8)
+    z_ge = np.empty(hi - lo, dtype=np.uint8)
+    failed = np.empty(hi - lo, dtype=np.uint8)
+    z_float = np.empty(hi - lo, dtype=np.float64)
+    for t in range(lo, hi):
+        gen = seed.generator(t)
+        target_mask = int(gen.integers(0, 1 << len(positions)))
+        idx = sample_support_indices(dist, m, gen).tolist()
+        points = [dist.support[u] for u in idx]
+        labels = [(target_mask >> positions[u]) & 1 for u in idx]
+        sample = (
+            LabeledSample.from_points(points, labels)
+            if points
+            else LabeledSample.empty(dist.n)
+        )
+        predictor = consistent_memorizer(sample, default_bit)
+        d_numerator = 0
+        for u, p in enumerate(dist.support):
+            if predictor.predict(p) != (target_mask >> positions[u]) & 1:
+                d_numerator += dist.numerators[u]
+        d_frac = Fraction(d_numerator, dist.denominator)
+        z_frac = missing_mass_fraction(dist, points)
+        violated[t - lo] = d_frac > z_frac
+        z_ge[t - lo] = z_frac >= threshold
+        failed[t - lo] = d_frac > threshold
+        z_float[t - lo] = float(z_frac)
+    return violated, z_ge, failed, z_float
+
+
 def no_gap_experiment(
     dist: FiniteSupportDistribution,
     m_grid: Sequence[int],
@@ -753,65 +789,48 @@ def no_gap_experiment(
     seed: RngSeed,
     gamma: float = 0.01,
     default_bit: int = 0,
+    threads: int = 1,
 ) -> tuple[NoGapRow, ...]:
     """Memorizer vs missing mass over random all-functions targets.
 
     For every trial the exact rational comparison d_P(memorizer, target)
     <= Z is checked (Z is the missing mass of the drawn sample), and the
     failure rate at threshold 2 * eps_acc is reported next to Pr[Z >=
-    2 * eps_acc], which bounds it.
+    2 * eps_acc], which bounds it.  Rows are bit-identical for any worker
+    count.
     """
-    d = len(dist.support)
-    if d > 12:
+    if len(dist.support) > 12:
         raise InvalidParameterError("exact enumeration is capped at 12 domain points")
     if eps_acc <= 0.0:
         raise InvalidParameterError("eps_acc must be positive")
-    cls = all_functions_class(dist.support)
+    if trials < 1:
+        raise InvalidParameterError("trials must be >= 1")
     threshold = 2.0 * eps_acc
-    threshold_frac = Fraction(threshold)
-    prob_fracs = [Fraction(float(p)) for p in dist.probs]
     rows = []
     for m in m_grid:
         if m < 0:
             raise InvalidParameterError("m must be non-negative")
-        sub = seed.substream(m)
-        violations = 0
-        z_ge = 0
-        failures = 0
+        violated, z_ge, failed, z_float = _map_trials(
+            _no_gap_chunk,
+            (dist, m, seed.substream(m), Fraction(threshold), default_bit),
+            trials,
+            threads,
+        )
+        # Plain float addition in trial order: np.sum adds pairwise, and the
+        # mean's last bits reach the CSV.
         z_total = 0.0
-        for t in range(trials):
-            gen = sub.generator(t)
-            target_mask = int(gen.integers(0, 1 << d))
-            idx = sample_support_indices(dist, m, gen)
-            points = [dist.support[int(u)] for u in idx]
-            labels = [(target_mask >> cls.domain_position(p)) & 1 for p in points]
-            sample = (
-                LabeledSample.from_points(points, labels)
-                if points
-                else LabeledSample.empty(dist.n)
-            )
-            predictor = consistent_memorizer(sample, default_bit)
-            d_frac = Fraction(0)
-            for u, p in enumerate(dist.support):
-                truth = (target_mask >> cls.domain_position(p)) & 1
-                if predictor.predict(p) != truth:
-                    d_frac += prob_fracs[u]
-            z_frac = missing_mass_fraction(dist, points)
-            if d_frac > z_frac:
-                violations += 1
-            if z_frac >= threshold_frac:
-                z_ge += 1
-            if d_frac > threshold_frac:
-                failures += 1
-            z_total += float(z_frac)
+        for z in z_float.tolist():
+            z_total += z
+        z_ge_count = int(np.count_nonzero(z_ge))
+        fail_count = int(np.count_nonzero(failed))
         rows.append(
             NoGapRow(
                 m=m,
                 trials=trials,
-                violations=violations,
+                violations=int(np.count_nonzero(violated)),
                 threshold=threshold,
-                z_ge_rate=EstimateWithCI.from_count(z_ge, trials, gamma),
-                fail_rate=EstimateWithCI.from_count(failures, trials, gamma),
+                z_ge_rate=EstimateWithCI.from_count(z_ge_count, trials, gamma),
+                fail_rate=EstimateWithCI.from_count(fail_count, trials, gamma),
                 mean_missing_mass=z_total / trials,
             )
         )

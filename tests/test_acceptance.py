@@ -179,7 +179,8 @@ def test_criterion_7_no_gap_invariant():
         domain = enumerated_domain(d)
         for dist in (uniform_finite(domain), geometric_finite(domain)):
             rows = no_gap_experiment(
-                dist, [1, d, 2 * d], trials, 0.1, RngSeed(SEED).substream(700 + d)
+                dist, [1, d, 2 * d], trials, 0.1, RngSeed(SEED).substream(700 + d),
+                threads=AUTO,
             )
             for row in rows:
                 cells += 1

@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 from click.testing import CliRunner
 
 from gaplab.cli import main
@@ -78,6 +82,18 @@ class TestVc:
         manifest = json.loads((tmp_path / "vc.manifest.json").read_text())
         assert manifest["outputs"] == [str(out)]
         assert "started_at" in manifest and "finished_at" in manifest
+        assert manifest["workers"] == 1
+        assert manifest["cpu_count"] == os.cpu_count()
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["scipy_version"] == scipy.__version__
+
+    def test_manifest_resolves_auto_workers(self, runner, tmp_path):
+        out = tmp_path / "vc.csv"
+        res = runner.invoke(main, ["--threads", "0", "--out", str(out), "vc", "--n", "4"])
+        assert res.exit_code == 0
+        manifest = json.loads((tmp_path / "vc.manifest.json").read_text())
+        assert manifest["workers"] == (os.cpu_count() or 1)
 
 
 class TestLearn:
@@ -236,6 +252,40 @@ class TestNoGap:
         runner.invoke(main, ["--out", str(out1)] + args)
         runner.invoke(main, ["--out", str(out2)] + args)
         assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--trials", "0", "no-gap", "--domain-size", "4", "--m-grid", "1"],
+        ["--trials", "-3", "learn", "--n", "16"],
+        ["no-gap", "--domain-size", "4", "--m-grid", "1", "--trials", "0"],
+        ["ks-stats", "--n", "256", "--trials", "0"],
+        ["separation", "--n-list", "16", "--trials", "0"],
+    ],
+)
+def test_trials_below_one_exits_2(runner, tmp_path, args):
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out)] + args)
+    assert res.exit_code == 2
+    assert "--trials" in res.output
+    assert not out.exists()
+
+
+def test_trials_zero_in_config_exits_2(runner, tmp_path):
+    path = tmp_path / "ng.json"
+    path.write_text(json.dumps({"domain_size": 4, "m_grid": "1", "trials_opt": 0}))
+    res = runner.invoke(main, ["--out", str(tmp_path / "x.csv"), "no-gap",
+                               "--config", str(path)])
+    assert res.exit_code == 2
+    assert "trials" in res.output
+
+
+def test_negative_threads_exits_2(runner, tmp_path):
+    res = runner.invoke(main, ["--threads", "-1", "--out", str(tmp_path / "x.csv"),
+                               "vc", "--n", "4"])
+    assert res.exit_code == 2
+    assert "--threads" in res.output
 
 
 class TestBounds:

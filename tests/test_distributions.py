@@ -209,6 +209,21 @@ class TestFiniteSupport:
             assert g.probs[0] == 0.5 or d == 1
 
 
+NON_DYADIC_PROBS = ([0.7, 0.2, 0.1], [0.3, 0.1, 0.1, 0.25, 0.25], [1.0 / 7.0] * 7)
+
+
+@given(st.sampled_from(NON_DYADIC_PROBS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_missing_mass_fraction_matches_reference_sum(probs, data):
+    dist = FiniteSupportDistribution(enumerated_domain(len(probs)), probs)
+    seen = data.draw(st.lists(st.integers(0, len(probs) - 1), max_size=2 * len(probs)))
+    observed = [dist.support[t] for t in seen]
+    reference = sum(
+        (Fraction(float(p)) for t, p in enumerate(dist.probs) if t not in seen), Fraction(0)
+    )
+    assert missing_mass_fraction(dist, observed) == reference
+
+
 def test_distribution_json_roundtrip():
     d = make_pne(6, 0.1, 2)
     r = distribution_from_json_dict(d.to_json_dict())

@@ -325,6 +325,36 @@ class TestNoGap:
         with pytest.raises(InvalidParameterError):
             no_gap_experiment(uniform_finite(dom), [1], 10, 0.1, RngSeed(0))
 
+    def test_zero_trials_rejected(self):
+        with pytest.raises(InvalidParameterError, match="trials"):
+            no_gap_experiment(uniform_finite(enumerated_domain(2)), [1], 0, 0.1, RngSeed(0))
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            geometric_finite(enumerated_domain(6)),
+            FiniteSupportDistribution(enumerated_domain(3), [0.7, 0.2, 0.1]),
+        ],
+    )
+    def test_thread_invariance_uneven_split(self, dist):
+        # 501 trials do not split evenly into the 8 spans of 2 workers
+        args = (dist, [0, 2, 5], 501, 0.1, RngSeed(23))
+        a = no_gap_experiment(*args, threads=1)
+        b = no_gap_experiment(*args, threads=2)
+        assert a == b
+        assert [r.mean_missing_mass for r in a] == [r.mean_missing_mass for r in b]
+
+    def test_few_trials_run_serially(self, monkeypatch):
+        # trials < 2 * workers never starts a pool, and gives the serial rows
+        dist = uniform_finite(enumerated_domain(4))
+        serial = no_gap_experiment(dist, [1, 3], 3, 0.1, RngSeed(29), threads=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr("gaplab.mc_harness.ProcessPoolExecutor", no_pool)
+        assert no_gap_experiment(dist, [1, 3], 3, 0.1, RngSeed(29), threads=2) == serial
+
 
 class TestTailInequality:
     def test_all_ones(self):
