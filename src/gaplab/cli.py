@@ -50,6 +50,7 @@ from .mc_harness import (
     no_gap_experiment,
     resolve_workers,
     sample_complexity_search,
+    trial_pool,
     FixedTarget,
     RandomPair,
     RandomConcept,
@@ -171,6 +172,16 @@ def _load_config_entries(config: str | None) -> list[dict]:
     raise InvalidParameterError("config must be a JSON object or a list of objects")
 
 
+def _single_config_entry(command: str, config: str | None) -> dict:
+    """The one config entry of a command that runs a single spec."""
+    entries = _load_config_entries(config)
+    if len(entries) != 1:
+        raise InvalidParameterError(
+            f"{command} takes one config entry, the config has {len(entries)}"
+        )
+    return entries[0]
+
+
 def _resolve(ctx: click.Context, name: str, entry: dict, flag_value):
     """Precedence: explicit command-line flag > config entry > env/default flag value."""
     source = ctx.get_parameter_source(name)
@@ -193,7 +204,9 @@ def _handle_errors(fn):
         except GaplabError as exc:
             click.echo(f"runtime failure: {exc}", err=True)
             sys.exit(3)
-        except Exception as exc:  # pragma: no cover
+        except Exception as exc:
+            if os.environ.get("GAPLAB_DEBUG") == "1":
+                raise
             click.echo(f"runtime failure: {exc}", err=True)
             sys.exit(3)
 
@@ -223,6 +236,7 @@ def main(ctx, seed, trials, out, fmt, threads):
         threads=threads,
         started_at=datetime.now(timezone.utc).isoformat(),
     )
+    ctx.with_resource(trial_pool(threads))
 
 
 @main.command()
@@ -352,10 +366,10 @@ def _target_from_string(s: str):
 @click.option("--m", type=int, default=10, show_default=True)
 @click.option("--eps-acc", type=float, default=0.0625, show_default=True)
 @click.option("--gamma", type=float, default=0.01, show_default=True)
-@click.option("--trials", "trials_opt", type=TRIALS, default=2000, show_default=True)
+@click.option("--trials", type=TRIALS, default=2000, show_default=True)
 @click.pass_context
 @_handle_errors
-def learn(ctx, config, n, eps, target, learner, m, eps_acc, gamma, trials_opt):
+def learn(ctx, config, n, eps, target, learner, m, eps_acc, gamma, trials):
     """Estimate a learner's failure probability for one trial configuration."""
     obj: CLIContext = ctx.obj
     rows, resolved = [], []
@@ -363,7 +377,7 @@ def learn(ctx, config, n, eps, target, learner, m, eps_acc, gamma, trials_opt):
         if set(entry) & {"class", "dist", "target"}:
             entry = dict(entry)
             entry.setdefault("seed", {"master": obj.seed})
-            entry.setdefault("trials", obj.trials or trials_opt)
+            entry.setdefault("trials", obj.trials or trials)
             entry.setdefault("eps_acc", eps_acc)
             entry.setdefault("m", m)
             entry.setdefault("learner", learner)
@@ -377,7 +391,7 @@ def learn(ctx, config, n, eps, target, learner, m, eps_acc, gamma, trials_opt):
             e_m = int(_resolve(ctx, "m", entry, m))
             e_acc = float(_resolve(ctx, "eps_acc", entry, eps_acc))
             e_gamma = float(_resolve(ctx, "gamma", entry, gamma))
-            e_trials = obj.trials or int(_resolve(ctx, "trials_opt", entry, trials_opt))
+            e_trials = obj.trials or int(_resolve(ctx, "trials", entry, trials))
             dist = (
                 PneFamily(e_n, e_eps)
                 if isinstance(e_target, RandomPair)
@@ -422,20 +436,20 @@ def learn(ctx, config, n, eps, target, learner, m, eps_acc, gamma, trials_opt):
 @click.option("--eps-acc", type=float, default=1.0 / 16.0, show_default=True)
 @click.option("--delta", type=float, default=1.0 / 16.0, show_default=True)
 @click.option("--learners", type=str, default="erm,cover", show_default=True)
-@click.option("--trials", "trials_opt", type=TRIALS, default=4000, show_default=True)
+@click.option("--trials", type=TRIALS, default=4000, show_default=True)
 @click.option("--m-max", type=int, default=4096, show_default=True)
 @click.pass_context
 @_handle_errors
-def separation(ctx, config, n_list, eps, eps_acc, delta, learners, trials_opt, m_max):
+def separation(ctx, config, n_list, eps, eps_acc, delta, learners, trials, m_max):
     """Empirical sample-size curve per learner across n: the separation run."""
     obj: CLIContext = ctx.obj
-    entry = _load_config_entries(config)[0]
+    entry = _single_config_entry("separation", config)
     ns = [int(v) for v in str(_resolve(ctx, "n_list", entry, n_list)).split(",") if v]
     e_eps = float(_resolve(ctx, "eps", entry, eps))
     e_acc = float(_resolve(ctx, "eps_acc", entry, eps_acc))
     e_delta = float(_resolve(ctx, "delta", entry, delta))
     learner_list = [s for s in str(_resolve(ctx, "learners", entry, learners)).split(",") if s]
-    e_trials = obj.trials or int(_resolve(ctx, "trials_opt", entry, trials_opt))
+    e_trials = obj.trials or int(_resolve(ctx, "trials", entry, trials))
     e_mmax = int(_resolve(ctx, "m_max", entry, m_max))
     if not ns:
         raise InvalidParameterError("n list must not be empty")
@@ -492,11 +506,11 @@ def separation(ctx, config, n_list, eps, eps_acc, delta, learners, trials_opt, m
 @click.option("--eps", type=float, default=0.2, show_default=True)
 @click.option("--learner", type=click.Choice(["erm", "bayes-posterior", "cover"]),
               default="bayes-posterior", show_default=True)
-@click.option("--trials", "trials_opt", type=TRIALS, default=20000, show_default=True)
+@click.option("--trials", type=TRIALS, default=20000, show_default=True)
 @click.option("--gamma", type=float, default=0.01, show_default=True)
 @click.pass_context
 @_handle_errors
-def lower_bound(ctx, config, n, eps, learner, trials_opt, gamma):
+def lower_bound(ctx, config, n, eps, learner, trials, gamma):
     """The matched-pair failure experiment at m = floor(ln n / (3 ln(1/eps)))."""
     obj: CLIContext = ctx.obj
     rows, resolved = [], []
@@ -504,7 +518,7 @@ def lower_bound(ctx, config, n, eps, learner, trials_opt, gamma):
         e_n = int(_resolve(ctx, "n", entry, n))
         e_eps = float(_resolve(ctx, "eps", entry, eps))
         e_learner = str(_resolve(ctx, "learner", entry, learner))
-        e_trials = obj.trials or int(_resolve(ctx, "trials_opt", entry, trials_opt))
+        e_trials = obj.trials or int(_resolve(ctx, "trials", entry, trials))
         e_gamma = float(_resolve(ctx, "gamma", entry, gamma))
         est = lower_bound_experiment(
             e_n, e_eps, e_learner, e_trials, RngSeed(obj.seed), e_gamma, obj.threads
@@ -538,11 +552,11 @@ def lower_bound(ctx, config, n, eps, learner, trials_opt, gamma):
 @click.option("--n", type=int, default=1 << 17, show_default=True)
 @click.option("--eps", type=float, default=0.2, show_default=True)
 @click.option("--m", type=int, default=None, help="Defaults to the lower-bound budget.")
-@click.option("--trials", "trials_opt", type=TRIALS, default=20000, show_default=True)
+@click.option("--trials", type=TRIALS, default=20000, show_default=True)
 @click.option("--gamma", type=float, default=0.01, show_default=True)
 @click.pass_context
 @_handle_errors
-def ks_stats(ctx, config, n, eps, m, trials_opt, gamma):
+def ks_stats(ctx, config, n, eps, m, trials, gamma):
     """Concentration of the candidate-set size K and the ratio S/K."""
     obj: CLIContext = ctx.obj
     rows, resolved = [], []
@@ -551,7 +565,7 @@ def ks_stats(ctx, config, n, eps, m, trials_opt, gamma):
         e_eps = float(_resolve(ctx, "eps", entry, eps))
         e_m = _resolve(ctx, "m", entry, m)
         e_m = lower_bound_m(e_n, e_eps) if e_m is None else int(e_m)
-        e_trials = obj.trials or int(_resolve(ctx, "trials_opt", entry, trials_opt))
+        e_trials = obj.trials or int(_resolve(ctx, "trials", entry, trials))
         e_gamma = float(_resolve(ctx, "gamma", entry, gamma))
         summary = ks_statistics_experiment(
             e_n, e_eps, e_m, e_trials, RngSeed(obj.seed), e_gamma, obj.threads
@@ -599,10 +613,10 @@ def ks_stats(ctx, config, n, eps, m, trials_opt, gamma):
 @click.option("--m-grid", type=str, default=None,
               help="Comma-separated sizes; default 1 .. 2 * domain size.")
 @click.option("--eps-acc", type=float, default=0.1, show_default=True)
-@click.option("--trials", "trials_opt", type=TRIALS, default=5000, show_default=True)
+@click.option("--trials", type=TRIALS, default=5000, show_default=True)
 @click.pass_context
 @_handle_errors
-def no_gap(ctx, config, domain_size, dist_kind, dist_json, m_grid, eps_acc, trials_opt):
+def no_gap(ctx, config, domain_size, dist_kind, dist_json, m_grid, eps_acc, trials):
     """Memorizer error vs missing mass on the all-functions class."""
     obj: CLIContext = ctx.obj
     rows, resolved = [], []
@@ -612,7 +626,7 @@ def no_gap(ctx, config, domain_size, dist_kind, dist_json, m_grid, eps_acc, tria
         e_json = _resolve(ctx, "dist_json", entry, dist_json)
         e_grid = _resolve(ctx, "m_grid", entry, m_grid)
         e_acc = float(_resolve(ctx, "eps_acc", entry, eps_acc))
-        e_trials = obj.trials or int(_resolve(ctx, "trials_opt", entry, trials_opt))
+        e_trials = obj.trials or int(_resolve(ctx, "trials", entry, trials))
         if e_json:
             dist = distribution_from_json_dict(
                 json.loads(e_json) if isinstance(e_json, str) else e_json
@@ -662,7 +676,7 @@ def no_gap(ctx, config, domain_size, dist_kind, dist_json, m_grid, eps_acc, tria
 def bounds(ctx, config, cover_size, eps, delta, d, k_size):
     """Pure arithmetic report of the cover/sample-size formulas (always JSON)."""
     obj: CLIContext = ctx.obj
-    entry = _load_config_entries(config)[0]
+    entry = _single_config_entry("bounds", config)
     e_n = int(_resolve(ctx, "cover_size", entry, cover_size))
     e_eps = float(_resolve(ctx, "eps", entry, eps))
     e_delta = float(_resolve(ctx, "delta", entry, delta))

@@ -9,6 +9,7 @@ lives at bit (j-1) % 64 of word (j-1) // 64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,13 +36,18 @@ def words_needed(n: int) -> int:
     return (n + WORD_BITS - 1) // WORD_BITS
 
 
+@cache
 def full_mask_words(n: int) -> np.ndarray:
-    """All-ones mask for n bits: trailing bits of the last word are zero."""
+    """All-ones mask for n bits: trailing bits of the last word are zero.
+
+    Cached per n and read-only.
+    """
     w = words_needed(n)
     mask = np.full(w, ~np.uint64(0), dtype=np.uint64)
     rem = n % WORD_BITS
     if w and rem:
         mask[-1] = np.uint64((1 << rem) - 1)
+    mask.setflags(write=False)
     return mask
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -80,6 +81,16 @@ class ProductDistribution:
         m.setflags(write=False)
         object.__setattr__(self, "marginals", m)
 
+    @classmethod
+    def _prevalidated(
+        cls, marginals: np.ndarray, pne: tuple[int, float, int] | None = None
+    ) -> "ProductDistribution":
+        """Wrap a read-only float64 vector already known to lie in [0, 1]."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "marginals", marginals)
+        object.__setattr__(dist, "pne", pne)
+        return dist
+
     @property
     def n(self) -> int:
         return int(self.marginals.size)
@@ -98,15 +109,7 @@ class ProductDistribution:
 
 def make_pne(n: int, eps: float, i: int) -> ProductDistribution:
     """P_i from the family P_{n,eps}: a fair coin at coordinate i, Bernoulli(eps) elsewhere."""
-    if n < 2:
-        raise InvalidParameterError("the family needs n >= 2")
-    if not 0.0 < eps < 0.5:
-        raise InvalidParameterError(f"eps must lie in (0, 1/2), got {eps}")
-    if not 1 <= i <= n:
-        raise InvalidParameterError(f"special index {i} out of range 1..{n}")
-    m = np.full(n, eps, dtype=np.float64)
-    m[i - 1] = 0.5
-    return ProductDistribution(m, pne=(n, float(eps), i))
+    return PneFamily(n, eps).member(i)
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,28 @@ class PneFamily:
         if not 0.0 < self.eps < 0.5:
             raise InvalidParameterError(f"eps must lie in (0, 1/2), got {self.eps}")
 
+    def __getstate__(self) -> dict:
+        # The cached base vector (8 n bytes) is rebuilt where it is needed.
+        return {"n": self.n, "eps": self.eps}
+
+    @cached_property
+    def _base_marginals(self) -> np.ndarray:
+        base = np.full(self.n, self.eps, dtype=np.float64)
+        base.setflags(write=False)
+        return base
+
     def member(self, i: int) -> ProductDistribution:
-        return make_pne(self.n, self.eps, i)
+        """P_i: the family's cached eps vector with coordinate i set to 1/2.
+
+        n and eps were validated with the family, so the member is built
+        without checking its marginals again.
+        """
+        if not 1 <= i <= self.n:
+            raise InvalidParameterError(f"special index {i} out of range 1..{self.n}")
+        m = self._base_marginals.copy()
+        m[i - 1] = 0.5
+        m.setflags(write=False)
+        return ProductDistribution._prevalidated(m, pne=(self.n, float(self.eps), i))
 
     def to_json_dict(self) -> dict:
         return {"kind": "pne", "n": self.n, "eps": self.eps}

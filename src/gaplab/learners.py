@@ -34,6 +34,9 @@ from .metric_cover import CoverResult
 # Row-block budget for the dense mistake-count fallback.
 _DENSE_CELL_BUDGET = 1 << 26
 
+# XOR mask per label bit: a row labelled 0 is complemented, one labelled 1 kept.
+_LABEL_FLIP = np.array([~np.uint64(0), np.uint64(0)], dtype=np.uint64)
+
 
 class LabeledSample:
     """m labeled points: packed point matrix X (m rows) and label vector Y."""
@@ -102,12 +105,10 @@ class LabeledSample:
 
         This is the candidate-index set of the posterior analysis: coordinate
         j survives iff bit j of every row r equals label r.  O(m * n / 64).
+        Rows labelled 0 are flipped (XOR with all ones) before the AND.
         """
-        acc = full_mask_words(self.n).copy()
-        for r in range(self.m):
-            row = self.words[r]
-            acc &= row if self.labels[r] else ~row
-        return acc
+        flip = _LABEL_FLIP.take(self.labels)[:, None]
+        return np.bitwise_and.reduce(self.words ^ flip, axis=0) & full_mask_words(self.n)
 
 
 def k_set_indices(sample: LabeledSample) -> np.ndarray:
@@ -319,12 +320,13 @@ def consistent_memorizer(sample: LabeledSample, default: int = 0) -> MemorizerPr
     """Predictor that repeats the sample labels and answers `default` elsewhere."""
     if default not in (0, 1):
         raise InvalidParameterError("default must be a bit")
-    mapping: dict[Point, int] = {}
-    for r in range(sample.m):
-        p = sample.point(r)
-        y = int(sample.labels[r])
-        if mapping.setdefault(p, y) != y:
-            raise InconsistentSampleError(f"conflicting labels for {p!r}")
+    labels = sample.labels.tolist()
+    first_row: dict[bytes, int] = {}  # one Point per distinct row, built below
+    for r, row in enumerate(sample.words):
+        first = first_row.setdefault(row.tobytes(), r)
+        if labels[first] != labels[r]:
+            raise InconsistentSampleError(f"conflicting labels for {sample.point(r)!r}")
+    mapping = {sample.point(r): labels[r] for r in first_row.values()}
     return MemorizerPredictor(mapping, default, sample.n)
 
 

@@ -13,9 +13,11 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack, contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import bdtr
@@ -421,6 +423,47 @@ def resolve_workers(threads: int) -> int:
     return threads if threads else (os.cpu_count() or 1)
 
 
+class _SharedPool:
+    """The process pool of one trial_pool block, started when first needed."""
+
+    def __init__(self, workers: int, stack: ExitStack):
+        self.workers = workers
+        self._stack = stack
+        self._pool: ProcessPoolExecutor | None = None
+
+    def pool(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            self._pool = self._stack.enter_context(
+                ProcessPoolExecutor(max_workers=self.workers)
+            )
+        return self._pool
+
+
+_shared_pool: ContextVar[_SharedPool | None] = ContextVar("trial_pool", default=None)
+
+
+@contextmanager
+def trial_pool(threads: int) -> Iterator[None]:
+    """Let every _map_trials call inside the block share one process pool.
+
+    The pool starts on the first call that fans out and shuts down when
+    the block exits.  Re-entrant: a block inside another with the same
+    worker count reuses the outer pool; one with a different count opens
+    its own for its duration.
+    """
+    workers = resolve_workers(threads)
+    outer = _shared_pool.get()
+    if outer is not None and outer.workers == workers:
+        yield
+        return
+    with ExitStack() as stack:
+        token = _shared_pool.set(_SharedPool(workers, stack))
+        try:
+            yield
+        finally:
+            _shared_pool.reset(token)
+
+
 def _map_trials(
     chunk_fn: Callable[..., tuple[np.ndarray, ...]],
     args: tuple,
@@ -432,8 +475,10 @@ def _map_trials(
     chunk_fn must be a module-level function returning one array per output,
     each holding trials lo..hi-1 in order.  With one worker, or fewer than
     two trials per worker, it runs serially in this process; otherwise the
-    trials are cut into 4 spans per worker.  Trial t depends only on its
-    index, so the result is bit-identical for any worker count.
+    trials are cut into 4 spans per worker and mapped on the pool of the
+    enclosing trial_pool block (or on one started for this call).  Trial t
+    depends only on its index, so the result is bit-identical for any worker
+    count.
     """
     workers = resolve_workers(threads)
     if workers <= 1 or trials < 2 * workers:
@@ -441,8 +486,8 @@ def _map_trials(
     bounds = np.linspace(0, trials, 4 * workers + 1, dtype=int)
     spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
     per_span_args = zip(*[(*args, lo, hi) for lo, hi in spans])
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(chunk_fn, *per_span_args))
+    with trial_pool(workers):
+        parts = list(_shared_pool.get().pool().map(chunk_fn, *per_span_args))
     return tuple(np.concatenate(outputs) for outputs in zip(*parts))
 
 
@@ -530,34 +575,35 @@ def sample_complexity_search(
             evaluated[m] = MEstimate(m, est, status)
         return evaluated[m]
 
-    confirmed_lo = 0
-    hi: int | None = None
-    m = 1
-    while m <= m_max:
-        e = evaluate(m)
-        if e.status == "success":
-            hi = m
-            break
-        if e.status == "fail":
-            confirmed_lo = m
-        m *= 2
-    if hi is None:
-        raise SearchBracketError(
-            f"no m <= {m_max} reached a failure CI upper bound <= {delta}"
-        )
-
-    if hi == 1 and evaluate(0).status == "success":
-        hi = 0
-    soft_lo = min(confirmed_lo, hi - 1) if hi > 0 else -1
-    while hi - soft_lo > 1:
-        mid = (soft_lo + hi) // 2
-        e = evaluate(mid)
-        if e.status == "success":
-            hi = mid
-        else:
+    with trial_pool(threads):
+        confirmed_lo = 0
+        hi: int | None = None
+        m = 1
+        while m <= m_max:
+            e = evaluate(m)
+            if e.status == "success":
+                hi = m
+                break
             if e.status == "fail":
-                confirmed_lo = mid
-            soft_lo = mid
+                confirmed_lo = m
+            m *= 2
+        if hi is None:
+            raise SearchBracketError(
+                f"no m <= {m_max} reached a failure CI upper bound <= {delta}"
+            )
+
+        if hi == 1 and evaluate(0).status == "success":
+            hi = 0
+        soft_lo = min(confirmed_lo, hi - 1) if hi > 0 else -1
+        while hi - soft_lo > 1:
+            mid = (soft_lo + hi) // 2
+            e = evaluate(mid)
+            if e.status == "success":
+                hi = mid
+            else:
+                if e.status == "fail":
+                    confirmed_lo = mid
+                soft_lo = mid
     per_m = tuple(evaluated[k] for k in sorted(evaluated))
     return SampleComplexityResult(hi, (confirmed_lo, hi), per_m, delta)
 
@@ -807,33 +853,34 @@ def no_gap_experiment(
         raise InvalidParameterError("trials must be >= 1")
     threshold = 2.0 * eps_acc
     rows = []
-    for m in m_grid:
-        if m < 0:
-            raise InvalidParameterError("m must be non-negative")
-        violated, z_ge, failed, z_float = _map_trials(
-            _no_gap_chunk,
-            (dist, m, seed.substream(m), Fraction(threshold), default_bit),
-            trials,
-            threads,
-        )
-        # Plain float addition in trial order: np.sum adds pairwise, and the
-        # mean's last bits reach the CSV.
-        z_total = 0.0
-        for z in z_float.tolist():
-            z_total += z
-        z_ge_count = int(np.count_nonzero(z_ge))
-        fail_count = int(np.count_nonzero(failed))
-        rows.append(
-            NoGapRow(
-                m=m,
-                trials=trials,
-                violations=int(np.count_nonzero(violated)),
-                threshold=threshold,
-                z_ge_rate=EstimateWithCI.from_count(z_ge_count, trials, gamma),
-                fail_rate=EstimateWithCI.from_count(fail_count, trials, gamma),
-                mean_missing_mass=z_total / trials,
+    with trial_pool(threads):
+        for m in m_grid:
+            if m < 0:
+                raise InvalidParameterError("m must be non-negative")
+            violated, z_ge, failed, z_float = _map_trials(
+                _no_gap_chunk,
+                (dist, m, seed.substream(m), Fraction(threshold), default_bit),
+                trials,
+                threads,
             )
-        )
+            # Plain float addition in trial order: np.sum adds pairwise, and the
+            # mean's last bits reach the CSV.
+            z_total = 0.0
+            for z in z_float.tolist():
+                z_total += z
+            z_ge_count = int(np.count_nonzero(z_ge))
+            fail_count = int(np.count_nonzero(failed))
+            rows.append(
+                NoGapRow(
+                    m=m,
+                    trials=trials,
+                    violations=int(np.count_nonzero(violated)),
+                    threshold=threshold,
+                    z_ge_rate=EstimateWithCI.from_count(z_ge_count, trials, gamma),
+                    fail_rate=EstimateWithCI.from_count(fail_count, trials, gamma),
+                    mean_missing_mass=z_total / trials,
+                )
+            )
     return tuple(rows)
 
 

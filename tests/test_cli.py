@@ -274,11 +274,91 @@ def test_trials_below_one_exits_2(runner, tmp_path, args):
 
 def test_trials_zero_in_config_exits_2(runner, tmp_path):
     path = tmp_path / "ng.json"
-    path.write_text(json.dumps({"domain_size": 4, "m_grid": "1", "trials_opt": 0}))
+    path.write_text(json.dumps({"domain_size": 4, "m_grid": "1", "trials": 0}))
     res = runner.invoke(main, ["--out", str(tmp_path / "x.csv"), "no-gap",
                                "--config", str(path)])
     assert res.exit_code == 2
     assert "trials" in res.output
+
+
+@pytest.mark.parametrize(
+    "command, entry",
+    [
+        ("separation", {"n_list": "16", "learners": "cover", "delta": 0.9, "m_max": 64}),
+        ("lower-bound", {"n": 256, "eps": 0.2, "learner": "erm"}),
+        ("ks-stats", {"n": 256, "eps": 0.2}),
+        ("no-gap", {"domain_size": 4, "m_grid": "1"}),
+        ("learn", {"n": 16, "m": 1}),
+    ],
+)
+def test_trials_key_in_config(runner, tmp_path, command, entry):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**entry, "trials": 7}))
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), command, "--config", str(path)])
+    assert res.exit_code == 0, res.output
+    assert {r["trials"] for r in read_csv(out)} == {"7"}
+
+
+@pytest.mark.parametrize("command", ["separation", "bounds"])
+def test_extra_config_entries_exit_2(runner, tmp_path, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([{"n_list": "16"}, {"n_list": "32"}, {"eps": 0.1}]))
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), command, "--config", str(path)])
+    assert res.exit_code == 2
+    assert f"{command} takes one config entry, the config has 3" in res.output
+    assert not out.exists()
+
+
+def test_single_entry_list_keeps_spec_hash(runner, tmp_path):
+    args = ["bounds", "--eps", "0.2"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([{"d": 4}]))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert runner.invoke(main, ["--out", str(a), *args, "--config", str(path)]).exit_code == 0
+    assert runner.invoke(main, ["--out", str(b), *args, "--d", "4"]).exit_code == 0
+    assert json.loads(a.read_text()) == json.loads(b.read_text())
+
+
+def test_unexpected_error_exits_3(runner, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": "abc"}))
+    res = runner.invoke(main, ["--out", str(tmp_path / "x.csv"), "learn",
+                               "--config", str(path)])
+    assert res.exit_code == 3
+    assert "runtime failure: invalid literal" in res.output
+
+
+def test_debug_switch_reraises_unexpected_error(runner, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": "abc"}))
+    res = runner.invoke(main, ["--out", str(tmp_path / "x.csv"), "learn",
+                               "--config", str(path)], env={"GAPLAB_DEBUG": "1"})
+    assert isinstance(res.exception, ValueError)
+    assert "runtime failure" not in res.output
+
+
+def test_separation_starts_one_pool(runner, tmp_path, monkeypatch):
+    from gaplab import mc_harness
+
+    starts = []
+
+    class CountingPool(mc_harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(mc_harness, "ProcessPoolExecutor", CountingPool)
+    out = tmp_path / "sep.csv"
+    res = runner.invoke(
+        main,
+        ["--threads", "2", "--out", str(out), "separation", "--n-list", "16,64",
+         "--learners", "erm,cover", "--trials", "300", "--delta", "0.25", "--m-max", "64"],
+    )
+    assert res.exit_code == 0, res.output
+    assert len(read_csv(out)) == 4
+    assert starts == [2]
 
 
 def test_negative_threads_exits_2(runner, tmp_path):

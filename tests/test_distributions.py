@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -76,6 +77,40 @@ class TestMakePne:
     def test_family_member(self):
         fam = PneFamily(6, 0.2)
         assert np.allclose(fam.member(3).marginals, [0.2, 0.2, 0.5, 0.2, 0.2, 0.2])
+
+    @pytest.mark.parametrize("n, eps", [(2, 0.25), (65, 0.1), (300, 0.3)])
+    def test_member_matches_make_pne_and_a_built_vector(self, n, eps):
+        fam = PneFamily(n, eps)
+        for i in (1, n // 2 + 1, n):
+            d = fam.member(i)
+            want = np.full(n, eps)
+            want[i - 1] = 0.5
+            assert d.marginals.dtype == np.float64
+            assert np.array_equal(d.marginals, want)
+            assert np.array_equal(d.marginals, make_pne(n, eps, i).marginals)
+            assert d.pne == make_pne(n, eps, i).pne == (n, eps, i)
+            assert not d.marginals.flags.writeable
+            assert d.to_json_dict() == {"kind": "pne", "n": n, "eps": eps, "i": i}
+
+    def test_members_do_not_share_marginals(self):
+        fam = PneFamily(5, 0.1)
+        a, b = fam.member(1), fam.member(5)
+        assert a.marginals[0] == 0.5 and a.marginals[4] == 0.1
+        assert b.marginals[0] == 0.1 and b.marginals[4] == 0.5
+
+    @pytest.mark.parametrize("i", [0, -1, 7, 100])
+    def test_member_index_range(self, i):
+        with pytest.raises(InvalidParameterError, match="out of range 1..6"):
+            PneFamily(6, 0.2).member(i)
+
+    def test_family_pickles_without_cached_vector(self):
+        fam = PneFamily(1 << 12, 0.1)
+        fam.member(1)
+        blob = pickle.dumps(fam)
+        assert len(blob) < 1000
+        back = pickle.loads(blob)
+        assert back == fam
+        assert np.array_equal(back.member(7).marginals, fam.member(7).marginals)
 
 
 class TestPointProb:

@@ -1,0 +1,53 @@
+"""Golden CSV bodies: one small spec per trial-running command.
+
+Each digest is the SHA-256 of the CSV a command writes for its spec and
+seed.  A change that alters one of them changes a random stream or a
+formula, not just the speed, so it must not pass as a refactor.  Every spec
+is checked serially and at two workers, with enough trials that the two
+worker case runs through the process pool.
+"""
+
+import hashlib
+
+import pytest
+from click.testing import CliRunner
+
+from gaplab.cli import main
+
+GOLDEN = {
+    "learn": (
+        ["--seed", "101", "learn", "--n", "64", "--eps", "0.1", "--learner", "erm",
+         "--m", "6", "--trials", "300"],
+        "c018c4f6a06304eb823821e156d6a3f08ae05d53eaeb267868be13858ac83978",
+    ),
+    "separation": (
+        ["--seed", "102", "separation", "--n-list", "16,64",
+         "--learners", "erm,cover,bayes-posterior", "--trials", "300",
+         "--delta", "0.25", "--m-max", "64"],
+        "ae4b896f1d4b9f4aac76fce0d4411c76d05d5b1d9ca3d277ecb73db3a724b735",
+    ),
+    "lower-bound": (
+        ["--seed", "103", "lower-bound", "--n", "4096", "--eps", "0.2",
+         "--learner", "bayes-posterior", "--trials", "300"],
+        "f0361f7c3ea6e13ab14ae722629a9ad11e56f83126f0818afa92e099925f3d79",
+    ),
+    "ks-stats": (
+        ["--seed", "104", "ks-stats", "--n", "4096", "--eps", "0.2", "--trials", "300"],
+        "b51d956a93c7c4d8f09fb360bead47aaa5b44314a5b103a070884a0d868b16a3",
+    ),
+    "no-gap": (
+        ["--seed", "105", "no-gap", "--domain-size", "6", "--dist", "geometric",
+         "--m-grid", "1,4,8", "--trials", "300"],
+        "b8dd1f43e789dac4f81cb77b70ec4619b629eff341ddbc7f24a81bdefb9bedec",
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_body(tmp_path, command, threads):
+    args, want = GOLDEN[command]
+    out = tmp_path / f"{command}.csv"
+    res = CliRunner().invoke(main, ["--threads", threads, "--out", str(out), *args])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want

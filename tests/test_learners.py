@@ -11,6 +11,8 @@ from gaplab.concepts import (
     all_functions_class,
     enumerated_domain,
     full_hypercube,
+    full_mask_words,
+    pack_bit_rows,
 )
 from gaplab.distributions import (
     RngSeed,
@@ -50,6 +52,35 @@ def realizable_sample(n, i_target, m, seed, eps=0.1, i_dist=None):
     sample = LabeledSample(words, np.zeros(m, dtype=np.uint8), n)
     labels = sample.column(i_target)
     return LabeledSample(words, labels, n)
+
+
+def reference_column_match_mask(sample):
+    """Per-row loop: AND each row, or its complement when the label is 0."""
+    acc = full_mask_words(sample.n).copy()
+    for r in range(sample.m):
+        row = sample.words[r]
+        acc &= row if sample.labels[r] else ~row
+    return acc
+
+
+@given(st.sampled_from([1, 63, 64, 65, 130]), st.integers(0, 12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_column_match_mask_matches_row_loop(n, m, data):
+    bits = np.array(
+        data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                           min_size=m, max_size=m)),
+        dtype=np.uint8,
+    ).reshape(m, n)
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)),
+                      dtype=np.uint8)
+    if m and data.draw(st.booleans()):
+        labels = bits[:, data.draw(st.integers(0, n - 1))].copy()  # a realizable sample
+    sample = LabeledSample(pack_bit_rows(bits), labels, n)
+    got = sample.column_match_mask()
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, reference_column_match_mask(sample))
+    if m == 0:
+        assert np.array_equal(got, full_mask_words(n))
 
 
 class TestLabeledSample:
@@ -303,6 +334,20 @@ class TestMemorizer:
         s = sample_from(["01", "01"], [1, 0])
         with pytest.raises(InconsistentSampleError):
             consistent_memorizer(s)
+
+    def test_inconsistent_after_repeats_names_the_point(self):
+        s = sample_from(["011", "100", "011", "100", "011"], [1, 0, 1, 0, 0])
+        with pytest.raises(InconsistentSampleError, match="Point\\('011'\\)"):
+            consistent_memorizer(s)
+
+    def test_one_entry_per_distinct_row(self):
+        rows = ["0110", "1000", "0110", "0110", "1111", "1000"]
+        labels = [1, 0, 1, 1, 0, 0]
+        h = consistent_memorizer(sample_from(rows, labels))
+        want = {Point.from_string(r): y for r, y in zip(rows, labels)}
+        assert h.mapping == want
+        assert list(h.mapping) == [Point.from_string(r) for r in ("0110", "1000", "1111")]
+        assert all(type(v) is int for v in h.mapping.values())
 
     def test_error_bounded_by_missing_mass_exactly(self):
         dom = enumerated_domain(8)

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gaplab import mc_harness
 from gaplab.concepts import (
     Point,
     ProjectionClass,
@@ -42,6 +44,7 @@ from gaplab.mc_harness import (
     run_trials,
     sample_complexity_search,
     tail_inequality_check,
+    trial_pool,
     _posterior_threshold_for,
 )
 
@@ -354,6 +357,76 @@ class TestNoGap:
 
         monkeypatch.setattr("gaplab.mc_harness.ProcessPoolExecutor", no_pool)
         assert no_gap_experiment(dist, [1, 3], 3, 0.1, RngSeed(29), threads=2) == serial
+
+
+@pytest.fixture()
+def pool_starts(monkeypatch):
+    """Worker counts of the process pools started, in order."""
+    starts = []
+
+    class CountingPool(mc_harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(mc_harness, "ProcessPoolExecutor", CountingPool)
+    return starts
+
+
+class TestTrialPool:
+    def test_calls_in_a_block_share_one_pool(self, pool_starts):
+        cfg = pne_cfg(32, 0.1, "erm", 3, 1 / 16, 40, 5)
+        dist = uniform_finite(enumerated_domain(4))
+        serial = run_trials(cfg), no_gap_experiment(dist, [1, 3], 40, 0.1, RngSeed(3))
+        with trial_pool(2):
+            with trial_pool(2):
+                errors, fails = run_trials(cfg, threads=2)
+            rows = no_gap_experiment(dist, [1, 3], 40, 0.1, RngSeed(3), threads=2)
+            assert mc_harness._shared_pool.get() is not None
+        assert pool_starts == [2]
+        assert mc_harness._shared_pool.get() is None
+        assert np.array_equal(errors, serial[0][0]) and np.array_equal(fails, serial[0][1])
+        assert rows == serial[1]
+
+    def test_pool_starts_only_when_trials_fan_out(self, pool_starts):
+        cfg = pne_cfg(32, 0.1, "erm", 3, 1 / 16, 3, 5)
+        with trial_pool(2):
+            run_trials(cfg, threads=2)  # 3 trials < 2 * workers: serial
+            run_trials(replace(cfg, trials=40), threads=1)
+        assert pool_starts == []
+
+    def test_each_block_has_its_own_pool(self, pool_starts):
+        cfg = pne_cfg(32, 0.1, "erm", 3, 1 / 16, 40, 5)
+        for _ in range(2):
+            with trial_pool(2):
+                run_trials(cfg, threads=2)
+        run_trials(cfg, threads=2)
+        assert pool_starts == [2, 2, 2]
+
+    def test_other_worker_count_gets_its_own_pool(self, pool_starts):
+        cfg = pne_cfg(32, 0.1, "erm", 3, 1 / 16, 40, 5)
+        with trial_pool(2):
+            a = run_trials(cfg, threads=3)
+            b = run_trials(cfg, threads=2)
+            c = run_trials(cfg, threads=2)
+        assert pool_starts == [3, 2]
+        serial = run_trials(cfg)
+        for got in (a, b, c):
+            assert all(np.array_equal(x, y) for x, y in zip(got, serial))
+
+    def test_search_starts_one_pool(self, pool_starts):
+        cfg = pne_cfg(16, 0.1, "cover", 1, 1 / 16, 300, 8)
+        serial = sample_complexity_search(cfg, 0.25, 64)
+        assert len(serial.per_m) > 1
+        assert sample_complexity_search(cfg, 0.25, 64, threads=2) == serial
+        assert pool_starts == [2]
+
+    def test_pool_closes_on_error(self, pool_starts):
+        cfg = pne_cfg(4096, 0.1, "erm", 1, 1 / 16, 150, 5)
+        with pytest.raises(SearchBracketError):
+            sample_complexity_search(cfg, 0.3, 1, threads=2)
+        assert pool_starts == [2]
+        assert mc_harness._shared_pool.get() is None
 
 
 class TestTailInequality:
