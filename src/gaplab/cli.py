@@ -3,6 +3,12 @@
 Every result file embeds the master seed and a hash of the resolved
 experiment spec; re-running a command with the same spec and seed emits a
 byte-identical body.  Timestamps live only in the per-invocation manifest.
+
+Each subcommand is one row of COMMANDS: its flags, a runner that maps one
+resolved config entry to (resolved spec, rows), and its CSV header.  One
+builder turns every row into a click command, so config loading, flag
+resolution, the global --trials override, output and the manifest are
+shared by all of them.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import click
 import numpy as np
@@ -102,55 +109,46 @@ class CLIContext:
     threads: int
 
     started_at: str = ""
-    outputs: list[str] | None = None
-
-    def record_output(self, path: str):
-        if self.outputs is None:
-            self.outputs = []
-        self.outputs.append(path)
 
 
-def _write_table(path: Path, header: list[str], rows: list[dict], fmt: str, meta: dict):
-    """Write rows as CSV (header order) or JSON (same ordering, plus meta)."""
-    if fmt == "csv":
+def _write_table(obj: CLIContext, kind: str, header: tuple[str, ...], rows: list[tuple],
+                 digest: str) -> Path:
+    """Write rows (tuples in header order) as CSV, or as JSON with the meta fields."""
+    header = (*header, "seed", "spec_hash")
+    records = [dict(zip(header, (*row, obj.seed, digest), strict=True)) for row in rows]
+    path = Path(obj.out or f"{kind}.{obj.fmt}")
+    if obj.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt_cell(row[h]) for h in header])
+        writer.writerows([fmt_cell(v) for v in rec.values()] for rec in records)
         path.write_text(buf.getvalue())
     else:
-        doc = dict(meta)
-        doc["rows"] = [{h: row[h] for h in header} for row in rows]
+        doc = {"seed": obj.seed, "spec_hash": digest, "kind": kind, "rows": records}
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _emit(ctx_obj: CLIContext, kind: str, header: list[str], rows: list[dict], resolved) -> Path:
-    h = spec_hash(resolved)
-    for row in rows:
-        row["seed"] = ctx_obj.seed
-        row["spec_hash"] = h
-    header = header + ["seed", "spec_hash"]
-    ext = "csv" if ctx_obj.fmt == "csv" else "json"
-    path = Path(ctx_obj.out or f"{kind}.{ext}")
-    meta = {"seed": ctx_obj.seed, "spec_hash": h, "kind": kind}
-    _write_table(path, header, rows, ctx_obj.fmt, meta)
-    ctx_obj.record_output(str(path))
-    click.echo(f"wrote {path} ({len(rows)} row{'s' if len(rows) != 1 else ''})")
     return path
 
 
-def _write_manifest(ctx_obj: CLIContext, resolved) -> None:
-    outputs = ctx_obj.outputs or []
-    target = Path(outputs[0]) if outputs else Path("run")
-    manifest_path = target.with_suffix(".manifest.json")
+def _write_report(obj: CLIContext, kind: str, header: tuple[str, ...], rows: list[dict],
+                  digest: str) -> Path:
+    """Write the one row, a dict, as a JSON document whatever --format says."""
+    (doc,) = rows
+    doc["seed"] = obj.seed
+    doc["spec_hash"] = digest
+    path = Path(obj.out or f"{kind}.json")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def _write_manifest(ctx_obj: CLIContext, resolved, output: Path) -> None:
+    manifest_path = output.with_suffix(".manifest.json")
     doc = {
         "tool_version": __version__,
         "spec_hash": spec_hash(resolved),
         "master_seed": ctx_obj.seed,
         "started_at": ctx_obj.started_at,
         "finished_at": datetime.now(timezone.utc).isoformat(),
-        "outputs": outputs,
+        "outputs": [str(output)],
         "workers": resolve_workers(ctx_obj.threads),
         "cpu_count": os.cpu_count(),
         "python_version": platform.python_version(),
@@ -172,24 +170,81 @@ def _load_config_entries(config: str | None) -> list[dict]:
     raise InvalidParameterError("config must be a JSON object or a list of objects")
 
 
-def _single_config_entry(command: str, config: str | None) -> dict:
-    """The one config entry of a command that runs a single spec."""
-    entries = _load_config_entries(config)
-    if len(entries) != 1:
+class JsonText(click.ParamType):
+    """JSON given as text on the command line, or already parsed in a config file."""
+
+    name = "text"
+
+    def convert(self, value, param, ctx):
+        if not isinstance(value, str):
+            return value
+        try:
+            return json.loads(value)
+        except json.JSONDecodeError as exc:
+            self.fail(f"invalid JSON: {exc}", param, ctx)
+
+
+JSON_TEXT = JsonText()
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its flags, how it runs one config entry, and how it writes.
+
+    `run(obj, **values)` takes the typed values of one config entry, keyed by
+    flag name, and returns (resolved spec, rows); its docstring is the help.
+    `write` gets the rows of all entries: for `_write_table`, tuples in
+    header order.
+    """
+
+    name: str
+    options: tuple[click.Option, ...]
+    run: Callable[..., tuple[dict, list]]
+    header: tuple[str, ...] = ()
+    # The command runs one spec: its config holds one entry, and the
+    # resolved spec is that entry's spec rather than a list of them.
+    single: bool = False
+    write: Callable[..., Path] = _write_table
+    config_help: str | None = None
+    # An entry holding any of these keys is a whole document, not flag
+    # values: it reaches the runner as `document`, and the flags keep their
+    # command-line or default values.
+    document_keys: frozenset[str] = frozenset()
+
+
+def _resolve_entry(ctx: click.Context, cmd: Command, entry: dict) -> dict:
+    """Typed values of one entry; precedence: command-line flag > config entry > default.
+
+    Config keys are the flag names, and a config value is converted by its
+    flag's own click type.  The global --trials wins over all three.
+    """
+    document = entry if cmd.document_keys & entry.keys() else None
+    flat = {} if document is not None else entry
+    params = {p.name: p for p in ctx.command.params if p.name != "config"}
+    unknown = [key for key in flat if key not in params]
+    if unknown:
         raise InvalidParameterError(
-            f"{command} takes one config entry, the config has {len(entries)}"
+            f"{cmd.name} config has unknown key {', '.join(map(repr, unknown))}; "
+            "config keys are the flag names"
         )
-    return entries[0]
-
-
-def _resolve(ctx: click.Context, name: str, entry: dict, flag_value):
-    """Precedence: explicit command-line flag > config entry > env/default flag value."""
-    source = ctx.get_parameter_source(name)
-    if source is not None and source.name == "COMMANDLINE":
-        return flag_value
-    if name in entry:
-        return entry[name]
-    return flag_value
+    values = {}
+    for name, param in params.items():
+        if name == "trials" and ctx.obj.trials is not None:
+            values[name] = ctx.obj.trials
+        elif name in flat and (
+            ctx.get_parameter_source(name) is not click.core.ParameterSource.COMMANDLINE
+        ):
+            try:
+                values[name] = param.type_cast_value(ctx, flat[name])
+            except click.BadParameter as exc:
+                raise InvalidParameterError(
+                    f"{cmd.name} config key {name!r}: {exc.message}"
+                ) from None
+        else:
+            values[name] = ctx.params[name]
+    if document is not None:
+        values["document"] = document
+    return values
 
 
 def _handle_errors(fn):
@@ -210,8 +265,6 @@ def _handle_errors(fn):
             click.echo(f"runtime failure: {exc}", err=True)
             sys.exit(3)
 
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
     return wrapper
 
 
@@ -239,110 +292,50 @@ def main(ctx, seed, trials, out, fmt, threads):
     ctx.with_resource(trial_pool(threads))
 
 
-@main.command()
-@click.option("--config", type=click.Path(exists=True), default=None)
-@click.option("--n", type=int, default=1024, show_default=True)
-@click.option("--eps", type=float, default=0.05, show_default=True,
-              help="Distribution parameter of the product family.")
-@click.option("--i", "i_special", type=int, default=1, show_default=True)
-@click.option("--level", type=float, default=None,
-              help="Cover level (default 2*eps).")
-@click.option("--class-json", type=str, default=None,
-              help="Explicit class JSON (table classes).")
-@click.option("--dist-json", type=str, default=None,
-              help="Explicit distribution JSON.")
-@click.pass_context
-@_handle_errors
-def cover(ctx, config, n, eps, i_special, level, class_json, dist_json):
+def _run_cover(obj: CLIContext, n, eps, i, level, class_json, dist_json):
     """Build the greedy packing cover and report it next to the Dudley bound."""
-    obj: CLIContext = ctx.obj
-    rows, resolved = [], []
-    for entry in _load_config_entries(config):
-        e_n = int(_resolve(ctx, "n", entry, n))
-        e_eps = float(_resolve(ctx, "eps", entry, eps))
-        e_i = int(_resolve(ctx, "i_special", entry, i_special))
-        e_level = _resolve(ctx, "level", entry, level)
-        e_class = _resolve(ctx, "class_json", entry, class_json)
-        e_dist = _resolve(ctx, "dist_json", entry, dist_json)
-        if e_class or e_dist:
-            if not (e_class and e_dist):
-                raise InvalidParameterError("give both --class-json and --dist-json")
-            cls = class_from_json_dict(json.loads(e_class) if isinstance(e_class, str) else e_class)
-            dist = distribution_from_json_dict(json.loads(e_dist) if isinstance(e_dist, str) else e_dist)
-            if isinstance(dist, PneFamily):
-                raise InvalidParameterError("cover needs a concrete distribution")
-            if e_level is None:
-                raise InvalidParameterError("--level is required for explicit specs")
-        else:
-            cls = ProjectionClass(e_n)
-            dist = make_pne(e_n, e_eps, e_i)
-            if e_level is None:
-                e_level = 2.0 * e_eps
-        e_level = float(e_level)
-        result = greedy_packing_cover(cls, dist, e_level)
-        if isinstance(cls, ProjectionClass):
-            d_vc = cls.n.bit_length() - 1
-        else:
-            d_vc = vc_dimension_bruteforce(cls)
-        bound = dudley_cover_bound(e_level, d_vc)
-        spec = {
-            "kind": "cover", "class": cls.to_json_dict(), "dist": dist.to_json_dict(),
-            "level": e_level, "seed": obj.seed,
-        }
-        resolved.append(spec)
-        rows.append({
-            "class_kind": cls.to_json_dict()["kind"],
-            "num_concepts": cls.num_concepts,
-            "level": e_level,
-            "size": result.size,
-            "members": "|".join(str(ix) for ix in result.member_indices()),
-            "certificate": result.certificate,
-            "vc_dim": d_vc,
-            "dudley_log": bound.log_value,
-            "dudley_value": bound.value,
-        })
-    header = ["class_kind", "num_concepts", "level", "size", "members",
-              "certificate", "vc_dim", "dudley_log", "dudley_value"]
-    _emit(obj, "cover", header, rows, resolved)
-    _write_manifest(obj, resolved)
+    if class_json or dist_json:
+        if not (class_json and dist_json):
+            raise InvalidParameterError("give both --class-json and --dist-json")
+        cls = class_from_json_dict(class_json)
+        dist = distribution_from_json_dict(dist_json)
+        if isinstance(dist, PneFamily):
+            raise InvalidParameterError("cover needs a concrete distribution")
+        if level is None:
+            raise InvalidParameterError("--level is required for explicit specs")
+    else:
+        cls = ProjectionClass(n)
+        dist = make_pne(n, eps, i)
+        if level is None:
+            level = 2.0 * eps
+    result = greedy_packing_cover(cls, dist, level)
+    if isinstance(cls, ProjectionClass):
+        d_vc = cls.n.bit_length() - 1
+    else:
+        d_vc = vc_dimension_bruteforce(cls)
+    bound = dudley_cover_bound(level, d_vc)
+    spec = {
+        "kind": "cover", "class": cls.to_json_dict(), "dist": dist.to_json_dict(),
+        "level": level, "seed": obj.seed,
+    }
+    members = "|".join(str(ix) for ix in result.member_indices())
+    return spec, [(spec["class"]["kind"], cls.num_concepts, level, result.size, members,
+                   result.certificate, d_vc, bound.log_value, bound.value)]
 
 
-@main.command()
-@click.option("--config", type=click.Path(exists=True), default=None)
-@click.option("--n", type=int, default=8, show_default=True)
-@click.option("--universe", type=click.Choice(["full", "default"]), default="full",
-              show_default=True, help="full = all 2^n points (n <= 20).")
-@click.option("--d-max", type=int, default=None)
-@click.option("--class-json", type=str, default=None)
-@click.pass_context
-@_handle_errors
-def vc(ctx, config, n, universe, d_max, class_json):
+def _run_vc(obj: CLIContext, n, universe, d_max, class_json):
     """Brute-force VC dimension over an explicit universe."""
-    obj: CLIContext = ctx.obj
-    rows, resolved = [], []
-    for entry in _load_config_entries(config):
-        e_n = int(_resolve(ctx, "n", entry, n))
-        e_universe = _resolve(ctx, "universe", entry, universe)
-        e_dmax = _resolve(ctx, "d_max", entry, d_max)
-        e_class = _resolve(ctx, "class_json", entry, class_json)
-        if e_class:
-            cls = class_from_json_dict(json.loads(e_class) if isinstance(e_class, str) else e_class)
-            points = None
-        else:
-            cls = ProjectionClass(e_n)
-            points = full_hypercube(e_n) if e_universe == "full" else None
-        dim = vc_dimension_bruteforce(cls, points, e_dmax)
-        spec = {"kind": "vc", "class": cls.to_json_dict(), "universe": e_universe,
-                "d_max": e_dmax, "seed": obj.seed}
-        resolved.append(spec)
-        rows.append({
-            "class_kind": cls.to_json_dict()["kind"],
-            "num_concepts": cls.num_concepts,
-            "universe": e_universe if not e_class else "default",
-            "dimension": dim,
-        })
-    _emit(obj, "vc", ["class_kind", "num_concepts", "universe", "dimension"], rows, resolved)
-    _write_manifest(obj, resolved)
+    if class_json:
+        cls = class_from_json_dict(class_json)
+        points = None
+    else:
+        cls = ProjectionClass(n)
+        points = full_hypercube(n) if universe == "full" else None
+    dim = vc_dimension_bruteforce(cls, points, d_max)
+    spec = {"kind": "vc", "class": cls.to_json_dict(), "universe": universe,
+            "d_max": d_max, "seed": obj.seed}
+    shown = universe if not class_json else "default"
+    return spec, [(spec["class"]["kind"], cls.num_concepts, shown, dim)]
 
 
 def _target_from_string(s: str):
@@ -355,102 +348,38 @@ def _target_from_string(s: str):
     raise InvalidParameterError(f"bad target spec {s!r}; use fixed:<i>, random-pair, random-concept")
 
 
-@main.command()
-@click.option("--config", type=click.Path(exists=True), default=None,
-              help="TrialConfig JSON (object or list).")
-@click.option("--n", type=int, default=256, show_default=True)
-@click.option("--eps", type=float, default=0.1, show_default=True)
-@click.option("--target", type=str, default="random-pair", show_default=True)
-@click.option("--learner", type=click.Choice(["erm", "cover", "bayes-posterior"]),
-              default="erm", show_default=True)
-@click.option("--m", type=int, default=10, show_default=True)
-@click.option("--eps-acc", type=float, default=0.0625, show_default=True)
-@click.option("--gamma", type=float, default=0.01, show_default=True)
-@click.option("--trials", type=TRIALS, default=2000, show_default=True)
-@click.pass_context
-@_handle_errors
-def learn(ctx, config, n, eps, target, learner, m, eps_acc, gamma, trials):
+def _run_learn(obj: CLIContext, n, eps, target, learner, m, eps_acc, gamma, trials,
+               document=None):
     """Estimate a learner's failure probability for one trial configuration."""
-    obj: CLIContext = ctx.obj
-    rows, resolved = [], []
-    for entry in _load_config_entries(config):
-        if set(entry) & {"class", "dist", "target"}:
-            entry = dict(entry)
-            entry.setdefault("seed", {"master": obj.seed})
-            entry.setdefault("trials", obj.trials or trials)
-            entry.setdefault("eps_acc", eps_acc)
-            entry.setdefault("m", m)
-            entry.setdefault("learner", learner)
-            entry.setdefault("gamma", gamma)
-            cfg = config_from_json_dict(entry)
-        else:
-            e_n = int(_resolve(ctx, "n", entry, n))
-            e_eps = float(_resolve(ctx, "eps", entry, eps))
-            e_target = _target_from_string(str(_resolve(ctx, "target", entry, target)))
-            e_learner = str(_resolve(ctx, "learner", entry, learner))
-            e_m = int(_resolve(ctx, "m", entry, m))
-            e_acc = float(_resolve(ctx, "eps_acc", entry, eps_acc))
-            e_gamma = float(_resolve(ctx, "gamma", entry, gamma))
-            e_trials = obj.trials or int(_resolve(ctx, "trials", entry, trials))
-            dist = (
-                PneFamily(e_n, e_eps)
-                if isinstance(e_target, RandomPair)
-                else make_pne(e_n, e_eps, 1)
-            )
-            cfg = TrialConfig(
-                concept_class=ProjectionClass(e_n),
-                dist=dist,
-                target=e_target,
-                learner=e_learner,
-                m=e_m,
-                eps_acc=e_acc,
-                trials=e_trials,
-                seed=RngSeed(obj.seed),
-                gamma=e_gamma,
-            )
-        est = estimate_failure_prob(cfg, obj.threads)
-        resolved.append({"kind": "learn", "config": cfg.to_json_dict()})
-        rows.append({
-            "learner": cfg.learner,
-            "m": cfg.m,
-            "eps_acc": cfg.eps_acc,
-            "trials": cfg.trials,
-            "gamma": cfg.gamma,
-            "failures": round(est.estimate * cfg.trials),
-            "estimate": est.estimate,
-            "radius": est.radius,
-            "ci_low": est.lower,
-            "ci_high": est.upper,
+    if document is not None:
+        cfg = config_from_json_dict({
+            "seed": {"master": obj.seed}, "trials": trials, "eps_acc": eps_acc,
+            "m": m, "learner": learner, "gamma": gamma, **document,
         })
-    header = ["learner", "m", "eps_acc", "trials", "gamma", "failures",
-              "estimate", "radius", "ci_low", "ci_high"]
-    _emit(obj, "learn", header, rows, resolved)
-    _write_manifest(obj, resolved)
+    else:
+        tgt = _target_from_string(target)
+        cfg = TrialConfig(
+            concept_class=ProjectionClass(n),
+            dist=PneFamily(n, eps) if isinstance(tgt, RandomPair) else make_pne(n, eps, 1),
+            target=tgt,
+            learner=learner,
+            m=m,
+            eps_acc=eps_acc,
+            trials=trials,
+            seed=RngSeed(obj.seed),
+            gamma=gamma,
+        )
+    est = estimate_failure_prob(cfg, obj.threads)
+    return {"kind": "learn", "config": cfg.to_json_dict()}, [
+        (cfg.learner, cfg.m, cfg.eps_acc, cfg.trials, cfg.gamma,
+         round(est.estimate * cfg.trials), est.estimate, est.radius, est.lower, est.upper)
+    ]
 
 
-@main.command()
-@click.option("--config", type=click.Path(exists=True), default=None)
-@click.option("--n-list", type=str, default=",".join(str(v) for v in DEFAULT_SEPARATION_NS),
-              show_default=True, help="Comma-separated hypercube dimensions.")
-@click.option("--eps", type=float, default=0.1, show_default=True)
-@click.option("--eps-acc", type=float, default=1.0 / 16.0, show_default=True)
-@click.option("--delta", type=float, default=1.0 / 16.0, show_default=True)
-@click.option("--learners", type=str, default="erm,cover", show_default=True)
-@click.option("--trials", type=TRIALS, default=4000, show_default=True)
-@click.option("--m-max", type=int, default=4096, show_default=True)
-@click.pass_context
-@_handle_errors
-def separation(ctx, config, n_list, eps, eps_acc, delta, learners, trials, m_max):
+def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, trials, m_max):
     """Empirical sample-size curve per learner across n: the separation run."""
-    obj: CLIContext = ctx.obj
-    entry = _single_config_entry("separation", config)
-    ns = [int(v) for v in str(_resolve(ctx, "n_list", entry, n_list)).split(",") if v]
-    e_eps = float(_resolve(ctx, "eps", entry, eps))
-    e_acc = float(_resolve(ctx, "eps_acc", entry, eps_acc))
-    e_delta = float(_resolve(ctx, "delta", entry, delta))
-    learner_list = [s for s in str(_resolve(ctx, "learners", entry, learners)).split(",") if s]
-    e_trials = obj.trials or int(_resolve(ctx, "trials", entry, trials))
-    e_mmax = int(_resolve(ctx, "m_max", entry, m_max))
+    ns = [int(v) for v in n_list.split(",") if v]
+    learner_list = [s for s in learners.split(",") if s]
     if not ns:
         raise InvalidParameterError("n list must not be empty")
     if not learner_list:
@@ -458,10 +387,10 @@ def separation(ctx, config, n_list, eps, eps_acc, delta, learners, trials, m_max
     for name in learner_list:
         if name not in SEPARATION_LEARNERS:
             raise InvalidParameterError(f"unknown separation learner {name!r}")
-    resolved = {
-        "kind": "separation", "n_list": ns, "eps": e_eps, "eps_acc": e_acc,
-        "delta": e_delta, "learners": learner_list, "trials": e_trials,
-        "m_max": e_mmax, "seed": obj.seed,
+    spec = {
+        "kind": "separation", "n_list": ns, "eps": eps, "eps_acc": eps_acc,
+        "delta": delta, "learners": learner_list, "trials": trials,
+        "m_max": m_max, "seed": obj.seed,
     }
     rows = []
     base = RngSeed(obj.seed)
@@ -469,15 +398,15 @@ def separation(ctx, config, n_list, eps, eps_acc, delta, learners, trials, m_max
         for li, learner in enumerate(learner_list):
             cfg = TrialConfig(
                 concept_class=ProjectionClass(n),
-                dist=PneFamily(n, e_eps),
+                dist=PneFamily(n, eps),
                 target=RandomPair(),
                 learner=learner,
                 m=1,
-                eps_acc=e_acc,
-                trials=e_trials,
+                eps_acc=eps_acc,
+                trials=trials,
                 seed=base.substream(n).substream(li),
             )
-            result = sample_complexity_search(cfg, e_delta, e_mmax, obj.threads)
+            result = sample_complexity_search(cfg, delta, m_max, obj.threads)
             est = result.estimate_at(result.m_star)
             unresolved = ";".join(str(v) for v in result.unresolved_ms)
             if unresolved:
@@ -485,220 +414,231 @@ def separation(ctx, config, n_list, eps, eps_acc, delta, learners, trials, m_max
                     f"warning: unresolved m values for n={n} {learner}: {unresolved}",
                     err=True,
                 )
-            rows.append({
-                "n": n,
-                "learner": learner,
-                "m_star": result.m_star,
-                "ci_low": est.lower,
-                "ci_high": est.upper,
-                "m_low": result.bracket[0],
-                "unresolved": unresolved,
-                "trials": e_trials,
-            })
-    header = ["n", "learner", "m_star", "ci_low", "ci_high", "m_low", "unresolved", "trials"]
-    _emit(obj, "separation", header, rows, resolved)
-    _write_manifest(obj, resolved)
+            rows.append((n, learner, result.m_star, est.lower, est.upper,
+                         result.bracket[0], unresolved, trials))
+    return spec, rows
 
 
-@main.command("lower-bound")
-@click.option("--config", type=click.Path(exists=True), default=None)
-@click.option("--n", type=int, default=1 << 17, show_default=True)
-@click.option("--eps", type=float, default=0.2, show_default=True)
-@click.option("--learner", type=click.Choice(["erm", "bayes-posterior", "cover"]),
-              default="bayes-posterior", show_default=True)
-@click.option("--trials", type=TRIALS, default=20000, show_default=True)
-@click.option("--gamma", type=float, default=0.01, show_default=True)
-@click.pass_context
-@_handle_errors
-def lower_bound(ctx, config, n, eps, learner, trials, gamma):
+def _run_lower_bound(obj: CLIContext, n, eps, learner, trials, gamma):
     """The matched-pair failure experiment at m = floor(ln n / (3 ln(1/eps)))."""
-    obj: CLIContext = ctx.obj
-    rows, resolved = [], []
-    for entry in _load_config_entries(config):
-        e_n = int(_resolve(ctx, "n", entry, n))
-        e_eps = float(_resolve(ctx, "eps", entry, eps))
-        e_learner = str(_resolve(ctx, "learner", entry, learner))
-        e_trials = obj.trials or int(_resolve(ctx, "trials", entry, trials))
-        e_gamma = float(_resolve(ctx, "gamma", entry, gamma))
-        est = lower_bound_experiment(
-            e_n, e_eps, e_learner, e_trials, RngSeed(obj.seed), e_gamma, obj.threads
-        )
-        m = lower_bound_m(e_n, e_eps)
-        spec = {"kind": "lower-bound", "n": e_n, "eps": e_eps, "learner": e_learner,
-                "trials": e_trials, "gamma": e_gamma, "seed": obj.seed}
-        resolved.append(spec)
-        rows.append({
-            "n": e_n,
-            "eps": e_eps,
-            "m": m,
-            "learner": e_learner,
-            "eps_acc": 1.0 / 16.0,
-            "trials": e_trials,
-            "estimate": est.estimate,
-            "radius": est.radius,
-            "ci_low": est.lower,
-            "ci_high": est.upper,
-            "above_one_sixteenth": est.lower > 1.0 / 16.0,
-            "outside_regime": not in_theorem_regime(e_n, e_eps),
-        })
-    header = ["n", "eps", "m", "learner", "eps_acc", "trials", "estimate",
-              "radius", "ci_low", "ci_high", "above_one_sixteenth", "outside_regime"]
-    _emit(obj, "lower-bound", header, rows, resolved)
-    _write_manifest(obj, resolved)
+    est = lower_bound_experiment(n, eps, learner, trials, RngSeed(obj.seed), gamma, obj.threads)
+    spec = {"kind": "lower-bound", "n": n, "eps": eps, "learner": learner,
+            "trials": trials, "gamma": gamma, "seed": obj.seed}
+    return spec, [(n, eps, lower_bound_m(n, eps), learner, 1.0 / 16.0, trials,
+                   est.estimate, est.radius, est.lower, est.upper,
+                   est.lower > 1.0 / 16.0, not in_theorem_regime(n, eps))]
 
 
-@main.command("ks-stats")
-@click.option("--config", type=click.Path(exists=True), default=None)
-@click.option("--n", type=int, default=1 << 17, show_default=True)
-@click.option("--eps", type=float, default=0.2, show_default=True)
-@click.option("--m", type=int, default=None, help="Defaults to the lower-bound budget.")
-@click.option("--trials", type=TRIALS, default=20000, show_default=True)
-@click.option("--gamma", type=float, default=0.01, show_default=True)
-@click.pass_context
-@_handle_errors
-def ks_stats(ctx, config, n, eps, m, trials, gamma):
+def _run_ks_stats(obj: CLIContext, n, eps, m, trials, gamma):
     """Concentration of the candidate-set size K and the ratio S/K."""
-    obj: CLIContext = ctx.obj
-    rows, resolved = [], []
-    for entry in _load_config_entries(config):
-        e_n = int(_resolve(ctx, "n", entry, n))
-        e_eps = float(_resolve(ctx, "eps", entry, eps))
-        e_m = _resolve(ctx, "m", entry, m)
-        e_m = lower_bound_m(e_n, e_eps) if e_m is None else int(e_m)
-        e_trials = obj.trials or int(_resolve(ctx, "trials", entry, trials))
-        e_gamma = float(_resolve(ctx, "gamma", entry, gamma))
-        summary = ks_statistics_experiment(
-            e_n, e_eps, e_m, e_trials, RngSeed(obj.seed), e_gamma, obj.threads
-        )
-        spec = {"kind": "ks-stats", "n": e_n, "eps": e_eps, "m": e_m,
-                "trials": e_trials, "gamma": e_gamma, "seed": obj.seed}
-        resolved.append(spec)
-        hist = ";".join(
-            f"{summary.sk_hist_edges[i]:.3f}:{summary.sk_hist_counts[i]}"
-            for i in range(len(summary.sk_hist_counts))
-            if summary.sk_hist_counts[i]
-        )
-        rows.append({
-            "n": e_n,
-            "eps": e_eps,
-            "m": e_m,
-            "trials": e_trials,
-            "ratio_lo": summary.ratio_band[0],
-            "ratio_hi": summary.ratio_band[1],
-            "ratio_freq": summary.ratio_in_band.estimate,
-            "ratio_radius": summary.ratio_in_band.radius,
-            "k_threshold": summary.k_threshold,
-            "k_tail_freq": summary.k_tail.estimate,
-            "k_tail_radius": summary.k_tail.radius,
-            "k_min": summary.k_quantiles[0],
-            "k_q25": summary.k_quantiles[1],
-            "k_median": summary.k_quantiles[2],
-            "k_q75": summary.k_quantiles[3],
-            "k_max": summary.k_quantiles[4],
-            "sk_hist": hist,
-        })
-    header = ["n", "eps", "m", "trials", "ratio_lo", "ratio_hi", "ratio_freq",
-              "ratio_radius", "k_threshold", "k_tail_freq", "k_tail_radius",
-              "k_min", "k_q25", "k_median", "k_q75", "k_max", "sk_hist"]
-    _emit(obj, "ks-stats", header, rows, resolved)
-    _write_manifest(obj, resolved)
+    if m is None:
+        m = lower_bound_m(n, eps)
+    summary = ks_statistics_experiment(n, eps, m, trials, RngSeed(obj.seed), gamma, obj.threads)
+    spec = {"kind": "ks-stats", "n": n, "eps": eps, "m": m,
+            "trials": trials, "gamma": gamma, "seed": obj.seed}
+    hist = ";".join(
+        f"{summary.sk_hist_edges[i]:.3f}:{summary.sk_hist_counts[i]}"
+        for i in range(len(summary.sk_hist_counts))
+        if summary.sk_hist_counts[i]
+    )
+    return spec, [(n, eps, m, trials, *summary.ratio_band,
+                   summary.ratio_in_band.estimate, summary.ratio_in_band.radius,
+                   summary.k_threshold, summary.k_tail.estimate, summary.k_tail.radius,
+                   *summary.k_quantiles, hist)]
 
 
-@main.command("no-gap")
-@click.option("--config", type=click.Path(exists=True), default=None)
-@click.option("--domain-size", type=int, default=8, show_default=True)
-@click.option("--dist", "dist_kind", type=click.Choice(["uniform", "geometric"]),
-              default="uniform", show_default=True)
-@click.option("--dist-json", type=str, default=None)
-@click.option("--m-grid", type=str, default=None,
-              help="Comma-separated sizes; default 1 .. 2 * domain size.")
-@click.option("--eps-acc", type=float, default=0.1, show_default=True)
-@click.option("--trials", type=TRIALS, default=5000, show_default=True)
-@click.pass_context
-@_handle_errors
-def no_gap(ctx, config, domain_size, dist_kind, dist_json, m_grid, eps_acc, trials):
+def _run_no_gap(obj: CLIContext, domain_size, dist, dist_json, m_grid, eps_acc, trials):
     """Memorizer error vs missing mass on the all-functions class."""
-    obj: CLIContext = ctx.obj
-    rows, resolved = [], []
-    for entry in _load_config_entries(config):
-        e_d = int(_resolve(ctx, "domain_size", entry, domain_size))
-        e_kind = str(_resolve(ctx, "dist_kind", entry, dist_kind))
-        e_json = _resolve(ctx, "dist_json", entry, dist_json)
-        e_grid = _resolve(ctx, "m_grid", entry, m_grid)
-        e_acc = float(_resolve(ctx, "eps_acc", entry, eps_acc))
-        e_trials = obj.trials or int(_resolve(ctx, "trials", entry, trials))
-        if e_json:
-            dist = distribution_from_json_dict(
-                json.loads(e_json) if isinstance(e_json, str) else e_json
-            )
-            e_d = len(dist.support)
-        else:
-            domain = enumerated_domain(e_d)
-            dist = uniform_finite(domain) if e_kind == "uniform" else geometric_finite(domain)
-        grid = (
-            [int(v) for v in str(e_grid).split(",") if v]
-            if e_grid
-            else list(range(1, 2 * e_d + 1))
-        )
-        table = no_gap_experiment(
-            dist, grid, e_trials, e_acc, RngSeed(obj.seed), threads=obj.threads
-        )
-        spec = {"kind": "no-gap", "dist": dist.to_json_dict(), "m_grid": grid,
-                "eps_acc": e_acc, "trials": e_trials, "seed": obj.seed}
-        resolved.append(spec)
-        for row in table:
-            rows.append({
-                "domain_size": e_d,
-                "dist": e_kind if not e_json else "custom",
-                "m": row.m,
-                "trials": row.trials,
-                "violations": row.violations,
-                "threshold": row.threshold,
-                "z_ge_rate": row.z_ge_rate.estimate,
-                "fail_rate": row.fail_rate.estimate,
-                "mean_missing_mass": row.mean_missing_mass,
-            })
-    header = ["domain_size", "dist", "m", "trials", "violations", "threshold",
-              "z_ge_rate", "fail_rate", "mean_missing_mass"]
-    _emit(obj, "no-gap", header, rows, resolved)
-    _write_manifest(obj, resolved)
+    if dist_json:
+        law = distribution_from_json_dict(dist_json)
+        domain_size = len(law.support)
+    else:
+        domain = enumerated_domain(domain_size)
+        law = uniform_finite(domain) if dist == "uniform" else geometric_finite(domain)
+    grid = (
+        [int(v) for v in m_grid.split(",") if v]
+        if m_grid
+        else list(range(1, 2 * domain_size + 1))
+    )
+    table = no_gap_experiment(law, grid, trials, eps_acc, RngSeed(obj.seed), threads=obj.threads)
+    spec = {"kind": "no-gap", "dist": law.to_json_dict(), "m_grid": grid,
+            "eps_acc": eps_acc, "trials": trials, "seed": obj.seed}
+    shown = dist if not dist_json else "custom"
+    return spec, [(domain_size, shown, row.m, row.trials, row.violations, row.threshold,
+                   row.z_ge_rate.estimate, row.fail_rate.estimate, row.mean_missing_mass)
+                  for row in table]
 
 
-@main.command()
-@click.option("--config", type=click.Path(exists=True), default=None)
-@click.option("--cover-size", "-N", "cover_size", type=int, default=2, show_default=True)
-@click.option("--eps", type=float, default=0.2, show_default=True)
-@click.option("--delta", type=float, default=0.1, show_default=True)
-@click.option("--d", type=int, default=3, show_default=True)
-@click.option("--k", "k_size", type=int, default=10, show_default=True)
-@click.pass_context
-@_handle_errors
-def bounds(ctx, config, cover_size, eps, delta, d, k_size):
+def _run_bounds(obj: CLIContext, cover_size, eps, delta, d, k):
     """Pure arithmetic report of the cover/sample-size formulas (always JSON)."""
-    obj: CLIContext = ctx.obj
-    entry = _single_config_entry("bounds", config)
-    e_n = int(_resolve(ctx, "cover_size", entry, cover_size))
-    e_eps = float(_resolve(ctx, "eps", entry, eps))
-    e_delta = float(_resolve(ctx, "delta", entry, delta))
-    e_d = int(_resolve(ctx, "d", entry, d))
-    e_k = int(_resolve(ctx, "k_size", entry, k_size))
-    dudley = dudley_cover_bound(e_eps, e_d)
-    doc = {
-        "inputs": {"N": e_n, "eps": e_eps, "delta": e_delta, "d": e_d, "K": e_k},
-        "benedek_itai_m": benedek_itai_m(e_n, e_eps, e_delta),
-        "corollary_m": corollary_m(e_eps, e_delta) if 0 < e_eps < 0.5 else None,
+    dudley = dudley_cover_bound(eps, d)
+    inputs = {"N": cover_size, "eps": eps, "delta": delta, "d": d, "K": k}
+    report = {
+        "inputs": inputs,
+        "benedek_itai_m": benedek_itai_m(cover_size, eps, delta),
+        "corollary_m": corollary_m(eps, delta) if 0 < eps < 0.5 else None,
         "dudley_value": dudley.value,
         "dudley_log": dudley.log_value,
-        "sauer_bound": sauer_bound(e_k, e_d),
-        "sauer_estimate": sauer_estimate(e_k, e_d) if 1 <= e_d <= e_k else None,
-        "seed": obj.seed,
+        "sauer_bound": sauer_bound(k, d),
+        "sauer_estimate": sauer_estimate(k, d) if 1 <= d <= k else None,
     }
-    doc["spec_hash"] = spec_hash({"kind": "bounds", **doc["inputs"], "seed": obj.seed})
-    out = obj.out or "bounds.json"
-    Path(out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    obj.record_output(out)
-    click.echo(f"wrote {out}")
-    _write_manifest(obj, {"kind": "bounds", **doc["inputs"], "seed": obj.seed})
+    return {"kind": "bounds", **inputs, "seed": obj.seed}, [report]
+
+
+def _opt(flags: str, type_, default=None, **kw) -> click.Option:
+    """A flag (space-separated names) whose default --help shows unless it is None."""
+    return click.Option(flags.split(), type=type_, default=default,
+                        show_default=default is not None, **kw)
+
+
+COMMANDS = (
+    Command(
+        "cover",
+        (
+            _opt("--n", int, 1024),
+            _opt("--eps", float, 0.05, help="Distribution parameter of the product family."),
+            _opt("--i", int, 1),
+            _opt("--level", float, help="Cover level (default 2*eps)."),
+            _opt("--class-json", JSON_TEXT, help="Explicit class JSON (table classes)."),
+            _opt("--dist-json", JSON_TEXT, help="Explicit distribution JSON."),
+        ),
+        _run_cover,
+        ("class_kind", "num_concepts", "level", "size", "members",
+         "certificate", "vc_dim", "dudley_log", "dudley_value"),
+    ),
+    Command(
+        "vc",
+        (
+            _opt("--n", int, 8),
+            _opt("--universe", click.Choice(["full", "default"]), "full",
+                 help="full = all 2^n points (n <= 20)."),
+            _opt("--d-max", int),
+            _opt("--class-json", JSON_TEXT),
+        ),
+        _run_vc,
+        ("class_kind", "num_concepts", "universe", "dimension"),
+    ),
+    Command(
+        "learn",
+        (
+            _opt("--n", int, 256),
+            _opt("--eps", float, 0.1),
+            _opt("--target", str, "random-pair"),
+            _opt("--learner", click.Choice(["erm", "cover", "bayes-posterior"]), "erm"),
+            _opt("--m", int, 10),
+            _opt("--eps-acc", float, 0.0625),
+            _opt("--gamma", float, 0.01),
+            _opt("--trials", TRIALS, 2000),
+        ),
+        _run_learn,
+        ("learner", "m", "eps_acc", "trials", "gamma", "failures",
+         "estimate", "radius", "ci_low", "ci_high"),
+        config_help="TrialConfig JSON (object or list).",
+        document_keys=frozenset({"class", "dist", "target"}),
+    ),
+    Command(
+        "separation",
+        (
+            _opt("--n-list", str, ",".join(str(v) for v in DEFAULT_SEPARATION_NS),
+                 help="Comma-separated hypercube dimensions."),
+            _opt("--eps", float, 0.1),
+            _opt("--eps-acc", float, 1.0 / 16.0),
+            _opt("--delta", float, 1.0 / 16.0),
+            _opt("--learners", str, "erm,cover"),
+            _opt("--trials", TRIALS, 4000),
+            _opt("--m-max", int, 4096),
+        ),
+        _run_separation,
+        ("n", "learner", "m_star", "ci_low", "ci_high", "m_low", "unresolved", "trials"),
+        single=True,
+    ),
+    Command(
+        "lower-bound",
+        (
+            _opt("--n", int, 1 << 17),
+            _opt("--eps", float, 0.2),
+            _opt("--learner", click.Choice(["erm", "bayes-posterior", "cover"]),
+                 "bayes-posterior"),
+            _opt("--trials", TRIALS, 20000),
+            _opt("--gamma", float, 0.01),
+        ),
+        _run_lower_bound,
+        ("n", "eps", "m", "learner", "eps_acc", "trials", "estimate",
+         "radius", "ci_low", "ci_high", "above_one_sixteenth", "outside_regime"),
+    ),
+    Command(
+        "ks-stats",
+        (
+            _opt("--n", int, 1 << 17),
+            _opt("--eps", float, 0.2),
+            _opt("--m", int, help="Defaults to the lower-bound budget."),
+            _opt("--trials", TRIALS, 20000),
+            _opt("--gamma", float, 0.01),
+        ),
+        _run_ks_stats,
+        ("n", "eps", "m", "trials", "ratio_lo", "ratio_hi", "ratio_freq",
+         "ratio_radius", "k_threshold", "k_tail_freq", "k_tail_radius",
+         "k_min", "k_q25", "k_median", "k_q75", "k_max", "sk_hist"),
+    ),
+    Command(
+        "no-gap",
+        (
+            _opt("--domain-size", int, 8),
+            _opt("--dist", click.Choice(["uniform", "geometric"]), "uniform"),
+            _opt("--dist-json", JSON_TEXT),
+            _opt("--m-grid", str, help="Comma-separated sizes; default 1 .. 2 * domain size."),
+            _opt("--eps-acc", float, 0.1),
+            _opt("--trials", TRIALS, 5000),
+        ),
+        _run_no_gap,
+        ("domain_size", "dist", "m", "trials", "violations", "threshold",
+         "z_ge_rate", "fail_rate", "mean_missing_mass"),
+    ),
+    Command(
+        "bounds",
+        (
+            _opt("--cover-size -N", int, 2),
+            _opt("--eps", float, 0.2),
+            _opt("--delta", float, 0.1),
+            _opt("--d", int, 3),
+            _opt("--k", int, 10),
+        ),
+        _run_bounds,
+        single=True,
+        write=_write_report,
+    ),
+)
+
+
+def _build(cmd: Command) -> click.Command:
+    """The click command of one table row."""
+
+    @click.pass_context
+    @_handle_errors
+    def callback(ctx: click.Context, config: str | None, **_flags):
+        obj: CLIContext = ctx.obj
+        entries = _load_config_entries(config)
+        if cmd.single and len(entries) != 1:
+            raise InvalidParameterError(
+                f"{cmd.name} takes one config entry, the config has {len(entries)}"
+            )
+        specs, rows = [], []
+        for values in [_resolve_entry(ctx, cmd, entry) for entry in entries]:
+            spec, entry_rows = cmd.run(obj, **values)
+            specs.append(spec)
+            rows.extend(entry_rows)
+        resolved = specs[0] if cmd.single else specs
+        path = cmd.write(obj, cmd.name, cmd.header, rows, spec_hash(resolved))
+        click.echo(f"wrote {path} ({len(rows)} row{'s' if len(rows) != 1 else ''})")
+        _write_manifest(obj, resolved, path)
+
+    config = click.Option(["--config"], type=click.Path(exists=True), help=cmd.config_help)
+    return click.Command(cmd.name, callback=callback, params=[config, *cmd.options],
+                         help=cmd.run.__doc__)
+
+
+for _cmd in COMMANDS:
+    main.add_command(_build(_cmd))
 
 
 if __name__ == "__main__":

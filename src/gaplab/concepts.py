@@ -78,6 +78,12 @@ def unpack_bit_rows(words: np.ndarray, n: int) -> np.ndarray:
     return bits[:, :n]
 
 
+def packed_column(words: np.ndarray, j: int) -> np.ndarray:
+    """Bits of 1-based coordinate j across packed rows, as uint8; j is not checked."""
+    j -= 1
+    return ((words[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1)).astype(np.uint8)
+
+
 class Point:
     """An immutable point of the Boolean hypercube {0,1}^n, bit-packed."""
 

@@ -21,6 +21,7 @@ from .concepts import (
     TableClass,
     full_mask_words,
     pack_bit_rows,
+    packed_column,
     unpack_bit_rows,
     words_needed,
 )
@@ -97,8 +98,7 @@ class LabeledSample:
         """Bits of coordinate j (1-based) across the sample rows."""
         if not 1 <= j <= self.n:
             raise InvalidParameterError(f"coordinate {j} out of range 1..{self.n}")
-        j -= 1
-        return ((self.words[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1)).astype(np.uint8)
+        return packed_column(self.words, j)
 
     def column_match_mask(self) -> np.ndarray:
         """Packed mask over coordinates whose column equals the label vector.
@@ -279,19 +279,18 @@ def bayes_posterior_predict(state: PosteriorState, z: Point) -> int:
     return 1 if posterior_mean_label(state.k_size, s, state.eps) >= 0.5 else 0
 
 
-def posterior_threshold(state: PosteriorState) -> int:
-    """Smallest S for which the rule predicts 1, or K + 1 if it never does.
+def posterior_threshold(k_size: int, eps: float) -> int:
+    """Smallest S for which the rule predicts 1 given K = k_size, or K + 1 if it never does.
 
     The posterior mean is nondecreasing in S, so binary search against the
     same decision used by bayes_posterior_predict is exact.
     """
-    k = state.k_size
-    if posterior_mean_label(k, k, state.eps) < 0.5:
-        return k + 1
-    lo, hi = 1, k
+    if posterior_mean_label(k_size, k_size, eps) < 0.5:
+        return k_size + 1
+    lo, hi = 1, k_size
     while lo < hi:
         mid = (lo + hi) // 2
-        if posterior_mean_label(k, mid, state.eps) >= 0.5:
+        if posterior_mean_label(k_size, mid, eps) >= 0.5:
             hi = mid
         else:
             lo = mid + 1

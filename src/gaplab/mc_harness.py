@@ -29,6 +29,7 @@ from .concepts import (
     TableClass,
     all_functions_class,
     class_from_json_dict,
+    packed_column,
 )
 from .distributions import (
     Distribution,
@@ -52,7 +53,7 @@ from .learners import (
     consistent_memorizer,
     cover_learner,
     erm,
-    posterior_mean_label,
+    posterior_threshold,
 )
 from .metric_cover import (
     CoverResult,
@@ -147,7 +148,13 @@ class TrialConfig:
         }
 
 
+_REQUIRED_CONFIG_KEYS = ("class", "dist", "target", "learner", "m", "eps_acc", "trials")
+
+
 def config_from_json_dict(obj: dict) -> TrialConfig:
+    missing = [key for key in _REQUIRED_CONFIG_KEYS if key not in obj]
+    if missing:
+        raise InvalidParameterError(f"trial config has no {', '.join(map(repr, missing))} key")
     seed = obj.get("seed", {})
     return TrialConfig(
         concept_class=class_from_json_dict(obj["class"]),
@@ -231,12 +238,6 @@ def _posterior_eps(cfg: TrialConfig) -> float | None:
     return None
 
 
-def _packed_column(words: np.ndarray, j: int) -> np.ndarray:
-    """Bits of 1-based coordinate j across packed rows."""
-    j -= 1
-    return ((words[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1)).astype(np.uint8)
-
-
 def _popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
 
@@ -260,20 +261,6 @@ def posterior_rule_error(k_size: int, threshold: int, eps: float) -> float:
     wrong_if_one = _binom_cdf(threshold - 2, nb, eps)
     wrong_if_zero = 1.0 - _binom_cdf(threshold - 1, nb, eps)
     return 0.5 * (wrong_if_one + wrong_if_zero)
-
-
-def _posterior_threshold_for(k_size: int, eps: float) -> int:
-    """Smallest S with posterior mean >= 1/2, or k_size + 1 if none."""
-    if posterior_mean_label(k_size, k_size, eps) < 0.5:
-        return k_size + 1
-    lo, hi = 1, k_size
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if posterior_mean_label(k_size, mid, eps) >= 0.5:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def _resolve_cover(
@@ -346,7 +333,7 @@ def _projection_trial_error(
         return disagreement_exact_projections(dist, best, target.index)
 
     words = sample_bit_matrix(dist, cfg.m, gen)
-    y = _packed_column(words, target.index)
+    y = packed_column(words, target.index)
     sample = LabeledSample(words, y, cls.n)
 
     if cfg.learner == "erm":
@@ -362,7 +349,7 @@ def _projection_trial_error(
         if k == 0:
             raise OracleUnavailableError("empty candidate set in a realizable trial")
         eps_learner = _posterior_eps(cfg)
-        threshold = _posterior_threshold_for(k, eps_learner)
+        threshold = posterior_threshold(k, eps_learner)
         return posterior_rule_error(k, threshold, dist.pne[1])
 
     raise OracleUnavailableError(f"learner {cfg.learner!r} is not defined for projections")
@@ -701,7 +688,7 @@ def _ks_chunk(
         i = int(gen.integers(1, n + 1))
         dist = family.member(i)
         words = sample_bit_matrix(dist, m, gen)
-        y = _packed_column(words, i)
+        y = packed_column(words, i)
         sample = LabeledSample(words, y, n)
         mask = sample.column_match_mask()
         z = sample_bit_matrix(dist, 1, gen)[0]

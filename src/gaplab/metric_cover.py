@@ -14,6 +14,7 @@ from .concepts import (
     ProjectionClass,
     TableClass,
     eval_concept,
+    packed_column,
 )
 from .distributions import (
     Distribution,
@@ -157,10 +158,8 @@ def disagreement_mc(
     gen = seed.generator(0)
     if isinstance(cls, ProjectionClass) and isinstance(dist, ProductDistribution):
         words = sample_bit_matrix(dist, trials, gen)
-        ja, jb = a.index - 1, b.index - 1
-        ba = (words[:, ja // 64] >> np.uint64(ja % 64)) & np.uint64(1)
-        bb = (words[:, jb // 64] >> np.uint64(jb % 64)) & np.uint64(1)
-        count = int(np.count_nonzero(ba != bb))
+        ca, cb = packed_column(words, a.index), packed_column(words, b.index)
+        count = int(np.count_nonzero(ca != cb))
     elif isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
         idx = sample_support_indices(dist, trials, gen)
         pos = np.array(

@@ -67,6 +67,29 @@ class TestCover:
         )
         assert res.exit_code == 2
 
+    def test_table_class_from_config_objects(self, runner, tmp_path):
+        entry = {
+            "class_json": {"kind": "table", "domain": ["00", "01", "10"],
+                           "tables": ["000", "100", "110", "111"]},
+            "dist_json": {"kind": "finite", "support": ["00", "01", "10"],
+                          "probs": [0.5, 0.25, 0.25]},
+            "level": 0.3,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(entry))
+        out = tmp_path / "cover.csv"
+        res = runner.invoke(main, ["--out", str(out), "cover", "--config", str(path)])
+        assert res.exit_code == 0, res.output
+        assert read_csv(out)[0]["class_kind"] == "table"
+
+    def test_malformed_class_json_exits_2(self, runner, tmp_path):
+        res = runner.invoke(
+            main, ["--out", str(tmp_path / "x.csv"), "cover", "--class-json", "{",
+                   "--dist-json", "{}", "--level", "0.3"]
+        )
+        assert res.exit_code == 2
+        assert "--class-json" in res.output
+
 
 class TestVc:
     def test_projections_n8(self, runner, tmp_path):
@@ -321,22 +344,108 @@ def test_single_entry_list_keeps_spec_hash(runner, tmp_path):
     assert json.loads(a.read_text()) == json.loads(b.read_text())
 
 
-def test_unexpected_error_exits_3(runner, tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"n": "abc"}))
-    res = runner.invoke(main, ["--out", str(tmp_path / "x.csv"), "learn",
-                               "--config", str(path)])
+def _fail_unexpectedly(*args, **kwargs):
+    raise ValueError("unexpected failure")
+
+
+def test_unexpected_error_exits_3(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr("gaplab.cli.estimate_failure_prob", _fail_unexpectedly)
+    res = runner.invoke(main, ["--out", str(tmp_path / "x.csv"), "learn", "--n", "16"])
     assert res.exit_code == 3
-    assert "runtime failure: invalid literal" in res.output
+    assert "runtime failure: unexpected failure" in res.output
 
 
-def test_debug_switch_reraises_unexpected_error(runner, tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"n": "abc"}))
-    res = runner.invoke(main, ["--out", str(tmp_path / "x.csv"), "learn",
-                               "--config", str(path)], env={"GAPLAB_DEBUG": "1"})
+def test_debug_switch_reraises_unexpected_error(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr("gaplab.cli.estimate_failure_prob", _fail_unexpectedly)
+    res = runner.invoke(main, ["--out", str(tmp_path / "x.csv"), "learn", "--n", "16"],
+                        env={"GAPLAB_DEBUG": "1"})
     assert isinstance(res.exception, ValueError)
     assert "runtime failure" not in res.output
+
+
+@pytest.mark.parametrize("command", ["learn", "lower-bound", "ks-stats", "cover", "vc"])
+def test_bad_config_value_is_a_spec_error(runner, tmp_path, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": "abc"}))
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), command, "--config", str(path)])
+    assert res.exit_code == 2
+    assert f"spec error: {command} config key 'n': 'abc' is not a valid integer" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, entry, key",
+    [
+        ("no-gap", {"domain_size": 4, "m_grid": "1", "dist_kind": "geometric"}, "dist_kind"),
+        ("cover", {"n": 64, "i_special": 3}, "i_special"),
+        ("bounds", {"k_size": 4}, "k_size"),
+        ("learn", {"n": 16, "trials_opt": 5}, "trials_opt"),
+    ],
+)
+def test_unknown_config_key_exits_2(runner, tmp_path, command, entry, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(entry))
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), command, "--config", str(path)])
+    assert res.exit_code == 2
+    assert f"{command} config has unknown key {key!r}" in res.output
+    assert not out.exists()
+
+
+def test_config_dist_key_is_honoured(runner, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"domain_size": 4, "m_grid": "1", "trials": 50,
+                                "dist": "geometric"}))
+    out = tmp_path / "ng.csv"
+    res = runner.invoke(main, ["--out", str(out), "no-gap", "--config", str(path)])
+    assert res.exit_code == 0, res.output
+    assert read_csv(out)[0]["dist"] == "geometric"
+
+
+def test_config_i_key_is_honoured(runner, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 64, "eps": 0.05, "i": 3}))
+    out = tmp_path / "cover.csv"
+    res = runner.invoke(main, ["--out", str(out), "cover", "--config", str(path)])
+    assert res.exit_code == 0, res.output
+    assert read_csv(out)[0]["members"] == "1|3"
+
+
+def test_config_k_key_is_honoured(runner, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"k": 4}))
+    out = tmp_path / "bounds.json"
+    res = runner.invoke(main, ["--out", str(out), "bounds", "--config", str(path)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(out.read_text())["inputs"]["K"] == 4
+
+
+def test_config_value_uses_the_flag_type(runner, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"domain_size": 4, "m_grid": "1", "trials": 50,
+                                "dist": "poisson"}))
+    res = runner.invoke(main, ["--out", str(tmp_path / "x.csv"), "no-gap",
+                               "--config", str(path)])
+    assert res.exit_code == 2
+    assert "no-gap config key 'dist'" in res.output
+
+
+@pytest.mark.parametrize("key", ["class", "dist", "target"])
+def test_learn_document_without_key_exits_2(runner, tmp_path, key):
+    doc = {
+        "class": {"kind": "projections", "n": 16},
+        "dist": {"kind": "pne", "n": 16, "eps": 0.1},
+        "target": {"kind": "random-pair"},
+        "m": 2,
+    }
+    del doc[key]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["--out", str(tmp_path / "x.csv"), "learn",
+                               "--config", str(path)])
+    assert res.exit_code == 2
+    assert f"trial config has no {key!r} key" in res.output
 
 
 def test_separation_starts_one_pool(runner, tmp_path, monkeypatch):

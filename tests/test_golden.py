@@ -1,7 +1,7 @@
-"""Golden CSV bodies: one small spec per trial-running command.
+"""Golden result bodies: one small spec per command.
 
-Each digest is the SHA-256 of the CSV a command writes for its spec and
-seed.  A change that alters one of them changes a random stream or a
+Each digest is the SHA-256 of the file a command writes for its spec and
+seed: the CSV body, or for `bounds` its JSON report.  A change that alters one of them changes a random stream or a
 formula, not just the speed, so it must not pass as a refactor.  Every spec
 is checked serially and at two workers, with enough trials that the two
 worker case runs through the process pool.
@@ -40,6 +40,20 @@ GOLDEN = {
          "--m-grid", "1,4,8", "--trials", "300"],
         "b8dd1f43e789dac4f81cb77b70ec4619b629eff341ddbc7f24a81bdefb9bedec",
     ),
+    "cover": (
+        ["--seed", "106", "cover", "--n", "64", "--eps", "0.05", "--i", "7",
+         "--level", "0.1"],
+        "26628ff3b81f4b73b662c548d92a6e0a0bd22bef8f2c710d289569bdf33434c3",
+    ),
+    "vc": (
+        ["--seed", "107", "vc", "--n", "6", "--universe", "full"],
+        "5f8a140119bf2a5a54e68f6e8ed22f493812c91a0c4bcdc383708f0be171af74",
+    ),
+    "bounds": (
+        ["--seed", "108", "bounds", "-N", "3", "--eps", "0.2", "--delta", "0.1",
+         "--d", "3", "--k", "12"],
+        "f4e675324eec94ec8ab88d0ca763feb58cdbfbada5d10a1b3998c3f782fd8daa",
+    ),
 }
 
 
@@ -47,7 +61,7 @@ GOLDEN = {
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_golden_body(tmp_path, command, threads):
     args, want = GOLDEN[command]
-    out = tmp_path / f"{command}.csv"
+    out = tmp_path / f"{command}.out"
     res = CliRunner().invoke(main, ["--threads", threads, "--out", str(out), *args])
     assert res.exit_code == 0, res.output
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want

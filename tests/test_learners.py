@@ -303,8 +303,7 @@ class TestBayesPredict:
     @given(st.integers(1, 60), st.floats(0.01, 0.49))
     @settings(max_examples=60)
     def test_threshold_matches_linear_scan(self, k, eps):
-        state = PosteriorState(tuple(range(1, k + 1)), eps, 1, k)
-        thr = posterior_threshold(state)
+        thr = posterior_threshold(k, eps)
         scan = next(
             (s for s in range(1, k + 1) if posterior_mean_label(k, s, eps) >= 0.5),
             k + 1,

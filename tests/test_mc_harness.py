@@ -26,7 +26,7 @@ from gaplab.errors import (
     OracleUnavailableError,
     SearchBracketError,
 )
-from gaplab.learners import PosteriorState, bayes_posterior_predict
+from gaplab.learners import PosteriorState, bayes_posterior_predict, posterior_threshold
 from gaplab.mc_harness import (
     FixedTarget,
     RandomConcept,
@@ -45,7 +45,6 @@ from gaplab.mc_harness import (
     sample_complexity_search,
     tail_inequality_check,
     trial_pool,
-    _posterior_threshold_for,
 )
 
 
@@ -143,11 +142,11 @@ class TestPosteriorRuleError:
             for z in full_hypercube(n)
             if bayes_posterior_predict(state, z) != z.bit(i)
         )
-        thr = _posterior_threshold_for(len(k), eps)
+        thr = posterior_threshold(len(k), eps)
         assert posterior_rule_error(len(k), thr, eps) == pytest.approx(brute, abs=1e-12)
 
     def test_k1_perfect(self):
-        assert posterior_rule_error(1, _posterior_threshold_for(1, 0.2), 0.2) == 0.0
+        assert posterior_rule_error(1, posterior_threshold(1, 0.2), 0.2) == 0.0
 
     def test_never_predicting_one_costs_half(self):
         # threshold above K means the rule is constantly 0
