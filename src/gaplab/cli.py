@@ -216,7 +216,8 @@ def _resolve_entry(ctx: click.Context, cmd: Command, entry: dict) -> dict:
     """Typed values of one entry; precedence: command-line flag > config entry > default.
 
     Config keys are the flag names, and a config value is converted by its
-    flag's own click type.  The global --trials wins over all three.
+    flag's own click type.  The global --trials wins over all three, and
+    over the `trials` of a document.
     """
     document = entry if cmd.document_keys & entry.keys() else None
     flat = {} if document is not None else entry
@@ -243,6 +244,8 @@ def _resolve_entry(ctx: click.Context, cmd: Command, entry: dict) -> dict:
         else:
             values[name] = ctx.params[name]
     if document is not None:
+        if ctx.obj.trials is not None:
+            document = {**document, "trials": ctx.obj.trials}
         values["document"] = document
     return values
 
@@ -344,7 +347,13 @@ def _target_from_string(s: str):
     if s == "random-concept":
         return RandomConcept()
     if s.startswith("fixed:"):
-        return FixedTarget(int(s.split(":", 1)[1]))
+        index = s.split(":", 1)[1]
+        try:
+            return FixedTarget(int(index))
+        except ValueError:
+            raise InvalidParameterError(
+                f"--target {s!r}: {index!r} is not a valid integer"
+            ) from None
     raise InvalidParameterError(f"bad target spec {s!r}; use fixed:<i>, random-pair, random-concept")
 
 
@@ -392,30 +401,36 @@ def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, tria
         "delta": delta, "learners": learner_list, "trials": trials,
         "m_max": m_max, "seed": obj.seed,
     }
-    rows = []
     base = RngSeed(obj.seed)
-    for n in ns:
-        for li, learner in enumerate(learner_list):
-            cfg = TrialConfig(
-                concept_class=ProjectionClass(n),
-                dist=PneFamily(n, eps),
-                target=RandomPair(),
-                learner=learner,
-                m=1,
-                eps_acc=eps_acc,
-                trials=trials,
-                seed=base.substream(n).substream(li),
+    # Every config is built before the first search starts the command's
+    # pool, so anything a config loads (scipy.special for the posterior
+    # rule) is loaded once here and inherited by the forked workers.
+    cells = [
+        (n, learner, TrialConfig(
+            concept_class=ProjectionClass(n),
+            dist=PneFamily(n, eps),
+            target=RandomPair(),
+            learner=learner,
+            m=1,
+            eps_acc=eps_acc,
+            trials=trials,
+            seed=base.substream(n).substream(li),
+        ))
+        for n in ns
+        for li, learner in enumerate(learner_list)
+    ]
+    rows = []
+    for n, learner, cfg in cells:
+        result = sample_complexity_search(cfg, delta, m_max, obj.threads)
+        est = result.estimate_at(result.m_star)
+        unresolved = ";".join(str(v) for v in result.unresolved_ms)
+        if unresolved:
+            click.echo(
+                f"warning: unresolved m values for n={n} {learner}: {unresolved}",
+                err=True,
             )
-            result = sample_complexity_search(cfg, delta, m_max, obj.threads)
-            est = result.estimate_at(result.m_star)
-            unresolved = ";".join(str(v) for v in result.unresolved_ms)
-            if unresolved:
-                click.echo(
-                    f"warning: unresolved m values for n={n} {learner}: {unresolved}",
-                    err=True,
-                )
-            rows.append((n, learner, result.m_star, est.lower, est.upper,
-                         result.bracket[0], unresolved, trials))
+        rows.append((n, learner, result.m_star, est.lower, est.upper,
+                     result.bracket[0], unresolved, trials))
     return spec, rows
 
 

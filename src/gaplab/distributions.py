@@ -226,12 +226,20 @@ def sample_bit_matrix(
 
     Reference sampling path: one uniform double per coordinate, row-major,
     compared against the coordinate's marginal.  All faster paths must stay
-    bit-identical to this consumption order.
+    bit-identical to this consumption order.  A pne member's marginals are
+    eps except 1/2 at coordinate i, so its draws are compared against the
+    scalar eps and column i is redone against 1/2.
     """
     if m < 0:
         raise InvalidParameterError("sample size must be non-negative")
     u = gen.random((m, dist.n))
-    return pack_bit_rows(u < dist.marginals[None, :])
+    if dist.pne is None:
+        bits = u < dist.marginals[None, :]
+    else:
+        _, eps, i = dist.pne
+        bits = u < eps
+        bits[:, i - 1] = u[:, i - 1] < 0.5
+    return pack_bit_rows(bits.view(np.uint8))
 
 
 def sample_coordinate_columns(

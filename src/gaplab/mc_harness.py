@@ -9,6 +9,7 @@ exact oracles, never by an inner Monte Carlo loop.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -20,7 +21,6 @@ from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import bdtr
 
 from .concepts import (
     ConceptClass,
@@ -102,7 +102,7 @@ TargetSpec = FixedTarget | RandomPair | RandomConcept
 def target_from_json_dict(obj: dict) -> TargetSpec:
     kind = obj.get("kind")
     if kind == "fixed":
-        return FixedTarget(int(obj["i"]))
+        return FixedTarget(_config_value(int, obj.get("i"), "target.i"))
     if kind == "random-pair":
         return RandomPair()
     if kind == "random-concept":
@@ -161,15 +161,27 @@ def config_from_json_dict(obj: dict) -> TrialConfig:
         dist=distribution_from_json_dict(obj["dist"]),
         target=target_from_json_dict(obj["target"]),
         learner=obj["learner"],
-        m=int(obj["m"]),
-        eps_acc=float(obj["eps_acc"]),
-        trials=int(obj["trials"]),
-        seed=RngSeed(int(seed.get("master", 0)), int(seed.get("stream", 0))),
-        gamma=float(obj.get("gamma", 0.01)),
+        m=_config_value(int, obj["m"], "m"),
+        eps_acc=_config_value(float, obj["eps_acc"], "eps_acc"),
+        trials=_config_value(int, obj["trials"], "trials"),
+        seed=RngSeed(_config_value(int, seed.get("master", 0), "seed.master"),
+                     _config_value(int, seed.get("stream", 0), "seed.stream")),
+        gamma=_config_value(float, obj.get("gamma", 0.01), "gamma"),
         cover_level=obj.get("cover_level"),
         learner_eps=obj.get("learner_eps"),
-        memorizer_default=int(obj.get("memorizer_default", 0)),
+        memorizer_default=_config_value(int, obj.get("memorizer_default", 0),
+                                        "memorizer_default"),
     )
+
+
+def _config_value(kind: type, value, key: str):
+    """kind(value), or a spec error naming the trial-config key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"trial config key {key!r}: {value!r} is not a valid {kind.__name__}"
+        ) from None
 
 
 def validate_config(cfg: TrialConfig) -> None:
@@ -218,6 +230,9 @@ def validate_config(cfg: TrialConfig) -> None:
             raise InvalidParameterError(
                 "bayes-posterior needs learner_eps or a pne distribution"
             )
+        # Load it here, in the process that builds the config, so that a
+        # worker pool forked later inherits it instead of importing it.
+        _bdtr()
     if cfg.learner == "memorizer" and not isinstance(cls, TableClass):
         raise OracleUnavailableError(
             "the memorizer's exact error needs an enumerable domain"
@@ -242,12 +257,24 @@ def _popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
 
 
+@functools.cache
+def _bdtr() -> Callable[[float, int, float], float]:
+    """scipy.special.bdtr, imported on first use.
+
+    scipy.special is about half of gaplab's start-up time and only the
+    posterior rule needs it.
+    """
+    from scipy.special import bdtr
+
+    return bdtr
+
+
 def _binom_cdf(k: int, trials: int, p: float) -> float:
     if k < 0:
         return 0.0
     if k >= trials:
         return 1.0
-    return float(bdtr(float(k), trials, p))
+    return float(_bdtr()(float(k), trials, p))
 
 
 def posterior_rule_error(k_size: int, threshold: int, eps: float) -> float:

@@ -448,6 +448,49 @@ def test_learn_document_without_key_exits_2(runner, tmp_path, key):
     assert f"trial config has no {key!r} key" in res.output
 
 
+LEARN_DOCUMENT = {
+    "class": {"kind": "projections", "n": 16},
+    "dist": {"kind": "pne", "n": 16, "eps": 0.1},
+    "target": {"kind": "random-pair"},
+    "m": 2,
+}
+
+
+def test_global_trials_overrides_a_learn_document(runner, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([{**LEARN_DOCUMENT, "trials": 60},
+                                {"n": 16, "m": 2, "trials": 60}]))
+    out = tmp_path / "learn.csv"
+    res = runner.invoke(main, ["--trials", "25", "--out", str(out), "learn",
+                               "--config", str(path)])
+    assert res.exit_code == 0, res.output
+    assert [r["trials"] for r in read_csv(out)] == ["25", "25"]
+
+
+def test_bad_fixed_target_exits_2(runner, tmp_path):
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), "learn", "--n", "16",
+                               "--target", "fixed:x"])
+    assert res.exit_code == 2
+    assert "spec error: --target 'fixed:x': 'x' is not a valid integer" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [("m", "abc", "'m'"), ("eps_acc", "high", "'eps_acc'"), ("gamma", [1], "'gamma'"),
+     ("seed", {"master": "x"}, "'seed.master'")],
+)
+def test_bad_learn_document_value_exits_2(runner, tmp_path, key, value, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**LEARN_DOCUMENT, key: value}))
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
+    assert res.exit_code == 2
+    assert f"spec error: trial config key {named}" in res.output
+    assert not out.exists()
+
+
 def test_separation_starts_one_pool(runner, tmp_path, monkeypatch):
     from gaplab import mc_harness
 

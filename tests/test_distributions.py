@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaplab.concepts import Point, enumerated_domain, full_hypercube
+from gaplab.concepts import Point, enumerated_domain, full_hypercube, pack_bit_rows
 from gaplab.distributions import (
     FiniteSupportDistribution,
     PneFamily,
@@ -279,3 +279,29 @@ def test_distribution_json_roundtrip():
 def test_mix64_is_injective_on_samples(a, b):
     if a != b:
         assert mix64(a) != mix64(b)
+
+
+def _pne_member(n, eps, i):
+    if n >= 2:
+        return make_pne(n, eps, i)
+    # The family needs n >= 2; a one-coordinate member is built directly.
+    return ProductDistribution(np.array([0.5]), pne=(1, eps, 1))
+
+
+@given(
+    st.sampled_from([1, 16, 63, 64, 65, 4096]),
+    st.integers(0, 12),
+    st.sampled_from([0.01, 0.1, 0.2, 0.3, 0.49]),
+    st.data(),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_pne_scalar_eps_path_matches_vector_compare(n, m, eps, data, seed):
+    i = data.draw(st.sampled_from(sorted({1, n, (n + 1) // 2})))
+    dist = _pne_member(n, eps, i)
+    # The reference: every coordinate compared against its own marginal.
+    u = RngSeed(seed).generator(0).random((m, n))
+    reference = pack_bit_rows(u < dist.marginals[None, :])
+    words = sample_bit_matrix(dist, m, RngSeed(seed).generator(0))
+    assert words.dtype == reference.dtype and words.shape == reference.shape
+    assert np.array_equal(words, reference)

@@ -1,0 +1,105 @@
+"""What a fresh gaplab process imports.
+
+scipy.special is about half of gaplab's start-up time, and only the
+posterior rule uses it.  Each check runs in a new interpreter, because this
+test session may already have imported it.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gaplab
+
+SRC = str(Path(gaplab.__file__).resolve().parents[1])
+
+
+def _env() -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def imported_modules(args: list[str], cwd: Path) -> set[str]:
+    """Every module `python -m gaplab.cli args` imports, from -X importtime."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "gaplab.cli", *args],
+        cwd=cwd, env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--version"],
+        ["no-gap", "--domain-size", "4", "--m-grid", "1,2", "--trials", "50"],
+        ["lower-bound", "--n", "1024", "--eps", "0.2", "--learner", "erm",
+         "--trials", "50"],
+        ["ks-stats", "--n", "1024", "--eps", "0.2", "--trials", "50"],
+    ],
+    ids=["version", "no-gap", "lower-bound-erm", "ks-stats"],
+)
+def test_command_does_not_import_scipy_special(tmp_path, args):
+    modules = imported_modules(["--out", str(tmp_path / "out.csv"), *args], tmp_path)
+    assert "gaplab.mc_harness" in modules
+    assert "scipy.special" not in modules
+
+
+def test_posterior_rule_imports_scipy_special(tmp_path):
+    modules = imported_modules(
+        ["--out", str(tmp_path / "out.csv"), "lower-bound", "--n", "1024", "--eps", "0.2",
+         "--trials", "50"],
+        tmp_path,
+    )
+    assert "scipy.special" in modules
+
+
+def _run_python(code: str, cwd: Path) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
+
+
+SEPARATION_SCRIPT = """
+import sys
+from gaplab import mc_harness
+from gaplab.cli import main
+
+print("loaded at import:", "scipy.special" in sys.modules)
+
+class RecordingPool(mc_harness.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        print("loaded at pool start:", "scipy.special" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+mc_harness.ProcessPoolExecutor = RecordingPool
+main(["--threads", "2", "--out", "sep.csv", "separation", "--n-list", "16,64",
+      "--learners", "erm,bayes-posterior", "--trials", "300", "--delta", "0.25",
+      "--m-max", "64"], standalone_mode=False)
+"""
+
+
+def test_separation_loads_scipy_special_before_the_pool_starts(tmp_path):
+    out = _run_python(SEPARATION_SCRIPT, tmp_path)
+    lines = [line for line in out.splitlines() if line.startswith("loaded at")]
+    assert lines == ["loaded at import: False", "loaded at pool start: True"]
+    assert (tmp_path / "sep.csv").read_text().count("bayes-posterior") == 2
+
+
+def test_direct_posterior_rule_error_loads_bdtr(tmp_path):
+    out = _run_python(
+        "from gaplab.mc_harness import posterior_rule_error\n"
+        "print(posterior_rule_error(5, 2, 0.1))\n",
+        tmp_path,
+    )
+    assert 0.0 < float(out) < 1.0
