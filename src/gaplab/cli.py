@@ -192,7 +192,8 @@ class Command:
     """One subcommand: its flags, how it runs one config entry, and how it writes.
 
     `run(obj, **values)` takes the typed values of one config entry, keyed by
-    flag name, and returns (resolved spec, rows); its docstring is the help.
+    flag name (or what `prepare` made of them), and returns (resolved spec,
+    rows); its docstring is the help.
     `write` gets the rows of all entries: for `_write_table`, tuples in
     header order.
     """
@@ -210,6 +211,11 @@ class Command:
     # values: it reaches the runner as `document`, and the flags keep their
     # command-line or default values.
     document_keys: frozenset[str] = frozenset()
+    # Maps one entry's values to the keyword arguments of `run`.  Every
+    # entry is prepared before the first one runs, so whatever preparing
+    # loads (scipy.special for a posterior-rule config) is loaded before
+    # the command's pool forks its workers.
+    prepare: Callable[..., dict] | None = None
 
 
 def _resolve_entry(ctx: click.Context, cmd: Command, entry: dict) -> dict:
@@ -300,8 +306,8 @@ def _run_cover(obj: CLIContext, n, eps, i, level, class_json, dist_json):
     if class_json or dist_json:
         if not (class_json and dist_json):
             raise InvalidParameterError("give both --class-json and --dist-json")
-        cls = class_from_json_dict(class_json)
-        dist = distribution_from_json_dict(dist_json)
+        cls = class_from_json_dict(class_json, "class_json", "cover")
+        dist = distribution_from_json_dict(dist_json, "dist_json", "cover")
         if isinstance(dist, PneFamily):
             raise InvalidParameterError("cover needs a concrete distribution")
         if level is None:
@@ -329,7 +335,7 @@ def _run_cover(obj: CLIContext, n, eps, i, level, class_json, dist_json):
 def _run_vc(obj: CLIContext, n, universe, d_max, class_json):
     """Brute-force VC dimension over an explicit universe."""
     if class_json:
-        cls = class_from_json_dict(class_json)
+        cls = class_from_json_dict(class_json, "class_json", "vc")
         points = None
     else:
         cls = ProjectionClass(n)
@@ -357,9 +363,9 @@ def _target_from_string(s: str):
     raise InvalidParameterError(f"bad target spec {s!r}; use fixed:<i>, random-pair, random-concept")
 
 
-def _run_learn(obj: CLIContext, n, eps, target, learner, m, eps_acc, gamma, trials,
-               document=None):
-    """Estimate a learner's failure probability for one trial configuration."""
+def _learn_config(obj: CLIContext, n, eps, target, learner, m, eps_acc, gamma, trials,
+                  document=None) -> dict:
+    """The TrialConfig of one learn entry, as _run_learn's argument."""
     if document is not None:
         cfg = config_from_json_dict({
             "seed": {"master": obj.seed}, "trials": trials, "eps_acc": eps_acc,
@@ -378,6 +384,11 @@ def _run_learn(obj: CLIContext, n, eps, target, learner, m, eps_acc, gamma, tria
             seed=RngSeed(obj.seed),
             gamma=gamma,
         )
+    return {"cfg": cfg}
+
+
+def _run_learn(obj: CLIContext, cfg: TrialConfig):
+    """Estimate a learner's failure probability for one trial configuration."""
     est = estimate_failure_prob(cfg, obj.threads)
     return {"kind": "learn", "config": cfg.to_json_dict()}, [
         (cfg.learner, cfg.m, cfg.eps_acc, cfg.trials, cfg.gamma,
@@ -465,7 +476,7 @@ def _run_ks_stats(obj: CLIContext, n, eps, m, trials, gamma):
 def _run_no_gap(obj: CLIContext, domain_size, dist, dist_json, m_grid, eps_acc, trials):
     """Memorizer error vs missing mass on the all-functions class."""
     if dist_json:
-        law = distribution_from_json_dict(dist_json)
+        law = distribution_from_json_dict(dist_json, "dist_json", "no-gap")
         domain_size = len(law.support)
     else:
         domain = enumerated_domain(domain_size)
@@ -550,6 +561,7 @@ COMMANDS = (
          "estimate", "radius", "ci_low", "ci_high"),
         config_help="TrialConfig JSON (object or list).",
         document_keys=frozenset({"class", "dist", "target"}),
+        prepare=_learn_config,
     ),
     Command(
         "separation",
@@ -637,8 +649,11 @@ def _build(cmd: Command) -> click.Command:
             raise InvalidParameterError(
                 f"{cmd.name} takes one config entry, the config has {len(entries)}"
             )
+        entry_values = [_resolve_entry(ctx, cmd, entry) for entry in entries]
+        if cmd.prepare is not None:
+            entry_values = [cmd.prepare(obj, **values) for values in entry_values]
         specs, rows = [], []
-        for values in [_resolve_entry(ctx, cmd, entry) for entry in entries]:
+        for values in entry_values:
             spec, entry_rows = cmd.run(obj, **values)
             specs.append(spec)
             rows.extend(entry_rows)

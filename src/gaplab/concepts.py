@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
     PointNotInDomainError,
+    config_value,
 )
 
 WORD_BITS = 64
@@ -289,10 +290,14 @@ class TableClass:
 ConceptClass = ProjectionClass | TableClass
 
 
-def class_from_json_dict(obj: dict) -> ConceptClass:
+def class_from_json_dict(
+    obj: dict, key: str = "class", where: str = "trial config"
+) -> ConceptClass:
+    """The class a JSON object describes; `obj` sits at `key` of `where`,
+    which a bad value's spec error names."""
     kind = obj.get("kind")
     if kind == "projections":
-        return ProjectionClass(int(obj["n"]))
+        return ProjectionClass(config_value(int, obj.get("n"), f"{key}.n", where))
     if kind == "table":
         domain = [Point.from_string(s) for s in obj["domain"]]
         cls = TableClass(domain, [])

@@ -3,21 +3,24 @@
 Randomness is counter-based: every trial derives its own 64-bit seed as a
 pure function of (master seed, stream id, trial index) through a splitmix64
 finalizer, so trials can run in any order or on any worker without changing
-results.
+results.  The generator of trial t is exactly PCG64(trial_seed(t)); its
+PCG64 seed words are derived for 256 trials at a time by a vectorised copy
+of numpy's SeedSequence, which is the same function at a fraction of the
+per-trial cost.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .concepts import Point, pack_bit_rows, words_needed
-from .errors import DimensionMismatchError, InvalidParameterError
+from .errors import DimensionMismatchError, InvalidParameterError, config_value
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN64 = 0x9E3779B97F4A7C15
@@ -53,10 +56,114 @@ class RngSeed:
         return mix64(base ^ ((index & _MASK64) * GOLDEN64 & _MASK64))
 
     def generator(self, index: int = 0) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.trial_seed(index)))
+        """np.random.Generator(np.random.PCG64(self.trial_seed(index))), built
+        from seed words computed for index's whole block of trials."""
+        index &= _MASK64
+        words = _block_seed_words(self.master, self.stream, index >> _SEED_BLOCK_BITS)
+        seed_seq = _state_words_class()(words[index & (_SEED_BLOCK - 1)])
+        return np.random.Generator(np.random.PCG64(seed_seq))
 
     def to_json_dict(self) -> dict:
         return {"master": self.master, "stream": self.stream}
+
+
+_SEED_BLOCK_BITS = 8
+_SEED_BLOCK = 1 << _SEED_BLOCK_BITS
+
+
+def _mix64_array(x: np.ndarray) -> np.ndarray:
+    """mix64 over a uint64 array, wrapping as the scalar version masks."""
+    x = x + np.uint64(GOLDEN64)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _hash_consts(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) constants of SeedSequence's first `count` hash steps.
+
+    Each step xors in the running constant, advances it by `mult`, then
+    multiplies by the advanced value; the sequence never depends on data.
+    """
+    xors, mults = [], []
+    for _ in range(count):
+        xors.append(init)
+        init = (init * mult) & 0xFFFFFFFF
+        mults.append(init)
+    return np.array(xors, np.uint32)[:, None], np.array(mults, np.uint32)[:, None]
+
+
+# numpy.random.SeedSequence's constants (pool size 4): mix_entropy hashes 4
+# entropy words and then 4 x 3 pool words; generate_state hashes 8 output words.
+_MIX_XOR, _MIX_MUL = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+_OUT_XOR, _OUT_MUL = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+def _xorshift(v: np.ndarray) -> np.ndarray:
+    v ^= v >> _XSHIFT
+    return v
+
+
+def seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) for each uint64 seed s.
+
+    A vectorised port in uint32 arithmetic: an integer seed is the entropy
+    words [lo32, hi32], padded with zeros to the pool size of 4.  Returns a
+    (len(seeds), 4) uint64 array.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0] = seeds & np.uint64(0xFFFFFFFF)
+    pool[1] = seeds >> np.uint64(32)
+    pool ^= _MIX_XOR[:4]
+    pool *= _MIX_MUL[:4]
+    _xorshift(pool)
+    for src in range(4):
+        steps = slice(4 + 3 * src, 7 + 3 * src)
+        hashed = pool[src] ^ _MIX_XOR[steps]
+        hashed *= _MIX_MUL[steps]
+        _xorshift(hashed)
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _xorshift(_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed)
+    out = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _OUT_XOR
+    out *= _OUT_MUL
+    _xorshift(out)
+    # Word pairs are joined little-endian, as generate_state does.
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@lru_cache(maxsize=16)
+def _block_seed_words(master: int, stream: int, block: int) -> np.ndarray:
+    """PCG64 seed words of trials block*256 .. block*256+255 of one stream."""
+    base = mix64(master ^ mix64(stream))
+    index = np.arange(_SEED_BLOCK, dtype=np.uint64) + np.uint64(block << _SEED_BLOCK_BITS)
+    seeds = _mix64_array(np.uint64(base) ^ (index * np.uint64(GOLDEN64)))
+    words = seed_sequence_words(seeds)
+    words.setflags(write=False)
+    return words
+
+
+@cache
+def _state_words_class() -> type:
+    """An ISeedSequence that hands PCG64 precomputed seed words.
+
+    Made on first use, because subclassing ISeedSequence imports
+    numpy.random, which a gaplab process that draws nothing never needs.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for exactly these: 4 words of dtype uint64.
+            return self.words
+
+    return _StateWords
 
 
 def _as_generator(seed: "RngSeed | np.random.Generator") -> np.random.Generator:
@@ -205,18 +312,67 @@ class FiniteSupportDistribution:
 Distribution = ProductDistribution | FiniteSupportDistribution
 
 
-def distribution_from_json_dict(obj: dict) -> Distribution | PneFamily:
+def float_vector(value) -> np.ndarray:
+    """A float64 vector from a JSON list; the kind a config value names."""
+    return np.asarray(value, dtype=np.float64)
+
+
+def distribution_from_json_dict(
+    obj: dict, key: str = "dist", where: str = "trial config"
+) -> Distribution | PneFamily:
+    """The distribution a JSON object describes; `obj` sits at `key` of
+    `where`, which a bad value's spec error names."""
+    def value(kind, name):
+        return config_value(kind, obj.get(name), f"{key}.{name}", where)
+
     kind = obj.get("kind")
     if kind == "product":
-        return ProductDistribution(np.asarray(obj["marginals"], dtype=np.float64))
+        return ProductDistribution(value(float_vector, "marginals"))
     if kind == "pne":
-        if "i" in obj and obj["i"] is not None:
-            return make_pne(int(obj["n"]), float(obj["eps"]), int(obj["i"]))
-        return PneFamily(int(obj["n"]), float(obj["eps"]))
+        n, eps = value(int, "n"), value(float, "eps")
+        if obj.get("i") is not None:
+            return make_pne(n, eps, value(int, "i"))
+        return PneFamily(n, eps)
     if kind == "finite":
         support = [Point.from_string(s) for s in obj["support"]]
-        return FiniteSupportDistribution(support, obj["probs"])
+        return FiniteSupportDistribution(support, value(float_vector, "probs"))
     raise InvalidParameterError(f"unknown distribution kind {kind!r}")
+
+
+# sample_bit_matrix draws row blocks of about this many cells through one
+# float64 and one bool scratch buffer, grown on demand and reused by every
+# call in the process.  That is safe because the packed rows it returns are
+# fresh arrays that never alias the buffers, and no call runs inside another.
+_BLOCK_CELLS = 1 << 17
+_block_scratch = (np.empty(0), np.empty(0, dtype=bool))
+
+
+@lru_cache(maxsize=8)
+def _block_views(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, n) float64 and bool views of the scratch buffers."""
+    global _block_scratch
+    cells = rows * n
+    if _block_scratch[0].size < cells:
+        # Views cached for the old buffers stay valid but are dropped, so
+        # that the old buffers can be freed.
+        _block_views.cache_clear()
+        size = max(_BLOCK_CELLS, cells)
+        _block_scratch = (np.empty(size), np.empty(size, dtype=bool))
+    u_cells, bit_cells = _block_scratch
+    return u_cells[:cells].reshape(rows, n), bit_cells[:cells].reshape(rows, n)
+
+
+def _draw_block(dist: ProductDistribution, rows: int, gen: np.random.Generator) -> np.ndarray:
+    """The next `rows` packed rows of dist's draws, through the scratch buffers."""
+    u, bits = _block_views(rows, dist.n)
+    gen.random(out=u)
+    if dist.pne is None:
+        np.less(u, dist.marginals, bits)
+    else:
+        _, eps, i = dist.pne
+        np.less(u, eps, bits)
+        np.less(u[:, i - 1], 0.5, bits[:, i - 1])
+    return pack_bit_rows(bits.view(np.uint8))
 
 
 def sample_bit_matrix(
@@ -226,20 +382,23 @@ def sample_bit_matrix(
 
     Reference sampling path: one uniform double per coordinate, row-major,
     compared against the coordinate's marginal.  All faster paths must stay
-    bit-identical to this consumption order.  A pne member's marginals are
-    eps except 1/2 at coordinate i, so its draws are compared against the
-    scalar eps and column i is redone against 1/2.
+    bit-identical to this consumption order.  The rows are drawn in blocks
+    of about 2^17 cells (at least one row) through reused buffers, which
+    consumes the stream in the same order as one whole draw, so a call
+    holds about 1.1 MiB besides its m * n / 8 byte output.  A pne member's
+    marginals are eps except 1/2 at coordinate i, so its draws are compared
+    against the scalar eps and column i is redone against 1/2.
     """
     if m < 0:
         raise InvalidParameterError("sample size must be non-negative")
-    u = gen.random((m, dist.n))
-    if dist.pne is None:
-        bits = u < dist.marginals[None, :]
-    else:
-        _, eps, i = dist.pne
-        bits = u < eps
-        bits[:, i - 1] = u[:, i - 1] < 0.5
-    return pack_bit_rows(bits.view(np.uint8))
+    block_rows = max(1, _BLOCK_CELLS // dist.n)
+    if m <= block_rows:
+        return _draw_block(dist, m, gen)
+    out = np.empty((m, words_needed(dist.n)), dtype=np.uint64)
+    for r0 in range(0, m, block_rows):
+        rows = min(block_rows, m - r0)
+        out[r0 : r0 + rows] = _draw_block(dist, rows, gen)
+    return out
 
 
 def sample_coordinate_columns(

@@ -27,3 +27,13 @@ class OracleUnavailableError(GaplabError):
 
 class SearchBracketError(GaplabError):
     """The sample-size search hit its cap without bracketing the target."""
+
+
+def config_value(kind, value, key: str, where: str = "trial config"):
+    """kind(value), or a spec error naming the key of `where` the value came from."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"{where} key {key!r}: {value!r} is not a valid {kind.__name__}"
+        ) from None

@@ -47,6 +47,7 @@ from .errors import (
     InvalidParameterError,
     OracleUnavailableError,
     SearchBracketError,
+    config_value,
 )
 from .learners import (
     LabeledSample,
@@ -102,7 +103,7 @@ TargetSpec = FixedTarget | RandomPair | RandomConcept
 def target_from_json_dict(obj: dict) -> TargetSpec:
     kind = obj.get("kind")
     if kind == "fixed":
-        return FixedTarget(_config_value(int, obj.get("i"), "target.i"))
+        return FixedTarget(config_value(int, obj.get("i"), "target.i"))
     if kind == "random-pair":
         return RandomPair()
     if kind == "random-concept":
@@ -161,27 +162,17 @@ def config_from_json_dict(obj: dict) -> TrialConfig:
         dist=distribution_from_json_dict(obj["dist"]),
         target=target_from_json_dict(obj["target"]),
         learner=obj["learner"],
-        m=_config_value(int, obj["m"], "m"),
-        eps_acc=_config_value(float, obj["eps_acc"], "eps_acc"),
-        trials=_config_value(int, obj["trials"], "trials"),
-        seed=RngSeed(_config_value(int, seed.get("master", 0), "seed.master"),
-                     _config_value(int, seed.get("stream", 0), "seed.stream")),
-        gamma=_config_value(float, obj.get("gamma", 0.01), "gamma"),
+        m=config_value(int, obj["m"], "m"),
+        eps_acc=config_value(float, obj["eps_acc"], "eps_acc"),
+        trials=config_value(int, obj["trials"], "trials"),
+        seed=RngSeed(config_value(int, seed.get("master", 0), "seed.master"),
+                     config_value(int, seed.get("stream", 0), "seed.stream")),
+        gamma=config_value(float, obj.get("gamma", 0.01), "gamma"),
         cover_level=obj.get("cover_level"),
         learner_eps=obj.get("learner_eps"),
-        memorizer_default=_config_value(int, obj.get("memorizer_default", 0),
-                                        "memorizer_default"),
+        memorizer_default=config_value(int, obj.get("memorizer_default", 0),
+                                       "memorizer_default"),
     )
-
-
-def _config_value(kind: type, value, key: str):
-    """kind(value), or a spec error naming the trial-config key."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(
-            f"trial config key {key!r}: {value!r} is not a valid {kind.__name__}"
-        ) from None
 
 
 def validate_config(cfg: TrialConfig) -> None:

@@ -491,6 +491,35 @@ def test_bad_learn_document_value_exits_2(runner, tmp_path, key, value, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "part, field, value, named",
+    [("dist", "n", "abc", "'dist.n'"), ("dist", "eps", "low", "'dist.eps'"),
+     ("dist", "i", [3], "'dist.i'"), ("class", "n", "abc", "'class.n'")],
+)
+def test_bad_value_inside_a_learn_document_part_exits_2(runner, tmp_path, part, field,
+                                                        value, named):
+    doc = {**LEARN_DOCUMENT, part: {**LEARN_DOCUMENT[part], field: value}}
+    if part == "dist" and field == "i":
+        doc = {**doc, "target": {"kind": "fixed", "i": 1}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert f"spec error: trial config key {named}: {value!r} is not a valid" in res.output
+    assert not out.exists()
+
+
+def test_bad_value_in_a_json_option_names_the_option(runner, tmp_path):
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), "no-gap", "--dist-json",
+                               json.dumps({"kind": "finite", "support": ["0", "1"],
+                                           "probs": ["half", 0.5]})])
+    assert res.exit_code == 2, res.output
+    assert "spec error: no-gap key 'dist_json.probs'" in res.output
+    assert not out.exists()
+
+
 def test_separation_starts_one_pool(runner, tmp_path, monkeypatch):
     from gaplab import mc_harness
 

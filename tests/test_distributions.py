@@ -1,11 +1,13 @@
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaplab import distributions
 from gaplab.concepts import Point, enumerated_domain, full_hypercube, pack_bit_rows
 from gaplab.distributions import (
     FiniteSupportDistribution,
@@ -53,6 +55,42 @@ class TestRngSeed:
             RngSeed(-1)
         with pytest.raises(InvalidParameterError):
             RngSeed(1 << 64)
+
+    def test_last_block_ends_at_two_to_the_64(self):
+        # The block of index 2^64 - 1 covers indices up to 2^64, one past
+        # the largest uint64.
+        seed = RngSeed(2**64 - 1, 2**64 - 1)
+        last = 2**64 - 1
+        for index in (last - 255, last - 1, last):
+            _assert_generator_is_pcg64_of_trial_seed(seed, index)
+
+
+def _assert_generator_is_pcg64_of_trial_seed(seed: RngSeed, index: int) -> None:
+    trial_seed = seed.trial_seed(index)
+    reference = np.random.Generator(np.random.PCG64(trial_seed))
+    assert np.array_equal(seed.generator(index).random(8), reference.random(8))
+    words = distributions._block_seed_words(seed.master, seed.stream, index >> 8)[index % 256]
+    assert np.array_equal(words, np.random.SeedSequence(trial_seed).generate_state(4, np.uint64))
+
+
+_EDGE_INDICES = (0, 255, 256, 257, 2**32, 2**64 - 1)
+
+
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
+    st.one_of(st.sampled_from(_EDGE_INDICES), st.integers(0, 2**64 - 1)),
+)
+@settings(max_examples=200, deadline=None)
+def test_block_seeding_equals_pcg64_of_the_trial_seed(master, stream, index):
+    _assert_generator_is_pcg64_of_trial_seed(RngSeed(master, stream), index)
+
+
+def test_seed_words_match_seed_sequence_at_word_edges():
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    words = distributions.seed_sequence_words(np.array(seeds, dtype=np.uint64))
+    for s, row in zip(seeds, words):
+        assert np.array_equal(row, np.random.SeedSequence(s).generate_state(4, np.uint64))
 
 
 class TestMakePne:
@@ -201,6 +239,51 @@ class TestSampling:
     def test_negative_m_rejected(self):
         with pytest.raises(InvalidParameterError):
             sample_points(make_pne(4, 0.1, 1), -1, RngSeed(0))
+
+
+def _block_rows(n: int) -> int:
+    return max(1, distributions._BLOCK_CELLS // n)
+
+
+def _row_block_cases():
+    for n in (1, 63, 64, 65, 4096, 2**17, 2**17 + 1):
+        rows = _block_rows(n)
+        for m in sorted({0, 1, rows - 1, rows, rows + 1, 3 * rows + 2}):
+            yield n, m
+
+
+@pytest.mark.parametrize("n, m", list(_row_block_cases()))
+def test_row_blocks_match_one_whole_draw(n, m):
+    rng = np.random.default_rng(n)
+    dists = [ProductDistribution(rng.random(n))]
+    if n >= 2:
+        dists += [make_pne(n, 0.1, 1), make_pne(n, 0.3, n)]
+    else:
+        dists.append(ProductDistribution(np.array([0.5]), pne=(1, 0.2, 1)))
+    for t, dist in enumerate(dists):
+        reference = RngSeed(n, m).generator(t)
+        want = pack_bit_rows(reference.random((m, n)) < dist.marginals)
+        gen = RngSeed(n, m).generator(t)
+        words = sample_bit_matrix(dist, m, gen)
+        assert words.dtype == want.dtype and words.shape == want.shape
+        assert np.array_equal(words, want)
+        # The stream stops where the whole draw stops, so later draws
+        # (ks-stats's test point) stay aligned.
+        assert gen.bit_generator.state == reference.bit_generator.state
+
+
+def test_draw_memory_is_bounded_by_one_row_block():
+    n, m = 2**14, 1024
+    dist = make_pne(n, 0.1, 5)
+    gen = RngSeed(7).generator(0)
+    tracemalloc.start()
+    try:
+        words = sample_bit_matrix(dist, m, gen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The whole-matrix draw peaked at 146 MiB here: 8 m n bytes of doubles.
+    assert peak <= words.nbytes + 4 * 2**20
 
 
 class TestFiniteSupport:

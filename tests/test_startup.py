@@ -1,10 +1,12 @@
 """What a fresh gaplab process imports.
 
 scipy.special is about half of gaplab's start-up time, and only the
-posterior rule uses it.  Each check runs in a new interpreter, because this
-test session may already have imported it.
+posterior rule uses it.  numpy.random is needed only by a command that
+draws.  Each check runs in a new interpreter, because this test session may
+already have imported them.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -54,6 +56,12 @@ def test_command_does_not_import_scipy_special(tmp_path, args):
     assert "scipy.special" not in modules
 
 
+def test_version_does_not_import_numpy_random(tmp_path):
+    modules = imported_modules(["--version"], tmp_path)
+    assert "numpy" in modules
+    assert "numpy.random" not in modules
+
+
 def test_posterior_rule_imports_scipy_special(tmp_path):
     modules = imported_modules(
         ["--out", str(tmp_path / "out.csv"), "lower-bound", "--n", "1024", "--eps", "0.2",
@@ -70,7 +78,7 @@ def _run_python(code: str, cwd: Path) -> str:
     return proc.stdout
 
 
-SEPARATION_SCRIPT = """
+POOL_START_SCRIPT = """
 import sys
 from gaplab import mc_harness
 from gaplab.cli import main
@@ -83,17 +91,43 @@ class RecordingPool(mc_harness.ProcessPoolExecutor):
         super().__init__(*args, **kwargs)
 
 mc_harness.ProcessPoolExecutor = RecordingPool
-main(["--threads", "2", "--out", "sep.csv", "separation", "--n-list", "16,64",
-      "--learners", "erm,bayes-posterior", "--trials", "300", "--delta", "0.25",
-      "--m-max", "64"], standalone_mode=False)
+main({args!r}, standalone_mode=False)
 """
 
 
+def _scipy_special_at_pool_start(args: list[str], cwd: Path) -> list[str]:
+    out = _run_python(POOL_START_SCRIPT.format(args=args), cwd)
+    return [line for line in out.splitlines() if line.startswith("loaded at")]
+
+
 def test_separation_loads_scipy_special_before_the_pool_starts(tmp_path):
-    out = _run_python(SEPARATION_SCRIPT, tmp_path)
-    lines = [line for line in out.splitlines() if line.startswith("loaded at")]
+    lines = _scipy_special_at_pool_start(
+        ["--threads", "2", "--out", "sep.csv", "separation", "--n-list", "16,64",
+         "--learners", "erm,bayes-posterior", "--trials", "300", "--delta", "0.25",
+         "--m-max", "64"],
+        tmp_path,
+    )
     assert lines == ["loaded at import: False", "loaded at pool start: True"]
     assert (tmp_path / "sep.csv").read_text().count("bayes-posterior") == 2
+
+
+def test_learn_list_loads_scipy_special_before_the_pool_starts(tmp_path):
+    # The erm entry runs first and starts the pool; the posterior entry's
+    # config must already have loaded scipy.special by then.
+    document = {
+        "class": {"kind": "projections", "n": 64},
+        "dist": {"kind": "pne", "n": 64, "eps": 0.1},
+        "target": {"kind": "random-pair"},
+        "m": 3, "eps_acc": 0.1, "trials": 200,
+    }
+    (tmp_path / "learn.json").write_text(json.dumps(
+        [{**document, "learner": "erm"}, {**document, "learner": "bayes-posterior"}]
+    ))
+    lines = _scipy_special_at_pool_start(
+        ["--threads", "2", "--out", "learn.csv", "learn", "--config", "learn.json"], tmp_path
+    )
+    assert lines == ["loaded at import: False", "loaded at pool start: True"]
+    assert (tmp_path / "learn.csv").read_text().count("bayes-posterior") == 1
 
 
 def test_direct_posterior_rule_error_loads_bdtr(tmp_path):
