@@ -18,9 +18,7 @@ from .concepts import (
     all_functions_class,
     build_shattered_set,
     enumerated_domain,
-    eval_concept,
     full_hypercube,
-    is_shattered,
     vc_dimension_bruteforce,
 )
 from .distributions import (
@@ -30,11 +28,8 @@ from .distributions import (
     RngSeed,
     geometric_finite,
     make_pne,
-    missing_mass,
     missing_mass_fraction,
     mix64,
-    point_prob,
-    sample_points,
     uniform_finite,
 )
 from .errors import (
@@ -49,15 +44,10 @@ from .errors import (
 from .learners import (
     LabeledSample,
     MemorizerPredictor,
-    PosteriorState,
     bayes_bit_predictor,
-    bayes_posterior_predict,
     consistent_memorizer,
     cover_learner,
-    empirical_error,
     erm,
-    posterior_over_index,
-    posterior_state,
 )
 from .metric_cover import (
     CoverResult,
@@ -66,7 +56,6 @@ from .metric_cover import (
     corollary_m,
     disagreement_enumerate,
     disagreement_exact_projections,
-    disagreement_mc,
     dudley_cover_bound,
     greedy_packing_cover,
     hoeffding_radius,

@@ -52,6 +52,7 @@ from .mc_harness import (
     estimate_failure_prob,
     in_theorem_regime,
     ks_statistics_experiment,
+    lower_bound_config,
     lower_bound_experiment,
     lower_bound_m,
     no_gap_experiment,
@@ -445,6 +446,13 @@ def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, tria
     return spec, rows
 
 
+def _check_lower_bound(obj: CLIContext, **values) -> dict:
+    """Build one lower-bound entry's trial config, so that every entry is
+    checked, and loads what it needs, before the first one runs."""
+    lower_bound_config(seed=RngSeed(obj.seed), **values)
+    return values
+
+
 def _run_lower_bound(obj: CLIContext, n, eps, learner, trials, gamma):
     """The matched-pair failure experiment at m = floor(ln n / (3 ln(1/eps)))."""
     est = lower_bound_experiment(n, eps, learner, trials, RngSeed(obj.seed), gamma, obj.threads)
@@ -592,6 +600,7 @@ COMMANDS = (
         _run_lower_bound,
         ("n", "eps", "m", "learner", "eps_acc", "trials", "estimate",
          "radius", "ci_low", "ci_high", "above_one_sixteenth", "outside_regime"),
+        prepare=_check_lower_bound,
     ),
     Command(
         "ks-stats",

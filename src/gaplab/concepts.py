@@ -1,4 +1,4 @@
-"""Hypercube points, projection and truth-table concept classes, shattering, VC dimension.
+"""Hypercube points, projection and truth-table concept classes, brute-force VC dimension.
 
 Concept and coordinate indices are 1-based on the public surface (c_1 .. c_n,
 x[1] .. x[n]); everything is 0-based internally.  Points are bit-packed into
@@ -299,25 +299,20 @@ def class_from_json_dict(
     if kind == "projections":
         return ProjectionClass(config_value(int, obj.get("n"), f"{key}.n", where))
     if kind == "table":
-        domain = [Point.from_string(s) for s in obj["domain"]]
+        domain = config_value(point_list, obj.get("domain"), f"{key}.domain", where)
         cls = TableClass(domain, [])
-        tables = [cls.table_from_string(s) for s in obj["tables"]]
+
+        def table_list(value) -> list[int]:
+            return [cls.table_from_string(s) for s in value]
+
+        tables = config_value(table_list, obj.get("tables"), f"{key}.tables", where)
         return TableClass(domain, tables)
     raise InvalidParameterError(f"unknown class kind {kind!r}")
 
 
-def eval_concept(cls: ConceptClass, cid: ConceptId, x: Point) -> int:
-    """Value of the concept on a point: x[i] for projections, table lookup otherwise."""
-    if isinstance(cls, ProjectionClass):
-        if cid.kind != "projection":
-            raise InvalidParameterError(f"expected a projection concept, got {cid.kind}")
-        if not 1 <= cid.index <= cls.n:
-            raise InvalidParameterError(f"projection index {cid.index} out of range 1..{cls.n}")
-        if x.n != cls.n:
-            raise DimensionMismatchError(f"point has n={x.n}, class has n={cls.n}")
-        return x.bit(cid.index)
-    mask = cls.table_mask(cid)
-    return (mask >> cls.domain_position(x)) & 1
+def point_list(value) -> list[Point]:
+    """Points from a JSON list of 0/1 strings; the kind a config value names."""
+    return [Point.from_string(s) for s in value]
 
 
 def all_functions_class(domain: Sequence[Point]) -> TableClass:
@@ -345,26 +340,6 @@ def build_shattered_set(n: int) -> list[Point]:
         bits = ((j >> np.uint64(i - 1)) & np.uint64(1)).astype(np.uint8)
         points.append(Point(pack_bit_rows(bits[None, :])[0], n))
     return points
-
-
-def is_shattered(cls: ConceptClass, points: Sequence[Point]) -> bool:
-    """Whether every one of the 2^|points| label patterns is realized by some concept."""
-    k = len(points)
-    if k > 30:
-        raise InvalidParameterError("shatter check is exhaustive; at most 30 points")
-    if k == 0:
-        return True
-    target = 1 << k
-    realized: set[int] = set()
-    for cid in cls.concept_ids():
-        pattern = 0
-        for t, p in enumerate(points):
-            if eval_concept(cls, cid, p):
-                pattern |= 1 << t
-        realized.add(pattern)
-        if len(realized) == target:
-            return True
-    return False
 
 
 def _label_matrix(cls: ConceptClass, universe: Sequence[Point]) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .concepts import Point, pack_bit_rows, words_needed
+from .concepts import Point, pack_bit_rows, point_list, words_needed
 from .errors import DimensionMismatchError, InvalidParameterError, config_value
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -164,12 +164,6 @@ def _state_words_class() -> type:
             return self.words
 
     return _StateWords
-
-
-def _as_generator(seed: "RngSeed | np.random.Generator") -> np.random.Generator:
-    if isinstance(seed, RngSeed):
-        return seed.generator(0)
-    return seed
 
 
 @dataclass(frozen=True)
@@ -334,8 +328,7 @@ def distribution_from_json_dict(
             return make_pne(n, eps, value(int, "i"))
         return PneFamily(n, eps)
     if kind == "finite":
-        support = [Point.from_string(s) for s in obj["support"]]
-        return FiniteSupportDistribution(support, value(float_vector, "probs"))
+        return FiniteSupportDistribution(value(point_list, "support"), value(float_vector, "probs"))
     raise InvalidParameterError(f"unknown distribution kind {kind!r}")
 
 
@@ -433,31 +426,6 @@ def sample_support_indices(
     return np.searchsorted(dist._cum, u, side="right").astype(np.int64)
 
 
-def sample_points(
-    dist: Distribution, m: int, seed: "RngSeed | np.random.Generator"
-) -> list[Point]:
-    """m i.i.d. points; deterministic given the seed."""
-    gen = _as_generator(seed)
-    if isinstance(dist, ProductDistribution):
-        words = sample_bit_matrix(dist, m, gen)
-        return [Point(words[r].copy(), dist.n) for r in range(m)]
-    idx = sample_support_indices(dist, m, gen)
-    return [dist.support[int(t)] for t in idx]
-
-
-def point_prob(dist: Distribution, x: Point) -> float:
-    """Exact probability of a single point."""
-    if x.n != dist.n:
-        raise DimensionMismatchError(f"point has n={x.n}, distribution has n={dist.n}")
-    if isinstance(dist, ProductDistribution):
-        from .concepts import unpack_bit_rows
-
-        bits = unpack_bit_rows(x.words, x.n)[0].astype(bool)
-        return float(np.prod(np.where(bits, dist.marginals, 1.0 - dist.marginals)))
-    pos = dist.support_position(x)
-    return 0.0 if pos is None else float(dist.probs[pos])
-
-
 def missing_mass_fraction(
     dist: FiniteSupportDistribution, observed: Iterable[Point]
 ) -> Fraction:
@@ -470,10 +438,6 @@ def missing_mass_fraction(
     seen = {dist.support_position(p) for p in observed}
     unseen = sum(a for t, a in enumerate(dist.numerators) if t not in seen)
     return Fraction(unseen, dist.denominator)
-
-
-def missing_mass(dist: FiniteSupportDistribution, observed: Iterable[Point]) -> float:
-    return float(missing_mass_fraction(dist, observed))
 
 
 def uniform_finite(support: Sequence[Point]) -> FiniteSupportDistribution:

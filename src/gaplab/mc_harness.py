@@ -25,6 +25,7 @@ import numpy as np
 from .concepts import (
     ConceptClass,
     ConceptId,
+    Point,
     ProjectionClass,
     TableClass,
     all_functions_class,
@@ -305,12 +306,55 @@ def _resolve_target(
 ) -> tuple[Distribution, ConceptId]:
     cls = cfg.concept_class
     if isinstance(cfg.target, RandomPair):
-        i = int(gen.integers(1, cfg.dist.n + 1))
-        return cfg.dist.member(i), cls.concept(i)
+        i, dist = _draw_member(cfg.dist, gen)
+        return dist, cls.concept(i)
     if isinstance(cfg.target, RandomConcept):
         idx = int(gen.integers(1, cls.num_concepts + 1))
         return cfg.dist, cls.concept(idx)
     return cfg.dist, cls.concept(cfg.target.index)
+
+
+def _draw_member(family: PneFamily, gen: np.random.Generator) -> tuple[int, ProductDistribution]:
+    """A uniform hidden index I and the family member P_I."""
+    i = int(gen.integers(1, family.n + 1))
+    return i, family.member(i)
+
+
+def _projection_sample(
+    dist: ProductDistribution, target: int, m: int, gen: np.random.Generator
+) -> LabeledSample:
+    """m draws from dist, labelled by coordinate `target`."""
+    words = sample_bit_matrix(dist, m, gen)
+    return LabeledSample(words, packed_column(words, target), dist.n)
+
+
+def _support_positions(cls: TableClass, dist: FiniteSupportDistribution) -> list[int]:
+    """The class-domain position of each support point, in support order."""
+    return [cls.domain_position(p) for p in dist.support]
+
+
+def _table_sample(
+    cfg: TrialConfig, target: ConceptId, positions: list[int], gen: np.random.Generator
+) -> tuple[int, list[Point], LabeledSample]:
+    """The target's truth table, then cfg.m support points drawn and labelled by it."""
+    dist = cfg.dist
+    target_mask = cfg.concept_class.table_mask(target)
+    idx = sample_support_indices(dist, cfg.m, gen).tolist()
+    points = [dist.support[u] for u in idx]
+    labels = [(target_mask >> positions[u]) & 1 for u in idx]
+    sample = LabeledSample.from_points(points, labels) if points else LabeledSample.empty(dist.n)
+    return target_mask, points, sample
+
+
+def _memorizer_misses(
+    cfg: TrialConfig, sample: LabeledSample, target_mask: int, positions: list[int]
+) -> list[int]:
+    """Support indices, in support order, where the memorizer disagrees with the target."""
+    predict = consistent_memorizer(sample, cfg.memorizer_default).predict
+    return [
+        u for u, p in enumerate(cfg.dist.support)
+        if predict(p) != (target_mask >> positions[u]) & 1
+    ]
 
 
 def run_trial(cfg: TrialConfig, index: int) -> TrialResult:
@@ -350,9 +394,7 @@ def _projection_trial_error(
                 best, best_mistakes = j, mk
         return disagreement_exact_projections(dist, best, target.index)
 
-    words = sample_bit_matrix(dist, cfg.m, gen)
-    y = packed_column(words, target.index)
-    sample = LabeledSample(words, y, cls.n)
+    sample = _projection_sample(dist, target.index, cfg.m, gen)
 
     if cfg.learner == "erm":
         chosen = erm(cls, sample)
@@ -380,27 +422,13 @@ def _table_trial_error(
     target: ConceptId,
     gen: np.random.Generator,
 ) -> float:
-    idx = sample_support_indices(dist, cfg.m, gen)
-    target_mask = cls.table_mask(target)
-    positions = np.array(
-        [cls.domain_position(p) for p in dist.support], dtype=np.int64
-    )[idx]
-    labels = ((target_mask >> positions) & 1).astype(np.uint8)
-    points = [dist.support[int(t)] for t in idx]
-    sample = (
-        LabeledSample.from_points(points, labels)
-        if points
-        else LabeledSample.empty(dist.n)
-    )
+    positions = _support_positions(cls, dist)
+    target_mask, _, sample = _table_sample(cfg, target, positions, gen)
 
     if cfg.learner == "memorizer":
-        predictor = consistent_memorizer(sample, cfg.memorizer_default)
-        error = 0.0
-        for t, p in enumerate(dist.support):
-            truth = (target_mask >> cls.domain_position(p)) & 1
-            if predictor.predict(p) != truth:
-                error += float(dist.probs[t])
-        return error
+        misses = _memorizer_misses(cfg, sample, target_mask, positions)
+        # Plain float addition in support order: np.sum adds pairwise.
+        return sum(dist.probs[misses].tolist(), 0.0)
 
     if cfg.learner == "erm":
         chosen = erm(cls, sample)
@@ -627,29 +655,15 @@ def in_theorem_regime(n: int, eps: float) -> bool:
     return n >= 600.0 / eps**3
 
 
-def lower_bound_experiment(
-    n: int,
-    eps: float,
-    learner: str,
-    trials: int,
-    seed: RngSeed,
-    gamma: float = 0.01,
-    threads: int = 1,
-) -> EstimateWithCI:
-    """Failure probability of a learner in the matched-pair setting.
-
-    Draws (I, c_I, P_I) at random, gives the learner m = floor(ln n /
-    (3 ln(1/eps))) examples, and scores Pr[d > 1/16] with the exact oracle.
-    """
+def lower_bound_config(
+    n: int, eps: float, learner: str, trials: int, seed: RngSeed, gamma: float = 0.01
+) -> TrialConfig:
+    """The matched-pair trials: (I, c_I, P_I) drawn at random, the learner
+    given m = floor(ln n / (3 ln(1/eps))) examples, and Pr[d > 1/16] scored
+    with the exact oracle."""
     if not 0.0 < eps < 0.25:
         raise InvalidParameterError(f"eps must lie in (0, 1/4), got {eps}")
-    if not in_theorem_regime(n, eps):
-        warnings.warn(
-            f"n={n} is below 600/eps^3 = {600.0 / eps**3:.0f}; "
-            "outside the regime the bound assumes",
-            stacklevel=2,
-        )
-    cfg = TrialConfig(
+    return TrialConfig(
         concept_class=ProjectionClass(n),
         dist=PneFamily(n, eps),
         target=RandomPair(),
@@ -660,6 +674,26 @@ def lower_bound_experiment(
         seed=seed,
         gamma=gamma,
     )
+
+
+def lower_bound_experiment(
+    n: int,
+    eps: float,
+    learner: str,
+    trials: int,
+    seed: RngSeed,
+    gamma: float = 0.01,
+    threads: int = 1,
+) -> EstimateWithCI:
+    """Failure probability of a learner in the matched-pair setting
+    (lower_bound_config), with a warning outside the theorem's regime."""
+    cfg = lower_bound_config(n, eps, learner, trials, seed, gamma)
+    if not in_theorem_regime(n, eps):
+        warnings.warn(
+            f"n={n} is below 600/eps^3 = {600.0 / eps**3:.0f}; "
+            "outside the regime the bound assumes",
+            stacklevel=2,
+        )
     return estimate_failure_prob(cfg, threads)
 
 
@@ -679,36 +713,16 @@ class KsSummary:
     sk_hist_edges: tuple[float, ...]
     sk_hist_counts: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "eps": self.eps,
-            "m": self.m,
-            "trials": self.trials,
-            "ratio_band": list(self.ratio_band),
-            "ratio_in_band": self.ratio_in_band.to_json_dict(),
-            "k_threshold": self.k_threshold,
-            "k_tail": self.k_tail.to_json_dict(),
-            "k_quantiles": list(self.k_quantiles),
-            "sk_hist_edges": list(self.sk_hist_edges),
-            "sk_hist_counts": list(self.sk_hist_counts),
-        }
-
 
 def _ks_chunk(
-    n: int, eps: float, m: int, seed: RngSeed, lo: int, hi: int
+    family: PneFamily, m: int, seed: RngSeed, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    family = PneFamily(n, eps)
     ks = np.empty(hi - lo, dtype=np.int64)
     ss = np.empty(hi - lo, dtype=np.int64)
     for t in range(lo, hi):
         gen = seed.generator(t)
-        i = int(gen.integers(1, n + 1))
-        dist = family.member(i)
-        words = sample_bit_matrix(dist, m, gen)
-        y = packed_column(words, i)
-        sample = LabeledSample(words, y, n)
-        mask = sample.column_match_mask()
+        i, dist = _draw_member(family, gen)
+        mask = _projection_sample(dist, i, m, gen).column_match_mask()
         z = sample_bit_matrix(dist, 1, gen)[0]
         ks[t - lo] = _popcount(mask)
         ss[t - lo] = _popcount(mask & z)
@@ -730,11 +744,10 @@ def ks_statistics_experiment(
     The band is [eps/2, 6 eps/5] for S/K, and the K tail is measured
     against n^(2/3) / 2.
     """
-    if not 0.0 < eps < 0.5:
-        raise InvalidParameterError(f"eps must lie in (0, 1/2), got {eps}")
+    family = PneFamily(n, eps)
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
-    ks, ss = _map_trials(_ks_chunk, (n, eps, m, seed), trials, threads)
+    ks, ss = _map_trials(_ks_chunk, (family, m, seed), trials, threads)
 
     ratio = ss / ks
     band = (eps / 2.0, 6.0 * eps / 5.0)
@@ -773,57 +786,30 @@ class NoGapRow:
     fail_rate: EstimateWithCI
     mean_missing_mass: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "trials": self.trials,
-            "violations": self.violations,
-            "threshold": self.threshold,
-            "z_ge_rate": self.z_ge_rate.to_json_dict(),
-            "fail_rate": self.fail_rate.to_json_dict(),
-            "mean_missing_mass": self.mean_missing_mass,
-        }
-
 
 def _no_gap_chunk(
-    dist: FiniteSupportDistribution,
-    m: int,
-    seed: RngSeed,
-    threshold: Fraction,
-    default_bit: int,
-    lo: int,
-    hi: int,
+    cfg: TrialConfig, threshold: Fraction, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """No-gap trials lo..hi-1 at sample size m.
+    """No-gap trials lo..hi-1: memorizer trials of cfg, scored exactly.
 
     Returns per-trial flags for d > Z, Z >= threshold and d > threshold,
     then Z as a float.  d (the memorizer's disagreement with the target) and
     Z (the missing mass) are exact rationals over the distribution's common
     denominator.
     """
-    cls = all_functions_class(dist.support)
-    positions = [cls.domain_position(p) for p in dist.support]
+    dist = cfg.dist
+    positions = _support_positions(cfg.concept_class, dist)
+    numerator = dist.numerators.__getitem__
     violated = np.empty(hi - lo, dtype=np.uint8)
     z_ge = np.empty(hi - lo, dtype=np.uint8)
     failed = np.empty(hi - lo, dtype=np.uint8)
     z_float = np.empty(hi - lo, dtype=np.float64)
     for t in range(lo, hi):
-        gen = seed.generator(t)
-        target_mask = int(gen.integers(0, 1 << len(positions)))
-        idx = sample_support_indices(dist, m, gen).tolist()
-        points = [dist.support[u] for u in idx]
-        labels = [(target_mask >> positions[u]) & 1 for u in idx]
-        sample = (
-            LabeledSample.from_points(points, labels)
-            if points
-            else LabeledSample.empty(dist.n)
-        )
-        predictor = consistent_memorizer(sample, default_bit)
-        d_numerator = 0
-        for u, p in enumerate(dist.support):
-            if predictor.predict(p) != (target_mask >> positions[u]) & 1:
-                d_numerator += dist.numerators[u]
-        d_frac = Fraction(d_numerator, dist.denominator)
+        gen = cfg.seed.generator(t)
+        _, target = _resolve_target(cfg, gen)
+        target_mask, points, sample = _table_sample(cfg, target, positions, gen)
+        misses = _memorizer_misses(cfg, sample, target_mask, positions)
+        d_frac = Fraction(sum(map(numerator, misses)), dist.denominator)
         z_frac = missing_mass_fraction(dist, points)
         violated[t - lo] = d_frac > z_frac
         z_ge[t - lo] = z_frac >= threshold
@@ -844,29 +830,37 @@ def no_gap_experiment(
 ) -> tuple[NoGapRow, ...]:
     """Memorizer vs missing mass over random all-functions targets.
 
-    For every trial the exact rational comparison d_P(memorizer, target)
-    <= Z is checked (Z is the missing mass of the drawn sample), and the
-    failure rate at threshold 2 * eps_acc is reported next to Pr[Z >=
-    2 * eps_acc], which bounds it.  Rows are bit-identical for any worker
-    count.
+    A no-gap trial is a memorizer trial on the all-functions class of the
+    support with a uniform random target, one TrialConfig per m.  For every
+    trial the exact rational comparison d_P(memorizer, target) <= Z is
+    checked (Z is the missing mass of the drawn sample), and the failure
+    rate at threshold 2 * eps_acc is reported next to Pr[Z >= 2 * eps_acc],
+    which bounds it.  Rows are bit-identical for any worker count.
     """
     if len(dist.support) > 12:
         raise InvalidParameterError("exact enumeration is capped at 12 domain points")
-    if eps_acc <= 0.0:
-        raise InvalidParameterError("eps_acc must be positive")
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
+    cls = all_functions_class(dist.support)
+    configs = [
+        TrialConfig(
+            concept_class=cls,
+            dist=dist,
+            target=RandomConcept(),
+            learner="memorizer",
+            m=m,
+            eps_acc=eps_acc,
+            trials=trials,
+            seed=seed.substream(m),
+            gamma=gamma,
+            memorizer_default=default_bit,
+        )
+        for m in m_grid
+    ]
     threshold = 2.0 * eps_acc
     rows = []
     with trial_pool(threads):
-        for m in m_grid:
-            if m < 0:
-                raise InvalidParameterError("m must be non-negative")
+        for cfg in configs:
             violated, z_ge, failed, z_float = _map_trials(
-                _no_gap_chunk,
-                (dist, m, seed.substream(m), Fraction(threshold), default_bit),
-                trials,
-                threads,
+                _no_gap_chunk, (cfg, Fraction(threshold)), trials, threads
             )
             # Plain float addition in trial order: np.sum adds pairwise, and the
             # mean's last bits reach the CSV.
@@ -877,7 +871,7 @@ def no_gap_experiment(
             fail_count = int(np.count_nonzero(failed))
             rows.append(
                 NoGapRow(
-                    m=m,
+                    m=cfg.m,
                     trials=trials,
                     violations=int(np.count_nonzero(violated)),
                     threshold=threshold,

@@ -8,27 +8,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .concepts import (
-    ConceptClass,
-    ConceptId,
-    ProjectionClass,
-    TableClass,
-    eval_concept,
-    packed_column,
-)
-from .distributions import (
-    Distribution,
-    FiniteSupportDistribution,
-    ProductDistribution,
-    RngSeed,
-    sample_bit_matrix,
-    sample_support_indices,
-)
-from .errors import (
-    InvalidParameterError,
-    OracleUnavailableError,
-    PointNotInDomainError,
-)
+from .concepts import ConceptClass, ConceptId, ProjectionClass, TableClass
+from .distributions import Distribution, FiniteSupportDistribution, ProductDistribution
+from .errors import InvalidParameterError, OracleUnavailableError
 
 
 def hoeffding_radius(trials: int, gamma: float) -> float:
@@ -61,14 +43,6 @@ class EstimateWithCI:
     def upper(self) -> float:
         return min(1.0, self.estimate + self.radius)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "radius": self.radius,
-            "trials": self.trials,
-            "gamma": self.gamma,
-        }
-
 
 @dataclass(frozen=True)
 class CoverResult:
@@ -89,13 +63,6 @@ class CoverResult:
 
     def member_indices(self) -> tuple[int, ...]:
         return tuple(c.index for c in self.members)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "members": [{"kind": c.kind, "index": c.index} for c in self.members],
-            "level": self.level,
-            "certificate": self.certificate,
-        }
 
 
 def disagreement_exact_projections(dist: ProductDistribution, a: int, b: int) -> float:
@@ -141,38 +108,6 @@ def exact_distance_fn(
     raise OracleUnavailableError(
         f"no exact oracle for {type(cls).__name__} under {type(dist).__name__}"
     )
-
-
-def disagreement_mc(
-    cls: ConceptClass,
-    dist: Distribution,
-    a: ConceptId,
-    b: ConceptId,
-    trials: int,
-    gamma: float,
-    seed: RngSeed,
-) -> EstimateWithCI:
-    """Unbiased Monte Carlo estimate of the disagreement, for cross-validation only."""
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
-    gen = seed.generator(0)
-    if isinstance(cls, ProjectionClass) and isinstance(dist, ProductDistribution):
-        words = sample_bit_matrix(dist, trials, gen)
-        ca, cb = packed_column(words, a.index), packed_column(words, b.index)
-        count = int(np.count_nonzero(ca != cb))
-    elif isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
-        idx = sample_support_indices(dist, trials, gen)
-        pos = np.array(
-            [cls.domain_position(p) for p in dist.support], dtype=np.uint64
-        )[idx]
-        ta = np.uint64(cls.table_mask(a))
-        tb = np.uint64(cls.table_mask(b))
-        count = int(np.count_nonzero(((ta >> pos) ^ (tb >> pos)) & np.uint64(1)))
-    else:
-        raise OracleUnavailableError(
-            f"cannot sample {type(cls).__name__} under {type(dist).__name__}"
-        )
-    return EstimateWithCI.from_count(count, trials, gamma)
 
 
 def _distance_rows_projections(

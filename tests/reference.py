@@ -1,0 +1,202 @@
+"""Reference oracles the tests check gaplab against.
+
+No command runs these.  Each is a direct, slow transcription of a definition
+(a point's probability, the posterior over the hidden index, the rule that
+thresholds it, a Monte Carlo disagreement), so that the fast paths of the
+package can be compared with it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from gaplab.concepts import (
+    ConceptClass,
+    ConceptId,
+    Point,
+    ProjectionClass,
+    TableClass,
+    packed_column,
+    unpack_bit_rows,
+)
+from gaplab.distributions import (
+    Distribution,
+    FiniteSupportDistribution,
+    ProductDistribution,
+    RngSeed,
+    missing_mass_fraction,
+    sample_bit_matrix,
+    sample_support_indices,
+)
+from gaplab.errors import (
+    DimensionMismatchError,
+    InconsistentSampleError,
+    InvalidParameterError,
+    OracleUnavailableError,
+)
+from gaplab.learners import LabeledSample, mistake_count, posterior_mean_label
+from gaplab.metric_cover import EstimateWithCI
+
+
+def eval_concept(cls: ConceptClass, cid: ConceptId, x: Point) -> int:
+    """Value of the concept on a point: x[i] for projections, table lookup otherwise."""
+    if isinstance(cls, ProjectionClass):
+        if cid.kind != "projection":
+            raise InvalidParameterError(f"expected a projection concept, got {cid.kind}")
+        if not 1 <= cid.index <= cls.n:
+            raise InvalidParameterError(f"projection index {cid.index} out of range 1..{cls.n}")
+        if x.n != cls.n:
+            raise DimensionMismatchError(f"point has n={x.n}, class has n={cls.n}")
+        return x.bit(cid.index)
+    mask = cls.table_mask(cid)
+    return (mask >> cls.domain_position(x)) & 1
+
+
+def is_shattered(cls: ConceptClass, points: Sequence[Point]) -> bool:
+    """Whether every one of the 2^|points| label patterns is realized by some concept."""
+    k = len(points)
+    if k > 30:
+        raise InvalidParameterError("shatter check is exhaustive; at most 30 points")
+    if k == 0:
+        return True
+    target = 1 << k
+    realized: set[int] = set()
+    for cid in cls.concept_ids():
+        pattern = 0
+        for t, p in enumerate(points):
+            if eval_concept(cls, cid, p):
+                pattern |= 1 << t
+        realized.add(pattern)
+        if len(realized) == target:
+            return True
+    return False
+
+
+def sample_points(dist: Distribution, m: int, seed: RngSeed) -> list[Point]:
+    """m i.i.d. points from trial 0 of the seed's stream."""
+    gen = seed.generator(0)
+    if isinstance(dist, ProductDistribution):
+        words = sample_bit_matrix(dist, m, gen)
+        return [Point(words[r].copy(), dist.n) for r in range(m)]
+    idx = sample_support_indices(dist, m, gen)
+    return [dist.support[int(t)] for t in idx]
+
+
+def point_prob(dist: Distribution, x: Point) -> float:
+    """Exact probability of a single point."""
+    if x.n != dist.n:
+        raise DimensionMismatchError(f"point has n={x.n}, distribution has n={dist.n}")
+    if isinstance(dist, ProductDistribution):
+        bits = unpack_bit_rows(x.words, x.n)[0].astype(bool)
+        return float(np.prod(np.where(bits, dist.marginals, 1.0 - dist.marginals)))
+    pos = dist.support_position(x)
+    return 0.0 if pos is None else float(dist.probs[pos])
+
+
+def missing_mass(dist: FiniteSupportDistribution, observed: Iterable[Point]) -> float:
+    return float(missing_mass_fraction(dist, observed))
+
+
+def empirical_error(cls: ConceptClass, cid: ConceptId, sample: LabeledSample) -> Fraction:
+    """err_T(c): the fraction of sample labels the concept gets wrong; 0 on empty samples."""
+    if sample.m == 0:
+        return Fraction(0)
+    return Fraction(mistake_count(cls, cid, sample), sample.m)
+
+
+def k_set_indices(sample: LabeledSample) -> np.ndarray:
+    """Sorted 1-based coordinates whose column equals the labels."""
+    mask = sample.column_match_mask()
+    bits = unpack_bit_rows(mask, sample.n)[0]
+    return np.flatnonzero(bits).astype(np.int64) + 1
+
+
+@dataclass(frozen=True)
+class PosteriorState:
+    """What the posterior rule retains from a sample: the candidate index set.
+
+    k_set holds the 1-based coordinates whose sample column equals the label
+    vector; eps is the off-coordinate marginal of the distribution family;
+    m is the sample size and n the ambient dimension.
+    """
+
+    k_set: tuple[int, ...]
+    eps: float
+    m: int
+    n: int
+
+    def __post_init__(self):
+        if not self.k_set:
+            raise InconsistentSampleError("no column matches the labels")
+        if list(self.k_set) != sorted(set(self.k_set)):
+            raise InvalidParameterError("k_set must be sorted and duplicate-free")
+        if not 0.0 < self.eps < 0.5:
+            raise InvalidParameterError(f"eps must lie in (0, 1/2), got {self.eps}")
+
+    @property
+    def k_size(self) -> int:
+        return len(self.k_set)
+
+
+def posterior_state(sample: LabeledSample, eps: float) -> PosteriorState:
+    idx = k_set_indices(sample)
+    if idx.size == 0:
+        raise InconsistentSampleError(
+            "sample is inconsistent with every projection (empty candidate set)"
+        )
+    return PosteriorState(tuple(int(i) for i in idx), eps, sample.m, sample.n)
+
+
+def posterior_over_index(sample: LabeledSample) -> list[tuple[int, float]]:
+    """Posterior of the hidden index given (X, Y): uniform on the matching columns."""
+    idx = k_set_indices(sample)
+    if idx.size == 0:
+        raise InconsistentSampleError(
+            "sample is inconsistent with every projection (empty candidate set)"
+        )
+    w = 1.0 / idx.size
+    return [(int(i), w) for i in idx]
+
+
+def bayes_posterior_predict(state: PosteriorState, z: Point) -> int:
+    """Threshold the posterior mean at 1/2 (ties predict 1)."""
+    if z.n != state.n:
+        raise DimensionMismatchError(f"point has n={z.n}, state has n={state.n}")
+    s = sum(z.bit(i) for i in state.k_set)
+    return 1 if posterior_mean_label(state.k_size, s, state.eps) >= 0.5 else 0
+
+
+def disagreement_mc(
+    cls: ConceptClass,
+    dist: Distribution,
+    a: ConceptId,
+    b: ConceptId,
+    trials: int,
+    gamma: float,
+    seed: RngSeed,
+) -> EstimateWithCI:
+    """Unbiased Monte Carlo estimate of the disagreement, for cross-validation only."""
+    if trials < 1:
+        raise InvalidParameterError("trials must be >= 1")
+    gen = seed.generator(0)
+    if isinstance(cls, ProjectionClass) and isinstance(dist, ProductDistribution):
+        words = sample_bit_matrix(dist, trials, gen)
+        ca, cb = packed_column(words, a.index), packed_column(words, b.index)
+        count = int(np.count_nonzero(ca != cb))
+    elif isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
+        idx = sample_support_indices(dist, trials, gen)
+        pos = np.array(
+            [cls.domain_position(p) for p in dist.support], dtype=np.uint64
+        )[idx]
+        ta = np.uint64(cls.table_mask(a))
+        tb = np.uint64(cls.table_mask(b))
+        count = int(np.count_nonzero(((ta >> pos) ^ (tb >> pos)) & np.uint64(1)))
+    else:
+        raise OracleUnavailableError(
+            f"cannot sample {type(cls).__name__} under {type(dist).__name__}"
+        )
+    return EstimateWithCI.from_count(count, trials, gamma)

@@ -512,12 +512,21 @@ def test_bad_value_inside_a_learn_document_part_exits_2(runner, tmp_path, part, 
 
 def test_bad_value_in_a_json_option_names_the_option(runner, tmp_path):
     out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), "no-gap", "--dist-json",
-                               json.dumps({"kind": "finite", "support": ["0", "1"],
-                                           "probs": ["half", 0.5]})])
-    assert res.exit_code == 2, res.output
-    assert "spec error: no-gap key 'dist_json.probs'" in res.output
-    assert not out.exists()
+    cases = [
+        ("no-gap", "--dist-json",
+         {"kind": "finite", "support": ["0", "1"], "probs": ["half", 0.5]}, "dist_json.probs"),
+        ("no-gap", "--dist-json",
+         {"kind": "finite", "support": [5, 1], "probs": [0.5, 0.5]}, "dist_json.support"),
+        ("no-gap", "--dist-json", {"kind": "finite", "probs": [0.5, 0.5]}, "dist_json.support"),
+        ("vc", "--class-json", {"kind": "table", "tables": ["01"]}, "class_json.domain"),
+        ("vc", "--class-json", {"kind": "table", "domain": ["0", "1"], "tables": ["012"]},
+         "class_json.tables"),
+    ]
+    for command, option, value, named in cases:
+        res = runner.invoke(main, ["--out", str(out), command, option, json.dumps(value)])
+        assert res.exit_code == 2, res.output
+        assert f"spec error: {command} key '{named}'" in res.output
+        assert not out.exists()
 
 
 def test_separation_starts_one_pool(runner, tmp_path, monkeypatch):

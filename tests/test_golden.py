@@ -8,17 +8,45 @@ worker case runs through the process pool.
 """
 
 import hashlib
+import json
 
 import pytest
 from click.testing import CliRunner
 
 from gaplab.cli import main
 
+# Table-class trials, run as `learn` trial-config documents: the support is
+# listed in another order than the class domain.
+TABLE_CLASS = {"kind": "table", "domain": ["00", "01", "10", "11"],
+               "tables": ["0000", "0110", "1011", "1111", "0101"]}
+FINITE_DIST = {"kind": "finite", "support": ["11", "00", "10"], "probs": [0.5, 0.25, 0.25]}
+
+# The document a spec's `learn --config` reads, written to a file per test.
+DOCUMENTS = {
+    "learn-table-memorizer": {
+        "class": TABLE_CLASS, "dist": FINITE_DIST, "target": {"kind": "random-concept"},
+        "learner": "memorizer", "m": 2, "eps_acc": 0.2, "trials": 300,
+        "memorizer_default": 1,
+    },
+    "learn-table-erm": {
+        "class": TABLE_CLASS, "dist": FINITE_DIST, "target": {"kind": "fixed", "i": 3},
+        "learner": "erm", "m": 1, "eps_acc": 0.2, "trials": 300,
+    },
+}
+
 GOLDEN = {
     "learn": (
         ["--seed", "101", "learn", "--n", "64", "--eps", "0.1", "--learner", "erm",
          "--m", "6", "--trials", "300"],
         "c018c4f6a06304eb823821e156d6a3f08ae05d53eaeb267868be13858ac83978",
+    ),
+    "learn-table-memorizer": (
+        ["--seed", "109", "learn"],
+        "f7890137ec1727213015073efcb52d07d95aa278c8f4cd3a7c8620a1a48fbfea",
+    ),
+    "learn-table-erm": (
+        ["--seed", "109", "learn"],
+        "4c43b2a7fcf262488a1977efaed3b00b389095499e07e21e5f592497af1e169c",
     ),
     "separation": (
         ["--seed", "102", "separation", "--n-list", "16,64",
@@ -61,6 +89,10 @@ GOLDEN = {
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_golden_body(tmp_path, command, threads):
     args, want = GOLDEN[command]
+    if command in DOCUMENTS:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(DOCUMENTS[command]))
+        args = [*args, "--config", str(config)]
     out = tmp_path / f"{command}.out"
     res = CliRunner().invoke(main, ["--threads", threads, "--out", str(out), *args])
     assert res.exit_code == 0, res.output

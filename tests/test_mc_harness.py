@@ -18,7 +18,6 @@ from gaplab.distributions import (
     RngSeed,
     geometric_finite,
     make_pne,
-    point_prob,
     uniform_finite,
 )
 from gaplab.errors import (
@@ -26,7 +25,7 @@ from gaplab.errors import (
     OracleUnavailableError,
     SearchBracketError,
 )
-from gaplab.learners import PosteriorState, bayes_posterior_predict, posterior_threshold
+from gaplab.learners import posterior_threshold
 from gaplab.mc_harness import (
     FixedTarget,
     RandomConcept,
@@ -46,6 +45,7 @@ from gaplab.mc_harness import (
     tail_inequality_check,
     trial_pool,
 )
+from reference import PosteriorState, bayes_posterior_predict, point_prob
 
 
 def pne_cfg(n, eps, learner, m, eps_acc, trials, seed, target=None, **kw):
@@ -127,7 +127,8 @@ class TestPosteriorRuleError:
         # run the same sampling path, then enumerate all 2^n test points
         dist = make_pne(n, eps, i)
         from gaplab.distributions import sample_bit_matrix
-        from gaplab.learners import LabeledSample, k_set_indices
+        from gaplab.learners import LabeledSample
+        from reference import k_set_indices
 
         gen = RngSeed(42).generator(0)
         words = sample_bit_matrix(dist, m, gen)
@@ -327,9 +328,17 @@ class TestNoGap:
         with pytest.raises(InvalidParameterError):
             no_gap_experiment(uniform_finite(dom), [1], 10, 0.1, RngSeed(0))
 
-    def test_zero_trials_rejected(self):
-        with pytest.raises(InvalidParameterError, match="trials"):
-            no_gap_experiment(uniform_finite(enumerated_domain(2)), [1], 0, 0.1, RngSeed(0))
+    @pytest.mark.parametrize(
+        "change, named",
+        [({"m_grid": [-1]}, "m must"), ({"eps_acc": 0.0}, "eps_acc"),
+         ({"trials": 0}, "trials"), ({"default_bit": 2}, "default")],
+        ids=["m", "eps_acc", "trials", "default_bit"],
+    )
+    def test_bad_spec_names_the_field(self, change, named):
+        spec = {"dist": uniform_finite(enumerated_domain(2)), "m_grid": [1], "trials": 10,
+                "eps_acc": 0.1, "seed": RngSeed(0), **change}
+        with pytest.raises(InvalidParameterError, match=named):
+            no_gap_experiment(**spec)
 
     @pytest.mark.parametrize(
         "dist",

