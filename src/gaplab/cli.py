@@ -55,6 +55,7 @@ from .mc_harness import (
     lower_bound_config,
     lower_bound_experiment,
     lower_bound_m,
+    matched_pair_config,
     no_gap_experiment,
     resolve_workers,
     sample_complexity_search,
@@ -374,17 +375,12 @@ def _learn_config(obj: CLIContext, n, eps, target, learner, m, eps_acc, gamma, t
         })
     else:
         tgt = _target_from_string(target)
-        cfg = TrialConfig(
-            concept_class=ProjectionClass(n),
-            dist=PneFamily(n, eps) if isinstance(tgt, RandomPair) else make_pne(n, eps, 1),
-            target=tgt,
-            learner=learner,
-            m=m,
-            eps_acc=eps_acc,
-            trials=trials,
-            seed=RngSeed(obj.seed),
-            gamma=gamma,
-        )
+        if isinstance(tgt, RandomPair):
+            cfg = matched_pair_config(n, eps, learner, m, eps_acc, trials, RngSeed(obj.seed),
+                                      gamma)
+        else:
+            cfg = TrialConfig(ProjectionClass(n), make_pne(n, eps, 1), tgt, learner, m,
+                              eps_acc, trials, RngSeed(obj.seed), gamma)
     return {"cfg": cfg}
 
 
@@ -418,16 +414,8 @@ def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, tria
     # pool, so anything a config loads (scipy.special for the posterior
     # rule) is loaded once here and inherited by the forked workers.
     cells = [
-        (n, learner, TrialConfig(
-            concept_class=ProjectionClass(n),
-            dist=PneFamily(n, eps),
-            target=RandomPair(),
-            learner=learner,
-            m=1,
-            eps_acc=eps_acc,
-            trials=trials,
-            seed=base.substream(n).substream(li),
-        ))
+        (n, learner, matched_pair_config(n, eps, learner, 1, eps_acc, trials,
+                                         base.substream(n).substream(li)))
         for n in ns
         for li, learner in enumerate(learner_list)
     ]

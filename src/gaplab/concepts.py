@@ -264,11 +264,20 @@ class TableClass:
             raise InvalidParameterError(f"table index {cid.index} out of range")
         return int(self.tables[cid.index - 1])
 
+    def table_array(self) -> np.ndarray:
+        """The truth tables as a uint64 vector, by 0-based concept index."""
+        return np.fromiter((int(t) for t in self.tables), np.uint64, self.num_concepts)
+
     def domain_position(self, x: Point) -> int:
         try:
             return self._index[x]
         except KeyError:
             raise PointNotInDomainError(f"{x!r} is not in the table domain") from None
+
+    def domain_positions(self, points: Iterable[Point]) -> list[int]:
+        """The domain position of each point, in order: where a distribution's
+        support sits in the truth tables."""
+        return [self.domain_position(p) for p in points]
 
     def table_from_string(self, s: str) -> int:
         """Mask for a table written as a 0/1 string over the domain in order."""
@@ -353,9 +362,8 @@ def _label_matrix(cls: ConceptClass, universe: Sequence[Point]) -> np.ndarray:
     if isinstance(cls, ProjectionClass):
         words = np.stack([p.words for p in universe])
         return unpack_bit_rows(words, cls.n)
-    pos = np.array([cls.domain_position(p) for p in universe], dtype=np.uint64)
-    tables = np.fromiter((int(t) for t in cls.tables), dtype=np.uint64, count=nc)
-    return ((tables[None, :] >> pos[:, None]) & np.uint64(1)).astype(np.uint8)
+    pos = np.array(cls.domain_positions(universe), dtype=np.uint64)
+    return ((cls.table_array()[None, :] >> pos[:, None]) & np.uint64(1)).astype(np.uint8)
 
 
 def _find_shattered(labels: np.ndarray, k: int) -> bool:

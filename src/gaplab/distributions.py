@@ -295,6 +295,25 @@ class FiniteSupportDistribution:
     def support_position(self, x: Point) -> int | None:
         return self._index.get(x)
 
+    def mass(self, indices: Iterable[int]) -> float:
+        """Probability of the support points at `indices`, added left to right
+        in the order given.
+
+        An explicit loop, because builtin sum compensates float rounding from
+        Python 3.12 on, and np.sum adds pairwise: the last bits would depend on
+        the interpreter.
+        """
+        probs = self.probs
+        total = 0.0
+        for t in indices:
+            total += float(probs[t])
+        return total
+
+    def exact_mass(self, indices: Iterable[int]) -> Fraction:
+        """Probability of the support points at `indices`, as an exact rational."""
+        numerators = self.numerators
+        return Fraction(sum(numerators[t] for t in indices), self.denominator)
+
     def to_json_dict(self) -> dict:
         return {
             "kind": "finite",
@@ -436,8 +455,7 @@ def missing_mass_fraction(
     identity.
     """
     seen = {dist.support_position(p) for p in observed}
-    unseen = sum(a for t, a in enumerate(dist.numerators) if t not in seen)
-    return Fraction(unseen, dist.denominator)
+    return dist.exact_mass(t for t in range(len(dist.support)) if t not in seen)
 
 
 def uniform_finite(support: Sequence[Point]) -> FiniteSupportDistribution:

@@ -21,8 +21,8 @@ class InconsistentSampleError(InvalidParameterError):
     """A labeled sample contradicts itself or every concept in the class."""
 
 
-class OracleUnavailableError(GaplabError):
-    """No exact disagreement oracle exists for the requested combination."""
+class OracleUnavailableError(InvalidParameterError):
+    """No exact oracle exists for the requested combination, so the spec is rejected."""
 
 
 class SearchBracketError(GaplabError):

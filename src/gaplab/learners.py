@@ -28,7 +28,7 @@ from .errors import (
 )
 from .metric_cover import CoverResult
 
-# Row-block budget for the dense mistake-count fallback.
+# Row-block budget for the dense projection mistake counts.
 _DENSE_CELL_BUDGET = 1 << 26
 
 # XOR mask per label bit: a row labelled 0 is complemented, one labelled 1 kept.
@@ -107,41 +107,46 @@ def _first_set_index(mask: np.ndarray) -> int | None:
     return w * 64 + (word & -word).bit_length()
 
 
-def mistake_count(cls: ConceptClass, cid: ConceptId, sample: LabeledSample) -> int:
-    """Number of sample rows the concept labels differently from Y."""
+def mistake_counts(cls: ConceptClass, sample: LabeledSample) -> np.ndarray:
+    """Number of sample rows each concept labels differently from Y, by
+    0-based concept index.
+
+    Projections are counted on the unpacked sample in row blocks that bound
+    the dense buffer; tables through the ones and zeros seen at each domain
+    position.
+    """
     if isinstance(cls, ProjectionClass):
         if sample.n != cls.n:
             raise DimensionMismatchError("sample dimension does not match the class")
-        if not 1 <= cid.index <= cls.n or cid.kind != "projection":
-            raise InvalidParameterError(f"bad projection id {cid}")
-        col = sample.column(cid.index)
-        return int(np.count_nonzero(col != sample.labels))
-    mask = cls.table_mask(cid)
-    mistakes = 0
+        n = sample.n
+        counts = np.zeros(n, dtype=np.int64)
+        block = max(1, _DENSE_CELL_BUDGET // max(n, 1))
+        for lo in range(0, sample.m, block):
+            hi = min(sample.m, lo + block)
+            bits = unpack_bit_rows(sample.words[lo:hi], n)
+            counts += (bits != sample.labels[lo:hi, None]).sum(axis=0)
+        return counts
+    ones = np.zeros(cls.domain_size, dtype=np.int64)
+    zeros = np.zeros(cls.domain_size, dtype=np.int64)
     for r in range(sample.m):
         pos = cls.domain_position(sample.point(r))
-        if ((mask >> pos) & 1) != int(sample.labels[r]):
-            mistakes += 1
+        if sample.labels[r]:
+            ones[pos] += 1
+        else:
+            zeros[pos] += 1
+    tables = cls.table_array()
+    mistakes = np.zeros(cls.num_concepts, dtype=np.int64)
+    for pos in range(cls.domain_size):
+        bit = (tables >> np.uint64(pos)) & np.uint64(1)
+        mistakes += np.where(bit == 1, zeros[pos], ones[pos])
     return mistakes
-
-
-def _projection_mistake_counts(sample: LabeledSample) -> np.ndarray:
-    """Mistake count of every projection, blocked to bound the dense buffer."""
-    n = sample.n
-    counts = np.zeros(n, dtype=np.int64)
-    block = max(1, _DENSE_CELL_BUDGET // max(n, 1))
-    for lo in range(0, sample.m, block):
-        hi = min(sample.m, lo + block)
-        bits = unpack_bit_rows(sample.words[lo:hi], n)
-        counts += (bits != sample.labels[lo:hi, None]).sum(axis=0)
-    return counts
 
 
 def erm(cls: ConceptClass, sample: LabeledSample) -> ConceptId:
     """Concept of minimal empirical error, ties broken by lowest index.
 
     For projections the realizable case is resolved in O(m n / 64) by the
-    column-match mask; the dense count fallback only runs when no column
+    column-match mask; the mistake counts are only needed when no column
     matches the labels exactly.
     """
     if cls.num_concepts == 0:
@@ -152,37 +157,15 @@ def erm(cls: ConceptClass, sample: LabeledSample) -> ConceptId:
         first = _first_set_index(sample.column_match_mask())
         if first is not None:
             return ConceptId("projection", first)
-        counts = _projection_mistake_counts(sample)
-        return ConceptId("projection", int(np.argmin(counts)) + 1)
-    ones = np.zeros(cls.domain_size, dtype=np.int64)
-    zeros = np.zeros(cls.domain_size, dtype=np.int64)
-    for r in range(sample.m):
-        pos = cls.domain_position(sample.point(r))
-        if sample.labels[r]:
-            ones[pos] += 1
-        else:
-            zeros[pos] += 1
-    tables = np.fromiter(
-        (int(t) for t in cls.tables), dtype=np.uint64, count=cls.num_concepts
-    )
-    mistakes = np.zeros(cls.num_concepts, dtype=np.int64)
-    for pos in range(cls.domain_size):
-        bit = (tables >> np.uint64(pos)) & np.uint64(1)
-        mistakes += np.where(bit == 1, zeros[pos], ones[pos])
-    return ConceptId("table", int(np.argmin(mistakes)) + 1)
+    return cls.concept(int(np.argmin(mistake_counts(cls, sample))) + 1)
 
 
 def cover_learner(cls: ConceptClass, cover: CoverResult, sample: LabeledSample) -> ConceptId:
     """argmin of empirical error over the cover members, ties to the lowest index."""
     if not cover.members:
         raise InvalidParameterError("cover must be non-empty")
-    best: ConceptId | None = None
-    best_mistakes = -1
-    for cid in sorted(cover.members, key=lambda c: c.index):
-        mk = mistake_count(cls, cid, sample)
-        if best is None or mk < best_mistakes:
-            best, best_mistakes = cid, mk
-    return best
+    counts = mistake_counts(cls, sample)
+    return min(cover.members, key=lambda c: (counts[c.index - 1], c.index))
 
 
 def posterior_mean_label(k_size: int, s: int, eps: float) -> float:

@@ -45,6 +45,7 @@ from .distributions import (
     sample_support_indices,
 )
 from .errors import (
+    GaplabError,
     InvalidParameterError,
     OracleUnavailableError,
     SearchBracketError,
@@ -181,12 +182,9 @@ def validate_config(cfg: TrialConfig) -> None:
         raise InvalidParameterError(f"unknown learner {cfg.learner!r}")
     if cfg.m < 0:
         raise InvalidParameterError("m must be non-negative")
-    if cfg.trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
+    hoeffding_radius(cfg.trials, cfg.gamma)  # checks trials and gamma
     if cfg.eps_acc <= 0.0:
         raise InvalidParameterError("eps_acc must be positive")
-    if not 0.0 < cfg.gamma < 1.0:
-        raise InvalidParameterError("gamma must lie in (0, 1)")
     if cfg.memorizer_default not in (0, 1):
         raise InvalidParameterError("memorizer default must be a bit")
 
@@ -206,8 +204,7 @@ def validate_config(cfg: TrialConfig) -> None:
         if isinstance(cls, TableClass):
             if not isinstance(dist, FiniteSupportDistribution):
                 raise OracleUnavailableError("table classes need a finite-support distribution")
-            for p in dist.support:
-                cls.domain_position(p)
+            cls.domain_positions(dist.support)
         if isinstance(dist, (ProductDistribution,)) and isinstance(cls, ProjectionClass):
             if dist.n != cls.n:
                 raise InvalidParameterError("distribution dimension does not match the class")
@@ -217,10 +214,9 @@ def validate_config(cfg: TrialConfig) -> None:
     if cfg.learner == "bayes-posterior":
         if not isinstance(cls, ProjectionClass):
             raise OracleUnavailableError("the posterior rule is defined for projections")
-        eps = _posterior_eps(cfg)
-        if eps is None:
-            raise InvalidParameterError(
-                "bayes-posterior needs learner_eps or a pne distribution"
+        if _pne_eps(dist) is None:
+            raise OracleUnavailableError(
+                "the posterior rule's exact error needs a pne distribution"
             )
         # Load it here, in the process that builds the config, so that a
         # worker pool forked later inherits it instead of importing it.
@@ -229,20 +225,28 @@ def validate_config(cfg: TrialConfig) -> None:
         raise OracleUnavailableError(
             "the memorizer's exact error needs an enumerable domain"
         )
-    if cfg.learner == "cover" and isinstance(cls, TableClass) and cfg.cover_level is None:
-        raise InvalidParameterError("cover learning over a table class needs cover_level")
+    if cfg.learner == "cover" and cfg.cover_level is None and _pne_eps(dist) is None:
+        raise InvalidParameterError(
+            "cover learning needs cover_level unless the distribution is pne"
+        )
     if cfg.cover_level is not None and cfg.cover_level < 0:
         raise InvalidParameterError("cover_level must be non-negative")
 
 
-def _posterior_eps(cfg: TrialConfig) -> float | None:
+def _pne_eps(dist: Distribution | PneFamily) -> float | None:
+    """eps of a pne family or of one of its members, else None."""
+    if isinstance(dist, PneFamily):
+        return dist.eps
+    if isinstance(dist, ProductDistribution) and dist.pne is not None:
+        return dist.pne[1]
+    return None
+
+
+def _posterior_eps(cfg: TrialConfig) -> float:
+    """The eps the posterior rule assumes: learner_eps, else the pne eps."""
     if cfg.learner_eps is not None:
         return float(cfg.learner_eps)
-    if isinstance(cfg.dist, PneFamily):
-        return cfg.dist.eps
-    if isinstance(cfg.dist, ProductDistribution) and cfg.dist.pne is not None:
-        return cfg.dist.pne[1]
-    return None
+    return _pne_eps(cfg.dist)
 
 
 def _popcount(words: np.ndarray) -> int:
@@ -291,8 +295,6 @@ def _resolve_cover(
         if level == 2.0 * eps:
             return pne_small_cover(n, eps, i)
         return greedy_packing_cover(cls, dist, level)
-    if cfg.cover_level is None:
-        raise InvalidParameterError("cover_level is required for this distribution")
     return greedy_packing_cover(cls, dist, cfg.cover_level)
 
 
@@ -326,11 +328,6 @@ def _projection_sample(
     """m draws from dist, labelled by coordinate `target`."""
     words = sample_bit_matrix(dist, m, gen)
     return LabeledSample(words, packed_column(words, target), dist.n)
-
-
-def _support_positions(cls: TableClass, dist: FiniteSupportDistribution) -> list[int]:
-    """The class-domain position of each support point, in support order."""
-    return [cls.domain_position(p) for p in dist.support]
 
 
 def _table_sample(
@@ -382,37 +379,26 @@ def _projection_trial_error(
     gen: np.random.Generator,
 ) -> float:
     if cfg.learner == "cover":
-        cover = _resolve_cover(cls, dist, cfg)
-        member_idx = list(cover.member_indices())
-        cols = sorted(set(member_idx) | {target.index})
+        # Only the member and target columns are drawn.  Members come in
+        # ascending order, so min keeps cover_learner's lowest-index tie-break.
+        members = _resolve_cover(cls, dist, cfg).member_indices()
+        cols = sorted(set(members) | {target.index})
         bits = sample_coordinate_columns(dist, cols, cfg.m, gen)
         y = bits[:, cols.index(target.index)]
-        best, best_mistakes = None, -1
-        for j in member_idx:
-            mk = int(np.count_nonzero(bits[:, cols.index(j)] != y))
-            if best is None or mk < best_mistakes:
-                best, best_mistakes = j, mk
+        best = min(members, key=lambda j: np.count_nonzero(bits[:, cols.index(j)] != y))
         return disagreement_exact_projections(dist, best, target.index)
 
     sample = _projection_sample(dist, target.index, cfg.m, gen)
-
     if cfg.learner == "erm":
         chosen = erm(cls, sample)
         return disagreement_exact_projections(dist, chosen.index, target.index)
 
-    if cfg.learner == "bayes-posterior":
-        if dist.pne is None:
-            raise OracleUnavailableError(
-                "the posterior rule's exact error needs a pne distribution"
-            )
-        k = _popcount(sample.column_match_mask())
-        if k == 0:
-            raise OracleUnavailableError("empty candidate set in a realizable trial")
-        eps_learner = _posterior_eps(cfg)
-        threshold = posterior_threshold(k, eps_learner)
-        return posterior_rule_error(k, threshold, dist.pne[1])
-
-    raise OracleUnavailableError(f"learner {cfg.learner!r} is not defined for projections")
+    # The posterior rule: validate_config saw a pne distribution.
+    k = _popcount(sample.column_match_mask())
+    if k == 0:
+        raise GaplabError("empty candidate set in a realizable trial")
+    threshold = posterior_threshold(k, _posterior_eps(cfg))
+    return posterior_rule_error(k, threshold, dist.pne[1])
 
 
 def _table_trial_error(
@@ -422,21 +408,14 @@ def _table_trial_error(
     target: ConceptId,
     gen: np.random.Generator,
 ) -> float:
-    positions = _support_positions(cls, dist)
+    positions = cls.domain_positions(dist.support)
     target_mask, _, sample = _table_sample(cfg, target, positions, gen)
-
     if cfg.learner == "memorizer":
-        misses = _memorizer_misses(cfg, sample, target_mask, positions)
-        # Plain float addition in support order: np.sum adds pairwise.
-        return sum(dist.probs[misses].tolist(), 0.0)
-
+        return dist.mass(_memorizer_misses(cfg, sample, target_mask, positions))
     if cfg.learner == "erm":
         chosen = erm(cls, sample)
-    elif cfg.learner == "cover":
-        cover = _resolve_cover(cls, dist, cfg)
-        chosen = cover_learner(cls, cover, sample)
-    else:
-        raise OracleUnavailableError(f"learner {cfg.learner!r} is not defined for tables")
+    else:  # the cover learner: validate_config admits no other on tables
+        chosen = cover_learner(cls, _resolve_cover(cls, dist, cfg), sample)
     return disagreement_enumerate(cls, dist, chosen, target)
 
 
@@ -655,25 +634,26 @@ def in_theorem_regime(n: int, eps: float) -> bool:
     return n >= 600.0 / eps**3
 
 
+def matched_pair_config(
+    n: int, eps: float, learner: str, m: int, eps_acc: float, trials: int,
+    seed: RngSeed, gamma: float = 0.01,
+) -> TrialConfig:
+    """The matched-pair trials: (I, c_I, P_I) drawn at random from the
+    projections and P_{n,eps}, the learner given m examples, and
+    Pr[d > eps_acc] scored with the exact oracle."""
+    return TrialConfig(ProjectionClass(n), PneFamily(n, eps), RandomPair(), learner, m,
+                       eps_acc, trials, seed, gamma)
+
+
 def lower_bound_config(
     n: int, eps: float, learner: str, trials: int, seed: RngSeed, gamma: float = 0.01
 ) -> TrialConfig:
-    """The matched-pair trials: (I, c_I, P_I) drawn at random, the learner
-    given m = floor(ln n / (3 ln(1/eps))) examples, and Pr[d > 1/16] scored
-    with the exact oracle."""
+    """The matched-pair trials at m = floor(ln n / (3 ln(1/eps))) and
+    accuracy 1/16."""
     if not 0.0 < eps < 0.25:
         raise InvalidParameterError(f"eps must lie in (0, 1/4), got {eps}")
-    return TrialConfig(
-        concept_class=ProjectionClass(n),
-        dist=PneFamily(n, eps),
-        target=RandomPair(),
-        learner=learner,
-        m=lower_bound_m(n, eps),
-        eps_acc=FAILURE_THRESHOLD_ONE_SIXTEENTH,
-        trials=trials,
-        seed=seed,
-        gamma=gamma,
-    )
+    return matched_pair_config(n, eps, learner, lower_bound_m(n, eps),
+                               FAILURE_THRESHOLD_ONE_SIXTEENTH, trials, seed, gamma)
 
 
 def lower_bound_experiment(
@@ -745,8 +725,9 @@ def ks_statistics_experiment(
     against n^(2/3) / 2.
     """
     family = PneFamily(n, eps)
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
+    hoeffding_radius(trials, gamma)  # checks trials and gamma before any trial runs
+    if m < 0:
+        raise InvalidParameterError("m must be non-negative")
     ks, ss = _map_trials(_ks_chunk, (family, m, seed), trials, threads)
 
     ratio = ss / ks
@@ -798,8 +779,7 @@ def _no_gap_chunk(
     denominator.
     """
     dist = cfg.dist
-    positions = _support_positions(cfg.concept_class, dist)
-    numerator = dist.numerators.__getitem__
+    positions = cfg.concept_class.domain_positions(dist.support)
     violated = np.empty(hi - lo, dtype=np.uint8)
     z_ge = np.empty(hi - lo, dtype=np.uint8)
     failed = np.empty(hi - lo, dtype=np.uint8)
@@ -809,7 +789,7 @@ def _no_gap_chunk(
         _, target = _resolve_target(cfg, gen)
         target_mask, points, sample = _table_sample(cfg, target, positions, gen)
         misses = _memorizer_misses(cfg, sample, target_mask, positions)
-        d_frac = Fraction(sum(map(numerator, misses)), dist.denominator)
+        d_frac = dist.exact_mass(misses)
         z_frac = missing_mass_fraction(dist, points)
         violated[t - lo] = d_frac > z_frac
         z_ge[t - lo] = z_frac >= threshold

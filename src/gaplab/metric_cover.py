@@ -84,15 +84,10 @@ def disagreement_enumerate(
     a: ConceptId,
     b: ConceptId,
 ) -> float:
-    """Exact disagreement mass, summed over the distribution's support."""
-    ta = cls.table_mask(a)
-    tb = cls.table_mask(b)
-    total = 0.0
-    for t, p in enumerate(dist.support):
-        pos = cls.domain_position(p)
-        if ((ta >> pos) ^ (tb >> pos)) & 1:
-            total += float(dist.probs[t])
-    return total
+    """Exact disagreement mass, summed over the distribution's support in order."""
+    diff = cls.table_mask(a) ^ cls.table_mask(b)
+    positions = cls.domain_positions(dist.support)
+    return dist.mass(t for t, pos in enumerate(positions) if (diff >> pos) & 1)
 
 
 def exact_distance_fn(
@@ -102,8 +97,7 @@ def exact_distance_fn(
     if isinstance(cls, ProjectionClass) and isinstance(dist, ProductDistribution):
         return lambda a, b: disagreement_exact_projections(dist, a.index, b.index)
     if isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
-        for p in dist.support:
-            cls.domain_position(p)  # raises PointNotInDomainError if absent
+        cls.domain_positions(dist.support)  # raises PointNotInDomainError if absent
         return lambda a, b: disagreement_enumerate(cls, dist, a, b)
     raise OracleUnavailableError(
         f"no exact oracle for {type(cls).__name__} under {type(dist).__name__}"
@@ -123,14 +117,9 @@ def _distance_rows_projections(
 def _distance_rows_tables(
     cls: TableClass, dist: FiniteSupportDistribution, member: ConceptId
 ) -> np.ndarray:
-    tables = np.fromiter(
-        (int(t) for t in cls.tables), dtype=np.uint64, count=cls.num_concepts
-    )
-    tm = np.uint64(cls.table_mask(member))
     weights = np.zeros(cls.domain_size, dtype=np.float64)
-    for t, p in enumerate(dist.support):
-        weights[cls.domain_position(p)] += float(dist.probs[t])
-    diff = tables ^ tm
+    weights[cls.domain_positions(dist.support)] = dist.probs
+    diff = cls.table_array() ^ np.uint64(cls.table_mask(member))
     dist_vec = np.zeros(cls.num_concepts, dtype=np.float64)
     for pos in range(cls.domain_size):
         if weights[pos]:
@@ -147,49 +136,29 @@ def _all_member_distances(
     return _distance_rows_tables(cls, dist, member)
 
 
-def greedy_packing_cover(
-    cls: ConceptClass,
-    dist: Distribution,
-    eps: float,
-    distance: Callable[[ConceptId, ConceptId], float] | None = None,
-) -> CoverResult:
+def greedy_packing_cover(cls: ConceptClass, dist: Distribution, eps: float) -> CoverResult:
     """Maximal packing by an ascending-index greedy scan; it is also an eps-cover.
 
     A concept is admitted iff its distance to every member so far is
-    strictly above eps.  A second pass computes the cover certificate
-    max_c min_member d(c, member).
+    strictly above eps.  The cover certificate max_c min_member d(c, member)
+    is read off the distances to the final members.
     """
     if eps < 0:
         raise InvalidParameterError("cover level must be non-negative")
     n = cls.num_concepts
     if n == 0:
         raise InvalidParameterError("cannot cover an empty class")
-    kind = "projection" if isinstance(cls, ProjectionClass) else "table"
-    if distance is None:
-        exact_distance_fn(cls, dist)  # validate the pairing up front
-        # Sequential-scan semantics, vectorized: min_dist[j] tracks the
-        # distance from concept j+1 to the members admitted so far.
-        min_dist = np.full(n, np.inf)
-        members: list[ConceptId] = []
-        j = 0
-        while j < n:
-            if min_dist[j] > eps:
-                cid = ConceptId(kind, j + 1)
-                members.append(cid)
-                min_dist = np.minimum(min_dist, _all_member_distances(cls, dist, cid))
-            j += 1
-        certificate = float(min_dist.max())
-        return CoverResult(tuple(members), float(eps), certificate)
-    members = []
-    for j in range(1, n + 1):
-        cid = ConceptId(kind, j)
-        if all(distance(cid, m) > eps for m in members):
+    exact_distance_fn(cls, dist)  # validate the pairing up front
+    # Sequential-scan semantics, vectorized: min_dist[j] tracks the
+    # distance from concept j+1 to the members admitted so far.
+    min_dist = np.full(n, np.inf)
+    members: list[ConceptId] = []
+    for j in range(n):
+        if min_dist[j] > eps:
+            cid = cls.concept(j + 1)
             members.append(cid)
-    certificate = 0.0
-    for j in range(1, n + 1):
-        cid = ConceptId(kind, j)
-        certificate = max(certificate, min(distance(cid, m) for m in members))
-    return CoverResult(tuple(members), float(eps), float(certificate))
+            min_dist = np.minimum(min_dist, _all_member_distances(cls, dist, cid))
+    return CoverResult(tuple(members), float(eps), float(min_dist.max()))
 
 
 def pne_small_cover(n: int, eps: float, i: int) -> CoverResult:

@@ -2,15 +2,15 @@
 
 No command runs these.  Each is a direct, slow transcription of a definition
 (a point's probability, the posterior over the hidden index, the rule that
-thresholds it, a Monte Carlo disagreement), so that the fast paths of the
-package can be compared with it.
+thresholds it, a Monte Carlo disagreement, the greedy packing scan), so that
+the fast paths of the package can be compared with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,8 +38,8 @@ from gaplab.errors import (
     InvalidParameterError,
     OracleUnavailableError,
 )
-from gaplab.learners import LabeledSample, mistake_count, posterior_mean_label
-from gaplab.metric_cover import EstimateWithCI
+from gaplab.learners import LabeledSample, posterior_mean_label
+from gaplab.metric_cover import CoverResult, EstimateWithCI
 
 
 def eval_concept(cls: ConceptClass, cid: ConceptId, x: Point) -> int:
@@ -105,7 +105,10 @@ def empirical_error(cls: ConceptClass, cid: ConceptId, sample: LabeledSample) ->
     """err_T(c): the fraction of sample labels the concept gets wrong; 0 on empty samples."""
     if sample.m == 0:
         return Fraction(0)
-    return Fraction(mistake_count(cls, cid, sample), sample.m)
+    mistakes = sum(
+        eval_concept(cls, cid, sample.point(r)) != sample.labels[r] for r in range(sample.m)
+    )
+    return Fraction(int(mistakes), sample.m)
 
 
 def k_set_indices(sample: LabeledSample) -> np.ndarray:
@@ -189,9 +192,7 @@ def disagreement_mc(
         count = int(np.count_nonzero(ca != cb))
     elif isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
         idx = sample_support_indices(dist, trials, gen)
-        pos = np.array(
-            [cls.domain_position(p) for p in dist.support], dtype=np.uint64
-        )[idx]
+        pos = np.array(cls.domain_positions(dist.support), dtype=np.uint64)[idx]
         ta = np.uint64(cls.table_mask(a))
         tb = np.uint64(cls.table_mask(b))
         count = int(np.count_nonzero(((ta >> pos) ^ (tb >> pos)) & np.uint64(1)))
@@ -200,3 +201,17 @@ def disagreement_mc(
             f"cannot sample {type(cls).__name__} under {type(dist).__name__}"
         )
     return EstimateWithCI.from_count(count, trials, gamma)
+
+
+def greedy_cover_scan(
+    cls: ConceptClass, distance: Callable[[ConceptId, ConceptId], float], eps: float
+) -> CoverResult:
+    """The greedy packing scan one pair at a time: a concept joins iff its
+    distance to every member so far exceeds eps; the certificate is
+    max_c min_member distance(c, member)."""
+    members: list[ConceptId] = []
+    for cid in cls.concept_ids():
+        if all(distance(cid, m) > eps for m in members):
+            members.append(cid)
+    certificate = max(min(distance(cid, m) for m in members) for cid in cls.concept_ids())
+    return CoverResult(tuple(members), float(eps), float(certificate))

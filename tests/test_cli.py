@@ -529,6 +529,41 @@ def test_bad_value_in_a_json_option_names_the_option(runner, tmp_path):
         assert not out.exists()
 
 
+def _no_trial(*args, **kwargs):
+    raise AssertionError("a trial ran")
+
+
+PRODUCT_DIST = {"kind": "product", "marginals": [0.5, 0.1, 0.1, 0.1]}
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"class": {"kind": "projections", "n": 16},
+          "dist": {"kind": "pne", "n": 16, "eps": 0.1, "i": 2},
+          "target": {"kind": "fixed", "i": 2}, "learner": "memorizer"},
+         "the memorizer's exact error needs an enumerable domain"),
+        ({"class": {"kind": "projections", "n": 4}, "dist": PRODUCT_DIST,
+          "target": {"kind": "fixed", "i": 1}, "learner": "bayes-posterior",
+          "learner_eps": 0.1},
+         "the posterior rule's exact error needs a pne distribution"),
+        ({"class": {"kind": "projections", "n": 4}, "dist": PRODUCT_DIST,
+          "target": {"kind": "fixed", "i": 1}, "learner": "cover"},
+         "cover learning needs cover_level unless the distribution is pne"),
+    ],
+)
+def test_learn_document_without_an_exact_oracle_exits_2_before_any_trial(
+        runner, tmp_path, monkeypatch, doc, named):
+    monkeypatch.setattr("gaplab.mc_harness._map_trials", _no_trial)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**doc, "m": 2, "eps_acc": 0.1, "trials": 50}))
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert f"spec error: {named}" in res.output
+    assert not out.exists()
+
+
 def test_separation_starts_one_pool(runner, tmp_path, monkeypatch):
     from gaplab import mc_harness
 

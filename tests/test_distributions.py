@@ -312,6 +312,20 @@ class TestFiniteSupport:
         total = sum((Fraction(float(p)) for p in d3.probs), Fraction(0))
         assert missing + covered == total
 
+    def test_mass_adds_left_to_right(self):
+        u = uniform_finite(enumerated_domain(10))
+        # Plain float addition of ten 0.1s; compensated summation gives 1.0.
+        assert u.mass(range(10)) == 0.9999999999999999
+        assert u.mass([]) == 0.0
+        assert u.exact_mass(range(10)) == 10 * Fraction(0.1)
+
+    def test_mass_follows_the_order_given(self):
+        d3 = FiniteSupportDistribution(enumerated_domain(3), [0.7, 0.2, 0.1])
+        assert d3.mass([0, 1, 2]) == (0.7 + 0.2) + 0.1
+        assert d3.mass([2, 1, 0]) == (0.1 + 0.2) + 0.7
+        assert d3.mass([0, 1, 2]) != d3.mass([2, 1, 0])
+        assert d3.exact_mass([2, 0]) == Fraction(0.1) + Fraction(0.7)
+
     def test_observed_points_outside_support_ignored(self):
         dom = enumerated_domain(2)
         u = uniform_finite(dom)

@@ -32,6 +32,10 @@ DOCUMENTS = {
         "class": TABLE_CLASS, "dist": FINITE_DIST, "target": {"kind": "fixed", "i": 3},
         "learner": "erm", "m": 1, "eps_acc": 0.2, "trials": 300,
     },
+    "learn-table-cover": {
+        "class": TABLE_CLASS, "dist": FINITE_DIST, "target": {"kind": "random-concept"},
+        "learner": "cover", "cover_level": 0.3, "m": 2, "eps_acc": 0.2, "trials": 300,
+    },
 }
 
 GOLDEN = {
@@ -47,6 +51,10 @@ GOLDEN = {
     "learn-table-erm": (
         ["--seed", "109", "learn"],
         "4c43b2a7fcf262488a1977efaed3b00b389095499e07e21e5f592497af1e169c",
+    ),
+    "learn-table-cover": (
+        ["--seed", "110", "learn"],
+        "a53b12b01afa7daf4a6a925acb62bedc1c1007164817bbf224e4fbef3c3bce25",
     ),
     "separation": (
         ["--seed", "102", "separation", "--n-list", "16,64",
@@ -72,6 +80,11 @@ GOLDEN = {
         ["--seed", "106", "cover", "--n", "64", "--eps", "0.05", "--i", "7",
          "--level", "0.1"],
         "26628ff3b81f4b73b662c548d92a6e0a0bd22bef8f2c710d289569bdf33434c3",
+    ),
+    "cover-table": (
+        ["--seed", "111", "cover", "--class-json", json.dumps(TABLE_CLASS),
+         "--dist-json", json.dumps(FINITE_DIST), "--level", "0.3"],
+        "08852e63ca9a65881bf02f69d0c5b229b1ac3f78092f3f69eea681ecf715bdba",
     ),
     "vc": (
         ["--seed", "107", "vc", "--n", "6", "--universe", "full"],

@@ -28,7 +28,7 @@ from gaplab.learners import (
     consistent_memorizer,
     cover_learner,
     erm,
-    mistake_count,
+    mistake_counts,
     posterior_mean_label,
     posterior_threshold,
 )
@@ -149,15 +149,18 @@ class TestErm:
             labels = rng.integers(0, 2, m).astype(np.uint8)
             s = LabeledSample(words, labels, 9)
             chosen = erm(cls, s)
-            counts = [mistake_count(cls, cls.concept(i), s) for i in range(1, 10)]
-            assert chosen.index == int(np.argmin(counts)) + 1
+            errors = [empirical_error(cls, cls.concept(i), s) for i in range(1, 10)]
+            assert list(mistake_counts(cls, s)) == [e * m for e in errors]
+            assert chosen.index == int(np.argmin(errors)) + 1
 
     def test_table_class_erm(self):
         dom = enumerated_domain(3)
         cls = all_functions_class(dom)
         s = LabeledSample.from_points([dom[0], dom[2]], [1, 0])
         chosen = erm(cls, s)
-        assert mistake_count(cls, chosen, s) == 0
+        assert empirical_error(cls, chosen, s) == 0
+        errors = [empirical_error(cls, cid, s) for cid in cls.concept_ids()]
+        assert list(mistake_counts(cls, s)) == [e * s.m for e in errors]
         # lowest index among zero-error tables: bit0 = 1, bit2 = 0, bit1 free -> mask 0b001
         assert chosen.index == 0b001 + 1
 

@@ -298,6 +298,16 @@ class TestKsStats:
         assert a == b
 
 
+@pytest.mark.parametrize("trials, gamma, m", [(0, 0.01, 2), (100, 1.5, 2), (100, 0.01, -1)])
+def test_ks_stats_rejects_a_bad_spec_before_any_trial(monkeypatch, trials, gamma, m):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(mc_harness, "_map_trials", no_trial)
+    with pytest.raises(InvalidParameterError):
+        ks_statistics_experiment(64, 0.2, m, trials, RngSeed(0), gamma)
+
+
 class TestNoGap:
     def test_zero_violations_and_bound(self):
         dom = enumerated_domain(8)

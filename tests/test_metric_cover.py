@@ -16,6 +16,7 @@ from gaplab.distributions import (
     FiniteSupportDistribution,
     ProductDistribution,
     RngSeed,
+    geometric_finite,
     make_pne,
     uniform_finite,
 )
@@ -36,7 +37,7 @@ from gaplab.metric_cover import (
     sauer_bound,
     sauer_estimate,
 )
-from reference import disagreement_mc
+from reference import disagreement_mc, greedy_cover_scan
 
 
 class TestHoeffding:
@@ -238,11 +239,16 @@ class TestGreedyCover:
         assert fast.certificate == pytest.approx(greedy.certificate, abs=1e-12)
 
     def test_custom_distance_oracle(self):
-        cls = ProjectionClass(6)
-        dist = make_pne(6, 0.1, 2)
-        fn = exact_distance_fn(cls, dist)
-        cover = greedy_packing_cover(cls, dist, 0.2, distance=fn)
-        assert cover.members == greedy_packing_cover(cls, dist, 0.2).members
+        # The vectorised scan against the reference scan over the exact oracle.
+        dom = enumerated_domain(4)
+        cases = ((ProjectionClass(6), make_pne(6, 0.1, 2)),
+                 (TableClass(dom, [0, 3, 5, 6, 9, 12, 15]), geometric_finite(dom)))
+        for cls, dist in cases:
+            for eps in (0.0, 0.1, 0.2, 0.3):
+                want = greedy_cover_scan(cls, exact_distance_fn(cls, dist), eps)
+                got = greedy_packing_cover(cls, dist, eps)
+                assert got.members == want.members
+                assert got.certificate == pytest.approx(want.certificate, abs=1e-12)
 
     def test_oracle_unavailable(self):
         with pytest.raises(OracleUnavailableError):
