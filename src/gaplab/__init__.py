@@ -11,7 +11,6 @@ for the class of all functions.
 __version__ = "0.1.0"
 
 from .concepts import (
-    ConceptId,
     Point,
     ProjectionClass,
     TableClass,

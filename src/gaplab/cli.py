@@ -38,6 +38,7 @@ from .concepts import (
     vc_dimension_bruteforce,
 )
 from .distributions import (
+    FiniteSupportDistribution,
     PneFamily,
     RngSeed,
     distribution_from_json_dict,
@@ -329,7 +330,7 @@ def _run_cover(obj: CLIContext, n, eps, i, level, class_json, dist_json):
         "kind": "cover", "class": cls.to_json_dict(), "dist": dist.to_json_dict(),
         "level": level, "seed": obj.seed,
     }
-    members = "|".join(str(ix) for ix in result.member_indices())
+    members = "|".join(map(str, result.members))
     return spec, [(spec["class"]["kind"], cls.num_concepts, level, result.size, members,
                    result.certificate, d_vc, bound.log_value, bound.value)]
 
@@ -347,6 +348,17 @@ def _run_vc(obj: CLIContext, n, universe, d_max, class_json):
             "d_max": d_max, "seed": obj.seed}
     shown = universe if not class_json else "default"
     return spec, [(spec["class"]["kind"], cls.num_concepts, shown, dim)]
+
+
+def _int_list(flag: str, text: str) -> list[int]:
+    """The integers of a comma-separated flag value; a bad one is a spec
+    error that names the flag."""
+    try:
+        return [int(v) for v in text.split(",") if v]
+    except ValueError:
+        raise InvalidParameterError(
+            f"{flag} {text!r} is not a comma-separated list of integers"
+        ) from None
 
 
 def _target_from_string(s: str):
@@ -395,7 +407,7 @@ def _run_learn(obj: CLIContext, cfg: TrialConfig):
 
 def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, trials, m_max):
     """Empirical sample-size curve per learner across n: the separation run."""
-    ns = [int(v) for v in n_list.split(",") if v]
+    ns = _int_list("--n-list", n_list)
     learner_list = [s for s in learners.split(",") if s]
     if not ns:
         raise InvalidParameterError("n list must not be empty")
@@ -473,15 +485,13 @@ def _run_no_gap(obj: CLIContext, domain_size, dist, dist_json, m_grid, eps_acc, 
     """Memorizer error vs missing mass on the all-functions class."""
     if dist_json:
         law = distribution_from_json_dict(dist_json, "dist_json", "no-gap")
+        if not isinstance(law, FiniteSupportDistribution):
+            raise InvalidParameterError("no-gap --dist-json needs a finite distribution")
         domain_size = len(law.support)
     else:
         domain = enumerated_domain(domain_size)
         law = uniform_finite(domain) if dist == "uniform" else geometric_finite(domain)
-    grid = (
-        [int(v) for v in m_grid.split(",") if v]
-        if m_grid
-        else list(range(1, 2 * domain_size + 1))
-    )
+    grid = _int_list("--m-grid", m_grid) if m_grid else list(range(1, 2 * domain_size + 1))
     table = no_gap_experiment(law, grid, trials, eps_acc, RngSeed(obj.seed), threads=obj.threads)
     spec = {"kind": "no-gap", "dist": law.to_json_dict(), "m_grid": grid,
             "eps_acc": eps_acc, "trials": trials, "seed": obj.seed}

@@ -1,7 +1,7 @@
 """Hypercube points, projection and truth-table concept classes, brute-force VC dimension.
 
-Concept and coordinate indices are 1-based on the public surface (c_1 .. c_n,
-x[1] .. x[n]); everything is 0-based internally.  Points are bit-packed into
+A concept is its 1-based index in its class (c_1 .. c_n), and coordinates are
+1-based too (x[1] .. x[n]); everything is 0-based internally.  Points are bit-packed into
 64-bit words, little-endian within each word, so that coordinate j (1-based)
 lives at bit (j-1) % 64 of word (j-1) // 64.
 """
@@ -165,20 +165,6 @@ class Point:
 
 
 @dataclass(frozen=True)
-class ConceptId:
-    """A concept inside a class: kind tag plus 1-based index."""
-
-    kind: str
-    index: int
-
-    def __post_init__(self):
-        if self.kind not in ("projection", "table"):
-            raise InvalidParameterError(f"unknown concept kind {self.kind!r}")
-        if self.index < 1:
-            raise InvalidParameterError("concept index is 1-based")
-
-
-@dataclass(frozen=True)
 class ProjectionClass:
     """The class C_n of the n coordinate projections over {0,1}^n."""
 
@@ -192,13 +178,11 @@ class ProjectionClass:
     def num_concepts(self) -> int:
         return self.n
 
-    def concept(self, i: int) -> ConceptId:
+    def concept(self, i: int) -> int:
+        """Concept c_i, which is its 1-based index i, after a range check."""
         if not 1 <= i <= self.n:
             raise InvalidParameterError(f"projection index {i} out of range 1..{self.n}")
-        return ConceptId("projection", i)
-
-    def concept_ids(self) -> Iterable[ConceptId]:
-        return (ConceptId("projection", i) for i in range(1, self.n + 1))
+        return i
 
     def to_json_dict(self) -> dict:
         return {"kind": "projections", "n": self.n}
@@ -247,22 +231,18 @@ class TableClass:
     def num_concepts(self) -> int:
         return len(self.tables)
 
-    def concept(self, i: int) -> ConceptId:
+    def concept(self, i: int) -> int:
+        """Concept i, which is its 1-based index, after a range check."""
+        self.table_mask(i)
+        return i
+
+    def table_mask(self, i: int) -> int:
+        """The truth table of concept i (1-based)."""
         if not 1 <= i <= self.num_concepts:
             raise InvalidParameterError(
                 f"table index {i} out of range 1..{self.num_concepts}"
             )
-        return ConceptId("table", i)
-
-    def concept_ids(self) -> Iterable[ConceptId]:
-        return (ConceptId("table", i) for i in range(1, self.num_concepts + 1))
-
-    def table_mask(self, cid: ConceptId) -> int:
-        if cid.kind != "table":
-            raise InvalidParameterError(f"expected a table concept, got {cid.kind}")
-        if not 1 <= cid.index <= self.num_concepts:
-            raise InvalidParameterError(f"table index {cid.index} out of range")
-        return int(self.tables[cid.index - 1])
+        return int(self.tables[i - 1])
 
     def table_array(self) -> np.ndarray:
         """The truth tables as a uint64 vector, by 0-based concept index."""

@@ -13,7 +13,6 @@ import numpy as np
 
 from .concepts import (
     ConceptClass,
-    ConceptId,
     Point,
     ProjectionClass,
     full_mask_words,
@@ -142,8 +141,9 @@ def mistake_counts(cls: ConceptClass, sample: LabeledSample) -> np.ndarray:
     return mistakes
 
 
-def erm(cls: ConceptClass, sample: LabeledSample) -> ConceptId:
-    """Concept of minimal empirical error, ties broken by lowest index.
+def erm(cls: ConceptClass, sample: LabeledSample) -> int:
+    """1-based index of the concept of minimal empirical error, ties broken by
+    lowest index.
 
     For projections the realizable case is resolved in O(m n / 64) by the
     column-match mask; the mistake counts are only needed when no column
@@ -156,16 +156,16 @@ def erm(cls: ConceptClass, sample: LabeledSample) -> ConceptId:
             raise DimensionMismatchError("sample dimension does not match the class")
         first = _first_set_index(sample.column_match_mask())
         if first is not None:
-            return ConceptId("projection", first)
-    return cls.concept(int(np.argmin(mistake_counts(cls, sample))) + 1)
+            return first
+    return int(np.argmin(mistake_counts(cls, sample))) + 1
 
 
-def cover_learner(cls: ConceptClass, cover: CoverResult, sample: LabeledSample) -> ConceptId:
+def cover_learner(cls: ConceptClass, cover: CoverResult, sample: LabeledSample) -> int:
     """argmin of empirical error over the cover members, ties to the lowest index."""
     if not cover.members:
         raise InvalidParameterError("cover must be non-empty")
     counts = mistake_counts(cls, sample)
-    return min(cover.members, key=lambda c: (counts[c.index - 1], c.index))
+    return min(cover.members, key=lambda i: (counts[i - 1], i))
 
 
 def posterior_mean_label(k_size: int, s: int, eps: float) -> float:
@@ -198,11 +198,12 @@ def posterior_threshold(k_size: int, eps: float) -> int:
 
 
 class MemorizerPredictor:
-    """Memorized sample labels with a default bit elsewhere."""
+    """Memorized sample labels, keyed by a point's packed words as bytes,
+    with a default bit elsewhere."""
 
     __slots__ = ("mapping", "default", "n")
 
-    def __init__(self, mapping: dict[Point, int], default: int, n: int):
+    def __init__(self, mapping: dict[bytes, int], default: int, n: int):
         self.mapping = mapping
         self.default = default
         self.n = n
@@ -210,7 +211,7 @@ class MemorizerPredictor:
     def predict(self, x: Point) -> int:
         if x.n != self.n:
             raise DimensionMismatchError(f"point has n={x.n}, predictor has n={self.n}")
-        return self.mapping.get(x, self.default)
+        return self.mapping.get(x.words.tobytes(), self.default)
 
     __call__ = predict
 
@@ -219,13 +220,10 @@ def consistent_memorizer(sample: LabeledSample, default: int = 0) -> MemorizerPr
     """Predictor that repeats the sample labels and answers `default` elsewhere."""
     if default not in (0, 1):
         raise InvalidParameterError("default must be a bit")
-    labels = sample.labels.tolist()
-    first_row: dict[bytes, int] = {}  # one Point per distinct row, built below
-    for r, row in enumerate(sample.words):
-        first = first_row.setdefault(row.tobytes(), r)
-        if labels[first] != labels[r]:
+    mapping: dict[bytes, int] = {}
+    for r, (row, label) in enumerate(zip(sample.words, sample.labels.tolist())):
+        if mapping.setdefault(row.tobytes(), label) != label:
             raise InconsistentSampleError(f"conflicting labels for {sample.point(r)!r}")
-    mapping = {sample.point(r): labels[r] for r in first_row.values()}
     return MemorizerPredictor(mapping, default, sample.n)
 
 

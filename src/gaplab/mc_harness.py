@@ -24,7 +24,6 @@ import numpy as np
 
 from .concepts import (
     ConceptClass,
-    ConceptId,
     Point,
     ProjectionClass,
     TableClass,
@@ -305,15 +304,14 @@ class TrialResult(NamedTuple):
 
 def _resolve_target(
     cfg: TrialConfig, gen: np.random.Generator
-) -> tuple[Distribution, ConceptId]:
-    cls = cfg.concept_class
+) -> tuple[Distribution, int]:
+    """The trial's distribution and its target's 1-based concept index."""
     if isinstance(cfg.target, RandomPair):
         i, dist = _draw_member(cfg.dist, gen)
-        return dist, cls.concept(i)
+        return dist, i
     if isinstance(cfg.target, RandomConcept):
-        idx = int(gen.integers(1, cls.num_concepts + 1))
-        return cfg.dist, cls.concept(idx)
-    return cfg.dist, cls.concept(cfg.target.index)
+        return cfg.dist, int(gen.integers(1, cfg.concept_class.num_concepts + 1))
+    return cfg.dist, cfg.target.index
 
 
 def _draw_member(family: PneFamily, gen: np.random.Generator) -> tuple[int, ProductDistribution]:
@@ -331,7 +329,7 @@ def _projection_sample(
 
 
 def _table_sample(
-    cfg: TrialConfig, target: ConceptId, positions: list[int], gen: np.random.Generator
+    cfg: TrialConfig, target: int, positions: list[int], gen: np.random.Generator
 ) -> tuple[int, list[Point], LabeledSample]:
     """The target's truth table, then cfg.m support points drawn and labelled by it."""
     dist = cfg.dist
@@ -375,23 +373,22 @@ def _projection_trial_error(
     cfg: TrialConfig,
     cls: ProjectionClass,
     dist: ProductDistribution,
-    target: ConceptId,
+    target: int,
     gen: np.random.Generator,
 ) -> float:
     if cfg.learner == "cover":
         # Only the member and target columns are drawn.  Members come in
         # ascending order, so min keeps cover_learner's lowest-index tie-break.
-        members = _resolve_cover(cls, dist, cfg).member_indices()
-        cols = sorted(set(members) | {target.index})
+        members = _resolve_cover(cls, dist, cfg).members
+        cols = sorted(set(members) | {target})
         bits = sample_coordinate_columns(dist, cols, cfg.m, gen)
-        y = bits[:, cols.index(target.index)]
+        y = bits[:, cols.index(target)]
         best = min(members, key=lambda j: np.count_nonzero(bits[:, cols.index(j)] != y))
-        return disagreement_exact_projections(dist, best, target.index)
+        return disagreement_exact_projections(dist, best, target)
 
-    sample = _projection_sample(dist, target.index, cfg.m, gen)
+    sample = _projection_sample(dist, target, cfg.m, gen)
     if cfg.learner == "erm":
-        chosen = erm(cls, sample)
-        return disagreement_exact_projections(dist, chosen.index, target.index)
+        return disagreement_exact_projections(dist, erm(cls, sample), target)
 
     # The posterior rule: validate_config saw a pne distribution.
     k = _popcount(sample.column_match_mask())
@@ -405,7 +402,7 @@ def _table_trial_error(
     cfg: TrialConfig,
     cls: TableClass,
     dist: FiniteSupportDistribution,
-    target: ConceptId,
+    target: int,
     gen: np.random.Generator,
 ) -> float:
     positions = cls.domain_positions(dist.support)

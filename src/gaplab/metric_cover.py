@@ -8,7 +8,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .concepts import ConceptClass, ConceptId, ProjectionClass, TableClass
+from .concepts import ConceptClass, ProjectionClass, TableClass
 from .distributions import Distribution, FiniteSupportDistribution, ProductDistribution
 from .errors import InvalidParameterError, OracleUnavailableError
 
@@ -50,19 +50,16 @@ class CoverResult:
 
     certificate is the maximum over all concepts of the distance to the
     nearest member; it is at most `level` whenever the exact verification
-    pass ran.
+    pass ran.  Members are 1-based concept indices in ascending order.
     """
 
-    members: tuple[ConceptId, ...]
+    members: tuple[int, ...]
     level: float
     certificate: float | None = None
 
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def member_indices(self) -> tuple[int, ...]:
-        return tuple(c.index for c in self.members)
 
 
 def disagreement_exact_projections(dist: ProductDistribution, a: int, b: int) -> float:
@@ -81,8 +78,8 @@ def disagreement_exact_projections(dist: ProductDistribution, a: int, b: int) ->
 def disagreement_enumerate(
     cls: TableClass,
     dist: FiniteSupportDistribution,
-    a: ConceptId,
-    b: ConceptId,
+    a: int,
+    b: int,
 ) -> float:
     """Exact disagreement mass, summed over the distribution's support in order."""
     diff = cls.table_mask(a) ^ cls.table_mask(b)
@@ -92,10 +89,10 @@ def disagreement_enumerate(
 
 def exact_distance_fn(
     cls: ConceptClass, dist: Distribution
-) -> Callable[[ConceptId, ConceptId], float]:
+) -> Callable[[int, int], float]:
     """The exact disagreement oracle for a class/distribution pairing."""
     if isinstance(cls, ProjectionClass) and isinstance(dist, ProductDistribution):
-        return lambda a, b: disagreement_exact_projections(dist, a.index, b.index)
+        return lambda a, b: disagreement_exact_projections(dist, a, b)
     if isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
         cls.domain_positions(dist.support)  # raises PointNotInDomainError if absent
         return lambda a, b: disagreement_enumerate(cls, dist, a, b)
@@ -115,7 +112,7 @@ def _distance_rows_projections(
 
 
 def _distance_rows_tables(
-    cls: TableClass, dist: FiniteSupportDistribution, member: ConceptId
+    cls: TableClass, dist: FiniteSupportDistribution, member: int
 ) -> np.ndarray:
     weights = np.zeros(cls.domain_size, dtype=np.float64)
     weights[cls.domain_positions(dist.support)] = dist.probs
@@ -128,11 +125,11 @@ def _distance_rows_tables(
 
 
 def _all_member_distances(
-    cls: ConceptClass, dist: Distribution, member: ConceptId
+    cls: ConceptClass, dist: Distribution, member: int
 ) -> np.ndarray:
     """Distances from one member to every concept of the class, vectorized."""
     if isinstance(cls, ProjectionClass):
-        return _distance_rows_projections(dist, member.index)
+        return _distance_rows_projections(dist, member)
     return _distance_rows_tables(cls, dist, member)
 
 
@@ -152,12 +149,11 @@ def greedy_packing_cover(cls: ConceptClass, dist: Distribution, eps: float) -> C
     # Sequential-scan semantics, vectorized: min_dist[j] tracks the
     # distance from concept j+1 to the members admitted so far.
     min_dist = np.full(n, np.inf)
-    members: list[ConceptId] = []
+    members: list[int] = []
     for j in range(n):
         if min_dist[j] > eps:
-            cid = cls.concept(j + 1)
-            members.append(cid)
-            min_dist = np.minimum(min_dist, _all_member_distances(cls, dist, cid))
+            members.append(j + 1)
+            min_dist = np.minimum(min_dist, _all_member_distances(cls, dist, j + 1))
     return CoverResult(tuple(members), float(eps), float(min_dist.max()))
 
 
@@ -177,10 +173,10 @@ def pne_small_cover(n: int, eps: float, i: int) -> CoverResult:
     off_diag = 2.0 * eps * (1.0 - eps)
     if level < 0.5:
         second = i if i >= 2 else 2
-        members = (ConceptId("projection", 1), ConceptId("projection", second))
+        members = (1, second)
         certificate = 0.0 if n == 2 else off_diag
     else:
-        members = (ConceptId("projection", 1),)
+        members = (1,)
         certificate = 0.5
     return CoverResult(members, level, certificate)
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from gaplab.concepts import (
     ConceptClass,
-    ConceptId,
     Point,
     ProjectionClass,
     TableClass,
@@ -42,17 +41,14 @@ from gaplab.learners import LabeledSample, posterior_mean_label
 from gaplab.metric_cover import CoverResult, EstimateWithCI
 
 
-def eval_concept(cls: ConceptClass, cid: ConceptId, x: Point) -> int:
-    """Value of the concept on a point: x[i] for projections, table lookup otherwise."""
+def eval_concept(cls: ConceptClass, i: int, x: Point) -> int:
+    """Value of concept i on a point: x[i] for projections, table lookup otherwise."""
     if isinstance(cls, ProjectionClass):
-        if cid.kind != "projection":
-            raise InvalidParameterError(f"expected a projection concept, got {cid.kind}")
-        if not 1 <= cid.index <= cls.n:
-            raise InvalidParameterError(f"projection index {cid.index} out of range 1..{cls.n}")
+        cls.concept(i)
         if x.n != cls.n:
             raise DimensionMismatchError(f"point has n={x.n}, class has n={cls.n}")
-        return x.bit(cid.index)
-    mask = cls.table_mask(cid)
+        return x.bit(i)
+    mask = cls.table_mask(i)
     return (mask >> cls.domain_position(x)) & 1
 
 
@@ -65,10 +61,10 @@ def is_shattered(cls: ConceptClass, points: Sequence[Point]) -> bool:
         return True
     target = 1 << k
     realized: set[int] = set()
-    for cid in cls.concept_ids():
+    for i in range(1, cls.num_concepts + 1):
         pattern = 0
         for t, p in enumerate(points):
-            if eval_concept(cls, cid, p):
+            if eval_concept(cls, i, p):
                 pattern |= 1 << t
         realized.add(pattern)
         if len(realized) == target:
@@ -101,12 +97,12 @@ def missing_mass(dist: FiniteSupportDistribution, observed: Iterable[Point]) -> 
     return float(missing_mass_fraction(dist, observed))
 
 
-def empirical_error(cls: ConceptClass, cid: ConceptId, sample: LabeledSample) -> Fraction:
-    """err_T(c): the fraction of sample labels the concept gets wrong; 0 on empty samples."""
+def empirical_error(cls: ConceptClass, i: int, sample: LabeledSample) -> Fraction:
+    """err_T(c_i): the fraction of sample labels concept i gets wrong; 0 on empty samples."""
     if sample.m == 0:
         return Fraction(0)
     mistakes = sum(
-        eval_concept(cls, cid, sample.point(r)) != sample.labels[r] for r in range(sample.m)
+        eval_concept(cls, i, sample.point(r)) != sample.labels[r] for r in range(sample.m)
     )
     return Fraction(int(mistakes), sample.m)
 
@@ -176,8 +172,8 @@ def bayes_posterior_predict(state: PosteriorState, z: Point) -> int:
 def disagreement_mc(
     cls: ConceptClass,
     dist: Distribution,
-    a: ConceptId,
-    b: ConceptId,
+    a: int,
+    b: int,
     trials: int,
     gamma: float,
     seed: RngSeed,
@@ -188,7 +184,7 @@ def disagreement_mc(
     gen = seed.generator(0)
     if isinstance(cls, ProjectionClass) and isinstance(dist, ProductDistribution):
         words = sample_bit_matrix(dist, trials, gen)
-        ca, cb = packed_column(words, a.index), packed_column(words, b.index)
+        ca, cb = packed_column(words, a), packed_column(words, b)
         count = int(np.count_nonzero(ca != cb))
     elif isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
         idx = sample_support_indices(dist, trials, gen)
@@ -204,14 +200,15 @@ def disagreement_mc(
 
 
 def greedy_cover_scan(
-    cls: ConceptClass, distance: Callable[[ConceptId, ConceptId], float], eps: float
+    cls: ConceptClass, distance: Callable[[int, int], float], eps: float
 ) -> CoverResult:
     """The greedy packing scan one pair at a time: a concept joins iff its
     distance to every member so far exceeds eps; the certificate is
     max_c min_member distance(c, member)."""
-    members: list[ConceptId] = []
-    for cid in cls.concept_ids():
-        if all(distance(cid, m) > eps for m in members):
-            members.append(cid)
-    certificate = max(min(distance(cid, m) for m in members) for cid in cls.concept_ids())
+    concepts = range(1, cls.num_concepts + 1)
+    members: list[int] = []
+    for i in concepts:
+        if all(distance(i, m) > eps for m in members):
+            members.append(i)
+    certificate = max(min(distance(i, m) for m in members) for i in concepts)
     return CoverResult(tuple(members), float(eps), float(certificate))

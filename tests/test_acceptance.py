@@ -79,7 +79,7 @@ def test_criterion_2_small_cover_grid():
             dist = make_pne(n, eps, i)
             cover = greedy_packing_cover(ProjectionClass(n), dist, 2.0 * eps)
             sizes_ok &= cover.size == 2
-            a, b = cover.member_indices()
+            a, b = cover.members
             worst_pair = max(
                 worst_pair,
                 abs(disagreement_exact_projections(dist, a, b) - 0.5),

@@ -529,6 +529,32 @@ def test_bad_value_in_a_json_option_names_the_option(runner, tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("separation", "--n-list", "16,abc"), ("separation", "--n-list", "1.5"),
+     ("no-gap", "--m-grid", "1,x"), ("no-gap", "--m-grid", "2,,1e3")],
+)
+def test_bad_comma_list_names_the_flag(runner, tmp_path, command, flag, value):
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), command, flag, value])
+    assert res.exit_code == 2, res.output
+    assert f"spec error: {flag} {value!r} is not a comma-separated list of integers" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "law",
+    [{"kind": "pne", "n": 4, "eps": 0.1}, {"kind": "pne", "n": 4, "eps": 0.1, "i": 2},
+     {"kind": "product", "marginals": [0.5, 0.1]}],
+)
+def test_no_gap_rejects_a_law_without_finite_support(runner, tmp_path, law):
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), "no-gap", "--dist-json", json.dumps(law)])
+    assert res.exit_code == 2, res.output
+    assert "spec error: no-gap --dist-json needs a finite distribution" in res.output
+    assert not out.exists()
+
+
 def _no_trial(*args, **kwargs):
     raise AssertionError("a trial ran")
 

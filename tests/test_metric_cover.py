@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaplab.concepts import (
-    ConceptId,
     ProjectionClass,
     TableClass,
     all_functions_class,
@@ -124,12 +123,12 @@ class TestTableDistance:
         ids = [cls.concept(i) for i in range(1, 65)]
         d = {}
         for a, b in itertools.product(ids, ids):
-            d[(a.index, b.index)] = disagreement_enumerate(cls, dist, a, b)
+            d[(a, b)] = disagreement_enumerate(cls, dist, a, b)
         for a, b in itertools.product(ids, ids):
-            assert d[(a.index, b.index)] == pytest.approx(d[(b.index, a.index)], abs=1e-15)
-            assert d[(a.index, a.index)] == 0.0
+            assert d[(a, b)] == pytest.approx(d[(b, a)], abs=1e-15)
+            assert d[(a, a)] == 0.0
         for a, b, c in itertools.islice(itertools.product(ids, ids, ids), 0, None, 7):
-            assert d[(a.index, c.index)] <= d[(a.index, b.index)] + d[(b.index, c.index)] + 1e-12
+            assert d[(a, c)] <= d[(a, b)] + d[(b, c)] + 1e-12
 
 
 class TestDisagreementMC:
@@ -185,7 +184,7 @@ class TestGreedyCover:
         cover = greedy_packing_cover(cls, dist, 2.0 * eps)
         assert cover.size == 2
         expected_second = i if i >= 2 else 2
-        assert cover.member_indices() == (1, expected_second)
+        assert cover.members == (1, expected_second)
         assert cover.certificate <= 2.0 * eps
 
     def test_level_one_single_member(self):
@@ -212,8 +211,8 @@ class TestGreedyCover:
             members = cover.members
             for a, b in itertools.combinations(members, 2):
                 assert fn(a, b) > eps
-            for cid in cls.concept_ids():
-                assert min(fn(cid, m) for m in members) <= eps + 1e-15
+            for i in range(1, cls.num_concepts + 1):
+                assert min(fn(i, m) for m in members) <= eps + 1e-15
             assert cover.certificate <= eps + 1e-15
 
     def test_cover_size_monotone_in_level(self):
