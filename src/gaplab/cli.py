@@ -80,6 +80,7 @@ DEFAULT_SEPARATION_NS = tuple(2**k for k in range(4, 17))
 SEPARATION_LEARNERS = ("erm", "cover", "bayes-posterior")
 
 TRIALS = click.IntRange(min=1)
+SEED = click.IntRange(0, 2**64 - 1)
 
 
 def fmt_float(x: float) -> str:
@@ -281,7 +282,7 @@ def _handle_errors(fn):
 
 
 @click.group()
-@click.option("--seed", type=int, envvar="GAPLAB_SEED", default=DEFAULT_SEED,
+@click.option("--seed", type=SEED, envvar="GAPLAB_SEED", default=DEFAULT_SEED,
               show_default=True, help="Master seed (GAPLAB_SEED as fallback).")
 @click.option("--trials", type=TRIALS, default=None, help="Override trial counts.")
 @click.option("--out", type=str, default=None, help="Output file path.")
@@ -351,14 +352,17 @@ def _run_vc(obj: CLIContext, n, universe, d_max, class_json):
 
 
 def _int_list(flag: str, text: str) -> list[int]:
-    """The integers of a comma-separated flag value; a bad one is a spec
-    error that names the flag."""
+    """The integers of a comma-separated flag value; a bad one, or none at
+    all, is a spec error that names the flag."""
     try:
-        return [int(v) for v in text.split(",") if v]
+        values = [int(v) for v in text.split(",") if v]
     except ValueError:
         raise InvalidParameterError(
             f"{flag} {text!r} is not a comma-separated list of integers"
         ) from None
+    if not values:
+        raise InvalidParameterError(f"{flag} {text!r} lists no integers")
+    return values
 
 
 def _target_from_string(s: str):
@@ -409,8 +413,6 @@ def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, tria
     """Empirical sample-size curve per learner across n: the separation run."""
     ns = _int_list("--n-list", n_list)
     learner_list = [s for s in learners.split(",") if s]
-    if not ns:
-        raise InvalidParameterError("n list must not be empty")
     if not learner_list:
         raise InvalidParameterError("learner list must not be empty")
     for name in learner_list:
@@ -544,7 +546,7 @@ COMMANDS = (
             _opt("--n", int, 8),
             _opt("--universe", click.Choice(["full", "default"]), "full",
                  help="full = all 2^n points (n <= 20)."),
-            _opt("--d-max", int),
+            _opt("--d-max", click.IntRange(min=0)),
             _opt("--class-json", JSON_TEXT),
         ),
         _run_vc,

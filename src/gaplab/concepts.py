@@ -196,7 +196,7 @@ class TableClass:
     class) or an explicit list.
     """
 
-    __slots__ = ("domain", "tables", "_index")
+    __slots__ = ("domain", "tables", "_index", "_table_array")
 
     def __init__(self, domain: Sequence[Point], tables: Sequence[int]):
         domain = tuple(domain)
@@ -204,7 +204,7 @@ class TableClass:
             n = domain[0].n
             if any(p.n != n for p in domain):
                 raise DimensionMismatchError("domain points must share a dimension")
-        index = {p: t for t, p in enumerate(domain)}
+        index = {p._key: t for t, p in enumerate(domain)}
         if len(index) != len(domain):
             raise InvalidParameterError("domain points must be pairwise distinct")
         d = len(domain)
@@ -222,6 +222,7 @@ class TableClass:
         self.domain = domain
         self.tables = tables
         self._index = index
+        self._table_array = None
 
     @property
     def domain_size(self) -> int:
@@ -245,12 +246,18 @@ class TableClass:
         return int(self.tables[i - 1])
 
     def table_array(self) -> np.ndarray:
-        """The truth tables as a uint64 vector, by 0-based concept index."""
-        return np.fromiter((int(t) for t in self.tables), np.uint64, self.num_concepts)
+        """The truth tables as a read-only uint64 vector, by 0-based concept
+        index; built on first use."""
+        if self._table_array is None:
+            t = self.tables
+            self._table_array = (np.arange(t.start, t.stop, t.step, dtype=np.uint64)
+                                 if isinstance(t, range) else np.array(t, dtype=np.uint64))
+            self._table_array.setflags(write=False)
+        return self._table_array
 
     def domain_position(self, x: Point) -> int:
         try:
-            return self._index[x]
+            return self._index[x._key]
         except KeyError:
             raise PointNotInDomainError(f"{x!r} is not in the table domain") from None
 
@@ -331,18 +338,23 @@ def build_shattered_set(n: int) -> list[Point]:
     return points
 
 
-def _label_matrix(cls: ConceptClass, universe: Sequence[Point]) -> np.ndarray:
-    """(|universe|, |concepts|) uint8 matrix of concept values."""
-    nu = len(universe)
-    nc = cls.num_concepts
-    if nu * nc > _VC_LABEL_CELL_LIMIT:
-        raise InvalidParameterError(
-            f"universe x class too large for the exhaustive search ({nu} x {nc})"
-        )
+def label_rows(cls: ConceptClass, words: np.ndarray, n: int) -> np.ndarray:
+    """(rows, concepts) uint8 matrix of every concept's value on packed n-bit rows.
+
+    A table class looks each row up by the key its Point would have; a row
+    outside the domain raises PointNotInDomainError.
+    """
     if isinstance(cls, ProjectionClass):
-        words = np.stack([p.words for p in universe])
-        return unpack_bit_rows(words, cls.n)
-    pos = np.array(cls.domain_positions(universe), dtype=np.uint64)
+        if n != cls.n:
+            raise DimensionMismatchError(f"rows have n={n}, the class has n={cls.n}")
+        return unpack_bit_rows(words, n)
+    pos = np.empty(len(words), dtype=np.uint64)
+    for r, row in enumerate(words):
+        try:
+            pos[r] = cls._index[(n, row.tobytes())]
+        except KeyError:
+            raise PointNotInDomainError(
+                f"{Point(row.copy(), n)!r} is not in the table domain") from None
     return ((cls.table_array()[None, :] >> pos[:, None]) & np.uint64(1)).astype(np.uint8)
 
 
@@ -421,7 +433,14 @@ def vc_dimension_bruteforce(
     cap = min(len(universe), nc.bit_length() - 1)
     if d_max is not None:
         cap = min(cap, d_max)
-    labels = _label_matrix(cls, universe)
+    if len(universe) * nc > _VC_LABEL_CELL_LIMIT:
+        raise InvalidParameterError(
+            f"universe x class too large for the exhaustive search ({len(universe)} x {nc})"
+        )
+    n = universe[0].n
+    if any(p.n != n for p in universe):
+        raise DimensionMismatchError("universe points must share a dimension")
+    labels = label_rows(cls, np.stack([p.words for p in universe]), n)
     for k in range(cap, 0, -1):
         if _find_shattered(labels, k):
             return k

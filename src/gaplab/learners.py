@@ -16,8 +16,8 @@ from .concepts import (
     Point,
     ProjectionClass,
     full_mask_words,
+    label_rows,
     packed_column,
-    unpack_bit_rows,
     words_needed,
 )
 from .errors import (
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .metric_cover import CoverResult
 
-# Row-block budget for the dense projection mistake counts.
+# Row-block budget for the dense label matrix of the mistake counts.
 _DENSE_CELL_BUDGET = 1 << 26
 
 # XOR mask per label bit: a row labelled 0 is complemented, one labelled 1 kept.
@@ -110,35 +110,16 @@ def mistake_counts(cls: ConceptClass, sample: LabeledSample) -> np.ndarray:
     """Number of sample rows each concept labels differently from Y, by
     0-based concept index.
 
-    Projections are counted on the unpacked sample in row blocks that bound
-    the dense buffer; tables through the ones and zeros seen at each domain
-    position.
+    Counted on the class's label matrix of the sample, in row blocks that
+    bound the dense buffer.
     """
-    if isinstance(cls, ProjectionClass):
-        if sample.n != cls.n:
-            raise DimensionMismatchError("sample dimension does not match the class")
-        n = sample.n
-        counts = np.zeros(n, dtype=np.int64)
-        block = max(1, _DENSE_CELL_BUDGET // max(n, 1))
-        for lo in range(0, sample.m, block):
-            hi = min(sample.m, lo + block)
-            bits = unpack_bit_rows(sample.words[lo:hi], n)
-            counts += (bits != sample.labels[lo:hi, None]).sum(axis=0)
-        return counts
-    ones = np.zeros(cls.domain_size, dtype=np.int64)
-    zeros = np.zeros(cls.domain_size, dtype=np.int64)
-    for r in range(sample.m):
-        pos = cls.domain_position(sample.point(r))
-        if sample.labels[r]:
-            ones[pos] += 1
-        else:
-            zeros[pos] += 1
-    tables = cls.table_array()
-    mistakes = np.zeros(cls.num_concepts, dtype=np.int64)
-    for pos in range(cls.domain_size):
-        bit = (tables >> np.uint64(pos)) & np.uint64(1)
-        mistakes += np.where(bit == 1, zeros[pos], ones[pos])
-    return mistakes
+    counts = np.zeros(cls.num_concepts, dtype=np.int64)
+    block = max(1, _DENSE_CELL_BUDGET // max(cls.num_concepts, 1))
+    for lo in range(0, sample.m, block):
+        hi = min(sample.m, lo + block)
+        values = label_rows(cls, sample.words[lo:hi], sample.n)
+        counts += (values != sample.labels[lo:hi, None]).sum(axis=0)
+    return counts
 
 
 def erm(cls: ConceptClass, sample: LabeledSample) -> int:

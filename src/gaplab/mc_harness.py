@@ -16,7 +16,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -115,7 +115,9 @@ def target_from_json_dict(obj: dict) -> TargetSpec:
 @dataclass(frozen=True)
 class TrialConfig:
     """Everything one trial needs; eps_acc is the PAC accuracy, not the
-    distribution parameter."""
+    distribution parameter.  Built once per config, not per trial: a table
+    class's support `positions` and, unless the target is random-pair, the
+    cover learner's `cover`."""
 
     concept_class: ConceptClass
     dist: Distribution | PneFamily
@@ -129,9 +131,18 @@ class TrialConfig:
     cover_level: float | None = None
     learner_eps: float | None = None
     memorizer_default: int = 0
+    positions: list[int] | None = field(default=None, init=False, repr=False, compare=False)
+    cover: CoverResult | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         validate_config(self)
+        cls, dist = self.concept_class, self.dist
+        if isinstance(cls, TableClass):
+            object.__setattr__(self, "positions", cls.domain_positions(dist.support))
+        if self.learner == "cover" and not isinstance(self.target, RandomPair):
+            pne = getattr(dist, "pne", None)
+            object.__setattr__(self, "cover", pne_small_cover(*pne, self.cover_level) if pne
+                               else greedy_packing_cover(cls, dist, self.cover_level))
 
     def to_json_dict(self) -> dict:
         return {
@@ -203,7 +214,6 @@ def validate_config(cfg: TrialConfig) -> None:
         if isinstance(cls, TableClass):
             if not isinstance(dist, FiniteSupportDistribution):
                 raise OracleUnavailableError("table classes need a finite-support distribution")
-            cls.domain_positions(dist.support)
         if isinstance(dist, (ProductDistribution,)) and isinstance(cls, ProjectionClass):
             if dist.n != cls.n:
                 raise InvalidParameterError("distribution dimension does not match the class")
@@ -285,18 +295,6 @@ def posterior_rule_error(k_size: int, threshold: int, eps: float) -> float:
     return 0.5 * (wrong_if_one + wrong_if_zero)
 
 
-def _resolve_cover(
-    cls: ConceptClass, dist: Distribution, cfg: TrialConfig
-) -> CoverResult:
-    if isinstance(dist, ProductDistribution) and dist.pne is not None:
-        n, eps, i = dist.pne
-        level = cfg.cover_level if cfg.cover_level is not None else 2.0 * eps
-        if level == 2.0 * eps:
-            return pne_small_cover(n, eps, i)
-        return greedy_packing_cover(cls, dist, level)
-    return greedy_packing_cover(cls, dist, cfg.cover_level)
-
-
 class TrialResult(NamedTuple):
     error: float
     failed: int
@@ -329,10 +327,10 @@ def _projection_sample(
 
 
 def _table_sample(
-    cfg: TrialConfig, target: int, positions: list[int], gen: np.random.Generator
+    cfg: TrialConfig, target: int, gen: np.random.Generator
 ) -> tuple[int, list[Point], LabeledSample]:
     """The target's truth table, then cfg.m support points drawn and labelled by it."""
-    dist = cfg.dist
+    dist, positions = cfg.dist, cfg.positions
     target_mask = cfg.concept_class.table_mask(target)
     idx = sample_support_indices(dist, cfg.m, gen).tolist()
     points = [dist.support[u] for u in idx]
@@ -341,14 +339,12 @@ def _table_sample(
     return target_mask, points, sample
 
 
-def _memorizer_misses(
-    cfg: TrialConfig, sample: LabeledSample, target_mask: int, positions: list[int]
-) -> list[int]:
+def _memorizer_misses(cfg: TrialConfig, sample: LabeledSample, target_mask: int) -> list[int]:
     """Support indices, in support order, where the memorizer disagrees with the target."""
     predict = consistent_memorizer(sample, cfg.memorizer_default).predict
     return [
-        u for u, p in enumerate(cfg.dist.support)
-        if predict(p) != (target_mask >> positions[u]) & 1
+        u for u, (p, pos) in enumerate(zip(cfg.dist.support, cfg.positions))
+        if predict(p) != (target_mask >> pos) & 1
     ]
 
 
@@ -379,7 +375,10 @@ def _projection_trial_error(
     if cfg.learner == "cover":
         # Only the member and target columns are drawn.  Members come in
         # ascending order, so min keeps cover_learner's lowest-index tie-break.
-        members = _resolve_cover(cls, dist, cfg).members
+        cover = cfg.cover
+        if cover is None:  # random-pair: the cover of this trial's member P_I
+            cover = pne_small_cover(*dist.pne, cfg.cover_level)
+        members = cover.members
         cols = sorted(set(members) | {target})
         bits = sample_coordinate_columns(dist, cols, cfg.m, gen)
         y = bits[:, cols.index(target)]
@@ -405,14 +404,13 @@ def _table_trial_error(
     target: int,
     gen: np.random.Generator,
 ) -> float:
-    positions = cls.domain_positions(dist.support)
-    target_mask, _, sample = _table_sample(cfg, target, positions, gen)
+    target_mask, _, sample = _table_sample(cfg, target, gen)
     if cfg.learner == "memorizer":
-        return dist.mass(_memorizer_misses(cfg, sample, target_mask, positions))
+        return dist.mass(_memorizer_misses(cfg, sample, target_mask))
     if cfg.learner == "erm":
         chosen = erm(cls, sample)
     else:  # the cover learner: validate_config admits no other on tables
-        chosen = cover_learner(cls, _resolve_cover(cls, dist, cfg), sample)
+        chosen = cover_learner(cls, cfg.cover, sample)
     return disagreement_enumerate(cls, dist, chosen, target)
 
 
@@ -776,7 +774,6 @@ def _no_gap_chunk(
     denominator.
     """
     dist = cfg.dist
-    positions = cfg.concept_class.domain_positions(dist.support)
     violated = np.empty(hi - lo, dtype=np.uint8)
     z_ge = np.empty(hi - lo, dtype=np.uint8)
     failed = np.empty(hi - lo, dtype=np.uint8)
@@ -784,8 +781,8 @@ def _no_gap_chunk(
     for t in range(lo, hi):
         gen = cfg.seed.generator(t)
         _, target = _resolve_target(cfg, gen)
-        target_mask, points, sample = _table_sample(cfg, target, positions, gen)
-        misses = _memorizer_misses(cfg, sample, target_mask, positions)
+        target_mask, points, sample = _table_sample(cfg, target, gen)
+        misses = _memorizer_misses(cfg, sample, target_mask)
         d_frac = dist.exact_mass(misses)
         z_frac = missing_mass_fraction(dist, points)
         violated[t - lo] = d_frac > z_frac

@@ -124,15 +124,6 @@ def _distance_rows_tables(
     return dist_vec
 
 
-def _all_member_distances(
-    cls: ConceptClass, dist: Distribution, member: int
-) -> np.ndarray:
-    """Distances from one member to every concept of the class, vectorized."""
-    if isinstance(cls, ProjectionClass):
-        return _distance_rows_projections(dist, member)
-    return _distance_rows_tables(cls, dist, member)
-
-
 def greedy_packing_cover(cls: ConceptClass, dist: Distribution, eps: float) -> CoverResult:
     """Maximal packing by an ascending-index greedy scan; it is also an eps-cover.
 
@@ -153,15 +144,24 @@ def greedy_packing_cover(cls: ConceptClass, dist: Distribution, eps: float) -> C
     for j in range(n):
         if min_dist[j] > eps:
             members.append(j + 1)
-            min_dist = np.minimum(min_dist, _all_member_distances(cls, dist, j + 1))
+            if isinstance(cls, ProjectionClass):
+                row = _distance_rows_projections(dist, j + 1)
+            else:
+                row = _distance_rows_tables(cls, dist, j + 1)
+            min_dist = np.minimum(min_dist, row)
     return CoverResult(tuple(members), float(eps), float(min_dist.max()))
 
 
-def pne_small_cover(n: int, eps: float, i: int) -> CoverResult:
-    """The greedy 2eps-level cover of the projections under P_i, in closed form.
+def pne_small_cover(n: int, eps: float, i: int, level: float | None = None) -> CoverResult:
+    """The greedy cover of the projections under P_i, in closed form.
 
-    Matches greedy_packing_cover(C_n, P_i, 2*eps) exactly: {c_1, c_i} for
-    i >= 2, {c_1, c_2} for i = 1, collapsing to {c_1} when 2*eps >= 1/2.
+    Matches greedy_packing_cover(C_n, P_i, level) exactly, members, level
+    and certificate; level defaults to 2*eps.  Two Bernoulli(eps)
+    coordinates lie d_off apart and the fair coin lies d_half from each of
+    them (the scan's own float expressions).  When d_half > level the scan
+    admits c_1 and the first concept at d_half from it ({c_1, c_i}, or
+    {c_1, c_2} for i = 1), and every concept if d_off > level too; else it
+    admits c_1 alone.
     """
     if n < 2:
         raise InvalidParameterError("the family needs n >= 2")
@@ -169,16 +169,20 @@ def pne_small_cover(n: int, eps: float, i: int) -> CoverResult:
         raise InvalidParameterError(f"eps must lie in (0, 1/2), got {eps}")
     if not 1 <= i <= n:
         raise InvalidParameterError(f"special index {i} out of range 1..{n}")
-    level = 2.0 * eps
-    off_diag = 2.0 * eps * (1.0 - eps)
-    if level < 0.5:
-        second = i if i >= 2 else 2
-        members = (1, second)
-        certificate = 0.0 if n == 2 else off_diag
-    else:
-        members = (1,)
-        certificate = 0.5
-    return CoverResult(members, level, certificate)
+    level = 2.0 * eps if level is None else float(level)
+    if level < 0:
+        raise InvalidParameterError("cover level must be non-negative")
+    d_off = eps + eps - 2.0 * eps * eps
+    d_half = 0.5 + eps - 2.0 * 0.5 * eps
+    if d_half > level:
+        if d_off > level:
+            return CoverResult(tuple(range(1, n + 1)), level, 0.0)
+        return CoverResult((1, i if i >= 2 else 2), level, d_off if n > 2 else 0.0)
+    # d_off rounds above d_half only for eps within about 4e-9 of 1/2; there
+    # the scan can still admit the Bernoulli(eps) coordinates after c_1.
+    if i == 1 or d_off <= level:
+        return CoverResult((1,), level, max(d_half, d_off) if n > 2 and i >= 2 else d_half)
+    return CoverResult(tuple(j for j in range(1, n + 1) if j != i), level, d_half)
 
 
 def sauer_bound(sample_size: int, d: int) -> int:

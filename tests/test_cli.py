@@ -542,6 +542,44 @@ def test_bad_comma_list_names_the_flag(runner, tmp_path, command, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [("no-gap", "--m-grid"), ("separation", "--n-list")])
+def test_comma_list_without_integers_exits_2(runner, tmp_path, command, flag):
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), command, flag, ",", "--trials", "10"])
+    assert res.exit_code == 2, res.output
+    assert f"spec error: {flag} ',' lists no integers" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("from_env", [False, True])
+@pytest.mark.parametrize("args", [["cover", "--n", "8"], ["vc", "--n", "3"], ["bounds"]],
+                         ids=["cover", "vc", "bounds"])
+def test_seed_outside_u64_exits_2(runner, tmp_path, seed, from_env, args):
+    out = tmp_path / "x.csv"
+    flags = [] if from_env else ["--seed", seed]
+    res = runner.invoke(main, [*flags, "--out", str(out), *args],
+                        env={"GAPLAB_SEED": seed} if from_env else {})
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--seed'" in res.output
+    assert not out.exists()
+
+
+def test_largest_seed_is_accepted(runner, tmp_path):
+    out = tmp_path / "vc.csv"
+    res = runner.invoke(main, ["--seed", str(2**64 - 1), "--out", str(out), "vc", "--n", "3"])
+    assert res.exit_code == 0, res.output
+    assert read_csv(out)[0]["seed"] == str(2**64 - 1)
+
+
+def test_negative_d_max_exits_2(runner, tmp_path):
+    out = tmp_path / "vc.csv"
+    res = runner.invoke(main, ["--out", str(out), "vc", "--n", "4", "--d-max", "-1"])
+    assert res.exit_code == 2, res.output
+    assert "Invalid value for '--d-max'" in res.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "law",
     [{"kind": "pne", "n": 4, "eps": 0.1}, {"kind": "pne", "n": 4, "eps": 0.1, "i": 2},

@@ -12,6 +12,7 @@ from gaplab.concepts import (
     enumerated_domain,
     full_hypercube,
     full_mask_words,
+    label_rows,
     pack_bit_rows,
     unpack_bit_rows,
     vc_dimension_bruteforce,
@@ -117,6 +118,28 @@ class TestEvalConcept:
         bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
         x = Point.from_bits(bits)
         assert eval_concept(ProjectionClass(n), ProjectionClass(n).concept(i), x) == bits[i - 1]
+
+
+class TestLabelRows:
+    def test_values_match_each_concept(self):
+        dom = enumerated_domain(4)
+        rows = [dom[2], dom[0], dom[2], dom[3]]
+        words = np.stack([p.words for p in rows])
+        for cls in (ProjectionClass(2), TableClass(dom, [0, 5, 6, 9, 15])):
+            got = label_rows(cls, words, 2)
+            want = [[eval_concept(cls, i, x) for i in range(1, cls.num_concepts + 1)]
+                    for x in rows]
+            assert got.tolist() == want
+
+    def test_table_row_outside_the_domain_raises(self):
+        dom = enumerated_domain(3)
+        words = np.stack([dom[1].words, Point.from_string("11").words])
+        with pytest.raises(PointNotInDomainError, match="'11'"):
+            label_rows(all_functions_class(dom), words, 2)
+
+    def test_projection_dimension_must_match(self):
+        with pytest.raises(DimensionMismatchError):
+            label_rows(ProjectionClass(3), Point.from_string("01").words[None, :], 2)
 
 
 class TestShattering:

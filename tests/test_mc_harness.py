@@ -104,6 +104,23 @@ class TestRunTrial:
         errors = {run_trial(cfg, t).error for t in range(20)}
         assert len(errors) > 1
 
+    def test_cover_is_built_once_per_config(self, monkeypatch):
+        # A fixed law's cover is built with the config; a pne member's cover,
+        # at any level and under random-pair too, in closed form.
+        calls = []
+        greedy = mc_harness.greedy_packing_cover
+        monkeypatch.setattr(mc_harness, "greedy_packing_cover",
+                            lambda *args: calls.append(args) or greedy(*args))
+        dom = enumerated_domain(4)
+        cfg = TrialConfig(all_functions_class(dom), geometric_finite(dom), RandomConcept(),
+                          "cover", 2, 0.2, 300, RngSeed(110), cover_level=0.3)
+        estimate_failure_prob(cfg)
+        assert len(calls) == 1
+        estimate_failure_prob(pne_cfg(16, 0.1, "cover", 4, 0.2, 50, 3, cover_level=0.15))
+        estimate_failure_prob(pne_cfg(16, 0.1, "cover", 4, 0.2, 50, 3, target=FixedTarget(2),
+                                      i=5, cover_level=0.15))
+        assert len(calls) == 1
+
     def test_random_concept_on_tables(self):
         dom = enumerated_domain(4)
         cls = all_functions_class(dom)

@@ -225,17 +225,28 @@ class TestGreedyCover:
         assert sizes == sorted(sizes, reverse=True)
 
     @pytest.mark.parametrize("n", [2, 3, 16, 100])
-    @pytest.mark.parametrize("eps", [0.05, 0.2, 0.3, 0.45])
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 0.3, 0.45, 0.5 - 3 * 2.0**-54])
     @pytest.mark.parametrize("i", [1, 2])
-    def test_fast_path_matches_greedy(self, n, eps, i):
-        if i > n:
-            pytest.skip("index out of range")
+    @pytest.mark.parametrize(
+        "level", [None, 0.0, "d_off", "d_off-", "d_off+", "d_half", "d_half-", "d_half+", 1.0]
+    )
+    def test_fast_path_matches_greedy(self, n, eps, i, level):
+        # d_off and d_half are the scan's distances between two Bernoulli(eps)
+        # coordinates and from the fair coin; -/+ are their float neighbours.
+        # eps = 1/2 - 3 * 2^-54 rounds d_off above d_half.
+        d_off = eps + eps - 2.0 * eps * eps
+        d_half = 0.5 + eps - 2.0 * 0.5 * eps
+        if isinstance(level, str):
+            base = d_off if level.startswith("d_off") else d_half
+            level = {"-": math.nextafter(base, 0.0), "+": math.nextafter(base, 1.0)}.get(
+                level[-1], base)
         dist = make_pne(n, eps, i)
-        greedy = greedy_packing_cover(ProjectionClass(n), dist, 2.0 * eps)
-        fast = pne_small_cover(n, eps, i)
+        greedy = greedy_packing_cover(ProjectionClass(n), dist,
+                                      2.0 * eps if level is None else level)
+        fast = pne_small_cover(n, eps, i, level)
         assert fast.members == greedy.members
         assert fast.level == greedy.level
-        assert fast.certificate == pytest.approx(greedy.certificate, abs=1e-12)
+        assert fast.certificate == greedy.certificate
 
     def test_custom_distance_oracle(self):
         # The vectorised scan against the reference scan over the exact oracle.
