@@ -23,6 +23,7 @@ from .concepts import (
 from .distributions import (
     FiniteSupportDistribution,
     PneFamily,
+    PneMember,
     ProductDistribution,
     RngSeed,
     geometric_finite,

@@ -70,6 +70,7 @@ from .metric_cover import (
     corollary_m,
     dudley_cover_bound,
     greedy_packing_cover,
+    pne_small_cover,
     sauer_bound,
     sauer_estimate,
 )
@@ -307,6 +308,8 @@ def main(ctx, seed, trials, out, fmt, threads):
 
 def _run_cover(obj: CLIContext, n, eps, i, level, class_json, dist_json):
     """Build the greedy packing cover and report it next to the Dudley bound."""
+    if level is not None and not 0.0 < level <= 1.0:
+        raise InvalidParameterError(f"--level must lie in (0, 1], got {level}")
     if class_json or dist_json:
         if not (class_json and dist_json):
             raise InvalidParameterError("give both --class-json and --dist-json")
@@ -316,12 +319,13 @@ def _run_cover(obj: CLIContext, n, eps, i, level, class_json, dist_json):
             raise InvalidParameterError("cover needs a concrete distribution")
         if level is None:
             raise InvalidParameterError("--level is required for explicit specs")
+        result = greedy_packing_cover(cls, dist, level)
     else:
         cls = ProjectionClass(n)
         dist = make_pne(n, eps, i)
         if level is None:
             level = 2.0 * eps
-    result = greedy_packing_cover(cls, dist, level)
+        result = pne_small_cover(dist, level)
     if isinstance(cls, ProjectionClass):
         d_vc = cls.n.bit_length() - 1
     else:

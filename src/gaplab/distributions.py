@@ -12,8 +12,8 @@ per-trial cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from dataclasses import dataclass
+from functools import cache, lru_cache
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -171,7 +171,6 @@ class ProductDistribution:
     """Independent per-coordinate Bernoulli marginals over {0,1}^n."""
 
     marginals: np.ndarray
-    pne: tuple[int, float, int] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.marginals, dtype=np.float64)
@@ -181,16 +180,6 @@ class ProductDistribution:
             raise InvalidParameterError("marginals must lie in [0, 1]")
         m.setflags(write=False)
         object.__setattr__(self, "marginals", m)
-
-    @classmethod
-    def _prevalidated(
-        cls, marginals: np.ndarray, pne: tuple[int, float, int] | None = None
-    ) -> "ProductDistribution":
-        """Wrap a read-only float64 vector already known to lie in [0, 1]."""
-        dist = object.__new__(cls)
-        object.__setattr__(dist, "marginals", marginals)
-        object.__setattr__(dist, "pne", pne)
-        return dist
 
     @property
     def n(self) -> int:
@@ -202,13 +191,36 @@ class ProductDistribution:
         return float(self.marginals[j - 1])
 
     def to_json_dict(self) -> dict:
-        if self.pne is not None:
-            n, eps, i = self.pne
-            return {"kind": "pne", "n": n, "eps": eps, "i": i}
         return {"kind": "product", "marginals": [float(p) for p in self.marginals]}
 
 
-def make_pne(n: int, eps: float, i: int) -> ProductDistribution:
+@dataclass(frozen=True)
+class PneMember:
+    """P_i of the family P_{n,eps}: a fair coin at coordinate i, Bernoulli(eps)
+    elsewhere.  The three fields describe it; PneFamily.member checks them."""
+
+    n: int
+    eps: float
+    i: int
+
+    def marginal(self, j: int) -> float:
+        if not 1 <= j <= self.n:
+            raise InvalidParameterError(f"coordinate {j} out of range 1..{self.n}")
+        return 0.5 if j == self.i else self.eps
+
+    @property
+    def marginals(self) -> np.ndarray:
+        """The read-only vector of all n marginals, built on each access."""
+        m = np.full(self.n, self.eps, dtype=np.float64)
+        m[self.i - 1] = 0.5
+        m.setflags(write=False)
+        return m
+
+    def to_json_dict(self) -> dict:
+        return {"kind": "pne", "n": self.n, "eps": self.eps, "i": self.i}
+
+
+def make_pne(n: int, eps: float, i: int) -> PneMember:
     """P_i from the family P_{n,eps}: a fair coin at coordinate i, Bernoulli(eps) elsewhere."""
     return PneFamily(n, eps).member(i)
 
@@ -226,28 +238,11 @@ class PneFamily:
         if not 0.0 < self.eps < 0.5:
             raise InvalidParameterError(f"eps must lie in (0, 1/2), got {self.eps}")
 
-    def __getstate__(self) -> dict:
-        # The cached base vector (8 n bytes) is rebuilt where it is needed.
-        return {"n": self.n, "eps": self.eps}
-
-    @cached_property
-    def _base_marginals(self) -> np.ndarray:
-        base = np.full(self.n, self.eps, dtype=np.float64)
-        base.setflags(write=False)
-        return base
-
-    def member(self, i: int) -> ProductDistribution:
-        """P_i: the family's cached eps vector with coordinate i set to 1/2.
-
-        n and eps were validated with the family, so the member is built
-        without checking its marginals again.
-        """
+    def member(self, i: int) -> PneMember:
+        """P_i, for i in 1..n."""
         if not 1 <= i <= self.n:
             raise InvalidParameterError(f"special index {i} out of range 1..{self.n}")
-        m = self._base_marginals.copy()
-        m[i - 1] = 0.5
-        m.setflags(write=False)
-        return ProductDistribution._prevalidated(m, pne=(self.n, float(self.eps), i))
+        return PneMember(self.n, float(self.eps), i)
 
     def to_json_dict(self) -> dict:
         return {"kind": "pne", "n": self.n, "eps": self.eps}
@@ -322,7 +317,9 @@ class FiniteSupportDistribution:
         }
 
 
-Distribution = ProductDistribution | FiniteSupportDistribution
+# A law over {0,1}^n with independent coordinates.
+ProductLaw = ProductDistribution | PneMember
+Distribution = ProductLaw | FiniteSupportDistribution
 
 
 def float_vector(value) -> np.ndarray:
@@ -374,22 +371,19 @@ def _block_views(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u_cells[:cells].reshape(rows, n), bit_cells[:cells].reshape(rows, n)
 
 
-def _draw_block(dist: ProductDistribution, rows: int, gen: np.random.Generator) -> np.ndarray:
+def _draw_block(dist: ProductLaw, rows: int, gen: np.random.Generator) -> np.ndarray:
     """The next `rows` packed rows of dist's draws, through the scratch buffers."""
     u, bits = _block_views(rows, dist.n)
     gen.random(out=u)
-    if dist.pne is None:
-        np.less(u, dist.marginals, bits)
+    if isinstance(dist, PneMember):
+        np.less(u, dist.eps, bits)
+        np.less(u[:, dist.i - 1], 0.5, bits[:, dist.i - 1])
     else:
-        _, eps, i = dist.pne
-        np.less(u, eps, bits)
-        np.less(u[:, i - 1], 0.5, bits[:, i - 1])
+        np.less(u, dist.marginals, bits)
     return pack_bit_rows(bits.view(np.uint8))
 
 
-def sample_bit_matrix(
-    dist: ProductDistribution, m: int, gen: np.random.Generator
-) -> np.ndarray:
+def sample_bit_matrix(dist: ProductLaw, m: int, gen: np.random.Generator) -> np.ndarray:
     """(m, words) packed rows of m i.i.d. draws.
 
     Reference sampling path: one uniform double per coordinate, row-major,
@@ -414,7 +408,7 @@ def sample_bit_matrix(
 
 
 def sample_coordinate_columns(
-    dist: ProductDistribution,
+    dist: ProductLaw,
     coords: Sequence[int],
     m: int,
     gen: np.random.Generator,

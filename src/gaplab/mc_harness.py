@@ -35,7 +35,8 @@ from .distributions import (
     Distribution,
     FiniteSupportDistribution,
     PneFamily,
-    ProductDistribution,
+    PneMember,
+    ProductLaw,
     RngSeed,
     distribution_from_json_dict,
     missing_mass_fraction,
@@ -140,8 +141,8 @@ class TrialConfig:
         if isinstance(cls, TableClass):
             object.__setattr__(self, "positions", cls.domain_positions(dist.support))
         if self.learner == "cover" and not isinstance(self.target, RandomPair):
-            pne = getattr(dist, "pne", None)
-            object.__setattr__(self, "cover", pne_small_cover(*pne, self.cover_level) if pne
+            object.__setattr__(self, "cover", pne_small_cover(dist, self.cover_level)
+                               if isinstance(dist, PneMember)
                                else greedy_packing_cover(cls, dist, self.cover_level))
 
     def to_json_dict(self) -> dict:
@@ -208,15 +209,13 @@ def validate_config(cfg: TrialConfig) -> None:
             raise InvalidParameterError("family dimension does not match the class")
     elif isinstance(dist, PneFamily):
         raise InvalidParameterError("a pne family distribution needs a random-pair target")
-    else:
-        if isinstance(cls, ProjectionClass) and not isinstance(dist, ProductDistribution):
+    elif isinstance(cls, ProjectionClass):
+        if not isinstance(dist, ProductLaw):
             raise OracleUnavailableError("projections need a product distribution")
-        if isinstance(cls, TableClass):
-            if not isinstance(dist, FiniteSupportDistribution):
-                raise OracleUnavailableError("table classes need a finite-support distribution")
-        if isinstance(dist, (ProductDistribution,)) and isinstance(cls, ProjectionClass):
-            if dist.n != cls.n:
-                raise InvalidParameterError("distribution dimension does not match the class")
+        if dist.n != cls.n:
+            raise InvalidParameterError("distribution dimension does not match the class")
+    elif not isinstance(dist, FiniteSupportDistribution):
+        raise OracleUnavailableError("table classes need a finite-support distribution")
     if isinstance(cfg.target, FixedTarget):
         cls.concept(cfg.target.index)
 
@@ -226,6 +225,11 @@ def validate_config(cfg: TrialConfig) -> None:
         if _pne_eps(dist) is None:
             raise OracleUnavailableError(
                 "the posterior rule's exact error needs a pne distribution"
+            )
+        if not isinstance(cfg.target, RandomPair) and cfg.target != FixedTarget(dist.i):
+            raise OracleUnavailableError(
+                f"the posterior rule's exact error needs target fixed:{dist.i}, "
+                f"the pne member's fair coordinate"
             )
         # Load it here, in the process that builds the config, so that a
         # worker pool forked later inherits it instead of importing it.
@@ -244,11 +248,7 @@ def validate_config(cfg: TrialConfig) -> None:
 
 def _pne_eps(dist: Distribution | PneFamily) -> float | None:
     """eps of a pne family or of one of its members, else None."""
-    if isinstance(dist, PneFamily):
-        return dist.eps
-    if isinstance(dist, ProductDistribution) and dist.pne is not None:
-        return dist.pne[1]
-    return None
+    return dist.eps if isinstance(dist, (PneFamily, PneMember)) else None
 
 
 def _posterior_eps(cfg: TrialConfig) -> float:
@@ -312,14 +312,14 @@ def _resolve_target(
     return cfg.dist, cfg.target.index
 
 
-def _draw_member(family: PneFamily, gen: np.random.Generator) -> tuple[int, ProductDistribution]:
+def _draw_member(family: PneFamily, gen: np.random.Generator) -> tuple[int, PneMember]:
     """A uniform hidden index I and the family member P_I."""
     i = int(gen.integers(1, family.n + 1))
     return i, family.member(i)
 
 
 def _projection_sample(
-    dist: ProductDistribution, target: int, m: int, gen: np.random.Generator
+    dist: ProductLaw, target: int, m: int, gen: np.random.Generator
 ) -> LabeledSample:
     """m draws from dist, labelled by coordinate `target`."""
     words = sample_bit_matrix(dist, m, gen)
@@ -368,7 +368,7 @@ def run_trial(cfg: TrialConfig, index: int) -> TrialResult:
 def _projection_trial_error(
     cfg: TrialConfig,
     cls: ProjectionClass,
-    dist: ProductDistribution,
+    dist: ProductLaw,
     target: int,
     gen: np.random.Generator,
 ) -> float:
@@ -377,7 +377,7 @@ def _projection_trial_error(
         # ascending order, so min keeps cover_learner's lowest-index tie-break.
         cover = cfg.cover
         if cover is None:  # random-pair: the cover of this trial's member P_I
-            cover = pne_small_cover(*dist.pne, cfg.cover_level)
+            cover = pne_small_cover(dist, cfg.cover_level)
         members = cover.members
         cols = sorted(set(members) | {target})
         bits = sample_coordinate_columns(dist, cols, cfg.m, gen)
@@ -394,7 +394,7 @@ def _projection_trial_error(
     if k == 0:
         raise GaplabError("empty candidate set in a realizable trial")
     threshold = posterior_threshold(k, _posterior_eps(cfg))
-    return posterior_rule_error(k, threshold, dist.pne[1])
+    return posterior_rule_error(k, threshold, dist.eps)
 
 
 def _table_trial_error(

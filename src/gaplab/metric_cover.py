@@ -9,8 +9,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .concepts import ConceptClass, ProjectionClass, TableClass
-from .distributions import Distribution, FiniteSupportDistribution, ProductDistribution
-from .errors import InvalidParameterError, OracleUnavailableError
+from .distributions import Distribution, FiniteSupportDistribution, PneMember, ProductLaw
+from .errors import DimensionMismatchError, InvalidParameterError, OracleUnavailableError
 
 
 def hoeffding_radius(trials: int, gamma: float) -> float:
@@ -62,7 +62,7 @@ class CoverResult:
         return len(self.members)
 
 
-def disagreement_exact_projections(dist: ProductDistribution, a: int, b: int) -> float:
+def disagreement_exact_projections(dist: ProductLaw, a: int, b: int) -> float:
     """Pr[X[a] != X[b]] under a product distribution: p_a(1-p_b) + (1-p_a)p_b.
 
     The product form needs independent coordinates, so a == b is handled
@@ -91,7 +91,11 @@ def exact_distance_fn(
     cls: ConceptClass, dist: Distribution
 ) -> Callable[[int, int], float]:
     """The exact disagreement oracle for a class/distribution pairing."""
-    if isinstance(cls, ProjectionClass) and isinstance(dist, ProductDistribution):
+    if isinstance(cls, ProjectionClass) and isinstance(dist, ProductLaw):
+        if dist.n != cls.n:
+            raise DimensionMismatchError(
+                f"the class has n={cls.n}, the distribution has n={dist.n}"
+            )
         return lambda a, b: disagreement_exact_projections(dist, a, b)
     if isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
         cls.domain_positions(dist.support)  # raises PointNotInDomainError if absent
@@ -101,9 +105,7 @@ def exact_distance_fn(
     )
 
 
-def _distance_rows_projections(
-    dist: ProductDistribution, member: int
-) -> np.ndarray:
+def _distance_rows_projections(dist: ProductLaw, member: int) -> np.ndarray:
     p = dist.marginals
     pm = dist.marginal(member)
     out = p + pm - 2.0 * p * pm
@@ -152,7 +154,7 @@ def greedy_packing_cover(cls: ConceptClass, dist: Distribution, eps: float) -> C
     return CoverResult(tuple(members), float(eps), float(min_dist.max()))
 
 
-def pne_small_cover(n: int, eps: float, i: int, level: float | None = None) -> CoverResult:
+def pne_small_cover(dist: PneMember, level: float | None = None) -> CoverResult:
     """The greedy cover of the projections under P_i, in closed form.
 
     Matches greedy_packing_cover(C_n, P_i, level) exactly, members, level
@@ -163,12 +165,7 @@ def pne_small_cover(n: int, eps: float, i: int, level: float | None = None) -> C
     {c_1, c_2} for i = 1), and every concept if d_off > level too; else it
     admits c_1 alone.
     """
-    if n < 2:
-        raise InvalidParameterError("the family needs n >= 2")
-    if not 0.0 < eps < 0.5:
-        raise InvalidParameterError(f"eps must lie in (0, 1/2), got {eps}")
-    if not 1 <= i <= n:
-        raise InvalidParameterError(f"special index {i} out of range 1..{n}")
+    n, eps, i = dist.n, dist.eps, dist.i
     level = 2.0 * eps if level is None else float(level)
     if level < 0:
         raise InvalidParameterError("cover level must be non-negative")

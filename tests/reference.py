@@ -25,7 +25,7 @@ from gaplab.concepts import (
 from gaplab.distributions import (
     Distribution,
     FiniteSupportDistribution,
-    ProductDistribution,
+    ProductLaw,
     RngSeed,
     missing_mass_fraction,
     sample_bit_matrix,
@@ -75,7 +75,7 @@ def is_shattered(cls: ConceptClass, points: Sequence[Point]) -> bool:
 def sample_points(dist: Distribution, m: int, seed: RngSeed) -> list[Point]:
     """m i.i.d. points from trial 0 of the seed's stream."""
     gen = seed.generator(0)
-    if isinstance(dist, ProductDistribution):
+    if isinstance(dist, ProductLaw):
         words = sample_bit_matrix(dist, m, gen)
         return [Point(words[r].copy(), dist.n) for r in range(m)]
     idx = sample_support_indices(dist, m, gen)
@@ -86,7 +86,7 @@ def point_prob(dist: Distribution, x: Point) -> float:
     """Exact probability of a single point."""
     if x.n != dist.n:
         raise DimensionMismatchError(f"point has n={x.n}, distribution has n={dist.n}")
-    if isinstance(dist, ProductDistribution):
+    if isinstance(dist, ProductLaw):
         bits = unpack_bit_rows(x.words, x.n)[0].astype(bool)
         return float(np.prod(np.where(bits, dist.marginals, 1.0 - dist.marginals)))
     pos = dist.support_position(x)
@@ -182,7 +182,7 @@ def disagreement_mc(
     if trials < 1:
         raise InvalidParameterError("trials must be >= 1")
     gen = seed.generator(0)
-    if isinstance(cls, ProjectionClass) and isinstance(dist, ProductDistribution):
+    if isinstance(cls, ProjectionClass) and isinstance(dist, ProductLaw):
         words = sample_bit_matrix(dist, trials, gen)
         ca, cb = packed_column(words, a), packed_column(words, b)
         count = int(np.count_nonzero(ca != cb))

@@ -90,6 +90,56 @@ class TestCover:
         assert res.exit_code == 2
         assert "--class-json" in res.output
 
+    def test_pne_flags_use_the_closed_form(self, runner, tmp_path, monkeypatch):
+        # The flag path always builds a pne member, so the greedy scan never
+        # runs; the body is the one the scan gave.
+        monkeypatch.setattr("gaplab.cli.greedy_packing_cover", _no_scan)
+        out = tmp_path / "cover.csv"
+        res = runner.invoke(
+            main, ["--out", str(out), "cover", "--n", "4096", "--eps", "0.05", "--i", "7"]
+        )
+        assert res.exit_code == 0, res.output
+        assert out.read_text() == (
+            "class_kind,num_concepts,level,size,members,certificate,vc_dim,dudley_log,"
+            "dudley_value,seed,spec_hash\n"
+            "projections,4096,0.1,2,1|7,0.095,12,89.0123769,4.54552576e+38,1592614637,"
+            "776da5d60a069358\n"
+        )
+
+    @pytest.mark.parametrize("level", ["0", "1.5", "-0.1"])
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_level_out_of_range_exits_2_before_any_cover(
+            self, runner, tmp_path, monkeypatch, level, explicit):
+        monkeypatch.setattr("gaplab.cli.greedy_packing_cover", _no_scan)
+        monkeypatch.setattr("gaplab.cli.pne_small_cover", _no_scan)
+        spec = (["--class-json", json.dumps({"kind": "projections", "n": 8}),
+                 "--dist-json", json.dumps({"kind": "pne", "n": 8, "eps": 0.1, "i": 2})]
+                if explicit else ["--n", "64"])
+        out = tmp_path / "x.csv"
+        res = runner.invoke(main, ["--out", str(out), "cover", *spec, "--level", level])
+        assert res.exit_code == 2, res.output
+        assert f"--level must lie in (0, 1], got {float(level)}" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dist", [
+        {"kind": "pne", "n": 16, "eps": 0.05, "i": 3},
+        {"kind": "product", "marginals": [0.5] * 16},
+    ])
+    def test_class_and_law_of_different_n_exit_2(self, runner, tmp_path, dist):
+        out = tmp_path / "x.csv"
+        res = runner.invoke(
+            main, ["--out", str(out), "cover", "--level", "0.1",
+                   "--class-json", json.dumps({"kind": "projections", "n": 8}),
+                   "--dist-json", json.dumps(dist)]
+        )
+        assert res.exit_code == 2, res.output
+        assert "the class has n=8, the distribution has n=16" in res.output
+        assert not out.exists()
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("a cover was built")
+
 
 class TestVc:
     def test_projections_n8(self, runner, tmp_path):
@@ -614,6 +664,14 @@ PRODUCT_DIST = {"kind": "product", "marginals": [0.5, 0.1, 0.1, 0.1]}
         ({"class": {"kind": "projections", "n": 4}, "dist": PRODUCT_DIST,
           "target": {"kind": "fixed", "i": 1}, "learner": "cover"},
          "cover learning needs cover_level unless the distribution is pne"),
+        ({"class": {"kind": "projections", "n": 16},
+          "dist": {"kind": "pne", "n": 16, "eps": 0.2, "i": 1},
+          "target": {"kind": "fixed", "i": 3}, "learner": "bayes-posterior"},
+         "the posterior rule's exact error needs target fixed:1"),
+        ({"class": {"kind": "projections", "n": 16},
+          "dist": {"kind": "pne", "n": 16, "eps": 0.2, "i": 4},
+          "target": {"kind": "random-concept"}, "learner": "bayes-posterior"},
+         "the posterior rule's exact error needs target fixed:4"),
     ],
 )
 def test_learn_document_without_an_exact_oracle_exits_2_before_any_trial(

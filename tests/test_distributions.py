@@ -12,6 +12,7 @@ from gaplab.concepts import Point, enumerated_domain, full_hypercube, pack_bit_r
 from gaplab.distributions import (
     FiniteSupportDistribution,
     PneFamily,
+    PneMember,
     ProductDistribution,
     RngSeed,
     distribution_from_json_dict,
@@ -124,7 +125,8 @@ class TestMakePne:
             assert d.marginals.dtype == np.float64
             assert np.array_equal(d.marginals, want)
             assert np.array_equal(d.marginals, make_pne(n, eps, i).marginals)
-            assert d.pne == make_pne(n, eps, i).pne == (n, eps, i)
+            assert d == make_pne(n, eps, i)
+            assert (d.n, d.eps, d.i) == (n, eps, i)
             assert not d.marginals.flags.writeable
             assert d.to_json_dict() == {"kind": "pne", "n": n, "eps": eps, "i": i}
 
@@ -257,7 +259,7 @@ def test_row_blocks_match_one_whole_draw(n, m):
     if n >= 2:
         dists += [make_pne(n, 0.1, 1), make_pne(n, 0.3, n)]
     else:
-        dists.append(ProductDistribution(np.array([0.5]), pne=(1, 0.2, 1)))
+        dists.append(PneMember(1, 0.2, 1))
     for t, dist in enumerate(dists):
         reference = RngSeed(n, m).generator(t)
         want = pack_bit_rows(reference.random((m, n)) < dist.marginals)
@@ -357,7 +359,7 @@ def test_missing_mass_fraction_matches_reference_sum(probs, data):
 def test_distribution_json_roundtrip():
     d = make_pne(6, 0.1, 2)
     r = distribution_from_json_dict(d.to_json_dict())
-    assert isinstance(r, ProductDistribution) and np.array_equal(r.marginals, d.marginals)
+    assert r == d and np.array_equal(r.marginals, d.marginals)
     fam = PneFamily(6, 0.1)
     r2 = distribution_from_json_dict(fam.to_json_dict())
     assert r2 == fam
@@ -380,7 +382,7 @@ def _pne_member(n, eps, i):
     if n >= 2:
         return make_pne(n, eps, i)
     # The family needs n >= 2; a one-coordinate member is built directly.
-    return ProductDistribution(np.array([0.5]), pne=(1, eps, 1))
+    return PneMember(1, eps, 1)
 
 
 @given(

@@ -181,13 +181,13 @@ class TestErm:
 class TestCoverLearner:
     def test_empty_sample_returns_first_member(self):
         cls = ProjectionClass(8)
-        cover = pne_small_cover(8, 0.1, 5)
+        cover = pne_small_cover(make_pne(8, 0.1, 5))
         chosen = cover_learner(cls, cover, LabeledSample.empty(8))
         assert chosen == 1
 
     def test_target_in_cover_wins(self):
         cls = ProjectionClass(8)
-        cover = pne_small_cover(8, 0.1, 5)  # members 1 and 5
+        cover = pne_small_cover(make_pne(8, 0.1, 5))  # members 1 and 5
         s = sample_from(["00001000"], [1])  # row where c_5 = 1 but c_1 = 0
         assert cover_learner(cls, cover, s) == 5
 
@@ -201,7 +201,7 @@ class TestCoverLearner:
         n, eps, i = 64, 0.05, 3
         cls = ProjectionClass(n)
         dist = make_pne(n, eps, i)
-        cover = pne_small_cover(n, eps, i)
+        cover = pne_small_cover(dist)
         target = 17
         words = sample_bit_matrix(dist, 1000, RngSeed(12).generator(0))
         s0 = LabeledSample(words, np.zeros(1000, dtype=np.uint8), n)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -136,6 +137,22 @@ class TestRunTrial:
         )
         res = run_trial(cfg, 0)
         assert 0.0 <= res.error <= 1.0
+
+
+@pytest.mark.parametrize("learner", ["erm", "bayes-posterior", "cover"])
+def test_random_pair_trial_holds_no_n_vector(learner):
+    # A trial's member is (n, eps, i); the draw's scratch buffers are made
+    # by the warm-up trial, so the traced trial allocates far below 8 n bytes.
+    n = 1 << 17
+    cfg = pne_cfg(n, 0.1, learner, 2, 1 / 16, 2, 11)
+    run_trial(cfg, 0)
+    tracemalloc.start()
+    try:
+        run_trial(cfg, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n
 
 
 class TestPosteriorRuleError:
@@ -534,6 +551,14 @@ class TestConfigValidation:
                 trials=1,
                 seed=RngSeed(0),
             )
+
+    def test_posterior_needs_the_member_fair_coordinate_as_target(self):
+        # posterior_rule_error scores the target as the fair coordinate i.
+        for target in (FixedTarget(3), RandomConcept()):
+            with pytest.raises(OracleUnavailableError, match="needs target fixed:1"):
+                pne_cfg(16, 0.2, "bayes-posterior", 3, 0.1, 1, 0, target=target, i=1)
+        cfg = pne_cfg(16, 0.2, "bayes-posterior", 3, 0.1, 1, 0, target=FixedTarget(5), i=5)
+        assert 0.0 <= run_trial(cfg, 0).error <= 0.5
 
     def test_json_roundtrip(self):
         cfg = pne_cfg(32, 0.1, "bayes-posterior", 2, 1 / 16, 10, 3)

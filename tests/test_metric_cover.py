@@ -19,7 +19,7 @@ from gaplab.distributions import (
     make_pne,
     uniform_finite,
 )
-from gaplab.errors import InvalidParameterError, OracleUnavailableError
+from gaplab.errors import DimensionMismatchError, InvalidParameterError, OracleUnavailableError
 from gaplab.metric_cover import (
     EstimateWithCI,
     benedek_itai_m,
@@ -243,7 +243,7 @@ class TestGreedyCover:
         dist = make_pne(n, eps, i)
         greedy = greedy_packing_cover(ProjectionClass(n), dist,
                                       2.0 * eps if level is None else level)
-        fast = pne_small_cover(n, eps, i, level)
+        fast = pne_small_cover(dist, level)
         assert fast.members == greedy.members
         assert fast.level == greedy.level
         assert fast.certificate == greedy.certificate
@@ -263,6 +263,13 @@ class TestGreedyCover:
     def test_oracle_unavailable(self):
         with pytest.raises(OracleUnavailableError):
             exact_distance_fn(ProjectionClass(4), uniform_finite(enumerated_domain(2)))
+
+    @pytest.mark.parametrize(
+        "dist", [make_pne(16, 0.05, 3), ProductDistribution(np.full(16, 0.5))])
+    def test_class_and_law_of_different_n(self, dist):
+        for build in (exact_distance_fn, lambda c, d: greedy_packing_cover(c, d, 0.1)):
+            with pytest.raises(DimensionMismatchError, match="class has n=8"):
+                build(ProjectionClass(8), dist)
 
 
 class TestFormulas:
