@@ -276,7 +276,8 @@ def _handle_errors(fn):
         except Exception as exc:
             if os.environ.get("GAPLAB_DEBUG") == "1":
                 raise
-            click.echo(f"runtime failure: {exc}", err=True)
+            # A MemoryError, for one, has no text: name its type instead.
+            click.echo(f"runtime failure: {str(exc) or type(exc).__name__}", err=True)
             sys.exit(3)
 
     return wrapper

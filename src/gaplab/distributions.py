@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .concepts import Point, pack_bit_rows, point_list, words_needed
+from .concepts import WORD_BITS, Point, pack_bit_rows, point_list, words_needed
 from .errors import DimensionMismatchError, InvalidParameterError, config_value
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -348,19 +348,19 @@ def distribution_from_json_dict(
     raise InvalidParameterError(f"unknown distribution kind {kind!r}")
 
 
-# sample_bit_matrix draws row blocks of about this many cells through one
-# float64 and one bool scratch buffer, grown on demand and reused by every
-# call in the process.  That is safe because the packed rows it returns are
-# fresh arrays that never alias the buffers, and no call runs inside another.
+# sample_bit_matrix draws row blocks of about this many cells, or a row
+# longer than that in column chunks of at most this many, through one float64
+# and one bool scratch buffer, grown on demand and reused by every call in the
+# process.  That is safe because the packed rows it returns are fresh arrays
+# that never alias the buffers, and no call runs inside another.  PneReplay
+# reads its dense spans through the same buffers.
 _BLOCK_CELLS = 1 << 17
 _block_scratch = (np.empty(0), np.empty(0, dtype=bool))
 
 
-@lru_cache(maxsize=8)
-def _block_views(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, n) float64 and bool views of the scratch buffers."""
+def _scratch(cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat float64 and bool views of the first `cells` scratch cells."""
     global _block_scratch
-    cells = rows * n
     if _block_scratch[0].size < cells:
         # Views cached for the old buffers stay valid but are dropped, so
         # that the old buffers can be freed.
@@ -368,18 +368,28 @@ def _block_views(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         size = max(_BLOCK_CELLS, cells)
         _block_scratch = (np.empty(size), np.empty(size, dtype=bool))
     u_cells, bit_cells = _block_scratch
-    return u_cells[:cells].reshape(rows, n), bit_cells[:cells].reshape(rows, n)
+    return u_cells[:cells], bit_cells[:cells]
 
 
-def _draw_block(dist: ProductLaw, rows: int, gen: np.random.Generator) -> np.ndarray:
-    """The next `rows` packed rows of dist's draws, through the scratch buffers."""
-    u, bits = _block_views(rows, dist.n)
+@lru_cache(maxsize=8)
+def _block_views(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, n) float64 and bool views of the scratch buffers."""
+    u_cells, bit_cells = _scratch(rows * n)
+    return u_cells.reshape(rows, n), bit_cells.reshape(rows, n)
+
+
+def _draw_block(
+    dist: ProductLaw, rows: int, c0: int, c1: int, gen: np.random.Generator
+) -> np.ndarray:
+    """Packed bits of columns c0..c1-1 (0-based) of dist's next `rows` draws."""
+    u, bits = _block_views(rows, c1 - c0)
     gen.random(out=u)
     if isinstance(dist, PneMember):
         np.less(u, dist.eps, bits)
-        np.less(u[:, dist.i - 1], 0.5, bits[:, dist.i - 1])
+        if c0 < dist.i <= c1:
+            np.less(u[:, dist.i - 1 - c0], 0.5, bits[:, dist.i - 1 - c0])
     else:
-        np.less(u, dist.marginals, bits)
+        np.less(u, dist.marginals[c0:c1], bits)
     return pack_bit_rows(bits.view(np.uint8))
 
 
@@ -389,22 +399,154 @@ def sample_bit_matrix(dist: ProductLaw, m: int, gen: np.random.Generator) -> np.
     Reference sampling path: one uniform double per coordinate, row-major,
     compared against the coordinate's marginal.  All faster paths must stay
     bit-identical to this consumption order.  The rows are drawn in blocks
-    of about 2^17 cells (at least one row) through reused buffers, which
-    consumes the stream in the same order as one whole draw, so a call
-    holds about 1.1 MiB besides its m * n / 8 byte output.  A pne member's
-    marginals are eps except 1/2 at coordinate i, so its draws are compared
-    against the scalar eps and column i is redone against 1/2.
+    of about 2^17 cells through reused buffers, and a longer row in column
+    chunks of whole words; either consumes the stream in the same order as
+    one whole draw, so a call holds about 1.1 MiB besides its m * n / 8 byte
+    output.  A pne member's marginals are eps except 1/2 at coordinate i, so
+    its draws are compared against the scalar eps and column i is redone
+    against 1/2.
     """
     if m < 0:
         raise InvalidParameterError("sample size must be non-negative")
-    block_rows = max(1, _BLOCK_CELLS // dist.n)
+    n = dist.n
+    if n > _BLOCK_CELLS:
+        width = _BLOCK_CELLS // WORD_BITS * WORD_BITS
+        out = np.empty((m, words_needed(n)), dtype=np.uint64)
+        for r in range(m):
+            for c0 in range(0, n, width):
+                c1 = min(n, c0 + width)
+                out[r, c0 // WORD_BITS : words_needed(c1)] = _draw_block(dist, 1, c0, c1, gen)
+        return out
+    block_rows = _BLOCK_CELLS // n
     if m <= block_rows:
-        return _draw_block(dist, m, gen)
-    out = np.empty((m, words_needed(dist.n)), dtype=np.uint64)
+        return _draw_block(dist, m, 0, n, gen)
+    out = np.empty((m, words_needed(n)), dtype=np.uint64)
     for r0 in range(0, m, block_rows):
         rows = min(block_rows, m - r0)
-        out[r0 : r0 + rows] = _draw_block(dist, rows, gen)
+        out[r0 : r0 + rows] = _draw_block(dist, rows, 0, n, gen)
     return out
+
+
+# A replayed row is read as one dense span while the span costs at most this
+# many cells per surviving column; past that each survivor's cell is read on
+# its own.  A dense cell costs about 5 ns, an advance plus a scalar draw
+# about 1.7 us.
+_SPAN_CELLS_PER_SURVIVOR = 300
+
+# PneReplay.first_consistent's first block is at least this many columns wide.
+_FIRST_SCAN_BLOCK = 256
+
+
+class PneReplay:
+    """Random access to the cells of sample_bit_matrix(dist, m, gen) for a pne member.
+
+    The reference draw takes one 64-bit output per double, row-major, so
+    cell (r, c) (0-based) is output r * n + c counted from where the draw
+    starts, and the reader jumps there with bit_generator.advance.  A cell
+    is compared exactly as the draw compares it, so every bit read is the
+    dense draw's bit; the cells never read are never drawn.  Build it where
+    sample_bit_matrix would be called.  It leaves gen at no defined
+    position, so nothing may draw from gen after it.
+
+    `labels` holds the fair column i.  `consistent` finds the other columns
+    that equal it on every row.  It visits the rows labelled 1 first, where
+    a Bernoulli(eps) column survives with probability eps, and reads a row
+    as one dense span while the survivors are many and cell by cell after.
+    """
+
+    def __init__(self, dist: PneMember, m: int, gen: np.random.Generator):
+        if m < 0:
+            raise InvalidParameterError("sample size must be non-negative")
+        self.dist, self.m = dist, m
+        self._gen = gen
+        self._pos = 0  # outputs consumed since the draw's start
+        fair = dist.i - 1
+        self.labels = np.array([self._cell(r, fair) < 0.5 for r in range(m)], dtype=np.uint8)
+        self._rows = [r for r in range(m) if self.labels[r]] + [
+            r for r in range(m) if not self.labels[r]]
+
+    def _seek(self, r: int, c: int, cells: int) -> None:
+        """Jump to cell (r, c), from which the caller reads `cells` doubles."""
+        k = r * self.dist.n + c
+        if k != self._pos:
+            self._gen.bit_generator.advance((k - self._pos) % (1 << 128))
+        self._pos = k + cells
+
+    def _cell(self, r: int, c: int) -> float:
+        self._seek(r, c, 1)
+        return self._gen.random()
+
+    def _span(self, r: int, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row r's doubles at columns c0..c1-1 and a bool row as long, in the
+        scratch buffers; a span of more than _BLOCK_CELLS cells grows them."""
+        self._seek(r, c0, c1 - c0)
+        u, bits = _scratch(c1 - c0)
+        self._gen.random(out=u)
+        return u, bits
+
+    def bits(self, c0: int, c1: int) -> np.ndarray:
+        """(m, c1 - c0) uint8 bits of columns c0..c1-1, which must lie below
+        the fair column."""
+        if not 0 <= c0 <= c1 < self.dist.i:
+            raise InvalidParameterError(f"columns {c0}..{c1 - 1} do not lie below the fair one")
+        out = np.empty((self.m, c1 - c0), dtype=np.uint8)
+        for r in range(self.m):
+            u, _ = self._span(r, c0, c1)
+            np.less(u, self.dist.eps, out[r])
+        return out
+
+    def consistent(self, lo: int, hi: int) -> np.ndarray:
+        """The columns of lo..hi-1 (0-based), the fair one excepted, whose m
+        bits all equal the labels, ascending."""
+        eps = self.dist.eps
+        alive = np.ones(hi - lo, dtype=bool)
+        if lo < self.dist.i <= hi:
+            alive[self.dist.i - 1 - lo] = False
+        cols = None  # the survivors, once rows are read cell by cell
+        for r in self._rows:
+            label = bool(self.labels[r])
+            if cols is None:
+                budget = _SPAN_CELLS_PER_SURVIVOR * np.count_nonzero(alive)
+                if budget == 0:
+                    break
+                first, last = 0, alive.size - 1
+                if budget < alive.size:
+                    first = int(alive.argmax())
+                    last -= int(alive[::-1].argmax())
+                if last - first < budget:
+                    # alive &= (bit == label): np.greater(a, b) is a & ~b.
+                    keep = np.logical_and if label else np.greater
+                    for c0 in range(first, last + 1, _BLOCK_CELLS):
+                        c1 = min(last + 1, c0 + _BLOCK_CELLS)
+                        u, bits = self._span(r, lo + c0, lo + c1)
+                        np.less(u, eps, bits)
+                        keep(alive[c0:c1], bits, out=alive[c0:c1])
+                    continue
+                cols = (np.flatnonzero(alive) + lo).tolist()
+            cols = [c for c in cols if (self._cell(r, c) < eps) == label]
+        if cols is None:
+            return np.flatnonzero(alive) + lo
+        return np.array(cols, dtype=np.int64)
+
+    def first_consistent(self, lo: int, hi: int) -> int | None:
+        """The lowest column consistent(lo, hi) would return, or None.
+
+        Scans blocks that grow fourfold and stops at the first that holds a
+        consistent column.  A column is consistent with probability
+        q = eps^k (1 - eps)^(m - k), k the number of labels that are 1, so
+        the first block spans the expected gap 1/q between them, and at
+        least _FIRST_SCAN_BLOCK columns.
+        """
+        eps, ones = self.dist.eps, int(self.labels.sum())
+        q = eps**ones * (1.0 - eps) ** (self.m - ones)
+        width = hi - lo if q * (hi - lo) < 1.0 else max(_FIRST_SCAN_BLOCK, int(1.0 / q))
+        while lo < hi:
+            found = self.consistent(lo, min(hi, lo + width))
+            if found.size:
+                return int(found[0])
+            lo += width
+            width *= 4
+        return None
 
 
 def sample_coordinate_columns(

@@ -3,8 +3,10 @@
 Every trial derives its own RNG from (seed, trial index), so aggregate counts
 are identical whether trials run serially or split across workers.  Inside a
 trial the draw order is fixed: target first (when the target is random), then
-the sample; the learner itself is deterministic.  Errors are computed by
-exact oracles, never by an inner Monte Carlo loop.
+the sample; the learner itself is deterministic.  A matched-pair ERM or
+posterior trial may read its sample through PneReplay, which reads only the
+cells that decide the outcome and gives the same bits as the dense draw.
+Errors are computed by exact oracles, never by an inner Monte Carlo loop.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .concepts import (
     TableClass,
     all_functions_class,
     class_from_json_dict,
+    pack_bit_rows,
     packed_column,
 )
 from .distributions import (
@@ -36,6 +39,7 @@ from .distributions import (
     FiniteSupportDistribution,
     PneFamily,
     PneMember,
+    PneReplay,
     ProductLaw,
     RngSeed,
     distribution_from_json_dict,
@@ -61,6 +65,7 @@ from .learners import (
 from .metric_cover import (
     CoverResult,
     EstimateWithCI,
+    check_same_n,
     disagreement_enumerate,
     disagreement_exact_projections,
     greedy_packing_cover,
@@ -205,15 +210,13 @@ def validate_config(cfg: TrialConfig) -> None:
             raise InvalidParameterError(
                 "random-pair targets need the projection class and a pne family"
             )
-        if dist.n != cls.n:
-            raise InvalidParameterError("family dimension does not match the class")
+        check_same_n(cls, dist)
     elif isinstance(dist, PneFamily):
         raise InvalidParameterError("a pne family distribution needs a random-pair target")
     elif isinstance(cls, ProjectionClass):
         if not isinstance(dist, ProductLaw):
             raise OracleUnavailableError("projections need a product distribution")
-        if dist.n != cls.n:
-            raise InvalidParameterError("distribution dimension does not match the class")
+        check_same_n(cls, dist)
     elif not isinstance(dist, FiniteSupportDistribution):
         raise OracleUnavailableError("table classes need a finite-support distribution")
     if isinstance(cfg.target, FixedTarget):
@@ -365,6 +368,48 @@ def run_trial(cfg: TrialConfig, index: int) -> TrialResult:
     return TrialResult(error, int(error > cfg.eps_acc))
 
 
+def _replays(learner: str, n: int, m: int) -> bool:
+    """Whether a trial whose target is its pne member's fair coordinate reads
+    its sample through PneReplay rather than the dense draw.
+
+    The dense draw stays wherever it is about as cheap.  Per trial, dense /
+    replay, in microseconds (medians of 15 alternating rounds on a shared
+    2-core VM; eps = 0.1 unless given):
+    ERM: n = 2^17, m = 2, eps = 0.2: 1631 / 91; n = 2^16, m = 15: 5812 / 1005;
+    n = 2^14, m = 14: 1161 / 444; n = 2^13, m = 13: 555 / 372;
+    n = 2^13, m = 2: 131 / 90; n = 2^12, m = 12: 287 / 314.
+    Posterior: n = 2^12, m = 4: 128 / 175; m = 8: 153 / 178; m = 9: 219 / 194;
+    m = 12: 306 / 218; m = 16: 393 / 230; n = 2^11, m = 12: 177 / 176;
+    n = 2^10, m = 8: 90 / 142; n = 2^17, m = 2, eps = 0.2: 1379 / 1980.
+    """
+    if learner == "erm":
+        return n >= 1 << 13
+    return learner == "bayes-posterior" and n >= 1 << 12 and m >= 9
+
+
+# ERM on a replayed draw chooses among this many coordinates below the fair one.
+_ERM_FIRST_BLOCK = 64
+
+
+def _replayed_erm(replay: PneReplay) -> int:
+    """erm's choice over all n projections, from the cells that decide it.
+
+    ERM picks the lowest consistent coordinate, and the fair coordinate i is
+    always consistent, so only coordinates below i matter.  erm itself
+    chooses among the first block of up to 64 of them plus i, on all m of
+    their drawn rows; only if it picks i are the rest scanned.
+    """
+    fair = replay.dist.i - 1
+    width = min(_ERM_FIRST_BLOCK, fair)
+    block = np.column_stack([replay.bits(0, width), replay.labels])
+    sample = LabeledSample(pack_bit_rows(block), replay.labels, width + 1)
+    chosen = erm(ProjectionClass(width + 1), sample)
+    if chosen <= width:
+        return chosen
+    first = replay.first_consistent(width, fair)
+    return replay.dist.i if first is None else first + 1
+
+
 def _projection_trial_error(
     cfg: TrialConfig,
     cls: ProjectionClass,
@@ -385,14 +430,21 @@ def _projection_trial_error(
         best = min(members, key=lambda j: np.count_nonzero(bits[:, cols.index(j)] != y))
         return disagreement_exact_projections(dist, best, target)
 
-    sample = _projection_sample(dist, target, cfg.m, gen)
-    if cfg.learner == "erm":
-        return disagreement_exact_projections(dist, erm(cls, sample), target)
+    if (isinstance(dist, PneMember) and target == dist.i
+            and _replays(cfg.learner, dist.n, cfg.m)):
+        replay = PneReplay(dist, cfg.m, gen)
+        if cfg.learner == "erm":
+            return disagreement_exact_projections(dist, _replayed_erm(replay), target)
+        k = 1 + replay.consistent(0, dist.n).size
+    else:
+        sample = _projection_sample(dist, target, cfg.m, gen)
+        if cfg.learner == "erm":
+            return disagreement_exact_projections(dist, erm(cls, sample), target)
+        k = _popcount(sample.column_match_mask())
+        if k == 0:
+            raise GaplabError("empty candidate set in a realizable trial")
 
     # The posterior rule: validate_config saw a pne distribution.
-    k = _popcount(sample.column_match_mask())
-    if k == 0:
-        raise GaplabError("empty candidate set in a realizable trial")
     threshold = posterior_threshold(k, _posterior_eps(cfg))
     return posterior_rule_error(k, threshold, dist.eps)
 
@@ -411,7 +463,7 @@ def _table_trial_error(
         chosen = erm(cls, sample)
     else:  # the cover learner: validate_config admits no other on tables
         chosen = cover_learner(cls, cfg.cover, sample)
-    return disagreement_enumerate(cls, dist, chosen, target)
+    return disagreement_enumerate(cls, dist, chosen, target, cfg.positions)
 
 
 def _run_chunk(cfg: TrialConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .concepts import ConceptClass, ProjectionClass, TableClass
-from .distributions import Distribution, FiniteSupportDistribution, PneMember, ProductLaw
+from .distributions import (
+    Distribution,
+    FiniteSupportDistribution,
+    PneFamily,
+    PneMember,
+    ProductLaw,
+)
 from .errors import DimensionMismatchError, InvalidParameterError, OracleUnavailableError
 
 
@@ -80,11 +87,25 @@ def disagreement_enumerate(
     dist: FiniteSupportDistribution,
     a: int,
     b: int,
+    positions: Sequence[int] | None = None,
 ) -> float:
-    """Exact disagreement mass, summed over the distribution's support in order."""
+    """Exact disagreement mass, summed over the distribution's support in order.
+
+    `positions` are the support's domain positions,
+    cls.domain_positions(dist.support), when the caller holds them already.
+    """
     diff = cls.table_mask(a) ^ cls.table_mask(b)
-    positions = cls.domain_positions(dist.support)
+    if positions is None:
+        positions = cls.domain_positions(dist.support)
     return dist.mass(t for t, pos in enumerate(positions) if (diff >> pos) & 1)
+
+
+def check_same_n(cls: ProjectionClass, dist: ProductLaw | PneFamily) -> None:
+    """Raise DimensionMismatchError unless the class and the law share n."""
+    if dist.n != cls.n:
+        raise DimensionMismatchError(
+            f"the class has n={cls.n}, the distribution has n={dist.n}"
+        )
 
 
 def exact_distance_fn(
@@ -92,14 +113,12 @@ def exact_distance_fn(
 ) -> Callable[[int, int], float]:
     """The exact disagreement oracle for a class/distribution pairing."""
     if isinstance(cls, ProjectionClass) and isinstance(dist, ProductLaw):
-        if dist.n != cls.n:
-            raise DimensionMismatchError(
-                f"the class has n={cls.n}, the distribution has n={dist.n}"
-            )
+        check_same_n(cls, dist)
         return lambda a, b: disagreement_exact_projections(dist, a, b)
     if isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
-        cls.domain_positions(dist.support)  # raises PointNotInDomainError if absent
-        return lambda a, b: disagreement_enumerate(cls, dist, a, b)
+        # raises PointNotInDomainError if a support point is not in the domain
+        positions = cls.domain_positions(dist.support)
+        return lambda a, b: disagreement_enumerate(cls, dist, a, b, positions)
     raise OracleUnavailableError(
         f"no exact oracle for {type(cls).__name__} under {type(dist).__name__}"
     )
@@ -113,11 +132,9 @@ def _distance_rows_projections(dist: ProductLaw, member: int) -> np.ndarray:
     return out
 
 
-def _distance_rows_tables(
-    cls: TableClass, dist: FiniteSupportDistribution, member: int
-) -> np.ndarray:
-    weights = np.zeros(cls.domain_size, dtype=np.float64)
-    weights[cls.domain_positions(dist.support)] = dist.probs
+def _distance_rows_tables(cls: TableClass, weights: np.ndarray, member: int) -> np.ndarray:
+    """Distances from `member` to every concept; weights[pos] is the mass at
+    domain position pos."""
     diff = cls.table_array() ^ np.uint64(cls.table_mask(member))
     dist_vec = np.zeros(cls.num_concepts, dtype=np.float64)
     for pos in range(cls.domain_size):
@@ -139,6 +156,12 @@ def greedy_packing_cover(cls: ConceptClass, dist: Distribution, eps: float) -> C
     if n == 0:
         raise InvalidParameterError("cannot cover an empty class")
     exact_distance_fn(cls, dist)  # validate the pairing up front
+    if isinstance(cls, ProjectionClass):
+        distance_row = functools.partial(_distance_rows_projections, dist)
+    else:
+        weights = np.zeros(cls.domain_size, dtype=np.float64)
+        weights[cls.domain_positions(dist.support)] = dist.probs
+        distance_row = functools.partial(_distance_rows_tables, cls, weights)
     # Sequential-scan semantics, vectorized: min_dist[j] tracks the
     # distance from concept j+1 to the members admitted so far.
     min_dist = np.full(n, np.inf)
@@ -146,11 +169,7 @@ def greedy_packing_cover(cls: ConceptClass, dist: Distribution, eps: float) -> C
     for j in range(n):
         if min_dist[j] > eps:
             members.append(j + 1)
-            if isinstance(cls, ProjectionClass):
-                row = _distance_rows_projections(dist, j + 1)
-            else:
-                row = _distance_rows_tables(cls, dist, j + 1)
-            min_dist = np.minimum(min_dist, row)
+            min_dist = np.minimum(min_dist, distance_row(j + 1))
     return CoverResult(tuple(members), float(eps), float(min_dist.max()))
 
 

@@ -141,6 +141,31 @@ def _no_scan(*args, **kwargs):
     raise AssertionError("a cover was built")
 
 
+@pytest.mark.parametrize("dist", [
+    {"kind": "pne", "n": 16, "eps": 0.05, "i": 3},
+    {"kind": "product", "marginals": [0.5] * 16},
+])
+def test_learn_and_cover_reject_different_n_with_one_message(runner, tmp_path, dist):
+    cls = {"kind": "projections", "n": 8}
+    doc = {"class": cls, "dist": dist, "target": {"kind": "fixed", "i": 3},
+           "learner": "erm", "m": 2, "eps_acc": 0.1, "trials": 10}
+    path = tmp_path / "learn.json"
+    path.write_text(json.dumps(doc))
+    runs = {
+        "learn": ["learn", "--config", str(path)],
+        "cover": ["cover", "--level", "0.1", "--class-json", json.dumps(cls),
+                  "--dist-json", json.dumps(dist)],
+    }
+    errors = {}
+    for command, args in runs.items():
+        res = runner.invoke(main, ["--out", str(tmp_path / f"{command}.csv"), *args])
+        assert res.exit_code == 2, res.output
+        errors[command] = [line for line in res.output.splitlines()
+                           if line.startswith("spec error:")]
+    assert errors["learn"] == errors["cover"] == [
+        "spec error: the class has n=8, the distribution has n=16"]
+
+
 class TestVc:
     def test_projections_n8(self, runner, tmp_path):
         out = tmp_path / "vc.csv"
@@ -403,6 +428,17 @@ def test_unexpected_error_exits_3(runner, tmp_path, monkeypatch):
     res = runner.invoke(main, ["--out", str(tmp_path / "x.csv"), "learn", "--n", "16"])
     assert res.exit_code == 3
     assert "runtime failure: unexpected failure" in res.output
+
+
+def _run_out_of_memory(*args, **kwargs):
+    raise MemoryError()
+
+
+def test_error_without_text_prints_its_type(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr("gaplab.cli.estimate_failure_prob", _run_out_of_memory)
+    res = runner.invoke(main, ["--out", str(tmp_path / "x.csv"), "learn", "--n", "16"])
+    assert res.exit_code == 3
+    assert "runtime failure: MemoryError" in res.output
 
 
 def test_debug_switch_reraises_unexpected_error(runner, tmp_path, monkeypatch):

@@ -286,6 +286,37 @@ def test_draw_memory_is_bounded_by_one_row_block():
     assert peak <= words.nbytes + 4 * 2**20
 
 
+@pytest.mark.parametrize("dist", [
+    make_pne(1000, 0.1, 1), make_pne(1000, 0.3, 257), make_pne(1000, 0.2, 700),
+    make_pne(1000, 0.45, 1000), ProductDistribution(np.linspace(0.0, 1.0, 1000)),
+])
+def test_long_rows_are_drawn_in_word_chunks(monkeypatch, dist):
+    whole = RngSeed(5).generator(0)
+    want = sample_bit_matrix(dist, 3, whole)
+    # Rows of 1000 cells are now longer than a block: chunks of 256 columns.
+    monkeypatch.setattr(distributions, "_BLOCK_CELLS", 256)
+    chunked = RngSeed(5).generator(0)
+    words = sample_bit_matrix(dist, 3, chunked)
+    assert words.shape == want.shape
+    assert np.array_equal(words, want)
+    assert chunked.bit_generator.state == whole.bit_generator.state
+
+
+def test_long_row_draw_holds_no_row():
+    n = 2**22
+    dist = make_pne(n, 0.1, n // 3)
+    gen = RngSeed(8).generator(0)
+    tracemalloc.start()
+    try:
+        words = sample_bit_matrix(dist, 1, gen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert words.nbytes == n // 8
+    # One row of doubles would be 32 MiB; the chunk buffers are 1.1 MiB.
+    assert peak <= words.nbytes + 1.2 * 2**20
+
+
 class TestFiniteSupport:
     def test_validation(self):
         dom = enumerated_domain(2)
