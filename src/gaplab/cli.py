@@ -20,6 +20,7 @@ import json
 import os
 import platform
 import sys
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -162,6 +163,14 @@ def _write_manifest(ctx_obj: CLIContext, resolved, output: Path) -> None:
     }
     manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     click.echo(f"manifest: {manifest_path}")
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an --out path no result can be written to, before any trial runs."""
+    if out is not None and Path(out).is_dir():
+        raise InvalidParameterError(f"--out {out!r} is a directory")
+    if out is not None and not Path(out).parent.is_dir():
+        raise InvalidParameterError(f"--out {out!r}: no directory {str(Path(out).parent)!r}")
 
 
 def _load_config_entries(config: str | None) -> list[dict]:
@@ -462,7 +471,12 @@ def _check_lower_bound(obj: CLIContext, **values) -> dict:
 
 def _run_lower_bound(obj: CLIContext, n, eps, learner, trials, gamma):
     """The matched-pair failure experiment at m = floor(ln n / (3 ln(1/eps)))."""
-    est = lower_bound_experiment(n, eps, learner, trials, RngSeed(obj.seed), gamma, obj.threads)
+    with warnings.catch_warnings():
+        # The regime warning is one line on stderr, as separation's are.
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
+        est = lower_bound_experiment(n, eps, learner, trials, RngSeed(obj.seed), gamma,
+                                     obj.threads)
     spec = {"kind": "lower-bound", "n": n, "eps": eps, "learner": learner,
             "trials": trials, "gamma": gamma, "seed": obj.seed}
     return spec, [(n, eps, lower_bound_m(n, eps), learner, 1.0 / 16.0, trials,
@@ -658,6 +672,7 @@ def _build(cmd: Command) -> click.Command:
     @_handle_errors
     def callback(ctx: click.Context, config: str | None, **_flags):
         obj: CLIContext = ctx.obj
+        _check_out(obj.out)
         entries = _load_config_entries(config)
         if cmd.single and len(entries) != 1:
             raise InvalidParameterError(

@@ -348,49 +348,41 @@ def distribution_from_json_dict(
     raise InvalidParameterError(f"unknown distribution kind {kind!r}")
 
 
-# sample_bit_matrix draws row blocks of about this many cells, or a row
-# longer than that in column chunks of at most this many, through one float64
-# and one bool scratch buffer, grown on demand and reused by every call in the
-# process.  That is safe because the packed rows it returns are fresh arrays
-# that never alias the buffers, and no call runs inside another.  PneReplay
-# reads its dense spans through the same buffers.
+# sample_bit_matrix draws tiles of at most this many cells: row blocks, or a
+# row longer than that in column chunks.  Every dense read goes through
+# _uniforms, whose float64 and bool scratch buffers grow on demand and are
+# reused by every call in the process.  That is safe because the packed rows
+# a draw returns are fresh arrays that never alias the buffers, and no read
+# runs inside another.
 _BLOCK_CELLS = 1 << 17
 _block_scratch = (np.empty(0), np.empty(0, dtype=bool))
 
 
-def _scratch(cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat float64 and bool views of the first `cells` scratch cells."""
+def _uniforms(gen: np.random.Generator, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """gen's next `cells` doubles and a bool vector as long, both in the
+    scratch buffers."""
     global _block_scratch
     if _block_scratch[0].size < cells:
-        # Views cached for the old buffers stay valid but are dropped, so
-        # that the old buffers can be freed.
-        _block_views.cache_clear()
         size = max(_BLOCK_CELLS, cells)
         _block_scratch = (np.empty(size), np.empty(size, dtype=bool))
-    u_cells, bit_cells = _block_scratch
-    return u_cells[:cells], bit_cells[:cells]
-
-
-@lru_cache(maxsize=8)
-def _block_views(rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, n) float64 and bool views of the scratch buffers."""
-    u_cells, bit_cells = _scratch(rows * n)
-    return u_cells.reshape(rows, n), bit_cells.reshape(rows, n)
+    u, bits = _block_scratch[0][:cells], _block_scratch[1][:cells]
+    gen.random(out=u)
+    return u, bits
 
 
 def _draw_block(
     dist: ProductLaw, rows: int, c0: int, c1: int, gen: np.random.Generator
 ) -> np.ndarray:
     """Packed bits of columns c0..c1-1 (0-based) of dist's next `rows` draws."""
-    u, bits = _block_views(rows, c1 - c0)
-    gen.random(out=u)
+    width = c1 - c0
+    u, bits = _uniforms(gen, rows * width)
     if isinstance(dist, PneMember):
         np.less(u, dist.eps, bits)
-        if c0 < dist.i <= c1:
-            np.less(u[:, dist.i - 1 - c0], 0.5, bits[:, dist.i - 1 - c0])
+        if c0 < dist.i <= c1:  # column i of each row, every width-th cell
+            np.less(u[dist.i - 1 - c0 :: width], 0.5, bits[dist.i - 1 - c0 :: width])
     else:
-        np.less(u, dist.marginals[c0:c1], bits)
-    return pack_bit_rows(bits.view(np.uint8))
+        np.less(u.reshape(rows, width), dist.marginals[c0:c1], bits.reshape(rows, width))
+    return pack_bit_rows(bits.reshape(rows, width).view(np.uint8))
 
 
 def sample_bit_matrix(dist: ProductLaw, m: int, gen: np.random.Generator) -> np.ndarray:
@@ -398,36 +390,32 @@ def sample_bit_matrix(dist: ProductLaw, m: int, gen: np.random.Generator) -> np.
 
     Reference sampling path: one uniform double per coordinate, row-major,
     compared against the coordinate's marginal.  All faster paths must stay
-    bit-identical to this consumption order.  The rows are drawn in blocks
-    of about 2^17 cells through reused buffers, and a longer row in column
-    chunks of whole words; either consumes the stream in the same order as
-    one whole draw, so a call holds about 1.1 MiB besides its m * n / 8 byte
-    output.  A pne member's marginals are eps except 1/2 at coordinate i, so
-    its draws are compared against the scalar eps and column i is redone
-    against 1/2.
+    bit-identical to this consumption order.  The draw is cut into tiles of
+    at most 2^17 cells, read through reused buffers: blocks of whole rows,
+    or for a longer row, chunks of whole words of that one row.  Tiles are
+    read in the order of one whole draw, so the stream is consumed exactly
+    as that draw would consume it, and a call holds about 1.1 MiB besides
+    its m * n / 8 byte output.  A pne member's marginals are eps except 1/2
+    at coordinate i, so its draws are compared against the scalar eps and
+    column i is redone against 1/2.
     """
     if m < 0:
         raise InvalidParameterError("sample size must be non-negative")
     n = dist.n
-    if n > _BLOCK_CELLS:
-        width = _BLOCK_CELLS // WORD_BITS * WORD_BITS
-        out = np.empty((m, words_needed(n)), dtype=np.uint64)
-        for r in range(m):
-            for c0 in range(0, n, width):
-                c1 = min(n, c0 + width)
-                out[r, c0 // WORD_BITS : words_needed(c1)] = _draw_block(dist, 1, c0, c1, gen)
-        return out
-    block_rows = _BLOCK_CELLS // n
-    if m <= block_rows:
+    if m * n <= _BLOCK_CELLS:
         return _draw_block(dist, m, 0, n, gen)
+    # Whole rows while one fits in a block, else one row in chunks of whole words.
+    rows, width = max(1, _BLOCK_CELLS // n), min(n, _BLOCK_CELLS // WORD_BITS * WORD_BITS)
     out = np.empty((m, words_needed(n)), dtype=np.uint64)
-    for r0 in range(0, m, block_rows):
-        rows = min(block_rows, m - r0)
-        out[r0 : r0 + rows] = _draw_block(dist, rows, 0, n, gen)
+    for r0 in range(0, m, rows):
+        r1 = min(m, r0 + rows)
+        for c0 in range(0, n, width):
+            c1 = min(n, c0 + width)
+            out[r0:r1, c0 // WORD_BITS : words_needed(c1)] = _draw_block(dist, r1 - r0, c0, c1, gen)
     return out
 
 
-# A replayed row is read as one dense span while the span costs at most this
+# A replayed row's whole range is read densely while it holds at most this
 # many cells per surviving column; past that each survivor's cell is read on
 # its own.  A dense cell costs about 5 ns, an advance plus a scalar draw
 # about 1.7 us.
@@ -462,8 +450,7 @@ class PneReplay:
         self._pos = 0  # outputs consumed since the draw's start
         fair = dist.i - 1
         self.labels = np.array([self._cell(r, fair) < 0.5 for r in range(m)], dtype=np.uint8)
-        self._rows = [r for r in range(m) if self.labels[r]] + [
-            r for r in range(m) if not self.labels[r]]
+        self._rows = sorted(range(m), key=lambda r: not self.labels[r])
 
     def _seek(self, r: int, c: int, cells: int) -> None:
         """Jump to cell (r, c), from which the caller reads `cells` doubles."""
@@ -478,11 +465,9 @@ class PneReplay:
 
     def _span(self, r: int, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray]:
         """Row r's doubles at columns c0..c1-1 and a bool row as long, in the
-        scratch buffers; a span of more than _BLOCK_CELLS cells grows them."""
+        scratch buffers."""
         self._seek(r, c0, c1 - c0)
-        u, bits = _scratch(c1 - c0)
-        self._gen.random(out=u)
-        return u, bits
+        return _uniforms(self._gen, c1 - c0)
 
     def bits(self, c0: int, c1: int) -> np.ndarray:
         """(m, c1 - c0) uint8 bits of columns c0..c1-1, which must lie below
@@ -506,18 +491,11 @@ class PneReplay:
         for r in self._rows:
             label = bool(self.labels[r])
             if cols is None:
-                budget = _SPAN_CELLS_PER_SURVIVOR * np.count_nonzero(alive)
-                if budget == 0:
-                    break
-                first, last = 0, alive.size - 1
-                if budget < alive.size:
-                    first = int(alive.argmax())
-                    last -= int(alive[::-1].argmax())
-                if last - first < budget:
+                if alive.size <= _SPAN_CELLS_PER_SURVIVOR * np.count_nonzero(alive):
                     # alive &= (bit == label): np.greater(a, b) is a & ~b.
                     keep = np.logical_and if label else np.greater
-                    for c0 in range(first, last + 1, _BLOCK_CELLS):
-                        c1 = min(last + 1, c0 + _BLOCK_CELLS)
+                    for c0 in range(0, alive.size, _BLOCK_CELLS):
+                        c1 = min(alive.size, c0 + _BLOCK_CELLS)
                         u, bits = self._span(r, lo + c0, lo + c1)
                         np.less(u, eps, bits)
                         keep(alive[c0:c1], bits, out=alive[c0:c1])

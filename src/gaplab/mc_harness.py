@@ -418,17 +418,19 @@ def _projection_trial_error(
     gen: np.random.Generator,
 ) -> float:
     if cfg.learner == "cover":
-        # Only the member and target columns are drawn.  Members come in
-        # ascending order, so min keeps cover_learner's lowest-index tie-break.
+        # Only the member and target columns are drawn, in ascending order,
+        # so argmin keeps cover_learner's lowest-index tie-break.
         cover = cfg.cover
         if cover is None:  # random-pair: the cover of this trial's member P_I
             cover = pne_small_cover(dist, cfg.cover_level)
         members = cover.members
         cols = sorted(set(members) | {target})
         bits = sample_coordinate_columns(dist, cols, cfg.m, gen)
-        y = bits[:, cols.index(target)]
-        best = min(members, key=lambda j: np.count_nonzero(bits[:, cols.index(j)] != y))
-        return disagreement_exact_projections(dist, best, target)
+        t = cols.index(target)
+        misses = (bits ^ bits[:, t : t + 1]).sum(axis=0)
+        if len(cols) > len(members):  # the target is no member
+            misses[t] = cfg.m + 1
+        return disagreement_exact_projections(dist, cols[misses.argmin()], target)
 
     if (isinstance(dist, PneMember) and target == dist.i
             and _replays(cfg.learner, dist.n, cfg.m)):
@@ -477,9 +479,12 @@ def _run_chunk(cfg: TrialConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarr
 
 
 def resolve_workers(threads: int) -> int:
+    """`threads` workers, or for 0 one per CPU this process may run on."""
     if threads < 0:
         raise InvalidParameterError("threads must be >= 0")
-    return threads if threads else (os.cpu_count() or 1)
+    if threads == 0 and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return threads or os.cpu_count() or 1
 
 
 class _SharedPool:

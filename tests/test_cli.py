@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import platform
@@ -9,6 +10,7 @@ import pytest
 import scipy
 from click.testing import CliRunner
 
+from gaplab import mc_harness
 from gaplab.cli import main
 
 
@@ -186,12 +188,19 @@ class TestVc:
         assert manifest["numpy_version"] == np.__version__
         assert manifest["scipy_version"] == scipy.__version__
 
-    def test_manifest_resolves_auto_workers(self, runner, tmp_path):
-        out = tmp_path / "vc.csv"
-        res = runner.invoke(main, ["--threads", "0", "--out", str(out), "vc", "--n", "4"])
-        assert res.exit_code == 0
-        manifest = json.loads((tmp_path / "vc.manifest.json").read_text())
-        assert manifest["workers"] == (os.cpu_count() or 1)
+    def test_manifest_resolves_auto_workers(self, runner, tmp_path, monkeypatch):
+        # --threads 0 counts the CPUs this process may run on, not the machine's.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        base = ["--seed", "3", "learn", "--n", "32", "--m", "3", "--trials", "150"]
+        runs = {}
+        for threads in ("0", "2"):
+            out = tmp_path / f"t{threads}.csv"
+            res = runner.invoke(main, ["--threads", threads, "--out", str(out), *base])
+            assert res.exit_code == 0, res.output
+            manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+            runs[threads] = manifest["workers"], out.read_bytes()
+        assert runs["0"][0] == 1 and runs["2"][0] == 2
+        assert runs["0"][1] == runs["2"][1]
 
 
 class TestLearn:
@@ -428,6 +437,26 @@ def test_unexpected_error_exits_3(runner, tmp_path, monkeypatch):
     res = runner.invoke(main, ["--out", str(tmp_path / "x.csv"), "learn", "--n", "16"])
     assert res.exit_code == 3
     assert "runtime failure: unexpected failure" in res.output
+
+
+@pytest.mark.parametrize("out, named", [
+    ("missing/x.csv", "no directory"), (".", "is a directory"),
+])
+def test_unwritable_out_exits_2_before_any_trial(runner, tmp_path, monkeypatch, out, named):
+    monkeypatch.setattr(mc_harness, "_map_trials", _fail_unexpectedly)
+    res = runner.invoke(main, ["--out", str(tmp_path / out), "lower-bound", "--n", "4096",
+                               "--eps", "0.2", "--trials", "3000"])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("spec error: --out ") and named in res.stderr
+    assert not list(tmp_path.rglob("*.manifest.json"))
+
+
+def test_lower_bound_outside_the_regime_warns_in_one_line(runner, tmp_path):
+    res = runner.invoke(main, ["--out", str(tmp_path / "lb.csv"), "lower-bound", "--n", "4",
+                               "--eps", "0.2", "--trials", "30"])
+    assert res.exit_code == 0, res.output
+    assert res.stderr.splitlines() == [
+        "warning: n=4 is below 600/eps^3 = 75000; outside the regime the bound assumes"]
 
 
 def _run_out_of_memory(*args, **kwargs):
@@ -785,3 +814,26 @@ class TestJsonFormat:
         assert res.exit_code == 0
         doc = json.loads(out.read_text())
         assert doc["rows"][0]["dimension"] == 2
+
+
+# Bodies of 20-trial random-pair cover documents whose cover holds every
+# concept (cover_level below d_off = 2 eps - 2 eps^2), recorded while the
+# trial still found each member's column by a list scan.
+EVERY_CONCEPT_COVER = {
+    1024: "6dbaa7f25b440b255640161faea1b73451309feb19bcdd1990185582a38fd5db",
+    4096: "78e75bb0c7b61e9b34f4c6236d764e38df21897ffa7a46b3071fdb5c86240f5e",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("n", sorted(EVERY_CONCEPT_COVER))
+def test_cover_of_every_concept_keeps_its_body(runner, tmp_path, n, threads):
+    doc = {"class": {"kind": "projections", "n": n}, "dist": {"kind": "pne", "n": n, "eps": 0.1},
+           "target": {"kind": "random-pair"}, "learner": "cover", "m": 4, "eps_acc": 0.0625,
+           "trials": 20, "cover_level": 0.01}
+    config, out = tmp_path / "cover.json", tmp_path / "cover.csv"
+    config.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["--seed", "4", "--threads", threads, "--out", str(out),
+                               "learn", "--config", str(config)])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EVERY_CONCEPT_COVER[n]

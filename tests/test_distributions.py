@@ -13,6 +13,7 @@ from gaplab.distributions import (
     FiniteSupportDistribution,
     PneFamily,
     PneMember,
+    PneReplay,
     ProductDistribution,
     RngSeed,
     distribution_from_json_dict,
@@ -315,6 +316,28 @@ def test_long_row_draw_holds_no_row():
     assert words.nbytes == n // 8
     # One row of doubles would be 32 MiB; the chunk buffers are 1.1 MiB.
     assert peak <= words.nbytes + 1.2 * 2**20
+
+
+def _check_dense_draws_read_the_stream():
+    for n, m in [(63, 5), (1000, 700)]:
+        dist = make_pne(n, 0.3, 7)
+        reference = RngSeed(n, m).generator(0)
+        want = pack_bit_rows(reference.random((m, n)) < dist.marginals)
+        gen = RngSeed(n, m).generator(0)
+        assert np.array_equal(sample_bit_matrix(dist, m, gen), want)
+        assert gen.bit_generator.state == reference.bit_generator.state
+
+
+def test_dense_draws_after_a_replay_grows_the_buffers(monkeypatch):
+    # Put back afterwards, so that the grown buffers are freed.
+    monkeypatch.setattr(distributions, "_block_scratch", distributions._block_scratch)
+    _check_dense_draws_read_the_stream()
+    n = 2 * distributions._block_scratch[0].size
+    monkeypatch.setattr(distributions, "_BLOCK_CELLS", n)
+    # Whole rows of n cells are read as single spans, longer than the buffers.
+    PneReplay(make_pne(n, 0.1, 5), 2, RngSeed(3).generator(0)).consistent(0, n)
+    assert distributions._block_scratch[0].size >= n
+    _check_dense_draws_read_the_stream()
 
 
 class TestFiniteSupport:
