@@ -47,7 +47,7 @@ from .distributions import (
     make_pne,
     uniform_finite,
 )
-from .errors import GaplabError, InvalidParameterError
+from .errors import GaplabError, InvalidParameterError, truncated_by_int
 from .mc_harness import (
     TrialConfig,
     config_from_json_dict,
@@ -255,8 +255,12 @@ def _resolve_entry(ctx: click.Context, cmd: Command, entry: dict) -> dict:
         elif name in flat and (
             ctx.get_parameter_source(name) is not click.core.ParameterSource.COMMANDLINE
         ):
+            value = flat[name]
             try:
-                values[name] = param.type_cast_value(ctx, flat[name])
+                # click's int() would truncate 2.7 or True rather than refuse it.
+                if isinstance(param.type, click.types.IntParamType) and truncated_by_int(value):
+                    param.type.fail(f"{value!r} is not a valid integer.")
+                values[name] = param.type_cast_value(ctx, value)
             except click.BadParameter as exc:
                 raise InvalidParameterError(
                     f"{cmd.name} config key {name!r}: {exc.message}"

@@ -281,7 +281,11 @@ class FiniteSupportDistribution:
         self.numerators = tuple(f.numerator * (denominator // f.denominator) for f in exact)
         self.denominator = denominator
         self._index = index
-        self._cum = np.cumsum(p)
+        # The float sums can fall short of 1, so the sum at the last point of
+        # positive mass is +inf: every uniform draw lands on or before it.
+        cum = np.cumsum(p)
+        cum[np.flatnonzero(p)[-1]:] = np.inf
+        self._cum = cum
 
     @property
     def n(self) -> int:
@@ -535,18 +539,15 @@ def sample_coordinate_columns(
 ) -> np.ndarray:
     """(m, len(coords)) bits for the requested 1-based coordinates only.
 
-    Columns are drawn in the order given, m uniforms per column.  The joint
-    law of the returned columns matches the corresponding columns of
-    sample_bit_matrix; the streams differ, so a given experiment must commit
-    to one path.
+    Columns are drawn in the order given, m uniforms per column, in one
+    generator call.  The joint law of the returned columns matches the
+    corresponding columns of sample_bit_matrix; the streams differ, so a
+    given experiment must commit to one path.
     """
     if m < 0:
         raise InvalidParameterError("sample size must be non-negative")
-    out = np.empty((m, len(coords)), dtype=np.uint8)
-    for k, c in enumerate(coords):
-        p = dist.marginal(c)
-        out[:, k] = gen.random(m) < p
-    return out
+    p = np.array([dist.marginal(c) for c in coords], dtype=np.float64)
+    return (gen.random((p.size, m)) < p[:, None]).T.view(np.uint8)
 
 
 def sample_support_indices(

@@ -186,11 +186,19 @@ def config_from_json_dict(obj: dict) -> TrialConfig:
         seed=RngSeed(config_value(int, seed.get("master", 0), "seed.master"),
                      config_value(int, seed.get("stream", 0), "seed.stream")),
         gamma=config_value(float, obj.get("gamma", 0.01), "gamma"),
-        cover_level=obj.get("cover_level"),
-        learner_eps=obj.get("learner_eps"),
+        cover_level=_optional_number(obj, "cover_level"),
+        learner_eps=_optional_number(obj, "learner_eps"),
         memorizer_default=config_value(int, obj.get("memorizer_default", 0),
                                        "memorizer_default"),
     )
+
+
+def _optional_number(obj: dict, key: str) -> int | float | None:
+    """obj[key] as the document spells it, so that its spec hash stays, or None."""
+    value = obj.get(key)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise InvalidParameterError(f"trial config key {key!r}: {value!r} is not a number")
+    return value
 
 
 def validate_config(cfg: TrialConfig) -> None:
@@ -468,14 +476,16 @@ def _table_trial_error(
     return disagreement_enumerate(cls, dist, chosen, target, cfg.positions)
 
 
-def _run_chunk(cfg: TrialConfig, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    errors = np.empty(hi - lo, dtype=np.float64)
-    fails = np.empty(hi - lo, dtype=np.uint8)
-    for t in range(lo, hi):
-        res = run_trial(cfg, t)
-        errors[t - lo] = res.error
-        fails[t - lo] = res.failed
-    return errors, fails
+def _run_chunk(
+    trial: Callable[..., tuple], args: tuple, dtypes: tuple[str, ...], lo: int, hi: int
+) -> tuple[np.ndarray, ...]:
+    """trial(*args, t) for t in lo..hi-1; output k as one array of dtypes[k], in trial order.
+
+    The one chunk loop of every trial but K/S's.
+    """
+    rows = np.fromiter((trial(*args, t) for t in range(lo, hi)), count=hi - lo,
+                       dtype=[(f"f{k}", d) for k, d in enumerate(dtypes)])
+    return tuple(rows[name] for name in rows.dtype.names)
 
 
 def resolve_workers(threads: int) -> int:
@@ -561,7 +571,7 @@ def run_trials(cfg: TrialConfig, threads: int = 1) -> tuple[np.ndarray, np.ndarr
     The result is bit-identical for any worker count: trial t depends only
     on (seed, t).
     """
-    return _map_trials(_run_chunk, (cfg,), cfg.trials, threads)
+    return _map_trials(_run_chunk, (run_trial, (cfg,), ("f8", "u1")), cfg.trials, threads)
 
 
 def estimate_failure_prob(cfg: TrialConfig, threads: int = 1) -> EstimateWithCI:
@@ -820,33 +830,19 @@ class NoGapRow:
     mean_missing_mass: float
 
 
-def _no_gap_chunk(
-    cfg: TrialConfig, threshold: Fraction, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """No-gap trials lo..hi-1: memorizer trials of cfg, scored exactly.
+def _no_gap_trial(cfg: TrialConfig, threshold: Fraction, t: int) -> tuple:
+    """No-gap trial t: a memorizer trial of cfg, scored exactly.
 
-    Returns per-trial flags for d > Z, Z >= threshold and d > threshold,
-    then Z as a float.  d (the memorizer's disagreement with the target) and
-    Z (the missing mass) are exact rationals over the distribution's common
-    denominator.
+    Returns d > Z, Z >= threshold and d > threshold, then Z as a float.  d
+    (the memorizer's disagreement with the target) and Z (the missing mass)
+    are exact rationals over the distribution's common denominator.
     """
-    dist = cfg.dist
-    violated = np.empty(hi - lo, dtype=np.uint8)
-    z_ge = np.empty(hi - lo, dtype=np.uint8)
-    failed = np.empty(hi - lo, dtype=np.uint8)
-    z_float = np.empty(hi - lo, dtype=np.float64)
-    for t in range(lo, hi):
-        gen = cfg.seed.generator(t)
-        _, target = _resolve_target(cfg, gen)
-        target_mask, points, sample = _table_sample(cfg, target, gen)
-        misses = _memorizer_misses(cfg, sample, target_mask)
-        d_frac = dist.exact_mass(misses)
-        z_frac = missing_mass_fraction(dist, points)
-        violated[t - lo] = d_frac > z_frac
-        z_ge[t - lo] = z_frac >= threshold
-        failed[t - lo] = d_frac > threshold
-        z_float[t - lo] = float(z_frac)
-    return violated, z_ge, failed, z_float
+    gen = cfg.seed.generator(t)
+    _, target = _resolve_target(cfg, gen)
+    target_mask, points, sample = _table_sample(cfg, target, gen)
+    d = cfg.dist.exact_mass(_memorizer_misses(cfg, sample, target_mask))
+    z = missing_mass_fraction(cfg.dist, points)
+    return d > z, z >= threshold, d > threshold, float(z)
 
 
 def no_gap_experiment(
@@ -891,7 +887,9 @@ def no_gap_experiment(
     with trial_pool(threads):
         for cfg in configs:
             violated, z_ge, failed, z_float = _map_trials(
-                _no_gap_chunk, (cfg, Fraction(threshold)), trials, threads
+                _run_chunk,
+                (_no_gap_trial, (cfg, Fraction(threshold)), ("u1", "u1", "u1", "f8")),
+                trials, threads,
             )
             # Plain float addition in trial order: np.sum adds pairwise, and the
             # mean's last bits reach the CSV.

@@ -607,6 +607,61 @@ def test_bad_learn_document_value_exits_2(runner, tmp_path, key, value, named):
 
 
 @pytest.mark.parametrize(
+    "command, entry, key",
+    [("learn", {"n": 16, "m": 2.7}, "m"), ("learn", {"n": 16, "m": True}, "m"),
+     ("learn", {"n": 16, "trials": 40.9}, "trials"), ("ks-stats", {"n": 64, "m": 2.5}, "m")],
+)
+def test_flat_int_key_refuses_what_int_would_truncate(runner, tmp_path, command, entry, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(entry))
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), command, "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert (f"spec error: {command} config key {key!r}: {entry[key]!r} is not a valid integer"
+            in res.output)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("m", 2.7), ("m", True), ("trials", 40.9)])
+def test_learn_document_int_key_refuses_what_int_would_truncate(runner, tmp_path, key,
+                                                                 value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**LEARN_DOCUMENT, key: value}))
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert f"spec error: trial config key {key!r}: {value!r} is not a valid int" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("document", [False, True])
+def test_whole_float_int_key_runs_as_its_int(runner, tmp_path, document):
+    base = {**LEARN_DOCUMENT, "trials": 20} if document else {"n": 16, "m": 2, "trials": 20}
+    bodies = []
+    for entry in (base, {**base, "m": 2.0, "trials": 20.0}):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(entry))
+        out = tmp_path / "learn.csv"
+        res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
+        assert res.exit_code == 0, res.output
+        bodies.append(out.read_text())
+    assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("key, learner", [("cover_level", "cover"),
+                                          ("learner_eps", "bayes-posterior")])
+def test_learn_document_number_key_must_be_a_number(runner, tmp_path, key, learner):
+    doc = {**LEARN_DOCUMENT, "learner": learner, key: "abc", "trials": 20}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert f"spec error: trial config key {key!r}: 'abc' is not a number" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "part, field, value, named",
     [("dist", "n", "abc", "'dist.n'"), ("dist", "eps", "low", "'dist.eps'"),
      ("dist", "i", [3], "'dist.i'"), ("class", "n", "abc", "'class.n'")],

@@ -23,6 +23,7 @@ from gaplab.distributions import (
     mix64,
     sample_bit_matrix,
     sample_coordinate_columns,
+    sample_support_indices,
     uniform_finite,
 )
 from gaplab.errors import DimensionMismatchError, InvalidParameterError
@@ -240,6 +241,50 @@ class TestSampling:
     def test_negative_m_rejected(self):
         with pytest.raises(InvalidParameterError):
             sample_points(make_pne(4, 0.1, 1), -1, RngSeed(0))
+
+    @pytest.mark.parametrize(
+        "dist",
+        [make_pne(40, 0.1, 7),
+         ProductDistribution(np.linspace(0.05, 0.95, 40))],
+        ids=["pne", "product"],
+    )
+    def test_coordinate_columns_match_one_call_per_column(self, dist):
+        coords, m = [1, 7, 8, 23, 40], 13
+        gen = RngSeed(9).generator(0)
+        bits = sample_coordinate_columns(dist, coords, m, gen)
+        ref_gen = RngSeed(9).generator(0)
+        ref = np.stack([ref_gen.random(m) < dist.marginal(c) for c in coords], axis=1)
+        assert bits.dtype == np.uint8 and bits.shape == (m, len(coords))
+        assert np.array_equal(bits, ref)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    @pytest.mark.parametrize("coord", [0, 41])
+    def test_coordinate_columns_reject_an_outside_coordinate(self, coord):
+        with pytest.raises(InvalidParameterError, match=f"coordinate {coord} out of range"):
+            sample_coordinate_columns(make_pne(40, 0.1, 7), [3, coord], 2,
+                                      RngSeed(0).generator(0))
+
+
+class _TopOfUnitGenerator:
+    """A generator whose every uniform is the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("d", [6, 7, 10])
+def test_top_uniform_draws_the_last_support_point(d):
+    dist = uniform_finite(enumerated_domain(d))
+    assert np.cumsum(dist.probs)[-1] < 1.0  # the float sum falls short of 1
+    assert sample_support_indices(dist, 2, _TopOfUnitGenerator()).tolist() == [d - 1, d - 1]
+
+
+def test_top_uniform_skips_a_trailing_zero_mass_point():
+    dist = FiniteSupportDistribution(enumerated_domain(11), [0.1] * 10 + [0.0])
+    assert np.cumsum(dist.probs)[-1] < 1.0
+    assert sample_support_indices(dist, 2, _TopOfUnitGenerator()).tolist() == [9, 9]
+    gen = RngSeed(4).generator(0)
+    assert 10 not in sample_support_indices(dist, 5000, gen)
 
 
 def _block_rows(n: int) -> int:

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gaplab.distributions import (
     RngSeed,
     geometric_finite,
     make_pne,
+    sample_support_indices,
     uniform_finite,
 )
 from gaplab.errors import (
@@ -411,6 +413,75 @@ class TestNoGap:
         assert no_gap_experiment(dist, [1, 3], 3, 0.1, RngSeed(29), threads=2) == serial
 
 
+def _reference_no_gap_trial(dist, m, seed, t):
+    """(d, Z) of no-gap trial t with default bit 0, from the draw order alone:
+    the target, then the sample.  The memorizer gets every seen point right
+    and predicts 0 on every unseen one."""
+    gen = seed.generator(t)
+    cls = all_functions_class(dist.support)
+    mask = cls.table_mask(int(gen.integers(1, cls.num_concepts + 1)))
+    seen = set(sample_support_indices(dist, m, gen).tolist())
+    positions = cls.domain_positions(dist.support)
+    unseen = [u for u in range(len(dist.support)) if u not in seen]
+    return (dist.exact_mass(u for u in unseen if (mask >> positions[u]) & 1),
+            dist.exact_mass(unseen))
+
+
+class TestOneChunkLoop:
+    @pytest.fixture()
+    def chunk_calls(self, monkeypatch):
+        """(trial name, dtypes, lo, hi) of every _run_chunk call."""
+        calls = []
+        real = mc_harness._run_chunk
+
+        def counting(trial, args, dtypes, lo, hi):
+            calls.append((trial.__name__, dtypes, lo, hi))
+            return real(trial, args, dtypes, lo, hi)
+
+        monkeypatch.setattr(mc_harness, "_run_chunk", counting)
+        return calls
+
+    def test_run_trials_maps_the_chunk_loop(self, chunk_calls):
+        cfg = pne_cfg(32, 0.1, "erm", 3, 1 / 16, 40, 5)
+        errors, fails = run_trials(cfg, threads=1)
+        assert chunk_calls == [("run_trial", ("f8", "u1"), 0, 40)]
+        assert errors.dtype == np.float64 and fails.dtype == np.uint8
+        trials = [run_trial(cfg, t) for t in range(40)]
+        assert errors.tolist() == [r.error for r in trials]
+        assert fails.tolist() == [r.failed for r in trials]
+
+    def test_no_gap_maps_the_chunk_loop(self, chunk_calls):
+        dist = uniform_finite(enumerated_domain(4))
+        no_gap_experiment(dist, [1, 3], 30, 0.1, RngSeed(3), threads=1)
+        assert chunk_calls == [("_no_gap_trial", ("u1", "u1", "u1", "f8"), 0, 30)] * 2
+
+    def test_no_gap_trial_matches_the_reference(self):
+        dist = uniform_finite(enumerated_domain(4))
+        cfg = TrialConfig(all_functions_class(dist.support), dist, RandomConcept(),
+                          "memorizer", 3, 0.125, 200, RngSeed(8))
+        threshold = Fraction(1, 4)
+        got = [mc_harness._no_gap_trial(cfg, threshold, t) for t in range(200)]
+        ref = [_reference_no_gap_trial(dist, 3, RngSeed(8), t) for t in range(200)]
+        assert got == [(d > z, z >= threshold, d > threshold, float(z)) for d, z in ref]
+        # Z meets the threshold exactly on some trials, and d exceeds it on some.
+        assert any(z == threshold for _, z in ref) and any(d > threshold for d, _ in ref)
+
+    def test_no_gap_rows_match_the_reference(self):
+        dist = uniform_finite(enumerated_domain(4))
+        trials, seed = 150, RngSeed(21)
+        threshold = Fraction(1, 4)
+        for row in no_gap_experiment(dist, [2, 3], trials, 0.125, seed):
+            ref = [_reference_no_gap_trial(dist, row.m, seed.substream(row.m), t)
+                   for t in range(trials)]
+            z_total = 0.0
+            for _, z in ref:
+                z_total += float(z)
+            assert row.violations == sum(d > z for d, z in ref) == 0
+            assert row.z_ge_rate.estimate == sum(z >= threshold for _, z in ref) / trials
+            assert row.fail_rate.estimate == sum(d > threshold for d, _ in ref) / trials
+            assert row.mean_missing_mass == z_total / trials
+
+
 @pytest.fixture()
 def pool_starts(monkeypatch):
     """Worker counts of the process pools started, in order."""
@@ -559,6 +630,32 @@ class TestConfigValidation:
                 pne_cfg(16, 0.2, "bayes-posterior", 3, 0.1, 1, 0, target=target, i=1)
         cfg = pne_cfg(16, 0.2, "bayes-posterior", 3, 0.1, 1, 0, target=FixedTarget(5), i=5)
         assert 0.0 <= run_trial(cfg, 0).error <= 0.5
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("m", 2.7), ("m", True), ("trials", 40.9), ("memorizer_default", False)],
+    )
+    def test_document_int_key_refuses_what_int_would_truncate(self, key, value):
+        doc = {**pne_cfg(16, 0.1, "erm", 2, 0.1, 40, 3).to_json_dict(), key: value}
+        with pytest.raises(InvalidParameterError,
+                           match=f"key '{key}': {value!r} is not a valid int"):
+            config_from_json_dict(doc)
+
+    def test_document_whole_float_reads_as_its_int(self):
+        doc = pne_cfg(16, 0.1, "erm", 2, 0.1, 40, 3).to_json_dict()
+        cfg = config_from_json_dict({**doc, "m": 2.0, "trials": 40.0})
+        assert cfg.to_json_dict() == doc
+
+    @pytest.mark.parametrize("key", ["cover_level", "learner_eps"])
+    @pytest.mark.parametrize("value", ["abc", "0.2", True, [0.2]])
+    def test_document_number_key_refuses_what_is_no_number(self, key, value):
+        doc = {**pne_cfg(16, 0.1, "cover", 2, 0.1, 40, 3).to_json_dict(), key: value}
+        with pytest.raises(InvalidParameterError, match=f"key '{key}': .* is not a number"):
+            config_from_json_dict(doc)
+
+    def test_document_number_key_keeps_its_spelling(self):
+        doc = {**pne_cfg(16, 0.1, "cover", 2, 0.1, 40, 3).to_json_dict(), "cover_level": 1}
+        assert config_from_json_dict(doc).to_json_dict()["cover_level"] == 1
 
     def test_json_roundtrip(self):
         cfg = pne_cfg(32, 0.1, "bayes-posterior", 2, 1 / 16, 10, 3)
