@@ -44,7 +44,6 @@ from .errors import (
 from .learners import (
     LabeledSample,
     MemorizerPredictor,
-    bayes_bit_predictor,
     consistent_memorizer,
     cover_learner,
     erm,
@@ -59,8 +58,6 @@ from .metric_cover import (
     dudley_cover_bound,
     greedy_packing_cover,
     hoeffding_radius,
-    kl_bernoulli,
-    kl_lower_bound_check,
     pne_small_cover,
     sauer_bound,
     sauer_estimate,
@@ -82,5 +79,4 @@ from .mc_harness import (
     run_trial,
     run_trials,
     sample_complexity_search,
-    tail_inequality_check,
 )

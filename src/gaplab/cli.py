@@ -47,7 +47,7 @@ from .distributions import (
     make_pne,
     uniform_finite,
 )
-from .errors import GaplabError, InvalidParameterError, truncated_by_int
+from .errors import GaplabError, InvalidParameterError, misread_as
 from .mc_harness import (
     TrialConfig,
     config_from_json_dict,
@@ -232,6 +232,14 @@ class Command:
     prepare: Callable[..., dict] | None = None
 
 
+# The numeric click types, the kind each casts to, and the word its own
+# errors use for it.
+_NUMBER_TYPES = (
+    (click.types.IntParamType, int, "integer"),
+    (click.types.FloatParamType, float, "float"),
+)
+
+
 def _resolve_entry(ctx: click.Context, cmd: Command, entry: dict) -> dict:
     """Typed values of one entry; precedence: command-line flag > config entry > default.
 
@@ -257,9 +265,11 @@ def _resolve_entry(ctx: click.Context, cmd: Command, entry: dict) -> dict:
         ):
             value = flat[name]
             try:
-                # click's int() would truncate 2.7 or True rather than refuse it.
-                if isinstance(param.type, click.types.IntParamType) and truncated_by_int(value):
-                    param.type.fail(f"{value!r} is not a valid integer.")
+                # click's int() would truncate 2.7 or True, and its float()
+                # read True as 1.0, rather than refuse it.
+                for click_type, kind, word in _NUMBER_TYPES:
+                    if isinstance(param.type, click_type) and misread_as(kind, value):
+                        param.type.fail(f"{value!r} is not a valid {word}.")
                 values[name] = param.type_cast_value(ctx, value)
             except click.BadParameter as exc:
                 raise InvalidParameterError(

@@ -256,7 +256,7 @@ class FiniteSupportDistribution:
     probs[t] == Fraction(numerators[t], denominator).
     """
 
-    __slots__ = ("support", "probs", "numerators", "denominator", "_index", "_cum")
+    __slots__ = ("support", "probs", "numerators", "denominator", "_cum")
 
     def __init__(self, support: Sequence[Point], probs: Sequence[float]):
         support = tuple(support)
@@ -270,8 +270,7 @@ class FiniteSupportDistribution:
         n = support[0].n
         if any(pt.n != n for pt in support):
             raise DimensionMismatchError("support points must share a dimension")
-        index = {pt: t for t, pt in enumerate(support)}
-        if len(index) != len(support):
+        if len(set(support)) != len(support):
             raise InvalidParameterError("support points must be distinct")
         p.setflags(write=False)
         exact = [Fraction(float(q)) for q in p]
@@ -280,7 +279,6 @@ class FiniteSupportDistribution:
         self.probs = p
         self.numerators = tuple(f.numerator * (denominator // f.denominator) for f in exact)
         self.denominator = denominator
-        self._index = index
         # The float sums can fall short of 1, so the sum at the last point of
         # positive mass is +inf: every uniform draw lands on or before it.
         cum = np.cumsum(p)
@@ -290,9 +288,6 @@ class FiniteSupportDistribution:
     @property
     def n(self) -> int:
         return self.support[0].n
-
-    def support_position(self, x: Point) -> int | None:
-        return self._index.get(x)
 
     def mass(self, indices: Iterable[int]) -> float:
         """Probability of the support points at `indices`, added left to right
@@ -560,17 +555,19 @@ def sample_support_indices(
     return np.searchsorted(dist._cum, u, side="right").astype(np.int64)
 
 
-def missing_mass_fraction(
-    dist: FiniteSupportDistribution, observed: Iterable[Point]
-) -> Fraction:
-    """Probability mass of the support points not observed, as an exact rational.
+def missing_mass_fraction(dist: FiniteSupportDistribution, seen: Iterable[int]) -> Fraction:
+    """Probability mass of the support points whose indices are not in `seen`,
+    as an exact rational.
 
-    The exact numerators of the unseen points are summed over the common
-    denominator, so missing + covered equals the total support mass as an
-    identity.
+    `seen` holds support indices, in any order and with repeats.  The exact
+    numerators of the unseen points are summed over the common denominator,
+    so missing + covered equals the total support mass as an identity.
     """
-    seen = {dist.support_position(p) for p in observed}
-    return dist.exact_mass(t for t in range(len(dist.support)) if t not in seen)
+    d = len(dist.support)
+    seen = set(seen)
+    if not seen.issubset(range(d)):
+        raise InvalidParameterError(f"seen points must be support indices in 0..{d - 1}")
+    return dist.exact_mass(t for t in range(d) if t not in seen)
 
 
 def uniform_finite(support: Sequence[Point]) -> FiniteSupportDistribution:

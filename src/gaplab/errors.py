@@ -29,19 +29,23 @@ class SearchBracketError(GaplabError):
     """The sample-size search hit its cap without bracketing the target."""
 
 
-def truncated_by_int(value) -> bool:
-    """Whether int(value) would drop part of value: a bool, or a float that is
-    not whole.  A whole float such as 16.0 reads as 16."""
-    return isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
+def misread_as(kind, value) -> bool:
+    """Whether kind(value), for kind int or float, would misread value: a
+    bool for either, or for int a float that is not whole.  A whole float
+    such as 16.0 reads as 16."""
+    if isinstance(value, bool):
+        return kind in (int, float)
+    return kind is int and isinstance(value, float) and not value.is_integer()
 
 
 def config_value(kind, value, key: str, where: str = "trial config"):
     """kind(value), or a spec error naming the key of `where` the value came from.
 
-    An int key takes no value that int() would truncate.
+    An int or float key takes no bool, and an int key no value that int()
+    would truncate.
     """
     try:
-        if kind is int and truncated_by_int(value):
+        if misread_as(kind, value):
             raise ValueError
         return kind(value)
     except (TypeError, ValueError):

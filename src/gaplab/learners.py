@@ -206,20 +206,3 @@ def consistent_memorizer(sample: LabeledSample, default: int = 0) -> MemorizerPr
         if mapping.setdefault(row.tobytes(), label) != label:
             raise InconsistentSampleError(f"conflicting labels for {sample.point(r)!r}")
     return MemorizerPredictor(mapping, default, sample.n)
-
-
-def bayes_bit_predictor(joint: np.ndarray) -> tuple[np.ndarray, float]:
-    """Best deterministic bit predictor from a finite joint table Pr[U=u, V=v].
-
-    joint has shape (|U|, 2).  Returns the per-u majority predictions (ties
-    predict 1) and the resulting error, which equals
-    sum_u min(Pr[u, 0], Pr[u, 1]) and lower-bounds every predictor.
-    """
-    joint = np.ascontiguousarray(joint, dtype=np.float64)
-    if joint.ndim != 2 or joint.shape[1] != 2 or joint.shape[0] < 1:
-        raise InvalidParameterError("joint table must have shape (|U|, 2)")
-    if np.any(joint < 0.0) or abs(float(joint.sum()) - 1.0) > 1e-9:
-        raise InvalidParameterError("joint table must be non-negative and sum to 1")
-    predictions = (joint[:, 1] >= joint[:, 0]).astype(np.uint8)
-    error = float(np.minimum(joint[:, 0], joint[:, 1]).sum())
-    return predictions, error

@@ -26,7 +26,6 @@ import numpy as np
 
 from .concepts import (
     ConceptClass,
-    Point,
     ProjectionClass,
     TableClass,
     all_functions_class,
@@ -253,8 +252,10 @@ def validate_config(cfg: TrialConfig) -> None:
         raise InvalidParameterError(
             "cover learning needs cover_level unless the distribution is pne"
         )
-    if cfg.cover_level is not None and cfg.cover_level < 0:
-        raise InvalidParameterError("cover_level must be non-negative")
+    if cfg.cover_level is not None and not 0.0 < cfg.cover_level <= 1.0:
+        raise InvalidParameterError(f"cover_level must lie in (0, 1], got {cfg.cover_level}")
+    if cfg.learner_eps is not None and not 0.0 < cfg.learner_eps < 0.5:
+        raise InvalidParameterError(f"learner_eps must lie in (0, 1/2), got {cfg.learner_eps}")
 
 
 def _pne_eps(dist: Distribution | PneFamily) -> float | None:
@@ -339,15 +340,16 @@ def _projection_sample(
 
 def _table_sample(
     cfg: TrialConfig, target: int, gen: np.random.Generator
-) -> tuple[int, list[Point], LabeledSample]:
-    """The target's truth table, then cfg.m support points drawn and labelled by it."""
+) -> tuple[int, list[int], LabeledSample]:
+    """The target's truth table, the support indices of cfg.m drawn points,
+    and those points labelled by the target."""
     dist, positions = cfg.dist, cfg.positions
     target_mask = cfg.concept_class.table_mask(target)
     idx = sample_support_indices(dist, cfg.m, gen).tolist()
     points = [dist.support[u] for u in idx]
     labels = [(target_mask >> positions[u]) & 1 for u in idx]
     sample = LabeledSample.from_points(points, labels) if points else LabeledSample.empty(dist.n)
-    return target_mask, points, sample
+    return target_mask, idx, sample
 
 
 def _memorizer_misses(cfg: TrialConfig, sample: LabeledSample, target_mask: int) -> list[int]:
@@ -839,9 +841,9 @@ def _no_gap_trial(cfg: TrialConfig, threshold: Fraction, t: int) -> tuple:
     """
     gen = cfg.seed.generator(t)
     _, target = _resolve_target(cfg, gen)
-    target_mask, points, sample = _table_sample(cfg, target, gen)
+    target_mask, seen, sample = _table_sample(cfg, target, gen)
     d = cfg.dist.exact_mass(_memorizer_misses(cfg, sample, target_mask))
-    z = missing_mass_fraction(cfg.dist, points)
+    z = missing_mass_fraction(cfg.dist, seen)
     return d > z, z >= threshold, d > threshold, float(z)
 
 
@@ -910,24 +912,3 @@ def no_gap_experiment(
                 )
             )
     return tuple(rows)
-
-
-def tail_inequality_check(values: Sequence[float], t: float) -> bool:
-    """Verify Pr[V > t] >= (E[V] - t) / (1 - t) on the empirical distribution.
-
-    Holds for any distribution supported on (-inf, 1]; evaluated in exact
-    rational arithmetic so the check is tolerance-free.
-    """
-    if not 0.0 <= t < 1.0:
-        raise InvalidParameterError("t must lie in [0, 1)")
-    vals = list(values)
-    if not vals:
-        raise InvalidParameterError("need at least one value")
-    for v in vals:
-        if v > 1.0:
-            raise InvalidParameterError(f"value {v} exceeds 1")
-    n = len(vals)
-    t_frac = Fraction(float(t))
-    mean = sum((Fraction(float(v)) for v in vals), Fraction(0)) / n
-    prob_gt = Fraction(sum(1 for v in vals if Fraction(float(v)) > t_frac), n)
-    return prob_gt >= (mean - t_frac) / (1 - t_frac)

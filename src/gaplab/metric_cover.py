@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,16 +87,14 @@ def disagreement_enumerate(
     dist: FiniteSupportDistribution,
     a: int,
     b: int,
-    positions: Sequence[int] | None = None,
+    positions: Sequence[int],
 ) -> float:
     """Exact disagreement mass, summed over the distribution's support in order.
 
     `positions` are the support's domain positions,
-    cls.domain_positions(dist.support), when the caller holds them already.
+    cls.domain_positions(dist.support).
     """
     diff = cls.table_mask(a) ^ cls.table_mask(b)
-    if positions is None:
-        positions = cls.domain_positions(dist.support)
     return dist.mass(t for t, pos in enumerate(positions) if (diff >> pos) & 1)
 
 
@@ -106,22 +104,6 @@ def check_same_n(cls: ProjectionClass, dist: ProductLaw | PneFamily) -> None:
         raise DimensionMismatchError(
             f"the class has n={cls.n}, the distribution has n={dist.n}"
         )
-
-
-def exact_distance_fn(
-    cls: ConceptClass, dist: Distribution
-) -> Callable[[int, int], float]:
-    """The exact disagreement oracle for a class/distribution pairing."""
-    if isinstance(cls, ProjectionClass) and isinstance(dist, ProductLaw):
-        check_same_n(cls, dist)
-        return lambda a, b: disagreement_exact_projections(dist, a, b)
-    if isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
-        # raises PointNotInDomainError if a support point is not in the domain
-        positions = cls.domain_positions(dist.support)
-        return lambda a, b: disagreement_enumerate(cls, dist, a, b, positions)
-    raise OracleUnavailableError(
-        f"no exact oracle for {type(cls).__name__} under {type(dist).__name__}"
-    )
 
 
 def _distance_rows_projections(dist: ProductLaw, member: int) -> np.ndarray:
@@ -155,13 +137,18 @@ def greedy_packing_cover(cls: ConceptClass, dist: Distribution, eps: float) -> C
     n = cls.num_concepts
     if n == 0:
         raise InvalidParameterError("cannot cover an empty class")
-    exact_distance_fn(cls, dist)  # validate the pairing up front
-    if isinstance(cls, ProjectionClass):
+    if isinstance(cls, ProjectionClass) and isinstance(dist, ProductLaw):
+        check_same_n(cls, dist)
         distance_row = functools.partial(_distance_rows_projections, dist)
-    else:
+    elif isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
         weights = np.zeros(cls.domain_size, dtype=np.float64)
+        # raises PointNotInDomainError if a support point is not in the domain
         weights[cls.domain_positions(dist.support)] = dist.probs
         distance_row = functools.partial(_distance_rows_tables, cls, weights)
+    else:
+        raise OracleUnavailableError(
+            f"no exact oracle for {type(cls).__name__} under {type(dist).__name__}"
+        )
     # Sequential-scan semantics, vectorized: min_dist[j] tracks the
     # distance from concept j+1 to the members admitted so far.
     min_dist = np.full(n, np.inf)
@@ -255,28 +242,3 @@ def corollary_m(eps: float, delta: float) -> int:
     if not 0.0 < delta < 1.0:
         raise InvalidParameterError(f"delta must lie in (0, 1), got {delta}")
     return math.ceil(12.0 * math.log(2.0 / delta) / eps)
-
-
-def kl_bernoulli(x: float, y: float) -> float:
-    """KL(x || y) between Bernoulli parameters, with the 0 log 0 = 0 convention."""
-    if not 0.0 <= x <= 1.0 or not 0.0 <= y <= 1.0:
-        raise InvalidParameterError("KL arguments must lie in [0, 1]")
-    if x == y:
-        return 0.0
-    total = 0.0
-    if x > 0.0:
-        if y == 0.0:
-            return math.inf
-        total += x * math.log(x / y)
-    if x < 1.0:
-        if y == 1.0:
-            return math.inf
-        total += (1.0 - x) * math.log((1.0 - x) / (1.0 - y))
-    return total
-
-
-def kl_lower_bound_check(x: float, y: float) -> bool:
-    """Whether KL(x || y) >= (x - y)^2 / (2 max{x, y})."""
-    if x == y:
-        return True
-    return kl_bernoulli(x, y) >= (x - y) ** 2 / (2.0 * max(x, y))

@@ -2,12 +2,17 @@
 
 No command runs these.  Each is a direct, slow transcription of a definition
 (a point's probability, the posterior over the hidden index, the rule that
-thresholds it, a Monte Carlo disagreement, the greedy packing scan), so that
-the fast paths of the package can be compared with it.
+thresholds it, a Monte Carlo disagreement, the greedy packing scan and its
+pairwise distance oracle), so that the fast paths of the package can be
+compared with it, or a formula the paper's proofs use (the optimal
+single-bit predictor, Bernoulli KL and its quadratic lower bound, the tail
+inequality of the no-gap argument), so that the acceptance tests can check
+it numerically.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -38,7 +43,13 @@ from gaplab.errors import (
     OracleUnavailableError,
 )
 from gaplab.learners import LabeledSample, posterior_mean_label
-from gaplab.metric_cover import CoverResult, EstimateWithCI
+from gaplab.metric_cover import (
+    CoverResult,
+    EstimateWithCI,
+    check_same_n,
+    disagreement_enumerate,
+    disagreement_exact_projections,
+)
 
 
 def eval_concept(cls: ConceptClass, i: int, x: Point) -> int:
@@ -89,12 +100,16 @@ def point_prob(dist: Distribution, x: Point) -> float:
     if isinstance(dist, ProductLaw):
         bits = unpack_bit_rows(x.words, x.n)[0].astype(bool)
         return float(np.prod(np.where(bits, dist.marginals, 1.0 - dist.marginals)))
-    pos = dist.support_position(x)
-    return 0.0 if pos is None else float(dist.probs[pos])
+    if x not in dist.support:
+        return 0.0
+    return float(dist.probs[dist.support.index(x)])
 
 
 def missing_mass(dist: FiniteSupportDistribution, observed: Iterable[Point]) -> float:
-    return float(missing_mass_fraction(dist, observed))
+    """Mass of the support points not observed; an observed point off the
+    support covers nothing."""
+    seen = [dist.support.index(x) for x in observed if x in dist.support]
+    return float(missing_mass_fraction(dist, seen))
 
 
 def empirical_error(cls: ConceptClass, i: int, sample: LabeledSample) -> Fraction:
@@ -212,3 +227,83 @@ def greedy_cover_scan(
             members.append(i)
     certificate = max(min(distance(i, m) for m in members) for i in concepts)
     return CoverResult(tuple(members), float(eps), float(certificate))
+
+
+def exact_distance_fn(
+    cls: ConceptClass, dist: Distribution
+) -> Callable[[int, int], float]:
+    """The exact disagreement oracle for a class/distribution pairing, one
+    pair at a time."""
+    if isinstance(cls, ProjectionClass) and isinstance(dist, ProductLaw):
+        check_same_n(cls, dist)
+        return lambda a, b: disagreement_exact_projections(dist, a, b)
+    if isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
+        # raises PointNotInDomainError if a support point is not in the domain
+        positions = cls.domain_positions(dist.support)
+        return lambda a, b: disagreement_enumerate(cls, dist, a, b, positions)
+    raise OracleUnavailableError(
+        f"no exact oracle for {type(cls).__name__} under {type(dist).__name__}"
+    )
+
+
+def bayes_bit_predictor(joint: np.ndarray) -> tuple[np.ndarray, float]:
+    """Best deterministic bit predictor from a finite joint table Pr[U=u, V=v].
+
+    joint has shape (|U|, 2).  Returns the per-u majority predictions (ties
+    predict 1) and the resulting error, which equals
+    sum_u min(Pr[u, 0], Pr[u, 1]) and lower-bounds every predictor.
+    """
+    joint = np.ascontiguousarray(joint, dtype=np.float64)
+    if joint.ndim != 2 or joint.shape[1] != 2 or joint.shape[0] < 1:
+        raise InvalidParameterError("joint table must have shape (|U|, 2)")
+    if np.any(joint < 0.0) or abs(float(joint.sum()) - 1.0) > 1e-9:
+        raise InvalidParameterError("joint table must be non-negative and sum to 1")
+    predictions = (joint[:, 1] >= joint[:, 0]).astype(np.uint8)
+    error = float(np.minimum(joint[:, 0], joint[:, 1]).sum())
+    return predictions, error
+
+
+def kl_bernoulli(x: float, y: float) -> float:
+    """KL(x || y) between Bernoulli parameters, with the 0 log 0 = 0 convention."""
+    if not 0.0 <= x <= 1.0 or not 0.0 <= y <= 1.0:
+        raise InvalidParameterError("KL arguments must lie in [0, 1]")
+    if x == y:
+        return 0.0
+    total = 0.0
+    if x > 0.0:
+        if y == 0.0:
+            return math.inf
+        total += x * math.log(x / y)
+    if x < 1.0:
+        if y == 1.0:
+            return math.inf
+        total += (1.0 - x) * math.log((1.0 - x) / (1.0 - y))
+    return total
+
+
+def kl_lower_bound_check(x: float, y: float) -> bool:
+    """Whether KL(x || y) >= (x - y)^2 / (2 max{x, y})."""
+    if x == y:
+        return True
+    return kl_bernoulli(x, y) >= (x - y) ** 2 / (2.0 * max(x, y))
+
+
+def tail_inequality_check(values: Sequence[float], t: float) -> bool:
+    """Verify Pr[V > t] >= (E[V] - t) / (1 - t) on the empirical distribution.
+
+    Holds for any distribution supported on (-inf, 1]; evaluated in exact
+    rational arithmetic so the check is tolerance-free.
+    """
+    if not 0.0 <= t < 1.0:
+        raise InvalidParameterError("t must lie in [0, 1)")
+    vals = list(values)
+    if not vals:
+        raise InvalidParameterError("need at least one value")
+    for v in vals:
+        if v > 1.0:
+            raise InvalidParameterError(f"value {v} exceeds 1")
+    n = len(vals)
+    t_frac = Fraction(float(t))
+    mean = sum((Fraction(float(v)) for v in vals), Fraction(0)) / n
+    prob_gt = Fraction(sum(1 for v in vals if Fraction(float(v)) > t_frac), n)
+    return prob_gt >= (mean - t_frac) / (1 - t_frac)

@@ -28,7 +28,6 @@ from gaplab.distributions import (
     make_pne,
     uniform_finite,
 )
-from gaplab.learners import bayes_bit_predictor
 from gaplab.mc_harness import (
     RandomPair,
     TrialConfig,
@@ -39,16 +38,15 @@ from gaplab.mc_harness import (
     no_gap_experiment,
     run_trials,
     sample_complexity_search,
-    tail_inequality_check,
 )
 from gaplab.metric_cover import (
     corollary_m,
     disagreement_exact_projections,
     greedy_packing_cover,
-    kl_lower_bound_check,
     sauer_bound,
     sauer_estimate,
 )
+from reference import bayes_bit_predictor, kl_lower_bound_check, tail_inequality_check
 
 SEED = 20250811
 AUTO = 0  # resolve worker count from the machine

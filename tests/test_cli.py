@@ -634,6 +634,23 @@ def test_learn_document_int_key_refuses_what_int_would_truncate(runner, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "entry, named",
+    [({"n": 16, "m": 2, "trials": 5, "eps_acc": True}, "learn config key 'eps_acc'"),
+     ({**LEARN_DOCUMENT, "eps_acc": True}, "trial config key 'eps_acc'"),
+     ({**LEARN_DOCUMENT, "dist": {**LEARN_DOCUMENT["dist"], "eps": True}},
+      "trial config key 'dist.eps'")],
+)
+def test_float_key_refuses_a_bool(runner, tmp_path, entry, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(entry))
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert f"spec error: {named}: True is not a valid float" in res.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("document", [False, True])
 def test_whole_float_int_key_runs_as_its_int(runner, tmp_path, document):
     base = {**LEARN_DOCUMENT, "trials": 20} if document else {"n": 16, "m": 2, "trials": 20}
@@ -658,6 +675,24 @@ def test_learn_document_number_key_must_be_a_number(runner, tmp_path, key, learn
     res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
     assert res.exit_code == 2, res.output
     assert f"spec error: trial config key {key!r}: 'abc' is not a number" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, learner, bounds",
+    [("learner_eps", v, "bayes-posterior", "(0, 1/2)") for v in (-1, 0, 0.5, 0.7, 5)]
+    + [("cover_level", v, "cover", "(0, 1]") for v in (0, -0.0, 1.5)],
+)
+def test_learn_document_number_key_out_of_range_exits_2_before_any_trial(
+        runner, tmp_path, monkeypatch, key, value, learner, bounds):
+    monkeypatch.setattr("gaplab.mc_harness._map_trials", _no_trial)
+    doc = {**LEARN_DOCUMENT, "learner": learner, key: value, "trials": 20}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert f"spec error: {key} must lie in {bounds}, got {value!r}" in res.output
     assert not out.exists()
 
 

@@ -407,11 +407,24 @@ class TestFiniteSupport:
 
     def test_missing_plus_covered_is_total_exactly(self):
         d3 = FiniteSupportDistribution(enumerated_domain(3), [0.7, 0.2, 0.1])
-        observed = [d3.support[1]]
-        missing = missing_mass_fraction(d3, observed)
+        missing = missing_mass_fraction(d3, [1])
         covered = Fraction(float(d3.probs[1]))
         total = sum((Fraction(float(p)) for p in d3.probs), Fraction(0))
         assert missing + covered == total
+
+    def test_missing_mass_takes_support_indices_in_any_order(self):
+        d3 = FiniteSupportDistribution(enumerated_domain(3), [0.7, 0.2, 0.1])
+        assert missing_mass_fraction(d3, [2, 0, 2]) == Fraction(0.2)
+        assert missing_mass_fraction(d3, np.array([1, 1])) == Fraction(0.7) + Fraction(0.1)
+        assert missing_mass_fraction(d3, []) == d3.exact_mass(range(3))
+
+    @pytest.mark.parametrize("seen", [[3], [0, -1], ["point"]])
+    def test_missing_mass_refuses_what_is_no_support_index(self, seen):
+        d3 = FiniteSupportDistribution(enumerated_domain(3), [0.7, 0.2, 0.1])
+        # A Point, as an older caller passed, would otherwise count as unseen.
+        seen = [d3.support[0] if u == "point" else u for u in seen]
+        with pytest.raises(InvalidParameterError, match="support indices in 0..2"):
+            missing_mass_fraction(d3, seen)
 
     def test_mass_adds_left_to_right(self):
         u = uniform_finite(enumerated_domain(10))
@@ -448,11 +461,10 @@ NON_DYADIC_PROBS = ([0.7, 0.2, 0.1], [0.3, 0.1, 0.1, 0.25, 0.25], [1.0 / 7.0] * 
 def test_missing_mass_fraction_matches_reference_sum(probs, data):
     dist = FiniteSupportDistribution(enumerated_domain(len(probs)), probs)
     seen = data.draw(st.lists(st.integers(0, len(probs) - 1), max_size=2 * len(probs)))
-    observed = [dist.support[t] for t in seen]
     reference = sum(
         (Fraction(float(p)) for t, p in enumerate(dist.probs) if t not in seen), Fraction(0)
     )
-    assert missing_mass_fraction(dist, observed) == reference
+    assert missing_mass_fraction(dist, seen) == reference
 
 
 def test_distribution_json_roundtrip():

@@ -24,7 +24,6 @@ from gaplab.distributions import (
 from gaplab.errors import InconsistentSampleError, InvalidParameterError
 from gaplab.learners import (
     LabeledSample,
-    bayes_bit_predictor,
     consistent_memorizer,
     cover_learner,
     erm,
@@ -35,6 +34,7 @@ from gaplab.learners import (
 from gaplab.metric_cover import CoverResult, pne_small_cover
 from reference import (
     PosteriorState,
+    bayes_bit_predictor,
     bayes_posterior_predict,
     empirical_error,
     k_set_indices,
@@ -372,7 +372,7 @@ class TestMemorizer:
                  if h.predict(p) != ((target >> u) & 1)),
                 Fraction(0),
             )
-            z_frac = missing_mass_fraction(dist, points)
+            z_frac = missing_mass_fraction(dist, idx)
             assert d_frac <= z_frac
 
 

@@ -45,10 +45,9 @@ from gaplab.mc_harness import (
     run_trial,
     run_trials,
     sample_complexity_search,
-    tail_inequality_check,
     trial_pool,
 )
-from reference import PosteriorState, bayes_posterior_predict, point_prob
+from reference import PosteriorState, bayes_posterior_predict, point_prob, tail_inequality_check
 
 
 def pne_cfg(n, eps, learner, m, eps_acc, trials, seed, target=None, **kw):
@@ -400,6 +399,21 @@ class TestNoGap:
         b = no_gap_experiment(*args, threads=2)
         assert a == b
         assert [r.mean_missing_mass for r in a] == [r.mean_missing_mass for r in b]
+
+    def test_run_hashes_no_point(self, monkeypatch):
+        # A drawn point is named by its support index from the draw on.
+        dist = geometric_finite(enumerated_domain(6))
+        hashed = []
+        point_hash = Point.__hash__
+
+        def counting_hash(point):
+            hashed.append(point)
+            return point_hash(point)
+
+        monkeypatch.setattr(Point, "__hash__", counting_hash)
+        rows = no_gap_experiment(dist, [1, 8], 50, 0.1, RngSeed(3), threads=1)
+        assert [row.trials for row in rows] == [50, 50]
+        assert hashed == []
 
     def test_few_trials_run_serially(self, monkeypatch):
         # trials < 2 * workers never starts a pool, and gives the serial rows

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,12 @@ from gaplab.distributions import (
     make_pne,
     uniform_finite,
 )
-from gaplab.errors import DimensionMismatchError, InvalidParameterError, OracleUnavailableError
+from gaplab.errors import (
+    DimensionMismatchError,
+    InvalidParameterError,
+    OracleUnavailableError,
+    PointNotInDomainError,
+)
 from gaplab.metric_cover import (
     EstimateWithCI,
     benedek_itai_m,
@@ -27,16 +33,19 @@ from gaplab.metric_cover import (
     disagreement_enumerate,
     disagreement_exact_projections,
     dudley_cover_bound,
-    exact_distance_fn,
     greedy_packing_cover,
     hoeffding_radius,
-    kl_bernoulli,
-    kl_lower_bound_check,
     pne_small_cover,
     sauer_bound,
     sauer_estimate,
 )
-from reference import disagreement_mc, greedy_cover_scan
+from reference import (
+    disagreement_mc,
+    exact_distance_fn,
+    greedy_cover_scan,
+    kl_bernoulli,
+    kl_lower_bound_check,
+)
 
 
 class TestHoeffding:
@@ -103,14 +112,16 @@ class TestTableDistance:
         cls, dist = self._cls_dist()
         a = cls.concept(cls.table_from_string("10") + 1)
         nota = cls.concept(cls.table_from_string("01") + 1)
-        assert disagreement_enumerate(cls, dist, a, a) == 0.0
-        assert disagreement_enumerate(cls, dist, a, nota) == 1.0
+        pos = cls.domain_positions(dist.support)
+        assert disagreement_enumerate(cls, dist, a, a, pos) == 0.0
+        assert disagreement_enumerate(cls, dist, a, nota, pos) == 1.0
 
     def test_uniform_two_point_example(self):
         cls, dist = self._cls_dist()
         a = cls.concept(cls.table_from_string("10") + 1)
         b = cls.concept(cls.table_from_string("11") + 1)
-        assert disagreement_enumerate(cls, dist, a, b) == pytest.approx(0.5, abs=1e-15)
+        pos = cls.domain_positions(dist.support)
+        assert disagreement_enumerate(cls, dist, a, b, pos) == pytest.approx(0.5, abs=1e-15)
 
     def test_axioms_exhaustive_on_64_concepts(self):
         dom = enumerated_domain(6)
@@ -121,9 +132,10 @@ class TestTableDistance:
         probs[-1] = 1.0 - probs[:-1].sum()
         dist = FiniteSupportDistribution(dom, probs)
         ids = [cls.concept(i) for i in range(1, 65)]
+        pos = cls.domain_positions(dist.support)
         d = {}
         for a, b in itertools.product(ids, ids):
-            d[(a, b)] = disagreement_enumerate(cls, dist, a, b)
+            d[(a, b)] = disagreement_enumerate(cls, dist, a, b, pos)
         for a, b in itertools.product(ids, ids):
             assert d[(a, b)] == pytest.approx(d[(b, a)], abs=1e-15)
             assert d[(a, a)] == 0.0
@@ -170,7 +182,7 @@ class TestDisagreementMC:
         a = cls.concept(cls.table_from_string("100") + 1)
         b = cls.concept(cls.table_from_string("110") + 1)
         est = disagreement_mc(cls, dist, a, b, 20_000, 0.01, RngSeed(5))
-        truth = disagreement_enumerate(cls, dist, a, b)
+        truth = disagreement_enumerate(cls, dist, a, b, cls.domain_positions(dist.support))
         assert abs(est.estimate - truth) <= est.radius
 
 
@@ -261,8 +273,17 @@ class TestGreedyCover:
                 assert got.certificate == pytest.approx(want.certificate, abs=1e-12)
 
     def test_oracle_unavailable(self):
-        with pytest.raises(OracleUnavailableError):
-            exact_distance_fn(ProjectionClass(4), uniform_finite(enumerated_domain(2)))
+        for build in (exact_distance_fn, lambda c, d: greedy_packing_cover(c, d, 0.1)):
+            with pytest.raises(OracleUnavailableError,
+                               match="ProjectionClass under FiniteSupportDistribution"):
+                build(ProjectionClass(4), uniform_finite(enumerated_domain(2)))
+
+    def test_support_point_outside_the_table_domain(self):
+        dom = enumerated_domain(4)
+        cls, dist = all_functions_class(dom[:3]), uniform_finite(dom[1:])
+        for build in (exact_distance_fn, lambda c, d: greedy_packing_cover(c, d, 0.1)):
+            with pytest.raises(PointNotInDomainError, match=re.escape(f"{dom[3]!r} is not in")):
+                build(cls, dist)
 
     @pytest.mark.parametrize(
         "dist", [make_pne(16, 0.05, 3), ProductDistribution(np.full(16, 0.5))])
