@@ -47,7 +47,7 @@ from .distributions import (
     make_pne,
     uniform_finite,
 )
-from .errors import GaplabError, InvalidParameterError, misread_as
+from .errors import SPEC_FIELDS, GaplabError, InvalidParameterError, spec_value
 from .mc_harness import (
     TrialConfig,
     config_from_json_dict,
@@ -80,9 +80,6 @@ DEFAULT_SEED = 0x5EED5EED
 DEFAULT_SEPARATION_NS = tuple(2**k for k in range(4, 17))
 
 SEPARATION_LEARNERS = ("erm", "cover", "bayes-posterior")
-
-TRIALS = click.IntRange(min=1)
-SEED = click.IntRange(0, 2**64 - 1)
 
 
 def fmt_float(x: float) -> str:
@@ -232,20 +229,13 @@ class Command:
     prepare: Callable[..., dict] | None = None
 
 
-# The numeric click types, the kind each casts to, and the word its own
-# errors use for it.
-_NUMBER_TYPES = (
-    (click.types.IntParamType, int, "integer"),
-    (click.types.FloatParamType, float, "float"),
-)
-
-
 def _resolve_entry(ctx: click.Context, cmd: Command, entry: dict) -> dict:
     """Typed values of one entry; precedence: command-line flag > config entry > default.
 
-    Config keys are the flag names, and a config value is converted by its
-    flag's own click type.  The global --trials wins over all three, and
-    over the `trials` of a document.
+    Config keys are the flag names.  A numeric value is read by its spec-field
+    row (None is the flag's default), not by click's int(), which truncates
+    2.7 and True; any other by its flag's click type.  The global --trials
+    wins over all three, and over the `trials` of a document.
     """
     document = entry if cmd.document_keys & entry.keys() else None
     flat = {} if document is not None else entry
@@ -263,14 +253,12 @@ def _resolve_entry(ctx: click.Context, cmd: Command, entry: dict) -> dict:
         elif name in flat and (
             ctx.get_parameter_source(name) is not click.core.ParameterSource.COMMANDLINE
         ):
-            value = flat[name]
+            if name in SPEC_FIELDS:
+                value = spec_value(name, flat[name], f"{cmd.name} config")
+                values[name] = param.default if value is None else value
+                continue
             try:
-                # click's int() would truncate 2.7 or True, and its float()
-                # read True as 1.0, rather than refuse it.
-                for click_type, kind, word in _NUMBER_TYPES:
-                    if isinstance(param.type, click_type) and misread_as(kind, value):
-                        param.type.fail(f"{value!r} is not a valid {word}.")
-                values[name] = param.type_cast_value(ctx, value)
+                values[name] = param.type_cast_value(ctx, flat[name])
             except click.BadParameter as exc:
                 raise InvalidParameterError(
                     f"{cmd.name} config key {name!r}: {exc.message}"
@@ -306,10 +294,22 @@ def _handle_errors(fn):
     return wrapper
 
 
+def _check_flag(ctx: click.Context, param: click.Parameter, value):
+    """A flag's value, checked against its spec-field row if it has one."""
+    if value is None or param.name not in SPEC_FIELDS:
+        return value
+    try:
+        return spec_value(param.name, value, label=param.opts[0])
+    except InvalidParameterError as exc:
+        raise click.BadParameter(str(exc), ctx, param) from None
+
+
 @click.group()
-@click.option("--seed", type=SEED, envvar="GAPLAB_SEED", default=DEFAULT_SEED,
-              show_default=True, help="Master seed (GAPLAB_SEED as fallback).")
-@click.option("--trials", type=TRIALS, default=None, help="Override trial counts.")
+@click.option("--seed", type=int, envvar="GAPLAB_SEED", default=DEFAULT_SEED,
+              callback=_check_flag, show_default=True,
+              help="Master seed (GAPLAB_SEED as fallback).")
+@click.option("--trials", type=int, default=None, callback=_check_flag,
+              help="Override trial counts.")
 @click.option("--out", type=str, default=None, help="Output file path.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True, help="Result format.")
@@ -332,8 +332,6 @@ def main(ctx, seed, trials, out, fmt, threads):
 
 def _run_cover(obj: CLIContext, n, eps, i, level, class_json, dist_json):
     """Build the greedy packing cover and report it next to the Dudley bound."""
-    if level is not None and not 0.0 < level <= 1.0:
-        raise InvalidParameterError(f"--level must lie in (0, 1], got {level}")
     if class_json or dist_json:
         if not (class_json and dist_json):
             raise InvalidParameterError("give both --class-json and --dist-json")
@@ -439,7 +437,7 @@ def _run_learn(obj: CLIContext, cfg: TrialConfig):
 
 def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, trials, m_max):
     """Empirical sample-size curve per learner across n: the separation run."""
-    ns = _int_list("--n-list", n_list)
+    ns = [spec_value("n", n, label="--n-list") for n in _int_list("--n-list", n_list)]
     learner_list = [s for s in learners.split(",") if s]
     if not learner_list:
         raise InvalidParameterError("learner list must not be empty")
@@ -553,9 +551,10 @@ def _run_bounds(obj: CLIContext, cover_size, eps, delta, d, k):
 
 
 def _opt(flags: str, type_, default=None, **kw) -> click.Option:
-    """A flag (space-separated names) whose default --help shows unless it is None."""
+    """A flag (space-separated names) whose default --help shows unless it
+    is None, checked against its spec-field row if it has one."""
     return click.Option(flags.split(), type=type_, default=default,
-                        show_default=default is not None, **kw)
+                        show_default=default is not None, callback=_check_flag, **kw)
 
 
 COMMANDS = (
@@ -579,7 +578,7 @@ COMMANDS = (
             _opt("--n", int, 8),
             _opt("--universe", click.Choice(["full", "default"]), "full",
                  help="full = all 2^n points (n <= 20)."),
-            _opt("--d-max", click.IntRange(min=0)),
+            _opt("--d-max", int),
             _opt("--class-json", JSON_TEXT),
         ),
         _run_vc,
@@ -595,7 +594,7 @@ COMMANDS = (
             _opt("--m", int, 10),
             _opt("--eps-acc", float, 0.0625),
             _opt("--gamma", float, 0.01),
-            _opt("--trials", TRIALS, 2000),
+            _opt("--trials", int, 2000),
         ),
         _run_learn,
         ("learner", "m", "eps_acc", "trials", "gamma", "failures",
@@ -613,7 +612,7 @@ COMMANDS = (
             _opt("--eps-acc", float, 1.0 / 16.0),
             _opt("--delta", float, 1.0 / 16.0),
             _opt("--learners", str, "erm,cover"),
-            _opt("--trials", TRIALS, 4000),
+            _opt("--trials", int, 4000),
             _opt("--m-max", int, 4096),
         ),
         _run_separation,
@@ -627,7 +626,7 @@ COMMANDS = (
             _opt("--eps", float, 0.2),
             _opt("--learner", click.Choice(["erm", "bayes-posterior", "cover"]),
                  "bayes-posterior"),
-            _opt("--trials", TRIALS, 20000),
+            _opt("--trials", int, 20000),
             _opt("--gamma", float, 0.01),
         ),
         _run_lower_bound,
@@ -641,7 +640,7 @@ COMMANDS = (
             _opt("--n", int, 1 << 17),
             _opt("--eps", float, 0.2),
             _opt("--m", int, help="Defaults to the lower-bound budget."),
-            _opt("--trials", TRIALS, 20000),
+            _opt("--trials", int, 20000),
             _opt("--gamma", float, 0.01),
         ),
         _run_ks_stats,
@@ -657,7 +656,7 @@ COMMANDS = (
             _opt("--dist-json", JSON_TEXT),
             _opt("--m-grid", str, help="Comma-separated sizes; default 1 .. 2 * domain size."),
             _opt("--eps-acc", float, 0.1),
-            _opt("--trials", TRIALS, 5000),
+            _opt("--trials", int, 5000),
         ),
         _run_no_gap,
         ("domain_size", "dist", "m", "trials", "violations", "threshold",

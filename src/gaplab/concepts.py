@@ -19,6 +19,7 @@ from .errors import (
     InvalidParameterError,
     PointNotInDomainError,
     config_value,
+    spec_value,
 )
 
 WORD_BITS = 64
@@ -170,10 +171,6 @@ class ProjectionClass:
 
     n: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParameterError("projection class needs n >= 1")
-
     @property
     def num_concepts(self) -> int:
         return self.n
@@ -293,7 +290,7 @@ def class_from_json_dict(
     which a bad value's spec error names."""
     kind = obj.get("kind")
     if kind == "projections":
-        return ProjectionClass(config_value(int, obj.get("n"), f"{key}.n", where))
+        return ProjectionClass(spec_value(f"{key}.n", obj.get("n"), where))
     if kind == "table":
         domain = config_value(point_list, obj.get("domain"), f"{key}.domain", where)
         cls = TableClass(domain, [])
@@ -456,8 +453,6 @@ def full_hypercube(n: int) -> list[Point]:
 
 def enumerated_domain(size: int, n_bits: int | None = None) -> list[Point]:
     """`size` distinct points: the binary encodings of 0 .. size-1."""
-    if size < 1:
-        raise InvalidParameterError("domain size must be >= 1")
     need = max(1, (size - 1).bit_length())
     n = need if n_bits is None else n_bits
     if n < need:

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .concepts import WORD_BITS, Point, pack_bit_rows, point_list, words_needed
-from .errors import DimensionMismatchError, InvalidParameterError, config_value
+from .errors import DimensionMismatchError, InvalidParameterError, config_value, spec_value
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN64 = 0x9E3779B97F4A7C15
@@ -43,9 +43,7 @@ class RngSeed:
 
     def __post_init__(self):
         for name in ("master", "stream"):
-            v = getattr(self, name)
-            if not 0 <= v <= _MASK64:
-                raise InvalidParameterError(f"{name} must be an unsigned 64-bit integer")
+            object.__setattr__(self, name, spec_value(f"seed.{name}", getattr(self, name)))
 
     def substream(self, tag: int) -> "RngSeed":
         """A derived stream, used to give each sweep point independent randomness."""
@@ -176,7 +174,7 @@ class ProductDistribution:
         m = np.ascontiguousarray(self.marginals, dtype=np.float64)
         if m.ndim != 1 or m.size == 0:
             raise InvalidParameterError("marginals must be a non-empty vector")
-        if np.any(m < 0.0) or np.any(m > 1.0):
+        if not np.all((m >= 0.0) & (m <= 1.0)):
             raise InvalidParameterError("marginals must lie in [0, 1]")
         m.setflags(write=False)
         object.__setattr__(self, "marginals", m)
@@ -263,7 +261,7 @@ class FiniteSupportDistribution:
         p = np.ascontiguousarray(probs, dtype=np.float64)
         if len(support) == 0 or p.shape != (len(support),):
             raise InvalidParameterError("support and probs must be non-empty and aligned")
-        if np.any(p < 0.0):
+        if not np.all(p >= 0.0):
             raise InvalidParameterError("probabilities must be non-negative")
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise InvalidParameterError(f"probabilities sum to {p.sum()}, not 1")
@@ -322,8 +320,11 @@ Distribution = ProductLaw | FiniteSupportDistribution
 
 
 def float_vector(value) -> np.ndarray:
-    """A float64 vector from a JSON list; the kind a config value names."""
-    return np.asarray(value, dtype=np.float64)
+    """A float64 vector of finite values from a JSON list, where null reads as NaN."""
+    vector = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(vector).all():
+        raise ValueError
+    return vector
 
 
 def distribution_from_json_dict(
@@ -334,13 +335,16 @@ def distribution_from_json_dict(
     def value(kind, name):
         return config_value(kind, obj.get(name), f"{key}.{name}", where)
 
+    def number(name):
+        return spec_value(f"{key}.{name}", obj.get(name), where)
+
     kind = obj.get("kind")
     if kind == "product":
         return ProductDistribution(value(float_vector, "marginals"))
     if kind == "pne":
-        n, eps = value(int, "n"), value(float, "eps")
+        n, eps = number("n"), number("eps")
         if obj.get("i") is not None:
-            return make_pne(n, eps, value(int, "i"))
+            return make_pne(n, eps, number("i"))
         return PneFamily(n, eps)
     if kind == "finite":
         return FiniteSupportDistribution(value(point_list, "support"), value(float_vector, "probs"))
@@ -442,8 +446,6 @@ class PneReplay:
     """
 
     def __init__(self, dist: PneMember, m: int, gen: np.random.Generator):
-        if m < 0:
-            raise InvalidParameterError("sample size must be non-negative")
         self.dist, self.m = dist, m
         self._gen = gen
         self._pos = 0  # outputs consumed since the draw's start
@@ -539,8 +541,6 @@ def sample_coordinate_columns(
     corresponding columns of sample_bit_matrix; the streams differ, so a
     given experiment must commit to one path.
     """
-    if m < 0:
-        raise InvalidParameterError("sample size must be non-negative")
     p = np.array([dist.marginal(c) for c in coords], dtype=np.float64)
     return (gen.random((p.size, m)) < p[:, None]).T.view(np.uint8)
 
@@ -549,8 +549,6 @@ def sample_support_indices(
     dist: FiniteSupportDistribution, m: int, gen: np.random.Generator
 ) -> np.ndarray:
     """m support positions drawn by inversion of one uniform per point."""
-    if m < 0:
-        raise InvalidParameterError("sample size must be non-negative")
     u = gen.random(m)
     return np.searchsorted(dist._cum, u, side="right").astype(np.int64)
 

@@ -199,8 +199,6 @@ class MemorizerPredictor:
 
 def consistent_memorizer(sample: LabeledSample, default: int = 0) -> MemorizerPredictor:
     """Predictor that repeats the sample labels and answers `default` elsewhere."""
-    if default not in (0, 1):
-        raise InvalidParameterError("default must be a bit")
     mapping: dict[bytes, int] = {}
     for r, (row, label) in enumerate(zip(sample.words, sample.labels.tolist())):
         if mapping.setdefault(row.tobytes(), label) != label:

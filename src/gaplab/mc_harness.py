@@ -52,7 +52,7 @@ from .errors import (
     InvalidParameterError,
     OracleUnavailableError,
     SearchBracketError,
-    config_value,
+    spec_value,
 )
 from .learners import (
     LabeledSample,
@@ -109,7 +109,7 @@ TargetSpec = FixedTarget | RandomPair | RandomConcept
 def target_from_json_dict(obj: dict) -> TargetSpec:
     kind = obj.get("kind")
     if kind == "fixed":
-        return FixedTarget(config_value(int, obj.get("i"), "target.i"))
+        return FixedTarget(spec_value("target.i", obj.get("i")))
     if kind == "random-pair":
         return RandomPair()
     if kind == "random-concept":
@@ -140,6 +140,8 @@ class TrialConfig:
     cover: CoverResult | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for key in _NUMBER_FIELDS:
+            object.__setattr__(self, key, spec_value(key, getattr(self, key)))
         validate_config(self)
         cls, dist = self.concept_class, self.dist
         if isinstance(cls, TableClass):
@@ -166,11 +168,16 @@ class TrialConfig:
         }
 
 
+# A null counts as absent, so a document's null m is a missing key.
 _REQUIRED_CONFIG_KEYS = ("class", "dist", "target", "learner", "m", "eps_acc", "trials")
+
+# The fields a TrialConfig checks against, and reads as, their spec-field rows.
+_NUMBER_FIELDS = ("m", "eps_acc", "trials", "gamma", "cover_level", "learner_eps",
+                  "memorizer_default")
 
 
 def config_from_json_dict(obj: dict) -> TrialConfig:
-    missing = [key for key in _REQUIRED_CONFIG_KEYS if key not in obj]
+    missing = [key for key in _REQUIRED_CONFIG_KEYS if obj.get(key) is None]
     if missing:
         raise InvalidParameterError(f"trial config has no {', '.join(map(repr, missing))} key")
     seed = obj.get("seed", {})
@@ -179,37 +186,14 @@ def config_from_json_dict(obj: dict) -> TrialConfig:
         dist=distribution_from_json_dict(obj["dist"]),
         target=target_from_json_dict(obj["target"]),
         learner=obj["learner"],
-        m=config_value(int, obj["m"], "m"),
-        eps_acc=config_value(float, obj["eps_acc"], "eps_acc"),
-        trials=config_value(int, obj["trials"], "trials"),
-        seed=RngSeed(config_value(int, seed.get("master", 0), "seed.master"),
-                     config_value(int, seed.get("stream", 0), "seed.stream")),
-        gamma=config_value(float, obj.get("gamma", 0.01), "gamma"),
-        cover_level=_optional_number(obj, "cover_level"),
-        learner_eps=_optional_number(obj, "learner_eps"),
-        memorizer_default=config_value(int, obj.get("memorizer_default", 0),
-                                       "memorizer_default"),
+        seed=RngSeed(seed.get("master", 0), seed.get("stream", 0)),
+        **{key: obj[key] for key in _NUMBER_FIELDS if key in obj},
     )
-
-
-def _optional_number(obj: dict, key: str) -> int | float | None:
-    """obj[key] as the document spells it, so that its spec hash stays, or None."""
-    value = obj.get(key)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise InvalidParameterError(f"trial config key {key!r}: {value!r} is not a number")
-    return value
 
 
 def validate_config(cfg: TrialConfig) -> None:
     if cfg.learner not in LEARNER_NAMES:
         raise InvalidParameterError(f"unknown learner {cfg.learner!r}")
-    if cfg.m < 0:
-        raise InvalidParameterError("m must be non-negative")
-    hoeffding_radius(cfg.trials, cfg.gamma)  # checks trials and gamma
-    if cfg.eps_acc <= 0.0:
-        raise InvalidParameterError("eps_acc must be positive")
-    if cfg.memorizer_default not in (0, 1):
-        raise InvalidParameterError("memorizer default must be a bit")
 
     cls, dist = cfg.concept_class, cfg.dist
     if isinstance(cfg.target, RandomPair):
@@ -252,10 +236,6 @@ def validate_config(cfg: TrialConfig) -> None:
         raise InvalidParameterError(
             "cover learning needs cover_level unless the distribution is pne"
         )
-    if cfg.cover_level is not None and not 0.0 < cfg.cover_level <= 1.0:
-        raise InvalidParameterError(f"cover_level must lie in (0, 1], got {cfg.cover_level}")
-    if cfg.learner_eps is not None and not 0.0 < cfg.learner_eps < 0.5:
-        raise InvalidParameterError(f"learner_eps must lie in (0, 1/2), got {cfg.learner_eps}")
 
 
 def _pne_eps(dist: Distribution | PneFamily) -> float | None:
@@ -492,8 +472,6 @@ def _run_chunk(
 
 def resolve_workers(threads: int) -> int:
     """`threads` workers, or for 0 one per CPU this process may run on."""
-    if threads < 0:
-        raise InvalidParameterError("threads must be >= 0")
     if threads == 0 and hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return threads or os.cpu_count() or 1
@@ -625,10 +603,6 @@ def sample_complexity_search(
     > delta; anything else is recorded as unresolved and the bisection
     moves right without confirming a bracket edge.
     """
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameterError("delta must lie in (0, 1)")
-    if m_max < 1:
-        raise InvalidParameterError("m_max must be >= 1")
     radius = hoeffding_radius(cfg.trials, cfg.gamma)
     if radius >= delta:
         raise InvalidParameterError(
@@ -789,9 +763,8 @@ def ks_statistics_experiment(
     against n^(2/3) / 2.
     """
     family = PneFamily(n, eps)
-    hoeffding_radius(trials, gamma)  # checks trials and gamma before any trial runs
-    if m < 0:
-        raise InvalidParameterError("m must be non-negative")
+    for key, value in (("m", m), ("trials", trials), ("gamma", gamma)):
+        spec_value(key, value)
     ks, ss = _map_trials(_ks_chunk, (family, m, seed), trials, threads)
 
     ratio = ss / ks

@@ -17,15 +17,12 @@ from .distributions import (
     PneMember,
     ProductLaw,
 )
-from .errors import DimensionMismatchError, InvalidParameterError, OracleUnavailableError
+from .errors import (DimensionMismatchError, InvalidParameterError, OracleUnavailableError,
+                     spec_value)
 
 
 def hoeffding_radius(trials: int, gamma: float) -> float:
     """Two-sided Hoeffding deviation at confidence 1 - gamma for a [0,1] mean."""
-    if trials < 1:
-        raise InvalidParameterError("trials must be >= 1")
-    if not 0.0 < gamma < 1.0:
-        raise InvalidParameterError("gamma must lie in (0, 1)")
     return math.sqrt(math.log(2.0 / gamma) / (2.0 * trials))
 
 
@@ -132,8 +129,6 @@ def greedy_packing_cover(cls: ConceptClass, dist: Distribution, eps: float) -> C
     strictly above eps.  The cover certificate max_c min_member d(c, member)
     is read off the distances to the final members.
     """
-    if eps < 0:
-        raise InvalidParameterError("cover level must be non-negative")
     n = cls.num_concepts
     if n == 0:
         raise InvalidParameterError("cannot cover an empty class")
@@ -173,8 +168,6 @@ def pne_small_cover(dist: PneMember, level: float | None = None) -> CoverResult:
     """
     n, eps, i = dist.n, dist.eps, dist.i
     level = 2.0 * eps if level is None else float(level)
-    if level < 0:
-        raise InvalidParameterError("cover level must be non-negative")
     d_off = eps + eps - 2.0 * eps * eps
     d_half = 0.5 + eps - 2.0 * 0.5 * eps
     if d_half > level:
@@ -190,8 +183,6 @@ def pne_small_cover(dist: PneMember, level: float | None = None) -> CoverResult:
 
 def sauer_bound(sample_size: int, d: int) -> int:
     """Sum of binomial coefficients C(K, 0) + ... + C(K, d), exactly."""
-    if sample_size < 0 or d < 0:
-        raise InvalidParameterError("arguments must be non-negative")
     return sum(math.comb(sample_size, i) for i in range(min(d, sample_size) + 1))
 
 
@@ -201,7 +192,15 @@ def sauer_estimate(sample_size: int, d: int) -> float:
         raise InvalidParameterError("the estimate needs d >= 1")
     if sample_size < d:
         raise InvalidParameterError("the estimate needs sample_size >= d")
-    return math.exp(d * (1.0 + math.log(sample_size) - math.log(d)))
+    return _exp_or_inf(d * (1.0 + math.log(sample_size) - math.log(d)))
+
+
+def _exp_or_inf(x: float) -> float:
+    """e^x, or inf where the float overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 class DudleyBound(NamedTuple):
@@ -211,27 +210,16 @@ class DudleyBound(NamedTuple):
 
 def dudley_cover_bound(eps: float, d: int) -> DudleyBound:
     """(4e/eps)^(d/(1-1/e)) cover-size bound, with its natural log alongside."""
-    if not 0.0 < eps <= 1.0:
-        raise InvalidParameterError(f"eps must lie in (0, 1], got {eps}")
-    if d < 0:
-        raise InvalidParameterError("VC dimension must be non-negative")
+    spec_value("eps", eps)
     exponent = d / (1.0 - 1.0 / math.e)
     log_value = exponent * math.log(4.0 * math.e / eps)
-    try:
-        value = math.exp(log_value)
-    except OverflowError:
-        value = math.inf
-    return DudleyBound(value, log_value)
+    return DudleyBound(_exp_or_inf(log_value), log_value)
 
 
 def benedek_itai_m(cover_size: int, eps: float, delta: float) -> int:
     """Labeled examples sufficient for the cover learner: ceil(48(ln N + ln(1/delta))/eps)."""
-    if cover_size < 1:
-        raise InvalidParameterError("cover size must be >= 1")
-    if not 0.0 < eps <= 1.0:
-        raise InvalidParameterError(f"eps must lie in (0, 1], got {eps}")
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameterError(f"delta must lie in (0, 1), got {delta}")
+    spec_value("cover_size", cover_size)
+    spec_value("eps", eps)
     return math.ceil(48.0 * (math.log(cover_size) + math.log(1.0 / delta)) / eps)
 
 
@@ -239,6 +227,4 @@ def corollary_m(eps: float, delta: float) -> int:
     """ceil(12 ln(2/delta)/eps): the size-2-cover specialisation at accuracy 4*eps."""
     if not 0.0 < eps < 0.5:
         raise InvalidParameterError(f"eps must lie in (0, 1/2), got {eps}")
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameterError(f"delta must lie in (0, 1), got {delta}")
     return math.ceil(12.0 * math.log(2.0 / delta) / eps)

@@ -123,6 +123,18 @@ class TestCover:
         assert f"--level must lie in (0, 1], got {float(level)}" in res.output
         assert not out.exists()
 
+    def test_nan_marginal_exits_2_before_any_cover(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr("gaplab.cli.greedy_packing_cover", _no_scan)
+        out = tmp_path / "x.csv"
+        res = runner.invoke(
+            main, ["--out", str(out), "cover", "--level", "0.1",
+                   "--class-json", json.dumps({"kind": "projections", "n": 2}),
+                   "--dist-json", '{"kind": "product", "marginals": [NaN, 0.5]}']
+        )
+        assert res.exit_code == 2, res.output
+        assert "spec error: cover key 'dist_json.marginals'" in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("dist", [
         {"kind": "pne", "n": 16, "eps": 0.05, "i": 3},
         {"kind": "product", "marginals": [0.5] * 16},
@@ -723,6 +735,11 @@ def test_bad_value_in_a_json_option_names_the_option(runner, tmp_path):
         ("no-gap", "--dist-json",
          {"kind": "finite", "support": [5, 1], "probs": [0.5, 0.5]}, "dist_json.support"),
         ("no-gap", "--dist-json", {"kind": "finite", "probs": [0.5, 0.5]}, "dist_json.support"),
+        ("no-gap", "--dist-json",
+         {"kind": "finite", "support": ["0", "1"], "probs": [float("nan"), 1]},
+         "dist_json.probs"),
+        ("no-gap", "--dist-json",
+         {"kind": "finite", "support": ["0", "1"], "probs": [None, 1]}, "dist_json.probs"),
         ("vc", "--class-json", {"kind": "table", "tables": ["01"]}, "class_json.domain"),
         ("vc", "--class-json", {"kind": "table", "domain": ["0", "1"], "tables": ["012"]},
          "class_json.tables"),
@@ -889,6 +906,12 @@ class TestBounds:
         res = runner.invoke(main, ["--out", str(out), "bounds", "--d", "0"])
         assert res.exit_code == 0
         assert json.loads(out.read_text())["dudley_value"] == 1.0
+
+    def test_overflowing_estimate_is_infinity(self, runner, tmp_path):
+        out = tmp_path / "bounds.json"
+        res = runner.invoke(main, ["--out", str(out), "bounds", "--k", "14000", "--d", "1000"])
+        assert res.exit_code == 0, res.output
+        assert '"sauer_estimate": Infinity' in out.read_text()
 
     def test_range_violation_exits_2(self, runner, tmp_path):
         res = runner.invoke(

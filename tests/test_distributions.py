@@ -385,6 +385,20 @@ def test_dense_draws_after_a_replay_grows_the_buffers(monkeypatch):
     _check_dense_draws_read_the_stream()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: ProductDistribution(np.array([np.nan, 0.5])), "marginals must lie in"),
+    (lambda: FiniteSupportDistribution(enumerated_domain(2), [np.nan, 1.0]),
+     "probabilities must be non-negative"),
+    (lambda: FiniteSupportDistribution(enumerated_domain(2), [None, 1.0]),
+     "probabilities must be non-negative"),
+])
+def test_a_nan_in_a_vector_is_out_of_range(make, message):
+    # NaN fails every comparison, so each range test is written to pass only
+    # values inside the range.
+    with pytest.raises(InvalidParameterError, match=message):
+        make()
+
+
 class TestFiniteSupport:
     def test_validation(self):
         dom = enumerated_domain(2)
