@@ -70,6 +70,7 @@ from .mc_harness import (
     RandomPair,
     SampleComplexityResult,
     TrialConfig,
+    TrialPool,
     estimate_failure_prob,
     in_theorem_regime,
     ks_statistics_experiment,

@@ -59,9 +59,8 @@ from .mc_harness import (
     lower_bound_m,
     matched_pair_config,
     no_gap_experiment,
-    resolve_workers,
     sample_complexity_search,
-    trial_pool,
+    TrialPool,
     FixedTarget,
     RandomPair,
     RandomConcept,
@@ -109,7 +108,7 @@ class CLIContext:
     trials: int | None
     out: str | None
     fmt: str
-    threads: int
+    pool: TrialPool
 
     started_at: str = ""
 
@@ -152,7 +151,7 @@ def _write_manifest(ctx_obj: CLIContext, resolved, output: Path) -> None:
         "started_at": ctx_obj.started_at,
         "finished_at": datetime.now(timezone.utc).isoformat(),
         "outputs": [str(output)],
-        "workers": resolve_workers(ctx_obj.threads),
+        "workers": ctx_obj.pool.workers,
         "cpu_count": os.cpu_count(),
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
@@ -324,10 +323,9 @@ def main(ctx, seed, trials, out, fmt, threads):
         trials=trials,
         out=out,
         fmt=fmt,
-        threads=threads,
+        pool=ctx.with_resource(TrialPool(threads)),
         started_at=datetime.now(timezone.utc).isoformat(),
     )
-    ctx.with_resource(trial_pool(threads))
 
 
 def _run_cover(obj: CLIContext, n, eps, i, level, class_json, dist_json):
@@ -428,7 +426,7 @@ def _learn_config(obj: CLIContext, n, eps, target, learner, m, eps_acc, gamma, t
 
 def _run_learn(obj: CLIContext, cfg: TrialConfig):
     """Estimate a learner's failure probability for one trial configuration."""
-    est = estimate_failure_prob(cfg, obj.threads)
+    est = estimate_failure_prob(cfg, obj.pool)
     return {"kind": "learn", "config": cfg.to_json_dict()}, [
         (cfg.learner, cfg.m, cfg.eps_acc, cfg.trials, cfg.gamma,
          round(est.estimate * cfg.trials), est.estimate, est.radius, est.lower, est.upper)
@@ -461,7 +459,7 @@ def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, tria
     ]
     rows = []
     for n, learner, cfg in cells:
-        result = sample_complexity_search(cfg, delta, m_max, obj.threads)
+        result = sample_complexity_search(cfg, delta, m_max, obj.pool)
         est = result.estimate_at(result.m_star)
         unresolved = ";".join(str(v) for v in result.unresolved_ms)
         if unresolved:
@@ -488,7 +486,7 @@ def _run_lower_bound(obj: CLIContext, n, eps, learner, trials, gamma):
         warnings.simplefilter("always")
         warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
         est = lower_bound_experiment(n, eps, learner, trials, RngSeed(obj.seed), gamma,
-                                     obj.threads)
+                                     obj.pool)
     spec = {"kind": "lower-bound", "n": n, "eps": eps, "learner": learner,
             "trials": trials, "gamma": gamma, "seed": obj.seed}
     return spec, [(n, eps, lower_bound_m(n, eps), learner, 1.0 / 16.0, trials,
@@ -500,7 +498,7 @@ def _run_ks_stats(obj: CLIContext, n, eps, m, trials, gamma):
     """Concentration of the candidate-set size K and the ratio S/K."""
     if m is None:
         m = lower_bound_m(n, eps)
-    summary = ks_statistics_experiment(n, eps, m, trials, RngSeed(obj.seed), gamma, obj.threads)
+    summary = ks_statistics_experiment(n, eps, m, trials, RngSeed(obj.seed), gamma, obj.pool)
     spec = {"kind": "ks-stats", "n": n, "eps": eps, "m": m,
             "trials": trials, "gamma": gamma, "seed": obj.seed}
     hist = ";".join(
@@ -525,7 +523,7 @@ def _run_no_gap(obj: CLIContext, domain_size, dist, dist_json, m_grid, eps_acc, 
         domain = enumerated_domain(domain_size)
         law = uniform_finite(domain) if dist == "uniform" else geometric_finite(domain)
     grid = _int_list("--m-grid", m_grid) if m_grid else list(range(1, 2 * domain_size + 1))
-    table = no_gap_experiment(law, grid, trials, eps_acc, RngSeed(obj.seed), threads=obj.threads)
+    table = no_gap_experiment(law, grid, trials, eps_acc, RngSeed(obj.seed), pool=obj.pool)
     spec = {"kind": "no-gap", "dist": law.to_json_dict(), "m_grid": grid,
             "eps_acc": eps_acc, "trials": trials, "seed": obj.seed}
     shown = dist if not dist_json else "custom"

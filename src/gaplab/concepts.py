@@ -245,6 +245,9 @@ class TableClass:
     def table_array(self) -> np.ndarray:
         """The truth tables as a read-only uint64 vector, by 0-based concept
         index; built on first use."""
+        if self.domain_size > WORD_BITS:
+            raise InvalidParameterError(f"a table class of {self.domain_size} domain points has "
+                                        "tables wider than 64 bits; the limit is 64 points")
         if self._table_array is None:
             t = self.tables
             self._table_array = (np.arange(t.start, t.stop, t.step, dtype=np.uint64)

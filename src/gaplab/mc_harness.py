@@ -16,11 +16,10 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, contextmanager
-from contextvars import ContextVar
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -232,6 +231,8 @@ def validate_config(cfg: TrialConfig) -> None:
         raise OracleUnavailableError(
             "the memorizer's exact error needs an enumerable domain"
         )
+    if cfg.learner != "memorizer" and isinstance(cls, TableClass):
+        cls.table_array()  # refuses a domain wider than its uint64 tables
     if cfg.learner == "cover" and cfg.cover_level is None and _pne_eps(dist) is None:
         raise InvalidParameterError(
             "cover learning needs cover_level unless the distribution is pne"
@@ -477,86 +478,70 @@ def resolve_workers(threads: int) -> int:
     return threads or os.cpu_count() or 1
 
 
-class _SharedPool:
-    """The process pool of one trial_pool block, started when first needed."""
+class TrialPool:
+    """The worker processes of one command, shared by every experiment it runs.
 
-    def __init__(self, workers: int, stack: ExitStack):
-        self.workers = workers
-        self._stack = stack
-        self._pool: ProcessPoolExecutor | None = None
+    `with TrialPool(threads) as pool:` holds `workers = resolve_workers(threads)`;
+    the process pool starts on the first map that fans out and stops when
+    the block exits.
+    """
 
-    def pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = self._stack.enter_context(
+    def __init__(self, threads: int):
+        self.workers = resolve_workers(threads)
+        self._stack = ExitStack()
+        self._executor: ProcessPoolExecutor | None = None
+
+    def __enter__(self) -> TrialPool:
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        return self._stack.__exit__(*exc)
+
+    def map(self, fn: Callable, *iterables) -> list:
+        """list(map(fn, *iterables)), run on the workers; the first call starts them."""
+        if self._executor is None:
+            self._executor = self._stack.enter_context(
                 ProcessPoolExecutor(max_workers=self.workers)
             )
-        return self._pool
-
-
-_shared_pool: ContextVar[_SharedPool | None] = ContextVar("trial_pool", default=None)
-
-
-@contextmanager
-def trial_pool(threads: int) -> Iterator[None]:
-    """Let every _map_trials call inside the block share one process pool.
-
-    The pool starts on the first call that fans out and shuts down when
-    the block exits.  Re-entrant: a block inside another with the same
-    worker count reuses the outer pool; one with a different count opens
-    its own for its duration.
-    """
-    workers = resolve_workers(threads)
-    outer = _shared_pool.get()
-    if outer is not None and outer.workers == workers:
-        yield
-        return
-    with ExitStack() as stack:
-        token = _shared_pool.set(_SharedPool(workers, stack))
-        try:
-            yield
-        finally:
-            _shared_pool.reset(token)
+        return list(self._executor.map(fn, *iterables))
 
 
 def _map_trials(
     chunk_fn: Callable[..., tuple[np.ndarray, ...]],
     args: tuple,
     trials: int,
-    threads: int,
+    pool: TrialPool | None,
 ) -> tuple[np.ndarray, ...]:
     """chunk_fn(*args, lo, hi) over trials [0, trials), arrays joined in trial order.
 
     chunk_fn must be a module-level function returning one array per output,
-    each holding trials lo..hi-1 in order.  With one worker, or fewer than
-    two trials per worker, it runs serially in this process; otherwise the
-    trials are cut into 4 spans per worker and mapped on the pool of the
-    enclosing trial_pool block (or on one started for this call).  Trial t
-    depends only on its index, so the result is bit-identical for any worker
-    count.
+    each holding trials lo..hi-1 in order.  Without a pool, with one worker,
+    or with fewer than two trials per worker, it runs serially in this
+    process; otherwise the trials are cut into 4 spans per worker and mapped
+    on the pool.  Trial t depends only on its index, so the result is
+    bit-identical for any worker count.
     """
-    workers = resolve_workers(threads)
+    workers = 1 if pool is None else pool.workers
     if workers <= 1 or trials < 2 * workers:
         return chunk_fn(*args, 0, trials)
     bounds = np.linspace(0, trials, 4 * workers + 1, dtype=int)
     spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    per_span_args = zip(*[(*args, lo, hi) for lo, hi in spans])
-    with trial_pool(workers):
-        parts = list(_shared_pool.get().pool().map(chunk_fn, *per_span_args))
+    parts = pool.map(chunk_fn, *zip(*[(*args, lo, hi) for lo, hi in spans]))
     return tuple(np.concatenate(outputs) for outputs in zip(*parts))
 
 
-def run_trials(cfg: TrialConfig, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def run_trials(cfg: TrialConfig, pool: TrialPool | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial exact errors and failure indicators, in trial-index order.
 
     The result is bit-identical for any worker count: trial t depends only
     on (seed, t).
     """
-    return _map_trials(_run_chunk, (run_trial, (cfg,), ("f8", "u1")), cfg.trials, threads)
+    return _map_trials(_run_chunk, (run_trial, (cfg,), ("f8", "u1")), cfg.trials, pool)
 
 
-def estimate_failure_prob(cfg: TrialConfig, threads: int = 1) -> EstimateWithCI:
+def estimate_failure_prob(cfg: TrialConfig, pool: TrialPool | None = None) -> EstimateWithCI:
     """Fraction of trials whose exact error exceeds eps_acc, with Hoeffding CI."""
-    _, fails = run_trials(cfg, threads)
+    _, fails = run_trials(cfg, pool)
     return EstimateWithCI.from_count(int(fails.sum()), cfg.trials, cfg.gamma)
 
 
@@ -594,7 +579,7 @@ class SampleComplexityResult:
 
 
 def sample_complexity_search(
-    cfg: TrialConfig, delta: float, m_max: int, threads: int = 1
+    cfg: TrialConfig, delta: float, m_max: int, pool: TrialPool | None = None
 ) -> SampleComplexityResult:
     """Geometric doubling to bracket, then bisection on m.
 
@@ -615,7 +600,7 @@ def sample_complexity_search(
     def evaluate(m: int) -> MEstimate:
         if m not in evaluated:
             sub = replace(cfg, m=m, seed=cfg.seed.substream(m))
-            est = estimate_failure_prob(sub, threads)
+            est = estimate_failure_prob(sub, pool)
             if est.upper <= delta:
                 status = "success"
             elif est.lower > delta:
@@ -625,35 +610,34 @@ def sample_complexity_search(
             evaluated[m] = MEstimate(m, est, status)
         return evaluated[m]
 
-    with trial_pool(threads):
-        confirmed_lo = 0
-        hi: int | None = None
-        m = 1
-        while m <= m_max:
-            e = evaluate(m)
-            if e.status == "success":
-                hi = m
-                break
-            if e.status == "fail":
-                confirmed_lo = m
-            m *= 2
-        if hi is None:
-            raise SearchBracketError(
-                f"no m <= {m_max} reached a failure CI upper bound <= {delta}"
-            )
+    confirmed_lo = 0
+    hi: int | None = None
+    m = 1
+    while m <= m_max:
+        e = evaluate(m)
+        if e.status == "success":
+            hi = m
+            break
+        if e.status == "fail":
+            confirmed_lo = m
+        m *= 2
+    if hi is None:
+        raise SearchBracketError(
+            f"no m <= {m_max} reached a failure CI upper bound <= {delta}"
+        )
 
-        if hi == 1 and evaluate(0).status == "success":
-            hi = 0
-        soft_lo = min(confirmed_lo, hi - 1) if hi > 0 else -1
-        while hi - soft_lo > 1:
-            mid = (soft_lo + hi) // 2
-            e = evaluate(mid)
-            if e.status == "success":
-                hi = mid
-            else:
-                if e.status == "fail":
-                    confirmed_lo = mid
-                soft_lo = mid
+    if hi == 1 and evaluate(0).status == "success":
+        hi = 0
+    soft_lo = min(confirmed_lo, hi - 1) if hi > 0 else -1
+    while hi - soft_lo > 1:
+        mid = (soft_lo + hi) // 2
+        e = evaluate(mid)
+        if e.status == "success":
+            hi = mid
+        else:
+            if e.status == "fail":
+                confirmed_lo = mid
+            soft_lo = mid
     per_m = tuple(evaluated[k] for k in sorted(evaluated))
     return SampleComplexityResult(hi, (confirmed_lo, hi), per_m, delta)
 
@@ -701,7 +685,7 @@ def lower_bound_experiment(
     trials: int,
     seed: RngSeed,
     gamma: float = 0.01,
-    threads: int = 1,
+    pool: TrialPool | None = None,
 ) -> EstimateWithCI:
     """Failure probability of a learner in the matched-pair setting
     (lower_bound_config), with a warning outside the theorem's regime."""
@@ -712,7 +696,7 @@ def lower_bound_experiment(
             "outside the regime the bound assumes",
             stacklevel=2,
         )
-    return estimate_failure_prob(cfg, threads)
+    return estimate_failure_prob(cfg, pool)
 
 
 @dataclass(frozen=True)
@@ -754,7 +738,7 @@ def ks_statistics_experiment(
     trials: int,
     seed: RngSeed,
     gamma: float = 0.01,
-    threads: int = 1,
+    pool: TrialPool | None = None,
 ) -> KsSummary:
     """Simulate (I, X, Y, Z) and summarize K, S and the ratio condition.
 
@@ -765,7 +749,7 @@ def ks_statistics_experiment(
     family = PneFamily(n, eps)
     for key, value in (("m", m), ("trials", trials), ("gamma", gamma)):
         spec_value(key, value)
-    ks, ss = _map_trials(_ks_chunk, (family, m, seed), trials, threads)
+    ks, ss = _map_trials(_ks_chunk, (family, m, seed), trials, pool)
 
     ratio = ss / ks
     band = (eps / 2.0, 6.0 * eps / 5.0)
@@ -828,7 +812,7 @@ def no_gap_experiment(
     seed: RngSeed,
     gamma: float = 0.01,
     default_bit: int = 0,
-    threads: int = 1,
+    pool: TrialPool | None = None,
 ) -> tuple[NoGapRow, ...]:
     """Memorizer vs missing mass over random all-functions targets.
 
@@ -859,29 +843,28 @@ def no_gap_experiment(
     ]
     threshold = 2.0 * eps_acc
     rows = []
-    with trial_pool(threads):
-        for cfg in configs:
-            violated, z_ge, failed, z_float = _map_trials(
-                _run_chunk,
-                (_no_gap_trial, (cfg, Fraction(threshold)), ("u1", "u1", "u1", "f8")),
-                trials, threads,
+    for cfg in configs:
+        violated, z_ge, failed, z_float = _map_trials(
+            _run_chunk,
+            (_no_gap_trial, (cfg, Fraction(threshold)), ("u1", "u1", "u1", "f8")),
+            trials, pool,
+        )
+        # Plain float addition in trial order: np.sum adds pairwise, and the
+        # mean's last bits reach the CSV.
+        z_total = 0.0
+        for z in z_float.tolist():
+            z_total += z
+        z_ge_count = int(np.count_nonzero(z_ge))
+        fail_count = int(np.count_nonzero(failed))
+        rows.append(
+            NoGapRow(
+                m=cfg.m,
+                trials=trials,
+                violations=int(np.count_nonzero(violated)),
+                threshold=threshold,
+                z_ge_rate=EstimateWithCI.from_count(z_ge_count, trials, gamma),
+                fail_rate=EstimateWithCI.from_count(fail_count, trials, gamma),
+                mean_missing_mass=z_total / trials,
             )
-            # Plain float addition in trial order: np.sum adds pairwise, and the
-            # mean's last bits reach the CSV.
-            z_total = 0.0
-            for z in z_float.tolist():
-                z_total += z
-            z_ge_count = int(np.count_nonzero(z_ge))
-            fail_count = int(np.count_nonzero(failed))
-            rows.append(
-                NoGapRow(
-                    m=cfg.m,
-                    trials=trials,
-                    violations=int(np.count_nonzero(violated)),
-                    threshold=threshold,
-                    z_ge_rate=EstimateWithCI.from_count(z_ge_count, trials, gamma),
-                    fail_rate=EstimateWithCI.from_count(fail_count, trials, gamma),
-                    mean_missing_mass=z_total / trials,
-                )
-            )
+        )
     return tuple(rows)

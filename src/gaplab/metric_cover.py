@@ -181,8 +181,21 @@ def pne_small_cover(dist: PneMember, level: float | None = None) -> CoverResult:
     return CoverResult(tuple(j for j in range(1, n + 1) if j != i), level, d_half)
 
 
+_MAX_DIGITS = 4300  # Python's default cap on the digits of an int written as text
+
+
 def sauer_bound(sample_size: int, d: int) -> int:
-    """Sum of binomial coefficients C(K, 0) + ... + C(K, d), exactly."""
+    """Sum of binomial coefficients C(K, 0) + ... + C(K, d), exactly; refused before
+    summing if its bound (d + 1) C(K, j), j = min(d, K // 2), may pass _MAX_DIGITS digits.
+    C(K, j) <= exp(j ln(K/j) + (K-j) ln(1 + j/(K-j))) is used, not a difference
+    of math.lgamma values, which cancels to 0 near K = 2^63."""
+    j = min(d, sample_size // 2)
+    rest = sample_size - j
+    log_top = j * math.log(sample_size / j) + rest * math.log1p(j / rest) if j else 0.0
+    if math.log10(d + 1) + log_top / math.log(10) > _MAX_DIGITS:
+        raise InvalidParameterError(
+            f"the Sauer sum for K={sample_size}, d={d} may pass {_MAX_DIGITS} digits"
+        )
     return sum(math.comb(sample_size, i) for i in range(min(d, sample_size) + 1))
 
 

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  The heavy criteria use
-worker processes (threads=0 resolves to the machine's core count).
+Run with `pytest tests/test_acceptance.py -v -s`.  The heavy criteria map
+their trials on one module-wide TrialPool(0), which resolves to one worker
+per CPU this process may run on.
 """
 
 import csv
@@ -31,6 +32,7 @@ from gaplab.distributions import (
 from gaplab.mc_harness import (
     RandomPair,
     TrialConfig,
+    TrialPool,
     estimate_failure_prob,
     ks_statistics_experiment,
     lower_bound_experiment,
@@ -50,6 +52,13 @@ from reference import bayes_bit_predictor, kl_lower_bound_check, tail_inequality
 
 SEED = 20250811
 AUTO = 0  # resolve worker count from the machine
+
+
+@pytest.fixture(scope="module")
+def pool():
+    """The worker pool every heavy criterion of the module maps its trials on."""
+    with TrialPool(AUTO) as trial_pool:
+        yield trial_pool
 
 
 def report(num: int, name: str, ok: bool, detail: str):
@@ -89,7 +98,7 @@ def test_criterion_2_small_cover_grid():
            f"|cert-2eps(1-eps)| <= {worst_cert:.2e} (tol 1e-12)")
 
 
-def test_criterion_3_distribution_dependent_flatness():
+def test_criterion_3_distribution_dependent_flatness(pool):
     eps, eps_acc, delta, trials = 0.05, 0.2, 0.1, 4000
     m_corollary = corollary_m(eps, delta)
     assert m_corollary == 719
@@ -107,9 +116,9 @@ def test_criterion_3_distribution_dependent_flatness():
             trials=trials,
             seed=RngSeed(SEED).substream(300 + k),
         )
-        est = estimate_failure_prob(cfg, threads=AUTO)
+        est = estimate_failure_prob(cfg, pool)
         failures_ok &= est.estimate <= delta + est.radius
-        search = sample_complexity_search(cfg, delta, 512, threads=AUTO)
+        search = sample_complexity_search(cfg, delta, 512, pool)
         m_stars.append(search.m_star)
         details.append(f"n=2^{n.bit_length()-1}: fail@719={est.estimate:.4f} m*={search.m_star}")
     ratio = max(m_stars) / min(m_stars)
@@ -117,15 +126,15 @@ def test_criterion_3_distribution_dependent_flatness():
     report(3, "flatness", ok, "; ".join(details) + f"; m* spread x{ratio:.2f} (<= 2)")
 
 
-def test_criterion_4_lower_bound_reproduction():
+def test_criterion_4_lower_bound_reproduction(pool):
     n, eps, trials = 1 << 17, 0.2, 20000
     assert lower_bound_m(n, eps) == 2
     t0 = time.perf_counter()
     bayes = lower_bound_experiment(
-        n, eps, "bayes-posterior", trials, RngSeed(SEED), gamma=0.01, threads=AUTO
+        n, eps, "bayes-posterior", trials, RngSeed(SEED), gamma=0.01, pool=pool
     )
     erm_est = lower_bound_experiment(
-        n, eps, "erm", trials, RngSeed(SEED + 1), gamma=0.01, threads=AUTO
+        n, eps, "erm", trials, RngSeed(SEED + 1), gamma=0.01, pool=pool
     )
     elapsed = time.perf_counter() - t0
     ok = bayes.lower > 1 / 16 and erm_est.lower > 1 / 16 and elapsed < 120.0
@@ -135,10 +144,10 @@ def test_criterion_4_lower_bound_reproduction():
            f"{elapsed:.0f}s (< 120s)")
 
 
-def test_criterion_5_ks_concentration():
+def test_criterion_5_ks_concentration(pool):
     n, eps, trials = 1 << 17, 0.2, 20000
     summary = ks_statistics_experiment(
-        n, eps, lower_bound_m(n, eps), trials, RngSeed(SEED + 2), threads=AUTO
+        n, eps, lower_bound_m(n, eps), trials, RngSeed(SEED + 2), pool=pool
     )
     ratio_ok = summary.ratio_in_band.estimate >= 0.5 - 0.02
     tail_ok = summary.k_tail.estimate >= 0.75 - 0.02
@@ -169,7 +178,7 @@ def test_criterion_6_separation_curve(tmp_path):
            f"cover m* spread x{cover_ratio:.2f} (<= 1.5); {elapsed:.0f}s")
 
 
-def test_criterion_7_no_gap_invariant():
+def test_criterion_7_no_gap_invariant(pool):
     trials = 5000
     total_violations = 0
     cells = 0
@@ -178,7 +187,7 @@ def test_criterion_7_no_gap_invariant():
         for dist in (uniform_finite(domain), geometric_finite(domain)):
             rows = no_gap_experiment(
                 dist, [1, d, 2 * d], trials, 0.1, RngSeed(SEED).substream(700 + d),
-                threads=AUTO,
+                pool=pool,
             )
             for row in rows:
                 cells += 1

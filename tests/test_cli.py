@@ -822,6 +822,18 @@ def _no_trial(*args, **kwargs):
 PRODUCT_DIST = {"kind": "product", "marginals": [0.5, 0.1, 0.1, 0.1]}
 
 
+def wide_table(points: int) -> tuple[dict, dict]:
+    """A table class over `points` domain points (tables all zeros, all ones
+    and a one at the last point) and the uniform law on its domain."""
+    domain = [format(k, f"0{(points - 1).bit_length()}b") for k in range(points)]
+    tables = ["0" * points, "1" * points, "0" * (points - 1) + "1"]
+    return ({"kind": "table", "domain": domain, "tables": tables},
+            {"kind": "finite", "support": domain, "probs": [1 / points] * points})
+
+
+WIDE_TABLE_REFUSAL = "a table class of 65 domain points has tables wider than 64 bits"
+
+
 @pytest.mark.parametrize(
     "doc, named",
     [
@@ -844,6 +856,11 @@ PRODUCT_DIST = {"kind": "product", "marginals": [0.5, 0.1, 0.1, 0.1]}
           "dist": {"kind": "pne", "n": 16, "eps": 0.2, "i": 4},
           "target": {"kind": "random-concept"}, "learner": "bayes-posterior"},
          "the posterior rule's exact error needs target fixed:4"),
+        ({"class": wide_table(65)[0], "dist": wide_table(65)[1],
+          "target": {"kind": "fixed", "i": 3}, "learner": "erm"}, WIDE_TABLE_REFUSAL),
+        ({"class": wide_table(65)[0], "dist": wide_table(65)[1],
+          "target": {"kind": "fixed", "i": 3}, "learner": "cover", "cover_level": 0.3},
+         WIDE_TABLE_REFUSAL),
     ],
 )
 def test_learn_document_without_an_exact_oracle_exits_2_before_any_trial(
@@ -856,6 +873,36 @@ def test_learn_document_without_an_exact_oracle_exits_2_before_any_trial(
     assert res.exit_code == 2, res.output
     assert f"spec error: {named}" in res.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("points", [64, 65])
+@pytest.mark.parametrize("command", ["learn-erm", "learn-cover", "learn-memorizer", "cover",
+                                     "vc"])
+def test_table_class_wider_than_64_points_exits_2(runner, tmp_path, command, points):
+    # Tables are uint64 words for ERM, covers and the VC dimension; the
+    # memorizer reads them as Python ints and takes any width.
+    cls, dist = wide_table(points)
+    if command.startswith("learn"):
+        learner = command.split("-")[1]
+        doc = {"class": cls, "dist": dist, "target": {"kind": "fixed", "i": 3},
+               "learner": learner, "m": 3, "eps_acc": 0.1, "trials": 20, "cover_level": 0.3}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        args = ["learn", "--config", str(path)]
+    elif command == "cover":
+        args = ["cover", "--class-json", json.dumps(cls), "--dist-json", json.dumps(dist),
+                "--level", "0.3"]
+    else:
+        args = ["vc", "--class-json", json.dumps(cls)]
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), *args])
+    if points == 64 or command == "learn-memorizer":
+        assert res.exit_code == 0, res.output
+        assert out.exists()
+    else:
+        assert res.exit_code == 2, res.output
+        assert f"spec error: {WIDE_TABLE_REFUSAL}" in res.output
+        assert not out.exists()
 
 
 def test_separation_starts_one_pool(runner, tmp_path, monkeypatch):
@@ -918,6 +965,15 @@ class TestBounds:
             main, ["--out", str(tmp_path / "b.json"), "bounds", "--eps", "2.0"]
         )
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("k, d", [(20000, 10000), (100000000, 50000000),
+                                      (9223372036854775807, 300)])
+    def test_sum_past_the_digit_limit_exits_2_before_summing(self, runner, tmp_path, k, d):
+        out = tmp_path / "b.json"
+        res = runner.invoke(main, ["--out", str(out), "bounds", "--k", str(k), "--d", str(d)])
+        assert res.exit_code == 2, res.output
+        assert f"spec error: the Sauer sum for K={k}, d={d} may pass 4300 digits" in res.output
+        assert not out.exists()
 
 
 class TestJsonFormat:

@@ -1,5 +1,6 @@
-"""Every name a gaplab module imports is used by that module, and every
-function and class a gaplab module defines is read by gaplab itself.
+"""Every name a gaplab module imports is used by that module, every
+function and class a gaplab module defines is read by gaplab itself, and
+mc_harness.TrialPool is the only code that starts worker processes.
 
 No linter ships with the project, so these are its unused-import and
 unused-definition checks.  __init__.py is skipped: its imports are the
@@ -70,3 +71,50 @@ def test_the_check_finds_an_unread_definition():
 
 def test_every_definition_is_read():
     assert unread_definitions({p.stem: p.read_text() for p in MODULES}) == []
+
+
+FANOUT_PACKAGES = {"concurrent", "multiprocessing", "contextvars"}
+
+
+def fan_out_outside_trial_pool(module: str, source: str) -> list[str]:
+    """Where `source`, the module `module`, may start or share worker
+    processes other than through mc_harness.TrialPool: an import of
+    concurrent.futures, multiprocessing or contextvars anywhere but in
+    mc_harness, and a ProcessPoolExecutor named outside TrialPool."""
+    tree = ast.parse(source)
+    in_pool = {id(node) for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and cls.name == "TrialPool"
+               for node in ast.walk(cls)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            packages = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            packages = [node.module or ""]
+        else:
+            packages = []
+        found += [f"line {node.lineno}: imports {name}" for name in packages
+                  if module != "mc_harness" and name.split(".")[0] in FANOUT_PACKAGES]
+        named = (node.id if isinstance(node, ast.Name)
+                 else node.attr if isinstance(node, ast.Attribute) else None)
+        if named == "ProcessPoolExecutor" and id(node) not in in_pool:
+            found.append(f"line {node.lineno}: names ProcessPoolExecutor")
+    return found
+
+
+def test_the_check_finds_fan_out_outside_the_pool():
+    source = ("import concurrent.futures as cf\nfrom contextvars import ContextVar\n"
+              "class TrialPool:\n    def map(self):\n        return cf.ProcessPoolExecutor()\n"
+              "def pool():\n    return cf.ProcessPoolExecutor()\n")
+    assert fan_out_outside_trial_pool("cli", source) == [
+        "line 1: imports concurrent.futures", "line 2: imports contextvars",
+        "line 7: names ProcessPoolExecutor",
+    ]
+    assert fan_out_outside_trial_pool("mc_harness", source) == [
+        "line 7: names ProcessPoolExecutor",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_trial_pool_fans_out(path):
+    assert fan_out_outside_trial_pool(path.stem, path.read_text()) == []

@@ -45,7 +45,7 @@ from gaplab.mc_harness import (
     run_trial,
     run_trials,
     sample_complexity_search,
-    trial_pool,
+    TrialPool,
 )
 from reference import PosteriorState, bayes_posterior_predict, point_prob, tail_inequality_check
 
@@ -201,10 +201,12 @@ class TestEstimateFailure:
         est = estimate_failure_prob(cfg)
         assert est.estimate == 0.0
 
-    def test_thread_invariance(self):
+    def test_thread_invariance(self, pool_starts):
         cfg = pne_cfg(128, 0.1, "erm", 4, 1 / 16, 120, 11)
-        e1, f1 = run_trials(cfg, threads=1)
-        e2, f2 = run_trials(cfg, threads=2)
+        e1, f1 = run_trials(cfg)
+        with TrialPool(2) as pool:
+            e2, f2 = run_trials(cfg, pool)
+        assert pool_starts == [2]
         assert np.array_equal(e1, e2)
         assert np.array_equal(f1, f2)
 
@@ -327,9 +329,11 @@ class TestKsStats:
         assert 0.0 <= s.ratio_in_band.estimate <= 1.0
         assert sum(s.sk_hist_counts) == 300
 
-    def test_thread_invariance(self):
-        a = ks_statistics_experiment(256, 0.2, 2, 80, RngSeed(11), threads=1)
-        b = ks_statistics_experiment(256, 0.2, 2, 80, RngSeed(11), threads=2)
+    def test_thread_invariance(self, pool_starts):
+        a = ks_statistics_experiment(256, 0.2, 2, 80, RngSeed(11))
+        with TrialPool(2) as pool:
+            b = ks_statistics_experiment(256, 0.2, 2, 80, RngSeed(11), pool=pool)
+        assert pool_starts == [2]
         assert a == b
 
 
@@ -392,11 +396,13 @@ class TestNoGap:
             FiniteSupportDistribution(enumerated_domain(3), [0.7, 0.2, 0.1]),
         ],
     )
-    def test_thread_invariance_uneven_split(self, dist):
+    def test_thread_invariance_uneven_split(self, pool_starts, dist):
         # 501 trials do not split evenly into the 8 spans of 2 workers
         args = (dist, [0, 2, 5], 501, 0.1, RngSeed(23))
-        a = no_gap_experiment(*args, threads=1)
-        b = no_gap_experiment(*args, threads=2)
+        a = no_gap_experiment(*args)
+        with TrialPool(2) as pool:
+            b = no_gap_experiment(*args, pool=pool)
+        assert pool_starts == [2]
         assert a == b
         assert [r.mean_missing_mass for r in a] == [r.mean_missing_mass for r in b]
 
@@ -411,20 +417,21 @@ class TestNoGap:
             return point_hash(point)
 
         monkeypatch.setattr(Point, "__hash__", counting_hash)
-        rows = no_gap_experiment(dist, [1, 8], 50, 0.1, RngSeed(3), threads=1)
+        rows = no_gap_experiment(dist, [1, 8], 50, 0.1, RngSeed(3))
         assert [row.trials for row in rows] == [50, 50]
         assert hashed == []
 
     def test_few_trials_run_serially(self, monkeypatch):
         # trials < 2 * workers never starts a pool, and gives the serial rows
         dist = uniform_finite(enumerated_domain(4))
-        serial = no_gap_experiment(dist, [1, 3], 3, 0.1, RngSeed(29), threads=1)
+        serial = no_gap_experiment(dist, [1, 3], 3, 0.1, RngSeed(29))
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr("gaplab.mc_harness.ProcessPoolExecutor", no_pool)
-        assert no_gap_experiment(dist, [1, 3], 3, 0.1, RngSeed(29), threads=2) == serial
+        with TrialPool(2) as pool:
+            assert no_gap_experiment(dist, [1, 3], 3, 0.1, RngSeed(29), pool=pool) == serial
 
 
 def _reference_no_gap_trial(dist, m, seed, t):
@@ -457,7 +464,7 @@ class TestOneChunkLoop:
 
     def test_run_trials_maps_the_chunk_loop(self, chunk_calls):
         cfg = pne_cfg(32, 0.1, "erm", 3, 1 / 16, 40, 5)
-        errors, fails = run_trials(cfg, threads=1)
+        errors, fails = run_trials(cfg)
         assert chunk_calls == [("run_trial", ("f8", "u1"), 0, 40)]
         assert errors.dtype == np.float64 and fails.dtype == np.uint8
         trials = [run_trial(cfg, t) for t in range(40)]
@@ -466,7 +473,7 @@ class TestOneChunkLoop:
 
     def test_no_gap_maps_the_chunk_loop(self, chunk_calls):
         dist = uniform_finite(enumerated_domain(4))
-        no_gap_experiment(dist, [1, 3], 30, 0.1, RngSeed(3), threads=1)
+        no_gap_experiment(dist, [1, 3], 30, 0.1, RngSeed(3))
         assert chunk_calls == [("_no_gap_trial", ("u1", "u1", "u1", "f8"), 0, 30)] * 2
 
     def test_no_gap_trial_matches_the_reference(self):
@@ -510,60 +517,64 @@ def pool_starts(monkeypatch):
     return starts
 
 
+@pytest.fixture()
+def pool_exits(pool_starts, monkeypatch):
+    """The exception type (None if none) each started process pool's
+    __exit__ saw, in order."""
+    exits = []
+
+    class ExitRecordingPool(mc_harness.ProcessPoolExecutor):
+        def __exit__(self, *exc):
+            exits.append(exc[0])
+            return super().__exit__(*exc)
+
+    monkeypatch.setattr(mc_harness, "ProcessPoolExecutor", ExitRecordingPool)
+    return exits
+
+
 class TestTrialPool:
-    def test_calls_in_a_block_share_one_pool(self, pool_starts):
+    def test_calls_handed_one_pool_share_one_start(self, pool_starts):
         cfg = pne_cfg(32, 0.1, "erm", 3, 1 / 16, 40, 5)
         dist = uniform_finite(enumerated_domain(4))
         serial = run_trials(cfg), no_gap_experiment(dist, [1, 3], 40, 0.1, RngSeed(3))
-        with trial_pool(2):
-            with trial_pool(2):
-                errors, fails = run_trials(cfg, threads=2)
-            rows = no_gap_experiment(dist, [1, 3], 40, 0.1, RngSeed(3), threads=2)
-            assert mc_harness._shared_pool.get() is not None
+        with TrialPool(2) as pool:
+            errors, fails = run_trials(cfg, pool)
+            rows = no_gap_experiment(dist, [1, 3], 40, 0.1, RngSeed(3), pool=pool)
         assert pool_starts == [2]
-        assert mc_harness._shared_pool.get() is None
         assert np.array_equal(errors, serial[0][0]) and np.array_equal(fails, serial[0][1])
         assert rows == serial[1]
 
     def test_pool_starts_only_when_trials_fan_out(self, pool_starts):
         cfg = pne_cfg(32, 0.1, "erm", 3, 1 / 16, 3, 5)
-        with trial_pool(2):
-            run_trials(cfg, threads=2)  # 3 trials < 2 * workers: serial
-            run_trials(replace(cfg, trials=40), threads=1)
+        with TrialPool(2) as pool:
+            run_trials(cfg, pool)  # 3 trials < 2 * workers: serial
+        with TrialPool(1) as pool:
+            run_trials(replace(cfg, trials=40), pool)
         assert pool_starts == []
 
-    def test_each_block_has_its_own_pool(self, pool_starts):
+    def test_each_pool_starts_its_own_workers(self, pool_exits, pool_starts):
         cfg = pne_cfg(32, 0.1, "erm", 3, 1 / 16, 40, 5)
         for _ in range(2):
-            with trial_pool(2):
-                run_trials(cfg, threads=2)
-        run_trials(cfg, threads=2)
-        assert pool_starts == [2, 2, 2]
-
-    def test_other_worker_count_gets_its_own_pool(self, pool_starts):
-        cfg = pne_cfg(32, 0.1, "erm", 3, 1 / 16, 40, 5)
-        with trial_pool(2):
-            a = run_trials(cfg, threads=3)
-            b = run_trials(cfg, threads=2)
-            c = run_trials(cfg, threads=2)
-        assert pool_starts == [3, 2]
-        serial = run_trials(cfg)
-        for got in (a, b, c):
-            assert all(np.array_equal(x, y) for x, y in zip(got, serial))
+            with TrialPool(2) as pool:
+                run_trials(cfg, pool)
+        assert pool_starts == [2, 2]
+        assert pool_exits == [None, None]
 
     def test_search_starts_one_pool(self, pool_starts):
         cfg = pne_cfg(16, 0.1, "cover", 1, 1 / 16, 300, 8)
         serial = sample_complexity_search(cfg, 0.25, 64)
         assert len(serial.per_m) > 1
-        assert sample_complexity_search(cfg, 0.25, 64, threads=2) == serial
+        with TrialPool(2) as pool:
+            assert sample_complexity_search(cfg, 0.25, 64, pool) == serial
         assert pool_starts == [2]
 
-    def test_pool_closes_on_error(self, pool_starts):
+    def test_pool_closes_on_error(self, pool_exits, pool_starts):
         cfg = pne_cfg(4096, 0.1, "erm", 1, 1 / 16, 150, 5)
         with pytest.raises(SearchBracketError):
-            sample_complexity_search(cfg, 0.3, 1, threads=2)
+            with TrialPool(2) as pool:
+                sample_complexity_search(cfg, 0.3, 1, pool)
         assert pool_starts == [2]
-        assert mc_harness._shared_pool.get() is None
+        assert pool_exits == [SearchBracketError]
 
 
 class TestTailInequality:

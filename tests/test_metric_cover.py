@@ -303,6 +303,18 @@ class TestFormulas:
     def test_sauer_bound_saturates(self):
         assert sauer_bound(5, 9) == 32
 
+    @pytest.mark.parametrize("k, d", [(20000, 10000), (100000000, 50000000), (14300, 14300),
+                                      (2**63 - 1, 300)])
+    def test_sauer_bound_refuses_a_sum_past_the_digit_limit(self, k, d):
+        with pytest.raises(InvalidParameterError, match=f"K={k}, d={d} may pass 4300 digits"):
+            sauer_bound(k, d)
+
+    def test_sauer_bound_below_the_digit_limit_is_exact(self):
+        assert len(str(sauer_bound(14000, 1000))) == 1563
+        assert sauer_bound(4000, 4000) == 2**4000
+        k = 2**63 - 1
+        assert sauer_bound(k, 2) == 1 + k + k * (k - 1) // 2
+
     def test_sauer_estimate_preconditions(self):
         with pytest.raises(InvalidParameterError):
             sauer_estimate(3, 0)
