@@ -74,8 +74,10 @@ from .mc_harness import (
     estimate_failure_prob,
     in_theorem_regime,
     ks_statistics_experiment,
+    lower_bound_config,
     lower_bound_experiment,
     lower_bound_m,
+    no_gap_configs,
     no_gap_experiment,
     run_trial,
     run_trials,

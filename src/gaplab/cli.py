@@ -4,11 +4,13 @@ Every result file embeds the master seed and a hash of the resolved
 experiment spec; re-running a command with the same spec and seed emits a
 byte-identical body.  Timestamps live only in the per-invocation manifest.
 
-Each subcommand is one row of COMMANDS: its flags, a runner that maps one
-resolved config entry to (resolved spec, rows), and its CSV header.  One
-builder turns every row into a click command, so config loading, flag
-resolution, the global --trials override, output and the manifest are
-shared by all of them.
+Each subcommand is one row of COMMANDS: its flags, a runner and its CSV
+header.  A runner checks and builds one config entry and returns its spec
+and rows(), which runs the trials, the cover scan or the VC search.  One
+builder turns every row into a click command that builds every entry before
+it runs the first, so a bad entry anywhere is a spec error before any
+trial; config loading, flag resolution, the global --trials override,
+output and the manifest are shared by all commands.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import click
 import numpy as np
@@ -58,6 +60,7 @@ from .mc_harness import (
     lower_bound_experiment,
     lower_bound_m,
     matched_pair_config,
+    no_gap_configs,
     no_gap_experiment,
     sample_complexity_search,
     TrialPool,
@@ -199,18 +202,23 @@ JSON_TEXT = JsonText()
 
 @dataclass(frozen=True)
 class Command:
-    """One subcommand: its flags, how it runs one config entry, and how it writes.
+    """One subcommand: its flags, how it builds and runs one config entry, and
+    how it writes.
 
     `run(obj, **values)` takes the typed values of one config entry, keyed by
-    flag name (or what `prepare` made of them), and returns (resolved spec,
-    rows); its docstring is the help.
+    flag name, checks them, builds what the entry runs on, and returns
+    (resolved spec, rows); its docstring is the help.  `rows()` runs the
+    entry and returns an iterable of its rows.  Every entry is built before
+    the first runs, so a spec error comes before any trial, and what
+    building loads (scipy.special for the posterior rule) loads before the
+    pool forks.
     `write` gets the rows of all entries: for `_write_table`, tuples in
     header order.
     """
 
     name: str
     options: tuple[click.Option, ...]
-    run: Callable[..., tuple[dict, list]]
+    run: Callable[..., tuple[dict, Callable[[], Iterable]]]
     header: tuple[str, ...] = ()
     # The command runs one spec: its config holds one entry, and the
     # resolved spec is that entry's spec rather than a list of them.
@@ -221,11 +229,6 @@ class Command:
     # values: it reaches the runner as `document`, and the flags keep their
     # command-line or default values.
     document_keys: frozenset[str] = frozenset()
-    # Maps one entry's values to the keyword arguments of `run`.  Every
-    # entry is prepared before the first one runs, so whatever preparing
-    # loads (scipy.special for a posterior-rule config) is loaded before
-    # the command's pool forks its workers.
-    prepare: Callable[..., dict] | None = None
 
 
 def _resolve_entry(ctx: click.Context, cmd: Command, entry: dict) -> dict:
@@ -330,7 +333,8 @@ def main(ctx, seed, trials, out, fmt, threads):
 
 def _run_cover(obj: CLIContext, n, eps, i, level, class_json, dist_json):
     """Build the greedy packing cover and report it next to the Dudley bound."""
-    if class_json or dist_json:
+    explicit = bool(class_json or dist_json)
+    if explicit:
         if not (class_json and dist_json):
             raise InvalidParameterError("give both --class-json and --dist-json")
         cls = class_from_json_dict(class_json, "class_json", "cover")
@@ -339,25 +343,29 @@ def _run_cover(obj: CLIContext, n, eps, i, level, class_json, dist_json):
             raise InvalidParameterError("cover needs a concrete distribution")
         if level is None:
             raise InvalidParameterError("--level is required for explicit specs")
-        result = greedy_packing_cover(cls, dist, level)
     else:
         cls = ProjectionClass(n)
         dist = make_pne(n, eps, i)
         if level is None:
             level = 2.0 * eps
-        result = pne_small_cover(dist, level)
-    if isinstance(cls, ProjectionClass):
-        d_vc = cls.n.bit_length() - 1
-    else:
-        d_vc = vc_dimension_bruteforce(cls)
-    bound = dudley_cover_bound(level, d_vc)
     spec = {
         "kind": "cover", "class": cls.to_json_dict(), "dist": dist.to_json_dict(),
         "level": level, "seed": obj.seed,
     }
-    members = "|".join(map(str, result.members))
-    return spec, [(spec["class"]["kind"], cls.num_concepts, level, result.size, members,
-                   result.certificate, d_vc, bound.log_value, bound.value)]
+
+    def rows():
+        result = (greedy_packing_cover(cls, dist, level) if explicit
+                  else pne_small_cover(dist, level))
+        if isinstance(cls, ProjectionClass):
+            d_vc = cls.n.bit_length() - 1
+        else:
+            d_vc = vc_dimension_bruteforce(cls)
+        bound = dudley_cover_bound(level, d_vc)
+        members = "|".join(map(str, result.members))
+        return [(spec["class"]["kind"], cls.num_concepts, level, result.size, members,
+                 result.certificate, d_vc, bound.log_value, bound.value)]
+
+    return spec, rows
 
 
 def _run_vc(obj: CLIContext, n, universe, d_max, class_json):
@@ -368,11 +376,11 @@ def _run_vc(obj: CLIContext, n, universe, d_max, class_json):
     else:
         cls = ProjectionClass(n)
         points = full_hypercube(n) if universe == "full" else None
-    dim = vc_dimension_bruteforce(cls, points, d_max)
     spec = {"kind": "vc", "class": cls.to_json_dict(), "universe": universe,
             "d_max": d_max, "seed": obj.seed}
     shown = universe if not class_json else "default"
-    return spec, [(spec["class"]["kind"], cls.num_concepts, shown, dim)]
+    return spec, lambda: [(spec["class"]["kind"], cls.num_concepts, shown,
+                           vc_dimension_bruteforce(cls, points, d_max))]
 
 
 def _int_list(flag: str, text: str) -> list[int]:
@@ -405,9 +413,9 @@ def _target_from_string(s: str):
     raise InvalidParameterError(f"bad target spec {s!r}; use fixed:<i>, random-pair, random-concept")
 
 
-def _learn_config(obj: CLIContext, n, eps, target, learner, m, eps_acc, gamma, trials,
-                  document=None) -> dict:
-    """The TrialConfig of one learn entry, as _run_learn's argument."""
+def _run_learn(obj: CLIContext, n, eps, target, learner, m, eps_acc, gamma, trials,
+               document=None):
+    """Estimate a learner's failure probability for one trial configuration."""
     if document is not None:
         cfg = config_from_json_dict({
             "seed": {"master": obj.seed}, "trials": trials, "eps_acc": eps_acc,
@@ -421,16 +429,14 @@ def _learn_config(obj: CLIContext, n, eps, target, learner, m, eps_acc, gamma, t
         else:
             cfg = TrialConfig(ProjectionClass(n), make_pne(n, eps, 1), tgt, learner, m,
                               eps_acc, trials, RngSeed(obj.seed), gamma)
-    return {"cfg": cfg}
 
+    def rows():
+        est = estimate_failure_prob(cfg, obj.pool)
+        return [(cfg.learner, cfg.m, cfg.eps_acc, cfg.trials, cfg.gamma,
+                 round(est.estimate * cfg.trials), est.estimate, est.radius, est.lower,
+                 est.upper)]
 
-def _run_learn(obj: CLIContext, cfg: TrialConfig):
-    """Estimate a learner's failure probability for one trial configuration."""
-    est = estimate_failure_prob(cfg, obj.pool)
-    return {"kind": "learn", "config": cfg.to_json_dict()}, [
-        (cfg.learner, cfg.m, cfg.eps_acc, cfg.trials, cfg.gamma,
-         round(est.estimate * cfg.trials), est.estimate, est.radius, est.lower, est.upper)
-    ]
+    return {"kind": "learn", "config": cfg.to_json_dict()}, rows
 
 
 def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, trials, m_max):
@@ -448,68 +454,71 @@ def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, tria
         "m_max": m_max, "seed": obj.seed,
     }
     base = RngSeed(obj.seed)
-    # Every config is built before the first search starts the command's
-    # pool, so anything a config loads (scipy.special for the posterior
-    # rule) is loaded once here and inherited by the forked workers.
     cells = [
         (n, learner, matched_pair_config(n, eps, learner, 1, eps_acc, trials,
                                          base.substream(n).substream(li)))
         for n in ns
         for li, learner in enumerate(learner_list)
     ]
-    rows = []
-    for n, learner, cfg in cells:
-        result = sample_complexity_search(cfg, delta, m_max, obj.pool)
-        est = result.estimate_at(result.m_star)
-        unresolved = ";".join(str(v) for v in result.unresolved_ms)
-        if unresolved:
-            click.echo(
-                f"warning: unresolved m values for n={n} {learner}: {unresolved}",
-                err=True,
-            )
-        rows.append((n, learner, result.m_star, est.lower, est.upper,
-                     result.bracket[0], unresolved, trials))
+
+    def rows():
+        for n, learner, cfg in cells:
+            result = sample_complexity_search(cfg, delta, m_max, obj.pool)
+            est = result.estimate_at(result.m_star)
+            unresolved = ";".join(str(v) for v in result.unresolved_ms)
+            if unresolved:
+                click.echo(
+                    f"warning: unresolved m values for n={n} {learner}: {unresolved}",
+                    err=True,
+                )
+            yield (n, learner, result.m_star, est.lower, est.upper, result.bracket[0],
+                   unresolved, trials)
+
     return spec, rows
-
-
-def _check_lower_bound(obj: CLIContext, **values) -> dict:
-    """Build one lower-bound entry's trial config, so that every entry is
-    checked, and loads what it needs, before the first one runs."""
-    lower_bound_config(seed=RngSeed(obj.seed), **values)
-    return values
 
 
 def _run_lower_bound(obj: CLIContext, n, eps, learner, trials, gamma):
     """The matched-pair failure experiment at m = floor(ln n / (3 ln(1/eps)))."""
-    with warnings.catch_warnings():
-        # The regime warning is one line on stderr, as separation's are.
-        warnings.simplefilter("always")
-        warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
-        est = lower_bound_experiment(n, eps, learner, trials, RngSeed(obj.seed), gamma,
-                                     obj.pool)
+    cfg = lower_bound_config(n, eps, learner, trials, RngSeed(obj.seed), gamma)
     spec = {"kind": "lower-bound", "n": n, "eps": eps, "learner": learner,
             "trials": trials, "gamma": gamma, "seed": obj.seed}
-    return spec, [(n, eps, lower_bound_m(n, eps), learner, 1.0 / 16.0, trials,
-                   est.estimate, est.radius, est.lower, est.upper,
-                   est.lower > 1.0 / 16.0, not in_theorem_regime(n, eps))]
+
+    def rows():
+        with warnings.catch_warnings():
+            # The regime warning is one line on stderr, as separation's are.
+            warnings.simplefilter("always")
+            warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}",
+                                                                  err=True)
+            est = lower_bound_experiment(cfg, obj.pool)
+        return [(n, eps, cfg.m, learner, cfg.eps_acc, trials,
+                 est.estimate, est.radius, est.lower, est.upper,
+                 est.lower > cfg.eps_acc, not in_theorem_regime(n, eps))]
+
+    return spec, rows
 
 
 def _run_ks_stats(obj: CLIContext, n, eps, m, trials, gamma):
     """Concentration of the candidate-set size K and the ratio S/K."""
     if m is None:
         m = lower_bound_m(n, eps)
-    summary = ks_statistics_experiment(n, eps, m, trials, RngSeed(obj.seed), gamma, obj.pool)
+    family = PneFamily(n, eps)
     spec = {"kind": "ks-stats", "n": n, "eps": eps, "m": m,
             "trials": trials, "gamma": gamma, "seed": obj.seed}
-    hist = ";".join(
-        f"{summary.sk_hist_edges[i]:.3f}:{summary.sk_hist_counts[i]}"
-        for i in range(len(summary.sk_hist_counts))
-        if summary.sk_hist_counts[i]
-    )
-    return spec, [(n, eps, m, trials, *summary.ratio_band,
-                   summary.ratio_in_band.estimate, summary.ratio_in_band.radius,
-                   summary.k_threshold, summary.k_tail.estimate, summary.k_tail.radius,
-                   *summary.k_quantiles, hist)]
+
+    def rows():
+        summary = ks_statistics_experiment(family, m, trials, RngSeed(obj.seed), gamma,
+                                           obj.pool)
+        hist = ";".join(
+            f"{summary.sk_hist_edges[i]:.3f}:{summary.sk_hist_counts[i]}"
+            for i in range(len(summary.sk_hist_counts))
+            if summary.sk_hist_counts[i]
+        )
+        return [(n, eps, m, trials, *summary.ratio_band,
+                 summary.ratio_in_band.estimate, summary.ratio_in_band.radius,
+                 summary.k_threshold, summary.k_tail.estimate, summary.k_tail.radius,
+                 *summary.k_quantiles, hist)]
+
+    return spec, rows
 
 
 def _run_no_gap(obj: CLIContext, domain_size, dist, dist_json, m_grid, eps_acc, trials):
@@ -523,13 +532,15 @@ def _run_no_gap(obj: CLIContext, domain_size, dist, dist_json, m_grid, eps_acc, 
         domain = enumerated_domain(domain_size)
         law = uniform_finite(domain) if dist == "uniform" else geometric_finite(domain)
     grid = _int_list("--m-grid", m_grid) if m_grid else list(range(1, 2 * domain_size + 1))
-    table = no_gap_experiment(law, grid, trials, eps_acc, RngSeed(obj.seed), pool=obj.pool)
+    configs = no_gap_configs(law, grid, trials, eps_acc, RngSeed(obj.seed))
     spec = {"kind": "no-gap", "dist": law.to_json_dict(), "m_grid": grid,
             "eps_acc": eps_acc, "trials": trials, "seed": obj.seed}
     shown = dist if not dist_json else "custom"
-    return spec, [(domain_size, shown, row.m, row.trials, row.violations, row.threshold,
-                   row.z_ge_rate.estimate, row.fail_rate.estimate, row.mean_missing_mass)
-                  for row in table]
+    return spec, lambda: [
+        (domain_size, shown, row.m, row.trials, row.violations, row.threshold,
+         row.z_ge_rate.estimate, row.fail_rate.estimate, row.mean_missing_mass)
+        for row in no_gap_experiment(configs, obj.pool)
+    ]
 
 
 def _run_bounds(obj: CLIContext, cover_size, eps, delta, d, k):
@@ -545,7 +556,7 @@ def _run_bounds(obj: CLIContext, cover_size, eps, delta, d, k):
         "sauer_bound": sauer_bound(k, d),
         "sauer_estimate": sauer_estimate(k, d) if 1 <= d <= k else None,
     }
-    return {"kind": "bounds", **inputs, "seed": obj.seed}, [report]
+    return {"kind": "bounds", **inputs, "seed": obj.seed}, lambda: [report]
 
 
 def _opt(flags: str, type_, default=None, **kw) -> click.Option:
@@ -599,7 +610,6 @@ COMMANDS = (
          "estimate", "radius", "ci_low", "ci_high"),
         config_help="TrialConfig JSON (object or list).",
         document_keys=frozenset({"class", "dist", "target"}),
-        prepare=_learn_config,
     ),
     Command(
         "separation",
@@ -630,7 +640,6 @@ COMMANDS = (
         _run_lower_bound,
         ("n", "eps", "m", "learner", "eps_acc", "trials", "estimate",
          "radius", "ci_low", "ci_high", "above_one_sixteenth", "outside_regime"),
-        prepare=_check_lower_bound,
     ),
     Command(
         "ks-stats",
@@ -689,15 +698,9 @@ def _build(cmd: Command) -> click.Command:
             raise InvalidParameterError(
                 f"{cmd.name} takes one config entry, the config has {len(entries)}"
             )
-        entry_values = [_resolve_entry(ctx, cmd, entry) for entry in entries]
-        if cmd.prepare is not None:
-            entry_values = [cmd.prepare(obj, **values) for values in entry_values]
-        specs, rows = [], []
-        for values in entry_values:
-            spec, entry_rows = cmd.run(obj, **values)
-            specs.append(spec)
-            rows.extend(entry_rows)
-        resolved = specs[0] if cmd.single else specs
+        built = [cmd.run(obj, **_resolve_entry(ctx, cmd, entry)) for entry in entries]
+        resolved = built[0][0] if cmd.single else [spec for spec, _ in built]
+        rows = [row for _, entry_rows in built for row in entry_rows()]
         path = cmd.write(obj, cmd.name, cmd.header, rows, spec_hash(resolved))
         click.echo(f"wrote {path} ({len(rows)} row{'s' if len(rows) != 1 else ''})")
         _write_manifest(obj, resolved, path)

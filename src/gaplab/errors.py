@@ -51,7 +51,7 @@ SPEC_FIELDS = {
     "trials": SpecField(int, "[1, 2^63 - 1]"),
     "m_max": SpecField(int, "[1, 2^63 - 1]"),
     "d_max": SpecField(int, "[0, 2^63 - 1]", optional=True),
-    "domain_size": SpecField(int, "[1, 2^63 - 1]"),
+    "domain_size": SpecField(int, "[1, 12]"),
     "cover_size": SpecField(int, "[1, 2^63 - 1]"),
     "d": SpecField(int, "[0, 2^63 - 1]"),
     "k": SpecField(int, "[0, 2^63 - 1]"),

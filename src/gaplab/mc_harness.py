@@ -678,18 +678,10 @@ def lower_bound_config(
                                FAILURE_THRESHOLD_ONE_SIXTEENTH, trials, seed, gamma)
 
 
-def lower_bound_experiment(
-    n: int,
-    eps: float,
-    learner: str,
-    trials: int,
-    seed: RngSeed,
-    gamma: float = 0.01,
-    pool: TrialPool | None = None,
-) -> EstimateWithCI:
-    """Failure probability of a learner in the matched-pair setting
-    (lower_bound_config), with a warning outside the theorem's regime."""
-    cfg = lower_bound_config(n, eps, learner, trials, seed, gamma)
+def lower_bound_experiment(cfg: TrialConfig, pool: TrialPool | None = None) -> EstimateWithCI:
+    """Failure probability of a lower_bound_config's learner, with a warning
+    outside the theorem's regime."""
+    n, eps = cfg.dist.n, cfg.dist.eps
     if not in_theorem_regime(n, eps):
         warnings.warn(
             f"n={n} is below 600/eps^3 = {600.0 / eps**3:.0f}; "
@@ -732,21 +724,21 @@ def _ks_chunk(
 
 
 def ks_statistics_experiment(
-    n: int,
-    eps: float,
+    family: PneFamily,
     m: int,
     trials: int,
     seed: RngSeed,
     gamma: float = 0.01,
     pool: TrialPool | None = None,
 ) -> KsSummary:
-    """Simulate (I, X, Y, Z) and summarize K, S and the ratio condition.
+    """Simulate (I, X, Y, Z) under `family` and summarize K, S and the ratio
+    condition.
 
     Draw order per trial: I, then the m x n sample, then the test point.
     The band is [eps/2, 6 eps/5] for S/K, and the K tail is measured
     against n^(2/3) / 2.
     """
-    family = PneFamily(n, eps)
+    n, eps = family.n, family.eps
     for key, value in (("m", m), ("trials", trials), ("gamma", gamma)):
         spec_value(key, value)
     ks, ss = _map_trials(_ks_chunk, (family, m, seed), trials, pool)
@@ -804,7 +796,7 @@ def _no_gap_trial(cfg: TrialConfig, threshold: Fraction, t: int) -> tuple:
     return d > z, z >= threshold, d > threshold, float(z)
 
 
-def no_gap_experiment(
+def no_gap_configs(
     dist: FiniteSupportDistribution,
     m_grid: Sequence[int],
     trials: int,
@@ -812,42 +804,34 @@ def no_gap_experiment(
     seed: RngSeed,
     gamma: float = 0.01,
     default_bit: int = 0,
-    pool: TrialPool | None = None,
-) -> tuple[NoGapRow, ...]:
-    """Memorizer vs missing mass over random all-functions targets.
-
-    A no-gap trial is a memorizer trial on the all-functions class of the
-    support with a uniform random target, one TrialConfig per m.  For every
-    trial the exact rational comparison d_P(memorizer, target) <= Z is
-    checked (Z is the missing mass of the drawn sample), and the failure
-    rate at threshold 2 * eps_acc is reported next to Pr[Z >= 2 * eps_acc],
-    which bounds it.  Rows are bit-identical for any worker count.
-    """
+) -> list[TrialConfig]:
+    """One TrialConfig per m of the no-gap grid: a memorizer trial on the
+    all-functions class of the support with a uniform random target."""
     if len(dist.support) > 12:
         raise InvalidParameterError("exact enumeration is capped at 12 domain points")
     cls = all_functions_class(dist.support)
-    configs = [
-        TrialConfig(
-            concept_class=cls,
-            dist=dist,
-            target=RandomConcept(),
-            learner="memorizer",
-            m=m,
-            eps_acc=eps_acc,
-            trials=trials,
-            seed=seed.substream(m),
-            gamma=gamma,
-            memorizer_default=default_bit,
-        )
-        for m in m_grid
-    ]
-    threshold = 2.0 * eps_acc
+    return [TrialConfig(cls, dist, RandomConcept(), "memorizer", m, eps_acc, trials,
+                        seed.substream(m), gamma, memorizer_default=default_bit)
+            for m in m_grid]
+
+
+def no_gap_experiment(
+    configs: Sequence[TrialConfig], pool: TrialPool | None = None
+) -> tuple[NoGapRow, ...]:
+    """Memorizer vs missing mass, one row per no_gap_configs config.
+
+    For every trial the exact rational comparison d_P(memorizer, target) <= Z
+    is checked (Z is the missing mass of the drawn sample), and the failure
+    rate at threshold 2 * eps_acc is reported next to Pr[Z >= 2 * eps_acc],
+    which bounds it.  Rows are bit-identical for any worker count.
+    """
     rows = []
     for cfg in configs:
+        threshold = 2.0 * cfg.eps_acc
         violated, z_ge, failed, z_float = _map_trials(
             _run_chunk,
             (_no_gap_trial, (cfg, Fraction(threshold)), ("u1", "u1", "u1", "f8")),
-            trials, pool,
+            cfg.trials, pool,
         )
         # Plain float addition in trial order: np.sum adds pairwise, and the
         # mean's last bits reach the CSV.
@@ -859,12 +843,12 @@ def no_gap_experiment(
         rows.append(
             NoGapRow(
                 m=cfg.m,
-                trials=trials,
+                trials=cfg.trials,
                 violations=int(np.count_nonzero(violated)),
                 threshold=threshold,
-                z_ge_rate=EstimateWithCI.from_count(z_ge_count, trials, gamma),
-                fail_rate=EstimateWithCI.from_count(fail_count, trials, gamma),
-                mean_missing_mass=z_total / trials,
+                z_ge_rate=EstimateWithCI.from_count(z_ge_count, cfg.trials, cfg.gamma),
+                fail_rate=EstimateWithCI.from_count(fail_count, cfg.trials, cfg.gamma),
+                mean_missing_mass=z_total / cfg.trials,
             )
         )
     return tuple(rows)

@@ -66,8 +66,14 @@ class CoverResult:
         return len(self.members)
 
 
+def _disagreement(p, q):
+    """p(1-q) + (1-p)q, spelled p + q - 2pq: how often independent Bernoulli(p)
+    and Bernoulli(q) coordinates differ, for floats or arrays alike."""
+    return p + q - 2.0 * p * q
+
+
 def disagreement_exact_projections(dist: ProductLaw, a: int, b: int) -> float:
-    """Pr[X[a] != X[b]] under a product distribution: p_a(1-p_b) + (1-p_a)p_b.
+    """Pr[X[a] != X[b]] under a product distribution.
 
     The product form needs independent coordinates, so a == b is handled
     separately (identical concepts never disagree).
@@ -76,7 +82,7 @@ def disagreement_exact_projections(dist: ProductLaw, a: int, b: int) -> float:
     pb = dist.marginal(b)
     if a == b:
         return 0.0
-    return pa + pb - 2.0 * pa * pb
+    return _disagreement(pa, pb)
 
 
 def disagreement_enumerate(
@@ -104,9 +110,7 @@ def check_same_n(cls: ProjectionClass, dist: ProductLaw | PneFamily) -> None:
 
 
 def _distance_rows_projections(dist: ProductLaw, member: int) -> np.ndarray:
-    p = dist.marginals
-    pm = dist.marginal(member)
-    out = p + pm - 2.0 * p * pm
+    out = _disagreement(dist.marginals, dist.marginal(member))
     out[member - 1] = 0.0
     return out
 
@@ -161,15 +165,15 @@ def pne_small_cover(dist: PneMember, level: float | None = None) -> CoverResult:
     Matches greedy_packing_cover(C_n, P_i, level) exactly, members, level
     and certificate; level defaults to 2*eps.  Two Bernoulli(eps)
     coordinates lie d_off apart and the fair coin lies d_half from each of
-    them (the scan's own float expressions).  When d_half > level the scan
+    them (by _disagreement, as in the scan).  When d_half > level the scan
     admits c_1 and the first concept at d_half from it ({c_1, c_i}, or
     {c_1, c_2} for i = 1), and every concept if d_off > level too; else it
     admits c_1 alone.
     """
     n, eps, i = dist.n, dist.eps, dist.i
     level = 2.0 * eps if level is None else float(level)
-    d_off = eps + eps - 2.0 * eps * eps
-    d_half = 0.5 + eps - 2.0 * 0.5 * eps
+    d_off = _disagreement(eps, eps)
+    d_half = _disagreement(0.5, eps)
     if d_half > level:
         if d_off > level:
             return CoverResult(tuple(range(1, n + 1)), level, 0.0)
@@ -196,7 +200,11 @@ def sauer_bound(sample_size: int, d: int) -> int:
         raise InvalidParameterError(
             f"the Sauer sum for K={sample_size}, d={d} may pass {_MAX_DIGITS} digits"
         )
-    return sum(math.comb(sample_size, i) for i in range(min(d, sample_size) + 1))
+    total = term = 1
+    for i in range(min(d, sample_size)):
+        term = term * (sample_size - i) // (i + 1)  # C(K, i + 1) from C(K, i)
+        total += term
+    return total
 
 
 def sauer_estimate(sample_size: int, d: int) -> float:

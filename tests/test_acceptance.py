@@ -35,8 +35,10 @@ from gaplab.mc_harness import (
     TrialPool,
     estimate_failure_prob,
     ks_statistics_experiment,
+    lower_bound_config,
     lower_bound_experiment,
     lower_bound_m,
+    no_gap_configs,
     no_gap_experiment,
     run_trials,
     sample_complexity_search,
@@ -131,10 +133,10 @@ def test_criterion_4_lower_bound_reproduction(pool):
     assert lower_bound_m(n, eps) == 2
     t0 = time.perf_counter()
     bayes = lower_bound_experiment(
-        n, eps, "bayes-posterior", trials, RngSeed(SEED), gamma=0.01, pool=pool
+        lower_bound_config(n, eps, "bayes-posterior", trials, RngSeed(SEED), gamma=0.01), pool
     )
     erm_est = lower_bound_experiment(
-        n, eps, "erm", trials, RngSeed(SEED + 1), gamma=0.01, pool=pool
+        lower_bound_config(n, eps, "erm", trials, RngSeed(SEED + 1), gamma=0.01), pool
     )
     elapsed = time.perf_counter() - t0
     ok = bayes.lower > 1 / 16 and erm_est.lower > 1 / 16 and elapsed < 120.0
@@ -147,7 +149,7 @@ def test_criterion_4_lower_bound_reproduction(pool):
 def test_criterion_5_ks_concentration(pool):
     n, eps, trials = 1 << 17, 0.2, 20000
     summary = ks_statistics_experiment(
-        n, eps, lower_bound_m(n, eps), trials, RngSeed(SEED + 2), pool=pool
+        PneFamily(n, eps), lower_bound_m(n, eps), trials, RngSeed(SEED + 2), pool=pool
     )
     ratio_ok = summary.ratio_in_band.estimate >= 0.5 - 0.02
     tail_ok = summary.k_tail.estimate >= 0.75 - 0.02
@@ -186,7 +188,8 @@ def test_criterion_7_no_gap_invariant(pool):
         domain = enumerated_domain(d)
         for dist in (uniform_finite(domain), geometric_finite(domain)):
             rows = no_gap_experiment(
-                dist, [1, d, 2 * d], trials, 0.1, RngSeed(SEED).substream(700 + d),
+                no_gap_configs(dist, [1, d, 2 * d], trials, 0.1,
+                               RngSeed(SEED).substream(700 + d)),
                 pool=pool,
             )
             for row in rows:

@@ -819,6 +819,61 @@ def _no_trial(*args, **kwargs):
     raise AssertionError("a trial ran")
 
 
+# A good first entry, a second entry that breaks a rule, and the rule.
+LATER_BAD_ENTRY = {
+    "learn": ({"n": 16, "m": 2, "trials": 20},
+              {"class": {"kind": "projections", "n": 16},
+               "dist": {"kind": "pne", "n": 16, "eps": 0.1, "i": 2},
+               "target": {"kind": "fixed", "i": 2}, "learner": "memorizer", "m": 2,
+               "eps_acc": 0.1, "trials": 20},
+              "the memorizer's exact error needs an enumerable domain"),
+    "lower-bound": ({"n": 16, "eps": 0.2, "learner": "erm", "trials": 20},
+                    {"n": 16, "eps": 0.3, "learner": "erm", "trials": 20},
+                    "eps must lie in (0, 1/4), got 0.3"),
+    "ks-stats": ({"n": 16, "eps": 0.2, "m": 2, "trials": 20},
+                 {"n": 16, "eps": 0.6, "m": 2, "trials": 20},
+                 "eps must lie in (0, 1/2), got 0.6"),
+    "no-gap": ({"domain_size": 4, "m_grid": "1", "trials": 20},
+               {"dist_json": {"kind": "pne", "n": 4, "eps": 0.1}, "m_grid": "1", "trials": 20},
+               "no-gap --dist-json needs a finite distribution"),
+    "cover": ({"n": 64, "eps": 0.05},
+              {"class_json": {"kind": "projections", "n": 8}, "level": 0.3},
+              "give both --class-json and --dist-json"),
+    "vc": ({"n": 4}, {"n": 21}, "full hypercube enumeration capped at n = 20"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LATER_BAD_ENTRY))
+def test_a_bad_later_entry_exits_2_before_the_first_entry_runs(runner, tmp_path, monkeypatch,
+                                                               command):
+    for name in ("gaplab.mc_harness._map_trials", "gaplab.cli.greedy_packing_cover",
+                 "gaplab.cli.pne_small_cover", "gaplab.cli.vc_dimension_bruteforce"):
+        monkeypatch.setattr(name, _no_trial)
+    good, bad, named = LATER_BAD_ENTRY[command]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([good, bad]))
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), command, "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert f"spec error: {named}" in res.output
+    assert not out.exists() and not out.with_suffix(".manifest.json").exists()
+
+
+def test_a_lower_bound_entry_builds_its_trial_config_once(runner, tmp_path, monkeypatch):
+    built = []
+    post_init = mc_harness.TrialConfig.__post_init__
+
+    def counting(cfg):
+        built.append(cfg.m)
+        post_init(cfg)
+
+    monkeypatch.setattr(mc_harness.TrialConfig, "__post_init__", counting)
+    res = runner.invoke(main, ["--out", str(tmp_path / "lb.csv"), "lower-bound", "--n", "16",
+                               "--eps", "0.2", "--learner", "erm", "--trials", "20"])
+    assert res.exit_code == 0, res.output
+    assert built == [mc_harness.lower_bound_m(16, 0.2)]
+
+
 PRODUCT_DIST = {"kind": "product", "marginals": [0.5, 0.1, 0.1, 0.1]}
 
 

@@ -38,8 +38,10 @@ from gaplab.mc_harness import (
     estimate_failure_prob,
     in_theorem_regime,
     ks_statistics_experiment,
+    lower_bound_config,
     lower_bound_experiment,
     lower_bound_m,
+    no_gap_configs,
     no_gap_experiment,
     posterior_rule_error,
     run_trial,
@@ -293,19 +295,20 @@ class TestLowerBound:
 
     def test_warns_outside_regime(self):
         with pytest.warns(UserWarning):
-            lower_bound_experiment(256, 0.2, "erm", 30, RngSeed(3))
+            lower_bound_experiment(lower_bound_config(256, 0.2, "erm", 30, RngSeed(3)))
 
     def test_small_scale_failure_is_high(self):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            est = lower_bound_experiment(4096, 0.2, "bayes-posterior", 300, RngSeed(5))
+            est = lower_bound_experiment(
+                lower_bound_config(4096, 0.2, "bayes-posterior", 300, RngSeed(5)))
         assert est.estimate > 1 / 16
 
     def test_eps_range(self):
         with pytest.raises(InvalidParameterError):
-            lower_bound_experiment(1 << 17, 0.3, "erm", 10, RngSeed(0))
+            lower_bound_config(1 << 17, 0.3, "erm", 10, RngSeed(0))
 
     def test_erm_fails_at_least_as_often_as_posterior_rule(self):
         # the posterior rule is Bayes-optimal for the matched-pair prior
@@ -313,26 +316,28 @@ class TestLowerBound:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            bayes = lower_bound_experiment(2048, 0.2, "bayes-posterior", 400, RngSeed(37))
-            erm_est = lower_bound_experiment(2048, 0.2, "erm", 400, RngSeed(37))
+            bayes = lower_bound_experiment(
+                lower_bound_config(2048, 0.2, "bayes-posterior", 400, RngSeed(37)))
+            erm_est = lower_bound_experiment(
+                lower_bound_config(2048, 0.2, "erm", 400, RngSeed(37)))
         assert erm_est.estimate >= bayes.estimate - (bayes.radius + erm_est.radius)
 
 
 class TestKsStats:
     def test_m_zero_candidate_set_is_everything(self):
-        s = ks_statistics_experiment(64, 0.2, 0, 50, RngSeed(7))
+        s = ks_statistics_experiment(PneFamily(64, 0.2), 0, 50, RngSeed(7))
         assert s.k_quantiles == (64.0, 64.0, 64.0, 64.0, 64.0)
 
     def test_ratio_band_definition(self):
-        s = ks_statistics_experiment(512, 0.2, 1, 300, RngSeed(9))
+        s = ks_statistics_experiment(PneFamily(512, 0.2), 1, 300, RngSeed(9))
         assert s.ratio_band == pytest.approx((0.1, 0.24), abs=1e-12)
         assert 0.0 <= s.ratio_in_band.estimate <= 1.0
         assert sum(s.sk_hist_counts) == 300
 
     def test_thread_invariance(self, pool_starts):
-        a = ks_statistics_experiment(256, 0.2, 2, 80, RngSeed(11))
+        a = ks_statistics_experiment(PneFamily(256, 0.2), 2, 80, RngSeed(11))
         with TrialPool(2) as pool:
-            b = ks_statistics_experiment(256, 0.2, 2, 80, RngSeed(11), pool=pool)
+            b = ks_statistics_experiment(PneFamily(256, 0.2), 2, 80, RngSeed(11), pool=pool)
         assert pool_starts == [2]
         assert a == b
 
@@ -344,38 +349,40 @@ def test_ks_stats_rejects_a_bad_spec_before_any_trial(monkeypatch, trials, gamma
 
     monkeypatch.setattr(mc_harness, "_map_trials", no_trial)
     with pytest.raises(InvalidParameterError):
-        ks_statistics_experiment(64, 0.2, m, trials, RngSeed(0), gamma)
+        ks_statistics_experiment(PneFamily(64, 0.2), m, trials, RngSeed(0), gamma)
 
 
 class TestNoGap:
     def test_zero_violations_and_bound(self):
         dom = enumerated_domain(8)
-        rows = no_gap_experiment(uniform_finite(dom), [1, 4, 8], 500, 0.1, RngSeed(13))
+        rows = no_gap_experiment(
+            no_gap_configs(uniform_finite(dom), [1, 4, 8], 500, 0.1, RngSeed(13)))
         for row in rows:
             assert row.violations == 0
             assert row.fail_rate.estimate <= row.z_ge_rate.estimate
 
     def test_full_coverage_makes_zero_missing_mass(self):
         dom = enumerated_domain(2)
-        rows = no_gap_experiment(uniform_finite(dom), [64], 100, 0.1, RngSeed(15))
+        rows = no_gap_experiment(no_gap_configs(uniform_finite(dom), [64], 100, 0.1, RngSeed(15)))
         assert rows[0].mean_missing_mass < 0.01
         assert rows[0].fail_rate.estimate == 0.0
 
     def test_two_point_uniform_missing_mass(self):
         dom = enumerated_domain(2)
-        rows = no_gap_experiment(uniform_finite(dom), [1], 400, 0.1, RngSeed(17))
+        rows = no_gap_experiment(no_gap_configs(uniform_finite(dom), [1], 400, 0.1, RngSeed(17)))
         # with m=1 exactly one point is seen, so Z = 1/2 every trial
         assert rows[0].mean_missing_mass == pytest.approx(0.5, abs=1e-12)
 
     def test_skewed_distribution(self):
         dom = enumerated_domain(4)
-        rows = no_gap_experiment(geometric_finite(dom), [2], 300, 0.05, RngSeed(19))
+        rows = no_gap_experiment(
+            no_gap_configs(geometric_finite(dom), [2], 300, 0.05, RngSeed(19)))
         assert rows[0].violations == 0
 
     def test_domain_cap(self):
         dom = enumerated_domain(13)
         with pytest.raises(InvalidParameterError):
-            no_gap_experiment(uniform_finite(dom), [1], 10, 0.1, RngSeed(0))
+            no_gap_configs(uniform_finite(dom), [1], 10, 0.1, RngSeed(0))
 
     @pytest.mark.parametrize(
         "change, named",
@@ -387,7 +394,7 @@ class TestNoGap:
         spec = {"dist": uniform_finite(enumerated_domain(2)), "m_grid": [1], "trials": 10,
                 "eps_acc": 0.1, "seed": RngSeed(0), **change}
         with pytest.raises(InvalidParameterError, match=named):
-            no_gap_experiment(**spec)
+            no_gap_configs(**spec)
 
     @pytest.mark.parametrize(
         "dist",
@@ -399,9 +406,9 @@ class TestNoGap:
     def test_thread_invariance_uneven_split(self, pool_starts, dist):
         # 501 trials do not split evenly into the 8 spans of 2 workers
         args = (dist, [0, 2, 5], 501, 0.1, RngSeed(23))
-        a = no_gap_experiment(*args)
+        a = no_gap_experiment(no_gap_configs(*args))
         with TrialPool(2) as pool:
-            b = no_gap_experiment(*args, pool=pool)
+            b = no_gap_experiment(no_gap_configs(*args), pool=pool)
         assert pool_starts == [2]
         assert a == b
         assert [r.mean_missing_mass for r in a] == [r.mean_missing_mass for r in b]
@@ -417,21 +424,22 @@ class TestNoGap:
             return point_hash(point)
 
         monkeypatch.setattr(Point, "__hash__", counting_hash)
-        rows = no_gap_experiment(dist, [1, 8], 50, 0.1, RngSeed(3))
+        rows = no_gap_experiment(no_gap_configs(dist, [1, 8], 50, 0.1, RngSeed(3)))
         assert [row.trials for row in rows] == [50, 50]
         assert hashed == []
 
     def test_few_trials_run_serially(self, monkeypatch):
         # trials < 2 * workers never starts a pool, and gives the serial rows
         dist = uniform_finite(enumerated_domain(4))
-        serial = no_gap_experiment(dist, [1, 3], 3, 0.1, RngSeed(29))
+        serial = no_gap_experiment(no_gap_configs(dist, [1, 3], 3, 0.1, RngSeed(29)))
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr("gaplab.mc_harness.ProcessPoolExecutor", no_pool)
         with TrialPool(2) as pool:
-            assert no_gap_experiment(dist, [1, 3], 3, 0.1, RngSeed(29), pool=pool) == serial
+            configs = no_gap_configs(dist, [1, 3], 3, 0.1, RngSeed(29))
+            assert no_gap_experiment(configs, pool=pool) == serial
 
 
 def _reference_no_gap_trial(dist, m, seed, t):
@@ -473,7 +481,7 @@ class TestOneChunkLoop:
 
     def test_no_gap_maps_the_chunk_loop(self, chunk_calls):
         dist = uniform_finite(enumerated_domain(4))
-        no_gap_experiment(dist, [1, 3], 30, 0.1, RngSeed(3))
+        no_gap_experiment(no_gap_configs(dist, [1, 3], 30, 0.1, RngSeed(3)))
         assert chunk_calls == [("_no_gap_trial", ("u1", "u1", "u1", "f8"), 0, 30)] * 2
 
     def test_no_gap_trial_matches_the_reference(self):
@@ -491,7 +499,7 @@ class TestOneChunkLoop:
         dist = uniform_finite(enumerated_domain(4))
         trials, seed = 150, RngSeed(21)
         threshold = Fraction(1, 4)
-        for row in no_gap_experiment(dist, [2, 3], trials, 0.125, seed):
+        for row in no_gap_experiment(no_gap_configs(dist, [2, 3], trials, 0.125, seed)):
             ref = [_reference_no_gap_trial(dist, row.m, seed.substream(row.m), t)
                    for t in range(trials)]
             z_total = 0.0
@@ -536,10 +544,11 @@ class TestTrialPool:
     def test_calls_handed_one_pool_share_one_start(self, pool_starts):
         cfg = pne_cfg(32, 0.1, "erm", 3, 1 / 16, 40, 5)
         dist = uniform_finite(enumerated_domain(4))
-        serial = run_trials(cfg), no_gap_experiment(dist, [1, 3], 40, 0.1, RngSeed(3))
+        configs = no_gap_configs(dist, [1, 3], 40, 0.1, RngSeed(3))
+        serial = run_trials(cfg), no_gap_experiment(configs)
         with TrialPool(2) as pool:
             errors, fails = run_trials(cfg, pool)
-            rows = no_gap_experiment(dist, [1, 3], 40, 0.1, RngSeed(3), pool=pool)
+            rows = no_gap_experiment(configs, pool=pool)
         assert pool_starts == [2]
         assert np.array_equal(errors, serial[0][0]) and np.array_equal(fails, serial[0][1])
         assert rows == serial[1]

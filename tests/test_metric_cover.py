@@ -1,11 +1,15 @@
 import itertools
+import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from gaplab.cli import main
 from gaplab.concepts import (
     ProjectionClass,
     TableClass,
@@ -314,6 +318,21 @@ class TestFormulas:
         assert sauer_bound(4000, 4000) == 2**4000
         k = 2**63 - 1
         assert sauer_bound(k, 2) == 1 + k + k * (k - 1) // 2
+
+    def test_sauer_bound_is_the_sum_of_binomials(self):
+        for k, d in [(3000, 1500), (3000, 2999), (777, 5), (12, 12)]:
+            assert sauer_bound(k, d) == sum(math.comb(k, i) for i in range(d + 1))
+
+    def test_bounds_at_the_largest_full_sum_is_quick(self, tmp_path):
+        # 2^14270 has 4,296 digits; one math.comb per term took 34 s.
+        out = tmp_path / "bounds.json"
+        start = time.perf_counter()
+        res = CliRunner().invoke(main, ["--out", str(out), "bounds", "--k", "14270",
+                                        "--d", "14270"])
+        elapsed = time.perf_counter() - start
+        assert res.exit_code == 0, res.output
+        assert json.loads(out.read_text())["sauer_bound"] == 2**14270
+        assert elapsed < 2.0
 
     def test_sauer_estimate_preconditions(self):
         with pytest.raises(InvalidParameterError):
