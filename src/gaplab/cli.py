@@ -7,10 +7,10 @@ byte-identical body.  Timestamps live only in the per-invocation manifest.
 Each subcommand is one row of COMMANDS: its flags, a runner and its CSV
 header.  A runner checks and builds one config entry and returns its spec
 and rows(), which runs the trials, the cover scan or the VC search.  One
-builder turns every row into a click command that builds every entry before
-it runs the first, so a bad entry anywhere is a spec error before any
-trial; config loading, flag resolution, the global --trials override,
-output and the manifest are shared by all commands.
+builder turns every row into a click command that resolves every entry,
+then builds every entry, then runs them, so a bad entry anywhere is a spec
+error before any work; config loading, flag resolution, the global --trials
+override, output and the manifest are shared by all commands.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ import scipy
 from . import __version__
 from .concepts import (
     ProjectionClass,
+    TableClass,
+    check_vc_search,
     class_from_json_dict,
     enumerated_domain,
     full_hypercube,
@@ -70,10 +72,10 @@ from .mc_harness import (
 )
 from .metric_cover import (
     benedek_itai_m,
+    build_cover,
     corollary_m,
     dudley_cover_bound,
-    greedy_packing_cover,
-    pne_small_cover,
+    oracle_positions,
     sauer_bound,
     sauer_estimate,
 )
@@ -208,10 +210,10 @@ class Command:
     `run(obj, **values)` takes the typed values of one config entry, keyed by
     flag name, checks them, builds what the entry runs on, and returns
     (resolved spec, rows); its docstring is the help.  `rows()` runs the
-    entry and returns an iterable of its rows.  Every entry is built before
-    the first runs, so a spec error comes before any trial, and what
-    building loads (scipy.special for the posterior rule) loads before the
-    pool forks.
+    entry and returns an iterable of its rows.  Every entry is resolved,
+    then built, before the first runs, so a spec error comes before any
+    trial, and what building loads (scipy.special for the posterior rule)
+    loads before the pool forks.
     `write` gets the rows of all entries: for `_write_table`, tuples in
     header order.
     """
@@ -333,14 +335,11 @@ def main(ctx, seed, trials, out, fmt, threads):
 
 def _run_cover(obj: CLIContext, n, eps, i, level, class_json, dist_json):
     """Build the greedy packing cover and report it next to the Dudley bound."""
-    explicit = bool(class_json or dist_json)
-    if explicit:
+    if class_json or dist_json:
         if not (class_json and dist_json):
             raise InvalidParameterError("give both --class-json and --dist-json")
         cls = class_from_json_dict(class_json, "class_json", "cover")
         dist = distribution_from_json_dict(dist_json, "dist_json", "cover")
-        if isinstance(dist, PneFamily):
-            raise InvalidParameterError("cover needs a concrete distribution")
         if level is None:
             raise InvalidParameterError("--level is required for explicit specs")
     else:
@@ -348,18 +347,18 @@ def _run_cover(obj: CLIContext, n, eps, i, level, class_json, dist_json):
         dist = make_pne(n, eps, i)
         if level is None:
             level = 2.0 * eps
+    oracle_positions(cls, dist)
+    if isinstance(cls, TableClass):
+        check_vc_search(cls)
     spec = {
         "kind": "cover", "class": cls.to_json_dict(), "dist": dist.to_json_dict(),
         "level": level, "seed": obj.seed,
     }
 
     def rows():
-        result = (greedy_packing_cover(cls, dist, level) if explicit
-                  else pne_small_cover(dist, level))
-        if isinstance(cls, ProjectionClass):
-            d_vc = cls.n.bit_length() - 1
-        else:
-            d_vc = vc_dimension_bruteforce(cls)
+        result = build_cover(cls, dist, level)
+        d_vc = (vc_dimension_bruteforce(cls) if isinstance(cls, TableClass)
+                else cls.n.bit_length() - 1)
         bound = dudley_cover_bound(level, d_vc)
         members = "|".join(map(str, result.members))
         return [(spec["class"]["kind"], cls.num_concepts, level, result.size, members,
@@ -370,12 +369,10 @@ def _run_cover(obj: CLIContext, n, eps, i, level, class_json, dist_json):
 
 def _run_vc(obj: CLIContext, n, universe, d_max, class_json):
     """Brute-force VC dimension over an explicit universe."""
-    if class_json:
-        cls = class_from_json_dict(class_json, "class_json", "vc")
-        points = None
-    else:
-        cls = ProjectionClass(n)
-        points = full_hypercube(n) if universe == "full" else None
+    cls = (class_from_json_dict(class_json, "class_json", "vc") if class_json
+           else ProjectionClass(n))
+    points = full_hypercube(n) if universe == "full" and not class_json else None
+    check_vc_search(cls, None if points is None else len(points))
     spec = {"kind": "vc", "class": cls.to_json_dict(), "universe": universe,
             "d_max": d_max, "seed": obj.seed}
     shown = universe if not class_json else "default"
@@ -698,7 +695,8 @@ def _build(cmd: Command) -> click.Command:
             raise InvalidParameterError(
                 f"{cmd.name} takes one config entry, the config has {len(entries)}"
             )
-        built = [cmd.run(obj, **_resolve_entry(ctx, cmd, entry)) for entry in entries]
+        values = [_resolve_entry(ctx, cmd, entry) for entry in entries]
+        built = [cmd.run(obj, **entry_values) for entry_values in values]
         resolved = built[0][0] if cmd.single else [spec for spec, _ in built]
         rows = [row for _, entry_rows in built for row in entry_rows()]
         path = cmd.write(obj, cmd.name, cmd.header, rows, spec_hash(resolved))

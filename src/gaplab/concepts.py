@@ -128,16 +128,7 @@ class Point:
         """Point whose coordinate j (1-based) is bit j-1 of `value`."""
         if value < 0 or value >> n:
             raise InvalidParameterError(f"value {value} does not fit in {n} bits")
-        w = words_needed(n)
-        words = np.array(
-            [(value >> (WORD_BITS * k)) & 0xFFFFFFFFFFFFFFFF for k in range(w)],
-            dtype=np.uint64,
-        )
-        return cls(words, n)
-
-    @classmethod
-    def zeros(cls, n: int) -> "Point":
-        return cls(np.zeros(words_needed(n), dtype=np.uint64), n)
+        return cls(np.frombuffer(value.to_bytes(8 * words_needed(n), "little"), "<u8"), n)
 
     def bit(self, j: int) -> int:
         """Coordinate x[j], 1-based."""
@@ -261,11 +252,6 @@ class TableClass:
         except KeyError:
             raise PointNotInDomainError(f"{x!r} is not in the table domain") from None
 
-    def domain_positions(self, points: Iterable[Point]) -> list[int]:
-        """The domain position of each point, in order: where a distribution's
-        support sits in the truth tables."""
-        return [self.domain_position(p) for p in points]
-
     def table_from_string(self, s: str) -> int:
         """Mask for a table written as a 0/1 string over the domain in order."""
         if len(s) != self.domain_size or set(s) - {"0", "1"}:
@@ -320,8 +306,9 @@ def all_functions_class(domain: Sequence[Point]) -> TableClass:
     return TableClass(domain, range(1 << d))
 
 
-def build_shattered_set(n: int) -> list[Point]:
-    """Points x_1 .. x_d, d = floor(log2 n), shattered by the projection class.
+def build_shattered_set(n: int) -> np.ndarray:
+    """Points x_1 .. x_d, d = floor(log2 n), shattered by the projection class,
+    as the rows of a (d, words) packed matrix.
 
     Coordinate j of x_i is bit i of the binary expansion of j-1 (bit 1 being
     the least significant), so the n coordinate-columns run through all
@@ -329,13 +316,9 @@ def build_shattered_set(n: int) -> list[Point]:
     """
     if n < 2:
         raise InvalidParameterError("shattered-set construction needs n >= 2")
-    d = n.bit_length() - 1
     j = np.arange(n, dtype=np.uint64)
-    points = []
-    for i in range(1, d + 1):
-        bits = ((j >> np.uint64(i - 1)) & np.uint64(1)).astype(np.uint8)
-        points.append(Point(pack_bit_rows(bits[None, :])[0], n))
-    return points
+    return pack_bit_rows(np.array([((j >> np.uint64(i)) & np.uint64(1)).astype(np.uint8)
+                                   for i in range(n.bit_length() - 1)]))
 
 
 def label_rows(cls: ConceptClass, words: np.ndarray, n: int) -> np.ndarray:
@@ -365,26 +348,19 @@ def _find_shattered(labels: np.ndarray, k: int) -> bool:
     cell must keep at least 2^(k-d) concepts for an extension to exist,
     which prunes hard.
     """
-    nu = labels.shape[0]
-
     def recurse(cells: list[np.ndarray], start: int, depth: int) -> bool:
         if depth == k:
             return True
         need = 1 << (k - depth - 1)
-        viable = np.ones(nu, dtype=bool)
-        viable[:start] = False
+        viable = np.arange(len(labels)) >= start
         for cell in cells:
             ones = labels[:, cell].sum(axis=1)
             viable &= (ones >= need) & (cell.size - ones >= need)
             if not viable.any():
                 return False
         for u in np.flatnonzero(viable):
-            row = labels[int(u)]
-            children = []
-            for cell in cells:
-                hits = row[cell] == 1
-                children.append(cell[hits])
-                children.append(cell[~hits])
+            hits = [labels[u, cell] == 1 for cell in cells]
+            children = [part for cell, h in zip(cells, hits) for part in (cell[h], cell[~h])]
             if recurse(children, int(u) + 1, depth + 1):
                 return True
         return False
@@ -393,71 +369,80 @@ def _find_shattered(labels: np.ndarray, k: int) -> bool:
     return recurse([all_concepts], 0, 0)
 
 
-def _default_universe(cls: ConceptClass) -> list[Point]:
+def check_vc_search(cls: ConceptClass, rows: int | None = None) -> None:
+    """Refuse a VC search of a universe of `rows` points before it exists: a
+    table class wider than 64 points, or more than 2^28 label cells.  None
+    counts the default universe before repeats are dropped."""
+    nc = cls.num_concepts
+    if isinstance(cls, TableClass) and nc:
+        cls.table_array()  # refuses a domain wider than its uint64 tables
+    if rows is None:
+        rows = (cls.domain_size if isinstance(cls, TableClass)
+                else cls.n.bit_length() - 1 + _VC_UNIVERSE_RANDOM_POINTS)
+    if not rows:
+        raise InvalidParameterError("universe must be non-empty")
+    if rows * nc > _VC_LABEL_CELL_LIMIT:
+        raise InvalidParameterError(
+            f"universe x class too large for the exhaustive search ({rows} x {nc})"
+        )
+
+
+def _default_universe(cls: ConceptClass) -> np.ndarray:
+    """A table class's domain, or for the projections the shattered set and
+    then the fixed-seed random points, repeats dropped, first occurrences kept."""
     if isinstance(cls, TableClass):
-        return list(cls.domain)
-    points: list[Point] = []
-    if cls.n >= 2:
-        points.extend(build_shattered_set(cls.n))
+        return np.stack([p.words for p in cls.domain])
     gen = np.random.Generator(np.random.PCG64(_VC_UNIVERSE_SEED))
-    bits = (gen.random((_VC_UNIVERSE_RANDOM_POINTS, cls.n)) < 0.5).astype(np.uint8)
-    words = pack_bit_rows(bits)
-    seen = set(points)
-    for r in range(words.shape[0]):
-        p = Point(words[r].copy(), cls.n)
-        if p not in seen:
-            seen.add(p)
-            points.append(p)
-    return points
+    # One row at a time: the same stream as a single (points, n) draw.
+    rows = [pack_bit_rows(gen.random((1, cls.n)) < 0.5)
+            for _ in range(_VC_UNIVERSE_RANDOM_POINTS)]
+    if cls.n >= 2:
+        rows.insert(0, build_shattered_set(cls.n))
+    rows = np.concatenate(rows)
+    _, first = np.unique(rows, axis=0, return_index=True)
+    return rows[np.sort(first)]
 
 
 def vc_dimension_bruteforce(
     cls: ConceptClass,
-    universe: Sequence[Point] | None = None,
+    universe: np.ndarray | None = None,
     d_max: int | None = None,
 ) -> int:
-    """Size of the largest shattered subset of `universe` found by exhaustive search.
+    """Size of the largest shattered subset of `universe`, a (rows, words)
+    uint64 matrix of packed points, found by exhaustive search.
 
     The search is capped a priori at floor(log2 |C|): a shattered set of size
     d needs 2^d distinct concept restrictions.  With the full 2^n universe
     this makes the result exact for the projection class.
     """
+    check_vc_search(cls, None if universe is None else len(universe))
     if universe is None:
         universe = _default_universe(cls)
-    universe = list(universe)
-    if not universe:
-        raise InvalidParameterError("universe must be non-empty")
     nc = cls.num_concepts
     if nc == 0:
         return 0
     cap = min(len(universe), nc.bit_length() - 1)
     if d_max is not None:
         cap = min(cap, d_max)
-    if len(universe) * nc > _VC_LABEL_CELL_LIMIT:
-        raise InvalidParameterError(
-            f"universe x class too large for the exhaustive search ({len(universe)} x {nc})"
-        )
-    n = universe[0].n
-    if any(p.n != n for p in universe):
-        raise DimensionMismatchError("universe points must share a dimension")
-    labels = label_rows(cls, np.stack([p.words for p in universe]), n)
+    n = cls.n if isinstance(cls, ProjectionClass) else cls.domain[0].n if cls.domain else 0
+    if universe.shape[1:] != (words_needed(n),):
+        raise DimensionMismatchError(f"universe rows must pack {n}-bit points")
+    labels = label_rows(cls, universe, n)
     for k in range(cap, 0, -1):
         if _find_shattered(labels, k):
             return k
     return 0
 
 
-def full_hypercube(n: int) -> list[Point]:
-    """All 2^n points; only sensible for small n."""
+def full_hypercube(n: int) -> np.ndarray:
+    """All 2^n points, n <= 20, as one-word packed rows: row v is Point.from_int(v, n)."""
     if n > 20:
         raise InvalidParameterError("full hypercube enumeration capped at n = 20")
-    return [Point.from_int(v, n) for v in range(1 << n)]
+    return np.arange(1 << n, dtype=np.uint64)[:, None]
 
 
 def enumerated_domain(size: int, n_bits: int | None = None) -> list[Point]:
-    """`size` distinct points: the binary encodings of 0 .. size-1."""
-    need = max(1, (size - 1).bit_length())
-    n = need if n_bits is None else n_bits
-    if n < need:
-        raise InvalidParameterError(f"{size} points need at least {need} bits")
+    """`size` distinct points: the binary encodings of 0 .. size-1, in n_bits
+    bits if given (Point.from_int refuses too few)."""
+    n = max(1, (size - 1).bit_length()) if n_bits is None else n_bits
     return [Point.from_int(v, n) for v in range(size)]

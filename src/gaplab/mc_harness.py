@@ -63,11 +63,12 @@ from .learners import (
 from .metric_cover import (
     CoverResult,
     EstimateWithCI,
+    build_cover,
     check_same_n,
     disagreement_enumerate,
     disagreement_exact_projections,
-    greedy_packing_cover,
     hoeffding_radius,
+    oracle_positions,
     pne_small_cover,
 )
 
@@ -142,13 +143,9 @@ class TrialConfig:
         for key in _NUMBER_FIELDS:
             object.__setattr__(self, key, spec_value(key, getattr(self, key)))
         validate_config(self)
-        cls, dist = self.concept_class, self.dist
-        if isinstance(cls, TableClass):
-            object.__setattr__(self, "positions", cls.domain_positions(dist.support))
         if self.learner == "cover" and not isinstance(self.target, RandomPair):
-            object.__setattr__(self, "cover", pne_small_cover(dist, self.cover_level)
-                               if isinstance(dist, PneMember)
-                               else greedy_packing_cover(cls, dist, self.cover_level))
+            object.__setattr__(self, "cover",
+                               build_cover(self.concept_class, self.dist, self.cover_level))
 
     def to_json_dict(self) -> dict:
         return {
@@ -191,6 +188,7 @@ def config_from_json_dict(obj: dict) -> TrialConfig:
 
 
 def validate_config(cfg: TrialConfig) -> None:
+    """Refuse a config no exact oracle can score; set a table class's `positions`."""
     if cfg.learner not in LEARNER_NAMES:
         raise InvalidParameterError(f"unknown learner {cfg.learner!r}")
 
@@ -203,12 +201,8 @@ def validate_config(cfg: TrialConfig) -> None:
         check_same_n(cls, dist)
     elif isinstance(dist, PneFamily):
         raise InvalidParameterError("a pne family distribution needs a random-pair target")
-    elif isinstance(cls, ProjectionClass):
-        if not isinstance(dist, ProductLaw):
-            raise OracleUnavailableError("projections need a product distribution")
-        check_same_n(cls, dist)
-    elif not isinstance(dist, FiniteSupportDistribution):
-        raise OracleUnavailableError("table classes need a finite-support distribution")
+    else:
+        object.__setattr__(cfg, "positions", oracle_positions(cls, dist))
     if isinstance(cfg.target, FixedTarget):
         cls.concept(cfg.target.index)
 

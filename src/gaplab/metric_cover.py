@@ -94,8 +94,7 @@ def disagreement_enumerate(
 ) -> float:
     """Exact disagreement mass, summed over the distribution's support in order.
 
-    `positions` are the support's domain positions,
-    cls.domain_positions(dist.support).
+    `positions` are the support's domain positions, oracle_positions(cls, dist).
     """
     diff = cls.table_mask(a) ^ cls.table_mask(b)
     return dist.mass(t for t, pos in enumerate(positions) if (diff >> pos) & 1)
@@ -126,6 +125,20 @@ def _distance_rows_tables(cls: TableClass, weights: np.ndarray, member: int) -> 
     return dist_vec
 
 
+def oracle_positions(cls: ConceptClass, dist: Distribution) -> list[int] | None:
+    """Where the support sits in a table class's truth tables under a finite
+    law, None for the projections under a product law of the same n; any
+    other pair has no exact oracle and raises OracleUnavailableError."""
+    if isinstance(cls, ProjectionClass) and isinstance(dist, ProductLaw):
+        check_same_n(cls, dist)
+        return None
+    if isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
+        return [cls.domain_position(p) for p in dist.support]
+    raise OracleUnavailableError(
+        f"no exact oracle for {type(cls).__name__} under {type(dist).__name__}"
+    )
+
+
 def greedy_packing_cover(cls: ConceptClass, dist: Distribution, eps: float) -> CoverResult:
     """Maximal packing by an ascending-index greedy scan; it is also an eps-cover.
 
@@ -136,18 +149,13 @@ def greedy_packing_cover(cls: ConceptClass, dist: Distribution, eps: float) -> C
     n = cls.num_concepts
     if n == 0:
         raise InvalidParameterError("cannot cover an empty class")
-    if isinstance(cls, ProjectionClass) and isinstance(dist, ProductLaw):
-        check_same_n(cls, dist)
+    positions = oracle_positions(cls, dist)
+    if positions is None:
         distance_row = functools.partial(_distance_rows_projections, dist)
-    elif isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
-        weights = np.zeros(cls.domain_size, dtype=np.float64)
-        # raises PointNotInDomainError if a support point is not in the domain
-        weights[cls.domain_positions(dist.support)] = dist.probs
-        distance_row = functools.partial(_distance_rows_tables, cls, weights)
     else:
-        raise OracleUnavailableError(
-            f"no exact oracle for {type(cls).__name__} under {type(dist).__name__}"
-        )
+        weights = np.zeros(cls.domain_size, dtype=np.float64)
+        weights[positions] = dist.probs
+        distance_row = functools.partial(_distance_rows_tables, cls, weights)
     # Sequential-scan semantics, vectorized: min_dist[j] tracks the
     # distance from concept j+1 to the members admitted so far.
     min_dist = np.full(n, np.inf)
@@ -183,6 +191,15 @@ def pne_small_cover(dist: PneMember, level: float | None = None) -> CoverResult:
     if i == 1 or d_off <= level:
         return CoverResult((1,), level, max(d_half, d_off) if n > 2 and i >= 2 else d_half)
     return CoverResult(tuple(j for j in range(1, n + 1) if j != i), level, d_half)
+
+
+def build_cover(cls: ConceptClass, dist: Distribution, level: float | None) -> CoverResult:
+    """The greedy packing cover of cls under dist at `level`: pne_small_cover's
+    closed form for a pne member (level None is 2*eps), else the scan.  The
+    caller has checked the pairing with oracle_positions."""
+    if isinstance(dist, PneMember):
+        return pne_small_cover(dist, level)
+    return greedy_packing_cover(cls, dist, level)
 
 
 _MAX_DIGITS = 4300  # Python's default cap on the digits of an int written as text

@@ -24,6 +24,7 @@ from gaplab.concepts import (
     Point,
     ProjectionClass,
     TableClass,
+    full_hypercube,
     packed_column,
     unpack_bit_rows,
 )
@@ -81,6 +82,16 @@ def is_shattered(cls: ConceptClass, points: Sequence[Point]) -> bool:
         if len(realized) == target:
             return True
     return False
+
+
+def row_points(rows: np.ndarray, n: int) -> list[Point]:
+    """The Points of the n-bit rows of a packed (rows, words) matrix."""
+    return [Point(row.copy(), n) for row in rows]
+
+
+def hypercube_points(n: int) -> list[Point]:
+    """All 2^n Points of {0,1}^n, in full_hypercube's row order."""
+    return row_points(full_hypercube(n), n)
 
 
 def sample_points(dist: Distribution, m: int, seed: RngSeed) -> list[Point]:
@@ -203,7 +214,7 @@ def disagreement_mc(
         count = int(np.count_nonzero(ca != cb))
     elif isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
         idx = sample_support_indices(dist, trials, gen)
-        pos = np.array(cls.domain_positions(dist.support), dtype=np.uint64)[idx]
+        pos = np.array([cls.domain_position(p) for p in dist.support], dtype=np.uint64)[idx]
         ta = np.uint64(cls.table_mask(a))
         tb = np.uint64(cls.table_mask(b))
         count = int(np.count_nonzero(((ta >> pos) ^ (tb >> pos)) & np.uint64(1)))
@@ -239,7 +250,7 @@ def exact_distance_fn(
         return lambda a, b: disagreement_exact_projections(dist, a, b)
     if isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
         # raises PointNotInDomainError if a support point is not in the domain
-        positions = cls.domain_positions(dist.support)
+        positions = [cls.domain_position(p) for p in dist.support]
         return lambda a, b: disagreement_enumerate(cls, dist, a, b, positions)
     raise OracleUnavailableError(
         f"no exact oracle for {type(cls).__name__} under {type(dist).__name__}"

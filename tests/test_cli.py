@@ -95,7 +95,7 @@ class TestCover:
     def test_pne_flags_use_the_closed_form(self, runner, tmp_path, monkeypatch):
         # The flag path always builds a pne member, so the greedy scan never
         # runs; the body is the one the scan gave.
-        monkeypatch.setattr("gaplab.cli.greedy_packing_cover", _no_scan)
+        monkeypatch.setattr("gaplab.metric_cover.greedy_packing_cover", _no_scan)
         out = tmp_path / "cover.csv"
         res = runner.invoke(
             main, ["--out", str(out), "cover", "--n", "4096", "--eps", "0.05", "--i", "7"]
@@ -108,12 +108,30 @@ class TestCover:
             "776da5d60a069358\n"
         )
 
+    def test_pne_member_json_uses_the_closed_form(self, runner, tmp_path, monkeypatch):
+        # A pne member given as JSON is the member the flags build: the same
+        # spec, the same body, and no O(n^2) scan, which computes distance rows.
+        monkeypatch.setattr("gaplab.metric_cover._distance_rows_projections", _no_scan)
+        bodies = {}
+        for how, spec in {
+            "flags": ["--n", "65536", "--eps", "0.05", "--i", "3"],
+            "json": ["--class-json", json.dumps({"kind": "projections", "n": 65536}),
+                     "--dist-json", json.dumps({"kind": "pne", "n": 65536, "eps": 0.05,
+                                                "i": 3}),
+                     "--level", "0.1"],
+        }.items():
+            out = tmp_path / f"{how}.csv"
+            res = runner.invoke(main, ["--out", str(out), "cover", *spec])
+            assert res.exit_code == 0, res.output
+            bodies[how] = out.read_text()
+        assert bodies["json"] == bodies["flags"]
+        assert read_csv(tmp_path / "json.csv")[0]["members"] == "1|3"
+
     @pytest.mark.parametrize("level", ["0", "1.5", "-0.1"])
     @pytest.mark.parametrize("explicit", [False, True])
     def test_level_out_of_range_exits_2_before_any_cover(
             self, runner, tmp_path, monkeypatch, level, explicit):
-        monkeypatch.setattr("gaplab.cli.greedy_packing_cover", _no_scan)
-        monkeypatch.setattr("gaplab.cli.pne_small_cover", _no_scan)
+        monkeypatch.setattr("gaplab.cli.build_cover", _no_scan)
         spec = (["--class-json", json.dumps({"kind": "projections", "n": 8}),
                  "--dist-json", json.dumps({"kind": "pne", "n": 8, "eps": 0.1, "i": 2})]
                 if explicit else ["--n", "64"])
@@ -124,7 +142,7 @@ class TestCover:
         assert not out.exists()
 
     def test_nan_marginal_exits_2_before_any_cover(self, runner, tmp_path, monkeypatch):
-        monkeypatch.setattr("gaplab.cli.greedy_packing_cover", _no_scan)
+        monkeypatch.setattr("gaplab.cli.build_cover", _no_scan)
         out = tmp_path / "x.csv"
         res = runner.invoke(
             main, ["--out", str(out), "cover", "--level", "0.1",
@@ -815,6 +833,21 @@ def test_no_gap_rejects_a_law_without_finite_support(runner, tmp_path, law):
     assert not out.exists()
 
 
+PRODUCT_DIST = {"kind": "product", "marginals": [0.5, 0.1, 0.1, 0.1]}
+
+
+def wide_table(points: int) -> tuple[dict, dict]:
+    """A table class over `points` domain points (tables all zeros, all ones
+    and a one at the last point) and the uniform law on its domain."""
+    domain = [format(k, f"0{(points - 1).bit_length()}b") for k in range(points)]
+    tables = ["0" * points, "1" * points, "0" * (points - 1) + "1"]
+    return ({"kind": "table", "domain": domain, "tables": tables},
+            {"kind": "finite", "support": domain, "probs": [1 / points] * points})
+
+
+WIDE_TABLE_REFUSAL = "a table class of 65 domain points has tables wider than 64 bits"
+
+
 def _no_trial(*args, **kwargs):
     raise AssertionError("a trial ran")
 
@@ -843,13 +876,38 @@ LATER_BAD_ENTRY = {
 }
 
 
+# Rules of cover and vc checked on types and sizes in the build step: a
+# command, a good first entry, a second entry that breaks a rule, and the rule.
+LATER_BUILD_RULE = {
+    "cover-table-under-product": (
+        "cover",
+        {"class_json": wide_table(3)[0], "dist_json": wide_table(3)[1], "level": 0.3},
+        {"class_json": wide_table(4)[0], "dist_json": PRODUCT_DIST, "level": 0.3},
+        "no exact oracle for TableClass under ProductDistribution"),
+    "vc-65-point-table": ("vc", {"n": 4}, {"class_json": wide_table(65)[0]},
+                          WIDE_TABLE_REFUSAL),
+    "vc-default-universe-cells": (
+        "vc", {"n": 4}, {"n": 3500000, "universe": "default"},
+        "universe x class too large for the exhaustive search (85 x 3500000)"),
+}
+
+
 @pytest.mark.parametrize("command", sorted(LATER_BAD_ENTRY))
 def test_a_bad_later_entry_exits_2_before_the_first_entry_runs(runner, tmp_path, monkeypatch,
                                                                command):
-    for name in ("gaplab.mc_harness._map_trials", "gaplab.cli.greedy_packing_cover",
-                 "gaplab.cli.pne_small_cover", "gaplab.cli.vc_dimension_bruteforce"):
+    _refuses_before_any_run(runner, tmp_path, monkeypatch, command, *LATER_BAD_ENTRY[command])
+
+
+@pytest.mark.parametrize("case", sorted(LATER_BUILD_RULE))
+def test_a_cover_or_vc_rule_exits_2_before_the_first_entry_runs(runner, tmp_path, monkeypatch,
+                                                                case):
+    _refuses_before_any_run(runner, tmp_path, monkeypatch, *LATER_BUILD_RULE[case])
+
+
+def _refuses_before_any_run(runner, tmp_path, monkeypatch, command, good, bad, named):
+    for name in ("gaplab.mc_harness._map_trials", "gaplab.cli.build_cover",
+                 "gaplab.cli.vc_dimension_bruteforce"):
         monkeypatch.setattr(name, _no_trial)
-    good, bad, named = LATER_BAD_ENTRY[command]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps([good, bad]))
     out = tmp_path / "x.csv"
@@ -857,6 +915,24 @@ def test_a_bad_later_entry_exits_2_before_the_first_entry_runs(runner, tmp_path,
     assert res.exit_code == 2, res.output
     assert f"spec error: {named}" in res.output
     assert not out.exists() and not out.with_suffix(".manifest.json").exists()
+
+
+def test_a_bad_later_key_exits_2_before_any_entry_is_built(runner, tmp_path, monkeypatch):
+    # The first entry's build would run a greedy cover scan in TrialConfig.
+    def no_build(cfg):
+        raise AssertionError("an entry was built")
+
+    monkeypatch.setattr(mc_harness.TrialConfig, "__post_init__", no_build)
+    cls, dist = wide_table(4)
+    good = {"class": cls, "dist": dist, "target": {"kind": "fixed", "i": 2},
+            "learner": "cover", "cover_level": 0.1, "m": 2, "eps_acc": 0.1, "trials": 20}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps([good, {"n": 16, "m": 2, "bogus": 1}]))
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert "spec error: learn config has unknown key 'bogus'" in res.output
+    assert not out.exists()
 
 
 def test_a_lower_bound_entry_builds_its_trial_config_once(runner, tmp_path, monkeypatch):
@@ -872,21 +948,6 @@ def test_a_lower_bound_entry_builds_its_trial_config_once(runner, tmp_path, monk
                                "--eps", "0.2", "--learner", "erm", "--trials", "20"])
     assert res.exit_code == 0, res.output
     assert built == [mc_harness.lower_bound_m(16, 0.2)]
-
-
-PRODUCT_DIST = {"kind": "product", "marginals": [0.5, 0.1, 0.1, 0.1]}
-
-
-def wide_table(points: int) -> tuple[dict, dict]:
-    """A table class over `points` domain points (tables all zeros, all ones
-    and a one at the last point) and the uniform law on its domain."""
-    domain = [format(k, f"0{(points - 1).bit_length()}b") for k in range(points)]
-    tables = ["0" * points, "1" * points, "0" * (points - 1) + "1"]
-    return ({"kind": "table", "domain": domain, "tables": tables},
-            {"kind": "finite", "support": domain, "probs": [1 / points] * points})
-
-
-WIDE_TABLE_REFUSAL = "a table class of 65 domain points has tables wider than 64 bits"
 
 
 @pytest.mark.parametrize(

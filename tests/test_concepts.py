@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaplab import concepts
 from gaplab.concepts import (
     Point,
     ProjectionClass,
@@ -22,7 +25,7 @@ from gaplab.errors import (
     InvalidParameterError,
     PointNotInDomainError,
 )
-from reference import eval_concept, is_shattered
+from reference import eval_concept, is_shattered, row_points
 
 
 class TestPoint:
@@ -144,9 +147,9 @@ class TestLabelRows:
 
 class TestShattering:
     def test_construction_examples(self):
-        pts = build_shattered_set(4)
+        pts = row_points(build_shattered_set(4), 4)
         assert [p.to_string() for p in pts] == ["0101", "0011"]
-        pts2 = build_shattered_set(2)
+        pts2 = row_points(build_shattered_set(2), 2)
         assert [p.to_string() for p in pts2] == ["01"]
         assert len(build_shattered_set(8)) == 3
 
@@ -156,24 +159,24 @@ class TestShattering:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 16, 33, 64, 100, 255, 256, 512, 1024])
     def test_construction_is_shattered(self, n):
-        assert is_shattered(ProjectionClass(n), build_shattered_set(n))
+        assert is_shattered(ProjectionClass(n), row_points(build_shattered_set(n), n))
 
     def test_empty_set_vacuously_shattered(self):
         assert is_shattered(ProjectionClass(4), [])
 
     def test_zero_vector_not_shattered(self):
-        assert not is_shattered(ProjectionClass(4), [Point.zeros(4)])
+        assert not is_shattered(ProjectionClass(4), [Point.from_int(0, 4)])
 
     def test_too_many_points(self):
         cls = ProjectionClass(40)
-        pts = [Point.zeros(40)] * 31
+        pts = [Point.from_int(0, 40)] * 31
         with pytest.raises(InvalidParameterError):
             is_shattered(cls, pts)
 
     @given(st.integers(2, 64), st.data())
     @settings(max_examples=40)
     def test_monotone_under_subsets(self, n, data):
-        pts = build_shattered_set(n)
+        pts = row_points(build_shattered_set(n), n)
         keep = data.draw(st.lists(st.booleans(), min_size=len(pts), max_size=len(pts)))
         subset = [p for p, k in zip(pts, keep) if k]
         assert is_shattered(ProjectionClass(n), subset)
@@ -200,6 +203,48 @@ class TestVCDimension:
         # The shattered-set points are part of the default universe, so the
         # cardinality cap is attained without the full hypercube.
         assert vc_dimension_bruteforce(ProjectionClass(32)) == 5
+
+
+class TestVcLimits:
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_full_hypercube_search_is_packed_rows(self):
+        # 2^20 one-word rows; a Point per row peaked near 473 MiB.
+        found = []
+        peak = self._peak(lambda: found.append(
+            vc_dimension_bruteforce(ProjectionClass(20), full_hypercube(20))))
+        assert found == [4]
+        assert peak < 200 * 2**20
+
+    def test_oversized_default_universe_is_refused_before_it_is_drawn(self):
+        # 85 rows of 3.5M bits pass the 2^28-cell cap; the draw alone is 1.67 GiB.
+        def search():
+            with pytest.raises(InvalidParameterError, match=r"\(85 x 3500000\)"):
+                vc_dimension_bruteforce(ProjectionClass(3_500_000))
+
+        assert self._peak(search) < 2**20
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 64, 65, 130])
+    def test_default_universe_keeps_its_points_and_order(self, n):
+        # The shattered points, then each point of one (64, n) uniform draw
+        # not seen before.
+        gen = np.random.Generator(np.random.PCG64(concepts._VC_UNIVERSE_SEED))
+        want = row_points(build_shattered_set(n), n) if n >= 2 else []
+        for p in row_points(pack_bit_rows(gen.random((64, n)) < 0.5), n):
+            if p not in want:
+                want.append(p)
+        assert row_points(concepts._default_universe(ProjectionClass(n)), n) == want
+
+    def test_a_universe_of_another_width_is_refused(self):
+        with pytest.raises(DimensionMismatchError, match="universe rows must pack 65-bit"):
+            vc_dimension_bruteforce(ProjectionClass(65), full_hypercube(6))
 
 
 class TestTableClass:

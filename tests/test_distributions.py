@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaplab import distributions
-from gaplab.concepts import Point, enumerated_domain, full_hypercube, pack_bit_rows
+from gaplab.concepts import Point, enumerated_domain, pack_bit_rows
 from gaplab.distributions import (
     FiniteSupportDistribution,
     PneFamily,
@@ -27,7 +27,7 @@ from gaplab.distributions import (
     uniform_finite,
 )
 from gaplab.errors import DimensionMismatchError, InvalidParameterError
-from reference import missing_mass, point_prob, sample_points
+from reference import hypercube_points, missing_mass, point_prob, sample_points
 
 
 class TestRngSeed:
@@ -185,7 +185,7 @@ class TestPointProb:
     @pytest.mark.parametrize("dist", [make_pne(10, 0.07, 4),
                                       ProductDistribution(np.linspace(0.05, 0.95, 10))])
     def test_sums_to_one_over_hypercube(self, dist):
-        total = sum(point_prob(dist, x) for x in full_hypercube(10))
+        total = sum(point_prob(dist, x) for x in hypercube_points(10))
         assert abs(total - 1.0) <= 1e-9
 
 

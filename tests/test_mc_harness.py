@@ -6,13 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gaplab import mc_harness
+from gaplab import mc_harness, metric_cover
 from gaplab.concepts import (
     Point,
     ProjectionClass,
     all_functions_class,
     enumerated_domain,
-    full_hypercube,
 )
 from gaplab.distributions import (
     FiniteSupportDistribution,
@@ -49,7 +48,8 @@ from gaplab.mc_harness import (
     sample_complexity_search,
     TrialPool,
 )
-from reference import PosteriorState, bayes_posterior_predict, point_prob, tail_inequality_check
+from reference import (PosteriorState, bayes_posterior_predict, hypercube_points, point_prob,
+                       tail_inequality_check)
 
 
 def pne_cfg(n, eps, learner, m, eps_acc, trials, seed, target=None, **kw):
@@ -112,8 +112,8 @@ class TestRunTrial:
         # A fixed law's cover is built with the config; a pne member's cover,
         # at any level and under random-pair too, in closed form.
         calls = []
-        greedy = mc_harness.greedy_packing_cover
-        monkeypatch.setattr(mc_harness, "greedy_packing_cover",
+        greedy = metric_cover.greedy_packing_cover
+        monkeypatch.setattr(metric_cover, "greedy_packing_cover",
                             lambda *args: calls.append(args) or greedy(*args))
         dom = enumerated_domain(4)
         cfg = TrialConfig(all_functions_class(dom), geometric_finite(dom), RandomConcept(),
@@ -177,7 +177,7 @@ class TestPosteriorRuleError:
         state = PosteriorState(tuple(k), eps, m, n)
         brute = sum(
             point_prob(dist, z)
-            for z in full_hypercube(n)
+            for z in hypercube_points(n)
             if bayes_posterior_predict(state, z) != z.bit(i)
         )
         thr = posterior_threshold(len(k), eps)
@@ -450,7 +450,7 @@ def _reference_no_gap_trial(dist, m, seed, t):
     cls = all_functions_class(dist.support)
     mask = cls.table_mask(int(gen.integers(1, cls.num_concepts + 1)))
     seen = set(sample_support_indices(dist, m, gen).tolist())
-    positions = cls.domain_positions(dist.support)
+    positions = metric_cover.oracle_positions(cls, dist)
     unseen = [u for u in range(len(dist.support)) if u not in seen]
     return (dist.exact_mass(u for u in unseen if (mask >> positions[u]) & 1),
             dist.exact_mass(unseen))

@@ -39,6 +39,7 @@ from gaplab.metric_cover import (
     dudley_cover_bound,
     greedy_packing_cover,
     hoeffding_radius,
+    oracle_positions,
     pne_small_cover,
     sauer_bound,
     sauer_estimate,
@@ -94,13 +95,12 @@ class TestProjectionsDistance:
 
     def test_matches_brute_force_enumeration(self):
         dist = make_pne(6, 0.15, 3)
-        from gaplab.concepts import full_hypercube
-        from reference import point_prob
+        from reference import hypercube_points, point_prob
 
         for a, b in [(1, 2), (3, 5), (2, 6)]:
             brute = sum(
                 point_prob(dist, x)
-                for x in full_hypercube(6)
+                for x in hypercube_points(6)
                 if x.bit(a) != x.bit(b)
             )
             assert disagreement_exact_projections(dist, a, b) == pytest.approx(brute, abs=1e-12)
@@ -116,7 +116,7 @@ class TestTableDistance:
         cls, dist = self._cls_dist()
         a = cls.concept(cls.table_from_string("10") + 1)
         nota = cls.concept(cls.table_from_string("01") + 1)
-        pos = cls.domain_positions(dist.support)
+        pos = oracle_positions(cls, dist)
         assert disagreement_enumerate(cls, dist, a, a, pos) == 0.0
         assert disagreement_enumerate(cls, dist, a, nota, pos) == 1.0
 
@@ -124,7 +124,7 @@ class TestTableDistance:
         cls, dist = self._cls_dist()
         a = cls.concept(cls.table_from_string("10") + 1)
         b = cls.concept(cls.table_from_string("11") + 1)
-        pos = cls.domain_positions(dist.support)
+        pos = oracle_positions(cls, dist)
         assert disagreement_enumerate(cls, dist, a, b, pos) == pytest.approx(0.5, abs=1e-15)
 
     def test_axioms_exhaustive_on_64_concepts(self):
@@ -136,7 +136,7 @@ class TestTableDistance:
         probs[-1] = 1.0 - probs[:-1].sum()
         dist = FiniteSupportDistribution(dom, probs)
         ids = [cls.concept(i) for i in range(1, 65)]
-        pos = cls.domain_positions(dist.support)
+        pos = oracle_positions(cls, dist)
         d = {}
         for a, b in itertools.product(ids, ids):
             d[(a, b)] = disagreement_enumerate(cls, dist, a, b, pos)
@@ -186,7 +186,7 @@ class TestDisagreementMC:
         a = cls.concept(cls.table_from_string("100") + 1)
         b = cls.concept(cls.table_from_string("110") + 1)
         est = disagreement_mc(cls, dist, a, b, 20_000, 0.01, RngSeed(5))
-        truth = disagreement_enumerate(cls, dist, a, b, cls.domain_positions(dist.support))
+        truth = disagreement_enumerate(cls, dist, a, b, oracle_positions(cls, dist))
         assert abs(est.estimate - truth) <= est.radius
 
 
