@@ -16,6 +16,7 @@ override, output and the manifest are shared by all commands.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -348,6 +349,8 @@ def _run_cover(obj: CLIContext, n, eps, i, level, class_json, dist_json):
         if level is None:
             level = 2.0 * eps
     oracle_positions(cls, dist)
+    if cls.num_concepts == 0:
+        raise InvalidParameterError("cannot cover an empty class")
     if isinstance(cls, TableClass):
         check_vc_search(cls)
     spec = {
@@ -459,8 +462,10 @@ def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, tria
     ]
 
     def rows():
-        for n, learner, cfg in cells:
-            result = sample_complexity_search(cfg, delta, m_max, obj.pool)
+        # Every search at once; rows and warnings still come in cell order.
+        searches = [functools.partial(sample_complexity_search, cfg, delta, m_max, obj.pool)
+                    for _, _, cfg in cells]
+        for (n, learner, _), result in zip(cells, obj.pool.run_at_once(searches, trials)):
             est = result.estimate_at(result.m_star)
             unresolved = ";".join(str(v) for v in result.unresolved_ms)
             if unresolved:

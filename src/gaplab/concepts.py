@@ -75,9 +75,7 @@ def unpack_bit_rows(words: np.ndarray, n: int) -> np.ndarray:
     words = np.ascontiguousarray(words, dtype=np.uint64)
     if words.ndim == 1:
         words = words[None, :]
-    raw = words.view(np.uint8)
-    bits = np.unpackbits(raw, axis=1, bitorder="little")
-    return bits[:, :n]
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
 def packed_column(words: np.ndarray, j: int) -> np.ndarray:

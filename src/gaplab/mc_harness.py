@@ -12,14 +12,16 @@ Errors are computed by exact oracles, never by an inner Monte Carlo loop.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -205,6 +207,8 @@ def validate_config(cfg: TrialConfig) -> None:
         object.__setattr__(cfg, "positions", oracle_positions(cls, dist))
     if isinstance(cfg.target, FixedTarget):
         cls.concept(cfg.target.index)
+    elif isinstance(cfg.target, RandomConcept) and cls.num_concepts == 0:
+        raise InvalidParameterError("a random-concept target needs a class with concepts")
 
     if cfg.learner == "bayes-posterior":
         if not isinstance(cls, ProjectionClass):
@@ -472,11 +476,20 @@ def resolve_workers(threads: int) -> int:
     return threads or os.cpu_count() or 1
 
 
+# Parent threads of one TrialPool.run_at_once, at most: a long separation grid
+# queues its later searches rather than starting a thread for each.
+_PARENT_THREADS = 32
+
+# A run is cut into this many equal blocks, set by its trial count alone, so a
+# stop rule ends it after the same trials at any worker count.
+_BLOCKS = 16
+
+
 class TrialPool:
     """The worker processes of one command, shared by every experiment it runs.
 
     `with TrialPool(threads) as pool:` holds `workers = resolve_workers(threads)`;
-    the process pool starts on the first map that fans out and stops when
+    the process pool starts on the first run that fans out and stops when
     the block exits.
     """
 
@@ -491,13 +504,64 @@ class TrialPool:
     def __exit__(self, *exc) -> bool:
         return self._stack.__exit__(*exc)
 
-    def map(self, fn: Callable, *iterables) -> list:
-        """list(map(fn, *iterables)), run on the workers; the first call starts them."""
+    def fans_out(self, trials: int) -> bool:
+        """Whether a run of `trials` trials is split across the workers: there
+        are two or more, and at least two trials per worker."""
+        return self.workers > 1 and trials >= 2 * self.workers
+
+    def _start(self) -> ProcessPoolExecutor:
         if self._executor is None:
             self._executor = self._stack.enter_context(
                 ProcessPoolExecutor(max_workers=self.workers)
             )
-        return list(self._executor.map(fn, *iterables))
+        return self._executor
+
+    def imap(self, fn: Callable, arg_tuples: Iterable[tuple]) -> Iterator:
+        """fn(*args) for each of arg_tuples, run on the workers and yielded in order.
+
+        At most 2 * workers calls are in flight: a call already queued to a
+        worker cannot be cancelled, so the cap bounds what a run closed early
+        (by a stop rule) wastes; closing cancels the rest.  The first call
+        starts the workers.
+        """
+        executor = self._start()
+        queued = iter(arg_tuples)
+        in_flight = deque(executor.submit(fn, *args)
+                          for args in itertools.islice(queued, 2 * self.workers))
+        try:
+            while in_flight:
+                result = in_flight.popleft().result()
+                in_flight.extend(executor.submit(fn, *args)
+                                 for args in itertools.islice(queued, 1))
+                yield result
+        finally:
+            for future in in_flight:
+                future.cancel()
+
+    def run_at_once(self, calls: Sequence[Callable[[], object]], trials: int) -> Iterator:
+        """call() for each of calls, yielded in call order; a call that raised
+        re-raises when its turn comes.
+
+        When a run of `trials` trials fans out, the calls run at once, each in
+        a parent thread (at most _PARENT_THREADS), so that while one waits on
+        its next block the others keep the workers fed.  Otherwise they run one
+        after another in this thread as they are taken.  The workers are forked
+        from this thread before any parent thread starts: a fork-start process
+        pool forks on its first submit, and a fork beside running threads can
+        copy a lock one of them holds.
+        """
+        if len(calls) < 2 or not self.fans_out(trials):
+            yield from (call() for call in calls)
+            return
+        self._start().submit(int)  # forks the workers, from this thread
+        with ThreadPoolExecutor(max_workers=min(len(calls), _PARENT_THREADS)) as threads:
+            futures = [threads.submit(call) for call in calls]
+            try:
+                for future in futures:
+                    yield future.result()
+            finally:
+                for future in futures:
+                    future.cancel()
 
 
 def _map_trials(
@@ -505,32 +569,51 @@ def _map_trials(
     args: tuple,
     trials: int,
     pool: TrialPool | None,
+    settled: Callable[[tuple[np.ndarray, ...]], bool] | None = None,
 ) -> tuple[np.ndarray, ...]:
     """chunk_fn(*args, lo, hi) over trials [0, trials), arrays joined in trial order.
 
     chunk_fn must be a module-level function returning one array per output,
-    each holding trials lo..hi-1 in order.  Without a pool, with one worker,
-    or with fewer than two trials per worker, it runs serially in this
-    process; otherwise the trials are cut into 4 spans per worker and mapped
-    on the pool.  Trial t depends only on its index, so the result is
+    each holding trials lo..hi-1 in order.  The trials are cut into _BLOCKS
+    equal blocks, run on the pool's workers when pool.fans_out(trials) and
+    serially in this process otherwise; a serial run with no stop rule is one
+    chunk.  `settled`, if given, sees the outputs of each block prefix in
+    order, and the first prefix it accepts is the result.  Trial t depends
+    only on its index and the blocks only on `trials`, so the result is
     bit-identical for any worker count.
     """
-    workers = 1 if pool is None else pool.workers
-    if workers <= 1 or trials < 2 * workers:
+    on_pool = pool is not None and pool.fans_out(trials)
+    if not on_pool and settled is None:
         return chunk_fn(*args, 0, trials)
-    bounds = np.linspace(0, trials, 4 * workers + 1, dtype=int)
-    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    parts = pool.map(chunk_fn, *zip(*[(*args, lo, hi) for lo, hi in spans]))
+    bounds = np.linspace(0, trials, _BLOCKS + 1, dtype=int)
+    blocks = [(*args, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
+    parts = pool.imap(chunk_fn, blocks) if on_pool else (chunk_fn(*b) for b in blocks)
+    done = []
+    with closing(parts):
+        for part in parts:
+            done.append(part)
+            if settled is not None and settled(_joined(done)):
+                break
+    return _joined(done)
+
+
+def _joined(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate(outputs) for outputs in zip(*parts))
 
 
-def run_trials(cfg: TrialConfig, pool: TrialPool | None = None) -> tuple[np.ndarray, np.ndarray]:
+def run_trials(
+    cfg: TrialConfig,
+    pool: TrialPool | None = None,
+    settled: Callable[[tuple[np.ndarray, np.ndarray]], bool] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial exact errors and failure indicators, in trial-index order.
 
-    The result is bit-identical for any worker count: trial t depends only
-    on (seed, t).
+    With a `settled` rule (see _map_trials) the arrays hold the first block
+    prefix it accepted, else all cfg.trials trials.  The result is
+    bit-identical for any worker count: trial t depends only on (seed, t).
     """
-    return _map_trials(_run_chunk, (run_trial, (cfg,), ("f8", "u1")), cfg.trials, pool)
+    return _map_trials(_run_chunk, (run_trial, (cfg,), ("f8", "u1")), cfg.trials, pool,
+                       settled)
 
 
 def estimate_failure_prob(cfg: TrialConfig, pool: TrialPool | None = None) -> EstimateWithCI:
@@ -541,9 +624,23 @@ def estimate_failure_prob(cfg: TrialConfig, pool: TrialPool | None = None) -> Es
 
 @dataclass(frozen=True)
 class MEstimate:
+    """One tested m of the search.
+
+    `trials_run` of the estimate's T trials ran.  A point stops after the
+    first block prefix whose lowest and highest possible final counts give
+    the same status, unless that status can still be success: then all T run.
+    `stopped` says why it stopped early: None when all T ran, "fail reached"
+    when the prefix count alone certifies fail, "fail out of reach" when the
+    count is past success and the trials left cannot reach fail.  A stopped
+    point's estimate is its prefix count over T, a lower bound on the
+    full-count estimate with the same status; it is no full-count estimate.
+    """
+
     m: int
     estimate: EstimateWithCI
     status: str  # "success" | "fail" | "unresolved"
+    trials_run: int
+    stopped: str | None = None
 
 
 @dataclass(frozen=True)
@@ -566,10 +663,39 @@ class SampleComplexityResult:
         return tuple(e.m for e in self.per_m if e.status == "unresolved")
 
     def estimate_at(self, m: int) -> EstimateWithCI | None:
+        """The estimate of tested m: a full count at m_star, and a prefix
+        count over T at a point that stopped early (see MEstimate)."""
         for e in self.per_m:
             if e.m == m:
                 return e.estimate
         return None
+
+
+def _search_point(cfg: TrialConfig, delta: float, pool: TrialPool | None) -> MEstimate:
+    """The MEstimate of cfg.m: success if the failure CI upper bound is <=
+    delta, fail if the lower bound is > delta, else unresolved; its trials
+    stop as MEstimate says."""
+
+    def status(count: int) -> str:
+        est = EstimateWithCI.from_count(count, cfg.trials, cfg.gamma)
+        if est.upper <= delta:
+            return "success"
+        return "fail" if est.lower > delta else "unresolved"
+
+    def settled(outputs: tuple[np.ndarray, np.ndarray]) -> bool:
+        fails = outputs[1]
+        count = int(fails.sum())
+        lowest = status(count)
+        return lowest != "success" and lowest == status(count + cfg.trials - fails.size)
+
+    _, fails = run_trials(cfg, pool, settled)
+    count = int(fails.sum())
+    point = status(count)
+    stopped = None
+    if fails.size < cfg.trials:
+        stopped = "fail reached" if point == "fail" else "fail out of reach"
+    return MEstimate(cfg.m, EstimateWithCI.from_count(count, cfg.trials, cfg.gamma), point,
+                     fails.size, stopped)
 
 
 def sample_complexity_search(
@@ -577,10 +703,9 @@ def sample_complexity_search(
 ) -> SampleComplexityResult:
     """Geometric doubling to bracket, then bisection on m.
 
-    Each tested m gets its own seed substream.  Success at m means the
-    failure CI upper bound is <= delta; failure means the lower bound is
-    > delta; anything else is recorded as unresolved and the bisection
-    moves right without confirming a bracket edge.
+    Each tested m gets its own seed substream and is evaluated by
+    _search_point.  An unresolved point moves the bisection right without
+    confirming a bracket edge.
     """
     radius = hoeffding_radius(cfg.trials, cfg.gamma)
     if radius >= delta:
@@ -593,15 +718,8 @@ def sample_complexity_search(
 
     def evaluate(m: int) -> MEstimate:
         if m not in evaluated:
-            sub = replace(cfg, m=m, seed=cfg.seed.substream(m))
-            est = estimate_failure_prob(sub, pool)
-            if est.upper <= delta:
-                status = "success"
-            elif est.lower > delta:
-                status = "fail"
-            else:
-                status = "unresolved"
-            evaluated[m] = MEstimate(m, est, status)
+            evaluated[m] = _search_point(replace(cfg, m=m, seed=cfg.seed.substream(m)),
+                                         delta, pool)
         return evaluated[m]
 
     confirmed_lo = 0

@@ -144,11 +144,10 @@ def greedy_packing_cover(cls: ConceptClass, dist: Distribution, eps: float) -> C
 
     A concept is admitted iff its distance to every member so far is
     strictly above eps.  The cover certificate max_c min_member d(c, member)
-    is read off the distances to the final members.
+    is read off the distances to the final members.  cls holds at least one
+    concept: the `cover` build step and validate_config refuse an empty one.
     """
     n = cls.num_concepts
-    if n == 0:
-        raise InvalidParameterError("cannot cover an empty class")
     positions = oracle_positions(cls, dist)
     if positions is None:
         distance_row = functools.partial(_distance_rows_projections, dist)

@@ -3,7 +3,8 @@
 No command runs these.  Each is a direct, slow transcription of a definition
 (a point's probability, the posterior over the hidden index, the rule that
 thresholds it, a Monte Carlo disagreement, the greedy packing scan and its
-pairwise distance oracle), so that the fast paths of the package can be
+pairwise distance oracle, the sample-size search with every point run to its
+full count), so that the fast paths of the package can be
 compared with it, or a formula the paper's proofs use (the optimal
 single-bit predictor, Bernoulli KL and its quadratic lower bound, the tail
 inequality of the no-gap argument), so that the acceptance tests can check
@@ -13,7 +14,7 @@ it numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -42,8 +43,15 @@ from gaplab.errors import (
     InconsistentSampleError,
     InvalidParameterError,
     OracleUnavailableError,
+    SearchBracketError,
 )
 from gaplab.learners import LabeledSample, posterior_mean_label
+from gaplab.mc_harness import (
+    MEstimate,
+    SampleComplexityResult,
+    TrialConfig,
+    estimate_failure_prob,
+)
 from gaplab.metric_cover import (
     CoverResult,
     EstimateWithCI,
@@ -318,3 +326,46 @@ def tail_inequality_check(values: Sequence[float], t: float) -> bool:
     mean = sum((Fraction(float(v)) for v in vals), Fraction(0)) / n
     prob_gt = Fraction(sum(1 for v in vals if Fraction(float(v)) > t_frac), n)
     return prob_gt >= (mean - t_frac) / (1 - t_frac)
+
+
+def full_count_search(cfg: TrialConfig, delta: float, m_max: int) -> SampleComplexityResult:
+    """The sample-size search with every tested m run to all cfg.trials
+    trials: doubling to a success, then bisection, each m on its own seed
+    substream.  Success means the failure CI upper bound is <= delta, fail
+    that its lower bound is > delta, anything else is unresolved and moves
+    the bisection right without confirming a bracket edge."""
+    evaluated: dict[int, MEstimate] = {}
+
+    def evaluate(m: int) -> MEstimate:
+        if m not in evaluated:
+            est = estimate_failure_prob(replace(cfg, m=m, seed=cfg.seed.substream(m)))
+            status = ("success" if est.upper <= delta
+                      else "fail" if est.lower > delta else "unresolved")
+            evaluated[m] = MEstimate(m, est, status, cfg.trials)
+        return evaluated[m]
+
+    confirmed_lo, hi, m = 0, None, 1
+    while m <= m_max:
+        e = evaluate(m)
+        if e.status == "success":
+            hi = m
+            break
+        if e.status == "fail":
+            confirmed_lo = m
+        m *= 2
+    if hi is None:
+        raise SearchBracketError(f"no m <= {m_max} reached a failure CI upper bound <= {delta}")
+    if hi == 1 and evaluate(0).status == "success":
+        hi = 0
+    soft_lo = min(confirmed_lo, hi - 1) if hi > 0 else -1
+    while hi - soft_lo > 1:
+        mid = (soft_lo + hi) // 2
+        e = evaluate(mid)
+        if e.status == "success":
+            hi = mid
+        else:
+            if e.status == "fail":
+                confirmed_lo = mid
+            soft_lo = mid
+    per_m = tuple(evaluated[k] for k in sorted(evaluated))
+    return SampleComplexityResult(hi, (confirmed_lo, hi), per_m, delta)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import platform
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import scipy
 from click.testing import CliRunner
 
-from gaplab import mc_harness
+from gaplab import cli, mc_harness
 from gaplab.cli import main
 
 
@@ -886,6 +887,12 @@ LATER_BUILD_RULE = {
         "no exact oracle for TableClass under ProductDistribution"),
     "vc-65-point-table": ("vc", {"n": 4}, {"class_json": wide_table(65)[0]},
                           WIDE_TABLE_REFUSAL),
+    "cover-empty-table-class": (
+        "cover",
+        {"class_json": wide_table(2)[0], "dist_json": wide_table(2)[1], "level": 0.3},
+        {"class_json": {"kind": "table", "domain": ["0", "1"], "tables": []},
+         "dist_json": wide_table(2)[1], "level": 0.3},
+        "cannot cover an empty class"),
     "vc-default-universe-cells": (
         "vc", {"n": 4}, {"n": 3500000, "universe": "default"},
         "universe x class too large for the exhaustive search (85 x 3500000)"),
@@ -1041,6 +1048,53 @@ def test_separation_starts_one_pool(runner, tmp_path, monkeypatch):
     assert res.exit_code == 0, res.output
     assert len(read_csv(out)) == 4
     assert starts == [2]
+
+
+SEPARATION_WARNINGS = [
+    "warning: unresolved m values for n=16 cover: 2",
+    "warning: unresolved m values for n=16 erm: 3;4",
+    "warning: unresolved m values for n=256 cover: 2",
+    "warning: unresolved m values for n=256 erm: 6",
+    "warning: unresolved m values for n=4096 cover: 2",
+]
+
+
+@pytest.mark.parametrize("m_max, code, last", [
+    ("16", 0, "warning: unresolved m values for n=4096 erm: 8;9"),
+    ("8", 3, "runtime failure: no m <= 8 reached a failure CI upper bound <= 0.25"),
+])
+def test_separation_on_two_workers_writes_the_serial_rows_and_warnings(runner, tmp_path,
+                                                                       monkeypatch, m_max,
+                                                                       code, last):
+    # Two workers run every search at once, each from a parent thread; rows
+    # and warnings keep cell order, and the n=4096 erm search, the last cell,
+    # fails at m_max 8.
+    search = cli.sample_complexity_search
+    callers = []
+
+    def recording_search(*args):
+        callers.append(threading.get_ident())
+        return search(*args)
+
+    monkeypatch.setattr(cli, "sample_complexity_search", recording_search)
+    runs = {}
+    for threads in ("1", "2"):
+        callers.clear()
+        out = tmp_path / f"t{threads}.csv"
+        res = runner.invoke(main, ["--seed", "3", "--threads", threads, "--out", str(out),
+                                   "separation", "--n-list", "16,256,4096", "--learners",
+                                   "cover,erm", "--trials", "300", "--delta", "0.25",
+                                   "--m-max", m_max])
+        assert res.exit_code == code, res.output
+        lines = [line for line in res.output.splitlines()
+                 if not line.startswith(("wrote ", "manifest: "))]
+        runs[threads] = lines, out.read_bytes() if out.exists() else None
+        assert len(callers) == 6
+        on_main = {ident == threading.get_ident() for ident in callers}
+        assert on_main == ({True} if threads == "1" else {False})
+    assert runs["1"] == runs["2"]
+    assert runs["1"][0] == SEPARATION_WARNINGS + [last]
+    assert (runs["1"][1] is None) == (code != 0)
 
 
 def test_negative_threads_exits_2(runner, tmp_path):

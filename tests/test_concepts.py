@@ -223,6 +223,16 @@ class TestVcLimits:
         assert found == [4]
         assert peak < 200 * 2**20
 
+    def test_full_hypercube_labels_unpack_only_n_columns(self):
+        # Unpacking all 64 bits of each word before slicing peaked near 130 MiB.
+        found = []
+        peak = self._peak(lambda: found.append(
+            vc_dimension_bruteforce(ProjectionClass(20), full_hypercube(20))))
+        assert found == [4]
+        assert peak < 100 * 2**20
+        labels = unpack_bit_rows(full_hypercube(20)[:8], 20)
+        assert labels.shape == (8, 20) and labels.flags.owndata
+
     def test_oversized_default_universe_is_refused_before_it_is_drawn(self):
         # 85 rows of 3.5M bits pass the 2^28-cell cap; the draw alone is 1.67 GiB.
         def search():

@@ -1,4 +1,9 @@
+import functools
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -10,6 +15,7 @@ from gaplab import mc_harness, metric_cover
 from gaplab.concepts import (
     Point,
     ProjectionClass,
+    TableClass,
     all_functions_class,
     enumerated_domain,
 )
@@ -48,8 +54,8 @@ from gaplab.mc_harness import (
     sample_complexity_search,
     TrialPool,
 )
-from reference import (PosteriorState, bayes_posterior_predict, hypercube_points, point_prob,
-                       tail_inequality_check)
+from reference import (PosteriorState, bayes_posterior_predict, full_count_search,
+                       hypercube_points, point_prob, tail_inequality_check)
 
 
 def pne_cfg(n, eps, learner, m, eps_acc, trials, seed, target=None, **kw):
@@ -282,6 +288,74 @@ class TestSearch:
             sample_complexity_search(cfg, 0.2, 2)
 
 
+# (trials, seed, delta): each delta is above the CI radius at that trial count
+# (0.094 at 300 trials, 0.052 at 1000, gamma = 0.01).
+STOP_GRID = [(300, 3, 0.15), (300, 8, 0.25), (1000, 3, 1 / 16), (1000, 8, 0.15)]
+
+
+class TestSearchStops:
+    @pytest.mark.parametrize("n", [16, 256])
+    @pytest.mark.parametrize("learner", ["erm", "cover", "bayes-posterior"])
+    @pytest.mark.parametrize("trials, seed, delta", STOP_GRID)
+    def test_matches_the_full_count_search(self, n, learner, trials, seed, delta):
+        cfg = pne_cfg(n, 0.1, learner, 1, 1 / 16, trials, seed)
+        got = sample_complexity_search(cfg, delta, 256)
+        want = full_count_search(cfg, delta, 256)
+        assert got.m_star == want.m_star
+        assert got.bracket == want.bracket
+        assert [(e.m, e.status) for e in got.per_m] == [(e.m, e.status) for e in want.per_m]
+        assert got.unresolved_ms == want.unresolved_ms
+        assert got.estimate_at(got.m_star) == want.estimate_at(want.m_star)
+        for e, full in zip(got.per_m, want.per_m):
+            if e.status == "success":
+                assert (e.trials_run, e.stopped) == (trials, None)
+            # A prefix count over T is a lower bound on the full count.
+            assert e.estimate.estimate <= full.estimate.estimate
+            assert (e.trials_run < trials) == (e.stopped is not None)
+            if e.trials_run == trials:
+                assert e.estimate == full.estimate
+
+    def test_points_stop_for_both_reasons(self):
+        cfg = pne_cfg(256, 0.1, "erm", 1, 1 / 16, 1000, 3)
+        res = sample_complexity_search(cfg, 1 / 16, 256)
+        stopped = {e.stopped for e in res.per_m if e.trials_run < 1000}
+        assert stopped == {"fail reached", "fail out of reach"}
+        for e in res.per_m:
+            if e.stopped == "fail reached":
+                assert e.status == "fail" and e.estimate.lower > 1 / 16
+            if e.stopped == "fail out of reach":
+                # The count left cannot lift the CI's lower bound above delta.
+                count = round(e.estimate.estimate * 1000) + 1000 - e.trials_run
+                assert e.status == "unresolved"
+                assert metric_cover.EstimateWithCI.from_count(count, 1000, 0.01).lower <= 1 / 16
+
+    def test_trials_run_are_the_same_on_two_workers(self, pool_starts):
+        cfg = pne_cfg(256, 0.1, "cover", 1, 1 / 16, 1000, 8)
+        serial = sample_complexity_search(cfg, 0.15, 256)
+        with TrialPool(2) as pool:
+            fanned = sample_complexity_search(cfg, 0.15, 256, pool)
+        assert pool_starts == [2]
+        assert [(e.m, e.trials_run, e.stopped) for e in fanned.per_m] == [
+            (e.m, e.trials_run, e.stopped) for e in serial.per_m]
+        assert any(e.trials_run < 1000 for e in serial.per_m)
+        assert fanned == serial
+
+    def test_a_serial_stop_runs_whole_blocks(self, monkeypatch):
+        spans = []
+        real = mc_harness._run_chunk
+
+        def recording(trial, args, dtypes, lo, hi):
+            spans.append((lo, hi))
+            return real(trial, args, dtypes, lo, hi)
+
+        monkeypatch.setattr(mc_harness, "_run_chunk", recording)
+        cfg = pne_cfg(32, 0.1, "erm", 3, 1 / 16, 160, 5)
+        errors, fails = run_trials(cfg, settled=lambda outputs: outputs[1].size >= 30)
+        assert spans == [(0, 10), (10, 20), (20, 30)]
+        assert fails.size == errors.size == 30
+        assert errors.tolist() == [run_trial(cfg, t).error for t in range(30)]
+
+
 class TestLowerBound:
     def test_budget_formula(self):
         assert lower_bound_m(1 << 17, 0.2) == 2
@@ -404,7 +478,7 @@ class TestNoGap:
         ],
     )
     def test_thread_invariance_uneven_split(self, pool_starts, dist):
-        # 501 trials do not split evenly into the 8 spans of 2 workers
+        # 501 trials do not split evenly into 16 blocks
         args = (dist, [0, 2, 5], 501, 0.1, RngSeed(23))
         a = no_gap_experiment(no_gap_configs(*args))
         with TrialPool(2) as pool:
@@ -586,6 +660,97 @@ class TestTrialPool:
         assert pool_exits == [SearchBracketError]
 
 
+    def test_a_stop_cancels_the_blocks_not_yet_running(self, monkeypatch):
+        submitted = []
+
+        class RecordingPool(mc_harness.ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(args[-2:])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(mc_harness, "ProcessPoolExecutor", RecordingPool)
+        cfg = pne_cfg(32, 0.1, "erm", 3, 1 / 16, 160, 5)
+        with TrialPool(2) as pool:
+            errors, fails = run_trials(cfg, pool, settled=lambda outputs: True)
+        # 2 * workers blocks in flight, one more sent as the first comes back.
+        assert submitted == [(0, 10), (10, 20), (20, 30), (30, 40), (40, 50)]
+        assert errors.tolist() == [run_trial(cfg, t).error for t in range(10)]
+
+    def test_run_at_once_yields_in_call_order(self, pool_starts):
+        def call(k):
+            def run():
+                time.sleep(0.05 * (3 - k))  # the last call ends first
+                return k, threading.get_ident()
+            return run
+
+        with TrialPool(2) as pool:
+            results = list(pool.run_at_once([call(k) for k in range(4)], trials=100))
+        assert [k for k, _ in results] == [0, 1, 2, 3]
+        assert threading.get_ident() not in {ident for _, ident in results}
+        assert pool_starts == [2]
+
+    def test_run_at_once_raises_the_first_error_in_call_order(self):
+        def fail(message, delay):
+            def run():
+                time.sleep(delay)
+                raise SearchBracketError(message)
+            return run
+
+        taken = []
+        with TrialPool(2) as pool:
+            with pytest.raises(SearchBracketError, match="^second$"):
+                for result in pool.run_at_once(
+                        [lambda: "first", fail("second", 0.1), fail("third", 0.0)], trials=100):
+                    taken.append(result)
+        assert taken == ["first"]
+
+    def test_run_at_once_forks_before_any_parent_thread(self, monkeypatch, pool_starts):
+        threads_at_fork = []
+        fork = os.fork
+
+        def recording_fork():
+            threads_at_fork.append(threading.active_count())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        cfg = pne_cfg(32, 0.1, "erm", 3, 1 / 16, 40, 5)
+        serial = run_trials(cfg)[1]
+        with TrialPool(2) as pool:
+            runs = list(pool.run_at_once([lambda: run_trials(cfg, pool)[1]] * 3, trials=40))
+        assert threads_at_fork == [1, 1]
+        assert pool_starts == [2]
+        assert all(np.array_equal(fails, serial) for fails in runs)
+
+    def test_run_at_once_shares_the_workers_under_thread_switching(self, pool_starts):
+        # More workers than this machine's cores, many parent threads, and a
+        # thread switch every few bytecodes: each stopped run keeps its prefix.
+        configs = [pne_cfg(32, 0.1, "erm", m, 1 / 16, 96, 5) for m in range(8)]
+
+        def stop_at(trials):
+            return lambda outputs: outputs[1].size >= trials
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with TrialPool(3) as pool:
+                runs = list(pool.run_at_once(
+                    [functools.partial(run_trials, cfg, pool, stop_at(6 * (m + 1)))
+                     for m, cfg in enumerate(configs)], trials=96))
+        finally:
+            sys.setswitchinterval(interval)
+        assert pool_starts == [3]
+        for m, (cfg, (errors, _)) in enumerate(zip(configs, runs)):
+            assert errors.tolist() == [run_trial(cfg, t).error for t in range(6 * (m + 1))]
+
+    @pytest.mark.parametrize("threads, trials", [(1, 40), (2, 3)])
+    def test_run_at_once_starts_no_thread_unless_trials_fan_out(self, pool_starts, threads,
+                                                                trials):
+        with TrialPool(threads) as pool:
+            counts = list(pool.run_at_once([threading.active_count] * 3, trials))
+        assert counts == [threading.active_count()] * 3
+        assert pool_starts == []
+
+
 class TestTailInequality:
     def test_all_ones(self):
         assert tail_inequality_check([1.0] * 10, 0.5)
@@ -638,6 +803,12 @@ class TestConfigValidation:
     def test_memorizer_needs_tables(self):
         with pytest.raises(OracleUnavailableError):
             pne_cfg(8, 0.1, "memorizer", 1, 0.1, 1, 0)
+
+    def test_random_concept_needs_a_concept(self):
+        dom = enumerated_domain(1)
+        with pytest.raises(InvalidParameterError, match="needs a class with concepts"):
+            TrialConfig(TableClass(dom, []), uniform_finite(dom), RandomConcept(), "cover", 1,
+                        0.1, 1, RngSeed(0), cover_level=0.1)
 
     def test_unknown_learner(self):
         with pytest.raises(InvalidParameterError):
