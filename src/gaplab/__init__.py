@@ -11,7 +11,7 @@ for the class of all functions.
 __version__ = "0.1.0"
 
 from .concepts import (
-    Point,
+    PointSet,
     ProjectionClass,
     TableClass,
     all_functions_class,

@@ -84,74 +84,80 @@ def packed_column(words: np.ndarray, j: int) -> np.ndarray:
     return ((words[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1)).astype(np.uint8)
 
 
-class Point:
-    """An immutable point of the Boolean hypercube {0,1}^n, bit-packed."""
+def bit_string(row: np.ndarray, n: int) -> str:
+    """The 0/1 string of one packed n-bit row, coordinate 1 first."""
+    return "".join(map(str, unpack_bit_rows(row, n)[0].tolist()))
 
-    __slots__ = ("n", "words", "_key")
 
-    def __init__(self, words: np.ndarray, n: int):
-        words = np.ascontiguousarray(words, dtype=np.uint64)
-        if n < 0 or words.shape != (words_needed(n),):
-            raise InvalidParameterError(
-                f"word buffer shape {words.shape} does not match n={n}"
-            )
-        rem = n % WORD_BITS
-        if n and rem and int(words[-1]) >> rem:
+def row_keys(rows: np.ndarray, n: int) -> list[tuple[int, bytes]]:
+    """The key a PointSet finds each packed n-bit row by; a row of another n
+    never matches.  Slices of one bytes object: twice as fast as a tobytes per row."""
+    flat, width = rows.tobytes(), 8 * rows.shape[1]
+    return [(n, flat[r * width:(r + 1) * width]) for r in range(len(rows))]
+
+
+class PointSet:
+    """An ordered set of distinct points of {0,1}^n: the rows of a read-only
+    (points, words) uint64 matrix, each keyed by (n, row bytes) to its
+    position.  A table class's domain and a finite law's support are point
+    sets; a spec writes one as a list of 0/1 strings."""
+
+    __slots__ = ("n", "rows", "_index")
+
+    def __init__(self, strings: Iterable[str] = ()):
+        strings = list(strings)
+        for s in strings:
+            if not isinstance(s, str) or set(s) - {"0", "1"}:
+                raise InvalidParameterError(f"not a 0/1 string: {s!r}")
+        n = len(strings[0]) if strings else 0
+        if any(len(s) != n for s in strings):
+            raise DimensionMismatchError("points must share a dimension")
+        bits = np.array([[ch == "1" for ch in s] for s in strings], dtype=np.uint8)
+        self._hold(pack_bit_rows(bits.reshape(len(strings), n)), n)
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, n: int) -> "PointSet":
+        """The points of a (points, words) matrix of packed n-bit rows, copied."""
+        rows = np.array(rows, dtype=np.uint64)
+        if rows.ndim != 2 or rows.shape[1] != words_needed(n):
+            raise DimensionMismatchError(f"rows of shape {rows.shape} do not pack {n} bits")
+        if (rows & ~full_mask_words(n)).any():
             raise InvalidParameterError("bits beyond n must be zero")
-        words.setflags(write=False)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "_key", (n, words.tobytes()))
+        points = cls.__new__(cls)
+        points._hold(rows, n)
+        return points
 
-    def __setattr__(self, *_):
-        raise AttributeError("Point is immutable")
+    def _hold(self, rows: np.ndarray, n: int) -> None:
+        index = {key: t for t, key in enumerate(row_keys(rows, n))}
+        if len(index) != len(rows):
+            raise InvalidParameterError("points must be pairwise distinct")
+        rows.setflags(write=False)
+        self.n = n
+        self.rows = rows
+        self._index = index
 
-    def __reduce__(self):
-        # Required because the immutability guard breaks slot-state pickling.
-        return (Point, (np.asarray(self.words), self.n))
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "Point":
-        arr = np.fromiter((1 if b else 0 for b in bits), dtype=np.uint8)
-        return cls(pack_bit_rows(arr[None, :])[0], arr.size)
-
-    @classmethod
-    def from_string(cls, s: str) -> "Point":
-        if set(s) - {"0", "1"}:
-            raise InvalidParameterError(f"not a 0/1 string: {s!r}")
-        return cls.from_bits(int(ch) for ch in s)
-
-    @classmethod
-    def from_int(cls, value: int, n: int) -> "Point":
-        """Point whose coordinate j (1-based) is bit j-1 of `value`."""
-        if value < 0 or value >> n:
-            raise InvalidParameterError(f"value {value} does not fit in {n} bits")
-        return cls(np.frombuffer(value.to_bytes(8 * words_needed(n), "little"), "<u8"), n)
-
-    def bit(self, j: int) -> int:
-        """Coordinate x[j], 1-based."""
-        if not 1 <= j <= self.n:
-            raise DimensionMismatchError(f"coordinate {j} out of range 1..{self.n}")
-        j -= 1
-        return (int(self.words[j // WORD_BITS]) >> (j % WORD_BITS)) & 1
-
-    def weight(self) -> int:
-        """Number of ones (the norm of the point)."""
-        return int(np.bitwise_count(self.words).sum())
-
-    def to_string(self) -> str:
-        return "".join(str(b) for b in unpack_bit_rows(self.words, self.n)[0])
+    def __len__(self) -> int:
+        return len(self.rows)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Point) and self._key == other._key
+        return isinstance(other, PointSet) and list(self._index) == list(other._index)
 
-    def __hash__(self) -> int:
-        return hash(self._key)
+    def keys(self):
+        """Each point's key, in order: what a PointSet or a memorizer finds it by."""
+        return self._index.keys()
 
-    def __repr__(self) -> str:
-        if self.n <= 32:
-            return f"Point({self.to_string()!r})"
-        return f"Point(n={self.n}, weight={self.weight()})"
+    def find(self, rows: np.ndarray, n: int) -> list[int]:
+        """The position of each packed n-bit row; a row outside the set raises
+        PointNotInDomainError, which names it."""
+        try:
+            return [self._index[key] for key in row_keys(rows, n)]
+        except KeyError as missing:
+            row = np.frombuffer(missing.args[0][1], dtype=np.uint64)
+            raise PointNotInDomainError(
+                f"point {bit_string(row, n)!r} is not in the table domain") from None
+
+    def to_strings(self) -> list[str]:
+        return [bit_string(row, self.n) for row in self.rows]
 
 
 @dataclass(frozen=True)
@@ -182,17 +188,9 @@ class TableClass:
     class) or an explicit list.
     """
 
-    __slots__ = ("domain", "tables", "_index", "_table_array")
+    __slots__ = ("domain", "tables", "_table_array")
 
-    def __init__(self, domain: Sequence[Point], tables: Sequence[int]):
-        domain = tuple(domain)
-        if domain:
-            n = domain[0].n
-            if any(p.n != n for p in domain):
-                raise DimensionMismatchError("domain points must share a dimension")
-        index = {p._key: t for t, p in enumerate(domain)}
-        if len(index) != len(domain):
-            raise InvalidParameterError("domain points must be pairwise distinct")
+    def __init__(self, domain: PointSet, tables: Sequence[int]):
         d = len(domain)
         limit = 1 << d
         if isinstance(tables, range):
@@ -207,7 +205,6 @@ class TableClass:
                     raise InvalidParameterError(f"table {tbl} does not fit {d} domain bits")
         self.domain = domain
         self.tables = tables
-        self._index = index
         self._table_array = None
 
     @property
@@ -244,12 +241,6 @@ class TableClass:
             self._table_array.setflags(write=False)
         return self._table_array
 
-    def domain_position(self, x: Point) -> int:
-        try:
-            return self._index[x._key]
-        except KeyError:
-            raise PointNotInDomainError(f"{x!r} is not in the table domain") from None
-
     def table_from_string(self, s: str) -> int:
         """Mask for a table written as a 0/1 string over the domain in order."""
         if len(s) != self.domain_size or set(s) - {"0", "1"}:
@@ -262,7 +253,7 @@ class TableClass:
     def to_json_dict(self) -> dict:
         return {
             "kind": "table",
-            "domain": [p.to_string() for p in self.domain],
+            "domain": self.domain.to_strings(),
             "tables": [self.table_to_string(int(t)) for t in self.tables],
         }
 
@@ -279,7 +270,7 @@ def class_from_json_dict(
     if kind == "projections":
         return ProjectionClass(spec_value(f"{key}.n", obj.get("n"), where))
     if kind == "table":
-        domain = config_value(point_list, obj.get("domain"), f"{key}.domain", where)
+        domain = config_value(PointSet, obj.get("domain"), f"{key}.domain", where)
         cls = TableClass(domain, [])
 
         def table_list(value) -> list[int]:
@@ -290,14 +281,8 @@ def class_from_json_dict(
     raise InvalidParameterError(f"unknown class kind {kind!r}")
 
 
-def point_list(value) -> list[Point]:
-    """Points from a JSON list of 0/1 strings; the kind a config value names."""
-    return [Point.from_string(s) for s in value]
-
-
-def all_functions_class(domain: Sequence[Point]) -> TableClass:
+def all_functions_class(domain: PointSet) -> TableClass:
     """The class of all 2^D functions on a finite domain (tables held lazily)."""
-    domain = tuple(domain)
     d = len(domain)
     if d > 20:
         raise InvalidParameterError(f"all-functions domain capped at 20 points, got {d}")
@@ -322,20 +307,14 @@ def build_shattered_set(n: int) -> np.ndarray:
 def label_rows(cls: ConceptClass, words: np.ndarray, n: int) -> np.ndarray:
     """(rows, concepts) uint8 matrix of every concept's value on packed n-bit rows.
 
-    A table class looks each row up by the key its Point would have; a row
-    outside the domain raises PointNotInDomainError.
+    A table class finds each row in its domain; a row outside it raises
+    PointNotInDomainError.
     """
     if isinstance(cls, ProjectionClass):
         if n != cls.n:
             raise DimensionMismatchError(f"rows have n={n}, the class has n={cls.n}")
         return unpack_bit_rows(words, n)
-    pos = np.empty(len(words), dtype=np.uint64)
-    for r, row in enumerate(words):
-        try:
-            pos[r] = cls._index[(n, row.tobytes())]
-        except KeyError:
-            raise PointNotInDomainError(
-                f"{Point(row.copy(), n)!r} is not in the table domain") from None
+    pos = np.array(cls.domain.find(words, n), dtype=np.uint64)
     return ((cls.table_array()[None, :] >> pos[:, None]) & np.uint64(1)).astype(np.uint8)
 
 
@@ -389,7 +368,7 @@ def _default_universe(cls: ConceptClass) -> np.ndarray:
     """A table class's domain, or for the projections the shattered set and
     then the fixed-seed random points, repeats dropped, first occurrences kept."""
     if isinstance(cls, TableClass):
-        return np.stack([p.words for p in cls.domain])
+        return cls.domain.rows
     gen = np.random.Generator(np.random.PCG64(_VC_UNIVERSE_SEED))
     # One row at a time: the same stream as a single (points, n) draw.
     rows = [pack_bit_rows(gen.random((1, cls.n)) < 0.5)
@@ -422,7 +401,7 @@ def vc_dimension_bruteforce(
     cap = min(len(universe), nc.bit_length() - 1)
     if d_max is not None:
         cap = min(cap, d_max)
-    n = cls.n if isinstance(cls, ProjectionClass) else cls.domain[0].n if cls.domain else 0
+    n = cls.n if isinstance(cls, ProjectionClass) else cls.domain.n
     if universe.shape[1:] != (words_needed(n),):
         raise DimensionMismatchError(f"universe rows must pack {n}-bit points")
     labels = label_rows(cls, universe, n)
@@ -433,14 +412,14 @@ def vc_dimension_bruteforce(
 
 
 def full_hypercube(n: int) -> np.ndarray:
-    """All 2^n points, n <= 20, as one-word packed rows: row v is Point.from_int(v, n)."""
+    """All 2^n points, n <= 20, as one-word rows: coordinate j of row v is bit j-1 of v."""
     if n > 20:
         raise InvalidParameterError("full hypercube enumeration capped at n = 20")
     return np.arange(1 << n, dtype=np.uint64)[:, None]
 
 
-def enumerated_domain(size: int, n_bits: int | None = None) -> list[Point]:
-    """`size` distinct points: the binary encodings of 0 .. size-1, in n_bits
-    bits if given (Point.from_int refuses too few)."""
-    n = max(1, (size - 1).bit_length()) if n_bits is None else n_bits
-    return [Point.from_int(v, n) for v in range(size)]
+def enumerated_domain(size: int) -> PointSet:
+    """`size` distinct points: the binary encodings of 0 .. size-1 in the
+    fewest bits, at least one, as full_hypercube encodes them."""
+    n = max(1, (size - 1).bit_length())
+    return PointSet.from_rows(np.arange(size, dtype=np.uint64)[:, None], n)

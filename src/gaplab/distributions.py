@@ -3,7 +3,8 @@
 Randomness is counter-based: every trial derives its own 64-bit seed as a
 pure function of (master seed, stream id, trial index) through a splitmix64
 finalizer, so trials can run in any order or on any worker without changing
-results.  The generator of trial t is exactly PCG64(trial_seed(t)); its
+results.  The generator of trial t is exactly PCG64(s_t), where
+s_t = mix64(mix64(master ^ mix64(stream)) ^ t * GOLDEN64 mod 2^64); its
 PCG64 seed words are derived for 256 trials at a time by a vectorised copy
 of numpy's SeedSequence, which is the same function at a fraction of the
 per-trial cost.
@@ -19,8 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .concepts import WORD_BITS, Point, pack_bit_rows, point_list, words_needed
-from .errors import DimensionMismatchError, InvalidParameterError, config_value, spec_value
+from .concepts import WORD_BITS, PointSet, pack_bit_rows, words_needed
+from .errors import InvalidParameterError, config_value, spec_value
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN64 = 0x9E3779B97F4A7C15
@@ -49,12 +50,8 @@ class RngSeed:
         """A derived stream, used to give each sweep point independent randomness."""
         return RngSeed(self.master, mix64(self.stream ^ mix64(tag & _MASK64)))
 
-    def trial_seed(self, index: int) -> int:
-        base = mix64(self.master ^ mix64(self.stream))
-        return mix64(base ^ ((index & _MASK64) * GOLDEN64 & _MASK64))
-
     def generator(self, index: int = 0) -> np.random.Generator:
-        """np.random.Generator(np.random.PCG64(self.trial_seed(index))), built
+        """Generator(PCG64(s_index)), s_index as in the module docstring, built
         from seed words computed for index's whole block of trials."""
         index &= _MASK64
         words = _block_seed_words(self.master, self.stream, index >> _SEED_BLOCK_BITS)
@@ -247,7 +244,7 @@ class PneFamily:
 
 
 class FiniteSupportDistribution:
-    """A distribution with finite support on an enumerated list of points.
+    """A distribution with finite support on an ordered set of points.
 
     Every float probability is a dyadic rational, so the probabilities are
     also held exactly as integer numerators over one common denominator:
@@ -256,8 +253,7 @@ class FiniteSupportDistribution:
 
     __slots__ = ("support", "probs", "numerators", "denominator", "_cum")
 
-    def __init__(self, support: Sequence[Point], probs: Sequence[float]):
-        support = tuple(support)
+    def __init__(self, support: PointSet, probs: Sequence[float]):
         p = np.ascontiguousarray(probs, dtype=np.float64)
         if len(support) == 0 or p.shape != (len(support),):
             raise InvalidParameterError("support and probs must be non-empty and aligned")
@@ -265,11 +261,6 @@ class FiniteSupportDistribution:
             raise InvalidParameterError("probabilities must be non-negative")
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise InvalidParameterError(f"probabilities sum to {p.sum()}, not 1")
-        n = support[0].n
-        if any(pt.n != n for pt in support):
-            raise DimensionMismatchError("support points must share a dimension")
-        if len(set(support)) != len(support):
-            raise InvalidParameterError("support points must be distinct")
         p.setflags(write=False)
         exact = [Fraction(float(q)) for q in p]
         denominator = math.lcm(*(f.denominator for f in exact))
@@ -285,7 +276,7 @@ class FiniteSupportDistribution:
 
     @property
     def n(self) -> int:
-        return self.support[0].n
+        return self.support.n
 
     def mass(self, indices: Iterable[int]) -> float:
         """Probability of the support points at `indices`, added left to right
@@ -309,7 +300,7 @@ class FiniteSupportDistribution:
     def to_json_dict(self) -> dict:
         return {
             "kind": "finite",
-            "support": [p.to_string() for p in self.support],
+            "support": self.support.to_strings(),
             "probs": [float(p) for p in self.probs],
         }
 
@@ -347,7 +338,7 @@ def distribution_from_json_dict(
             return make_pne(n, eps, number("i"))
         return PneFamily(n, eps)
     if kind == "finite":
-        return FiniteSupportDistribution(value(point_list, "support"), value(float_vector, "probs"))
+        return FiniteSupportDistribution(value(PointSet, "support"), value(float_vector, "probs"))
     raise InvalidParameterError(f"unknown distribution kind {kind!r}")
 
 
@@ -568,12 +559,12 @@ def missing_mass_fraction(dist: FiniteSupportDistribution, seen: Iterable[int]) 
     return dist.exact_mass(t for t in range(d) if t not in seen)
 
 
-def uniform_finite(support: Sequence[Point]) -> FiniteSupportDistribution:
+def uniform_finite(support: PointSet) -> FiniteSupportDistribution:
     d = len(support)
     return FiniteSupportDistribution(support, np.full(d, 1.0 / d))
 
 
-def geometric_finite(support: Sequence[Point]) -> FiniteSupportDistribution:
+def geometric_finite(support: PointSet) -> FiniteSupportDistribution:
     """Skewed preset: dyadic masses 1/2, 1/4, ..., with the tail point doubled.
 
     The masses sum to exactly 1 in floating point.

@@ -94,10 +94,13 @@ def spec_value(key: str, value, where: str = "trial config", label: str | None =
 
 def config_value(kind, value, key: str, where: str = "trial config"):
     """kind(value) for a list-valued key (points, tables, a vector), or a
-    spec error naming the key of `where` the value came from."""
+    spec error naming the key of `where` the value came from.  A package
+    error keeps its type, such as DimensionMismatchError, and its reason."""
     try:
         return kind(value)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(
+    except (TypeError, ValueError) as exc:
+        ours = isinstance(exc, InvalidParameterError)
+        raise (type(exc) if ours else InvalidParameterError)(
             f"{where} key {key!r}: {value!r} is not a valid {kind.__name__}"
+            + (f": {exc}" if ours else "")
         ) from None

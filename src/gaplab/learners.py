@@ -13,11 +13,12 @@ import numpy as np
 
 from .concepts import (
     ConceptClass,
-    Point,
+    PointSet,
     ProjectionClass,
+    bit_string,
     full_mask_words,
     label_rows,
-    packed_column,
+    row_keys,
     words_needed,
 )
 from .errors import (
@@ -55,35 +56,13 @@ class LabeledSample:
         self.labels = labels
 
     @classmethod
-    def from_points(cls, points: Sequence[Point], labels: Sequence[int]) -> "LabeledSample":
-        if len(points) != len(labels):
-            raise InvalidParameterError("points and labels must have equal length")
-        if not points:
-            raise InvalidParameterError("dimension is ambiguous for an empty sample; use empty(n)")
-        n = points[0].n
-        if any(p.n != n for p in points):
-            raise DimensionMismatchError("sample points must share a dimension")
-        # np.array stacks the rows in C: for a few short rows it is about
-        # 8 us faster than np.stack, once per table trial.
-        words = np.array([p.words for p in points], dtype=np.uint64)
-        return cls(words, np.asarray(labels, dtype=np.uint8), n)
-
-    @classmethod
-    def empty(cls, n: int) -> "LabeledSample":
-        return cls(np.zeros((0, words_needed(n)), dtype=np.uint64), np.zeros(0, dtype=np.uint8), n)
+    def from_points(cls, points: PointSet, indices: Sequence[int], labels: Sequence[int]):
+        """The points at `indices` of a point set, in that order, labelled by `labels`."""
+        return cls(points.rows[np.asarray(indices, dtype=np.intp)], labels, points.n)
 
     @property
     def m(self) -> int:
         return int(self.words.shape[0])
-
-    def point(self, r: int) -> Point:
-        return Point(self.words[r].copy(), self.n)
-
-    def column(self, j: int) -> np.ndarray:
-        """Bits of coordinate j (1-based) across the sample rows."""
-        if not 1 <= j <= self.n:
-            raise InvalidParameterError(f"coordinate {j} out of range 1..{self.n}")
-        return packed_column(self.words, j)
 
     def column_match_mask(self) -> np.ndarray:
         """Packed mask over coordinates whose column equals the label vector.
@@ -179,28 +158,30 @@ def posterior_threshold(k_size: int, eps: float) -> int:
 
 
 class MemorizerPredictor:
-    """Memorized sample labels, keyed by a point's packed words as bytes,
-    with a default bit elsewhere."""
+    """Memorized sample labels, keyed as a PointSet keys its points, with a
+    default bit elsewhere."""
 
     __slots__ = ("mapping", "default", "n")
 
-    def __init__(self, mapping: dict[bytes, int], default: int, n: int):
+    def __init__(self, mapping: dict[tuple[int, bytes], int], default: int, n: int):
         self.mapping = mapping
         self.default = default
         self.n = n
 
-    def predict(self, x: Point) -> int:
-        if x.n != self.n:
-            raise DimensionMismatchError(f"point has n={x.n}, predictor has n={self.n}")
-        return self.mapping.get(x.words.tobytes(), self.default)
-
-    __call__ = predict
+    def predict(self, points: PointSet) -> list[int]:
+        """The predicted label of each point of `points`, in order."""
+        if points.n != self.n:
+            raise DimensionMismatchError(f"points have n={points.n}, predictor has n={self.n}")
+        get, default = self.mapping.get, self.default
+        return [get(key, default) for key in points.keys()]
 
 
 def consistent_memorizer(sample: LabeledSample, default: int = 0) -> MemorizerPredictor:
     """Predictor that repeats the sample labels and answers `default` elsewhere."""
-    mapping: dict[bytes, int] = {}
-    for r, (row, label) in enumerate(zip(sample.words, sample.labels.tolist())):
-        if mapping.setdefault(row.tobytes(), label) != label:
-            raise InconsistentSampleError(f"conflicting labels for {sample.point(r)!r}")
+    mapping: dict[tuple[int, bytes], int] = {}
+    keys = row_keys(sample.words, sample.n)
+    for r, (key, label) in enumerate(zip(keys, sample.labels.tolist())):
+        if mapping.setdefault(key, label) != label:
+            raise InconsistentSampleError(
+                f"conflicting labels for point {bit_string(sample.words[r], sample.n)!r}")
     return MemorizerPredictor(mapping, default, sample.n)

@@ -324,20 +324,17 @@ def _table_sample(
     and those points labelled by the target."""
     dist, positions = cfg.dist, cfg.positions
     target_mask = cfg.concept_class.table_mask(target)
-    idx = sample_support_indices(dist, cfg.m, gen).tolist()
-    points = [dist.support[u] for u in idx]
+    drawn = sample_support_indices(dist, cfg.m, gen)
+    idx = drawn.tolist()
     labels = [(target_mask >> positions[u]) & 1 for u in idx]
-    sample = LabeledSample.from_points(points, labels) if points else LabeledSample.empty(dist.n)
-    return target_mask, idx, sample
+    return target_mask, idx, LabeledSample.from_points(dist.support, drawn, labels)
 
 
 def _memorizer_misses(cfg: TrialConfig, sample: LabeledSample, target_mask: int) -> list[int]:
     """Support indices, in support order, where the memorizer disagrees with the target."""
-    predict = consistent_memorizer(sample, cfg.memorizer_default).predict
-    return [
-        u for u, (p, pos) in enumerate(zip(cfg.dist.support, cfg.positions))
-        if predict(p) != (target_mask >> pos) & 1
-    ]
+    predicted = consistent_memorizer(sample, cfg.memorizer_default).predict(cfg.dist.support)
+    return [u for u, (y, pos) in enumerate(zip(predicted, cfg.positions))
+            if y != (target_mask >> pos) & 1]
 
 
 def run_trial(cfg: TrialConfig, index: int) -> TrialResult:

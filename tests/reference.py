@@ -4,11 +4,12 @@ No command runs these.  Each is a direct, slow transcription of a definition
 (a point's probability, the posterior over the hidden index, the rule that
 thresholds it, a Monte Carlo disagreement, the greedy packing scan and its
 pairwise distance oracle, the sample-size search with every point run to its
-full count), so that the fast paths of the package can be
-compared with it, or a formula the paper's proofs use (the optimal
+full count, the scalar seed of a trial), so that the fast paths of the
+package can be compared with it, or a formula the paper's proofs use (the optimal
 single-bit predictor, Bernoulli KL and its quadratic lower bound, the tail
 inequality of the no-gap argument), so that the acceptance tests can check
-it numerically.
+it numerically.  `Point` is one hypercube point, the scalar form these
+oracles read and write.
 """
 
 from __future__ import annotations
@@ -22,19 +23,24 @@ import numpy as np
 
 from gaplab.concepts import (
     ConceptClass,
-    Point,
+    PointSet,
     ProjectionClass,
     TableClass,
+    bit_string,
     full_hypercube,
+    pack_bit_rows,
     packed_column,
     unpack_bit_rows,
+    words_needed,
 )
 from gaplab.distributions import (
+    GOLDEN64,
     Distribution,
     FiniteSupportDistribution,
     ProductLaw,
     RngSeed,
     missing_mass_fraction,
+    mix64,
     sample_bit_matrix,
     sample_support_indices,
 )
@@ -61,6 +67,56 @@ from gaplab.metric_cover import (
 )
 
 
+class Point:
+    """A point of the Boolean hypercube {0,1}^n: one packed row of n bits."""
+
+    __slots__ = ("n", "words")
+
+    def __init__(self, words: np.ndarray, n: int):
+        self.n = n
+        self.words = np.array(words, dtype=np.uint64)
+
+    @classmethod
+    def from_bits(cls, bits: Iterable[int]) -> "Point":
+        arr = np.fromiter((1 if b else 0 for b in bits), dtype=np.uint8)
+        return cls(pack_bit_rows(arr[None, :])[0], arr.size)
+
+    @classmethod
+    def from_string(cls, s: str) -> "Point":
+        return cls(PointSet([s]).rows[0], len(s))
+
+    def bit(self, j: int) -> int:
+        """Coordinate x[j], 1-based."""
+        if not 1 <= j <= self.n:
+            raise DimensionMismatchError(f"coordinate {j} out of range 1..{self.n}")
+        return int(packed_column(self.words[None, :], j)[0])
+
+    def to_string(self) -> str:
+        return bit_string(self.words, self.n)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Point) and self.to_string() == other.to_string()
+
+    def __hash__(self) -> int:
+        return hash(self.to_string())
+
+    def __repr__(self) -> str:
+        return f"Point({self.to_string()!r})"
+
+
+def trial_seed(seed: RngSeed, index: int) -> int:
+    """The 64-bit seed of trial `index`, one trial at a time: seed.generator(index)
+    is PCG64 of it."""
+    base = mix64(seed.master ^ mix64(seed.stream))
+    return mix64(base ^ ((index & 0xFFFFFFFFFFFFFFFF) * GOLDEN64 & 0xFFFFFFFFFFFFFFFF))
+
+
+def empty_sample(n: int) -> LabeledSample:
+    """The labelled sample of no points of {0,1}^n."""
+    return LabeledSample(np.zeros((0, words_needed(n)), dtype=np.uint64),
+                         np.zeros(0, dtype=np.uint8), n)
+
+
 def eval_concept(cls: ConceptClass, i: int, x: Point) -> int:
     """Value of concept i on a point: x[i] for projections, table lookup otherwise."""
     if isinstance(cls, ProjectionClass):
@@ -69,7 +125,7 @@ def eval_concept(cls: ConceptClass, i: int, x: Point) -> int:
             raise DimensionMismatchError(f"point has n={x.n}, class has n={cls.n}")
         return x.bit(i)
     mask = cls.table_mask(i)
-    return (mask >> cls.domain_position(x)) & 1
+    return (mask >> cls.domain.find(x.words[None, :], x.n)[0]) & 1
 
 
 def is_shattered(cls: ConceptClass, points: Sequence[Point]) -> bool:
@@ -109,7 +165,7 @@ def sample_points(dist: Distribution, m: int, seed: RngSeed) -> list[Point]:
         words = sample_bit_matrix(dist, m, gen)
         return [Point(words[r].copy(), dist.n) for r in range(m)]
     idx = sample_support_indices(dist, m, gen)
-    return [dist.support[int(t)] for t in idx]
+    return row_points(dist.support.rows[idx], dist.n)
 
 
 def point_prob(dist: Distribution, x: Point) -> float:
@@ -119,25 +175,24 @@ def point_prob(dist: Distribution, x: Point) -> float:
     if isinstance(dist, ProductLaw):
         bits = unpack_bit_rows(x.words, x.n)[0].astype(bool)
         return float(np.prod(np.where(bits, dist.marginals, 1.0 - dist.marginals)))
-    if x not in dist.support:
-        return 0.0
-    return float(dist.probs[dist.support.index(x)])
+    support = row_points(dist.support.rows, dist.n)
+    return float(dist.probs[support.index(x)]) if x in support else 0.0
 
 
 def missing_mass(dist: FiniteSupportDistribution, observed: Iterable[Point]) -> float:
     """Mass of the support points not observed; an observed point off the
     support covers nothing."""
-    seen = [dist.support.index(x) for x in observed if x in dist.support]
-    return float(missing_mass_fraction(dist, seen))
+    support = row_points(dist.support.rows, dist.n)
+    return float(missing_mass_fraction(dist, [support.index(x) for x in observed
+                                              if x in support]))
 
 
 def empirical_error(cls: ConceptClass, i: int, sample: LabeledSample) -> Fraction:
     """err_T(c_i): the fraction of sample labels concept i gets wrong; 0 on empty samples."""
     if sample.m == 0:
         return Fraction(0)
-    mistakes = sum(
-        eval_concept(cls, i, sample.point(r)) != sample.labels[r] for r in range(sample.m)
-    )
+    mistakes = sum(eval_concept(cls, i, x) != y for x, y in
+                   zip(row_points(sample.words, sample.n), sample.labels))
     return Fraction(int(mistakes), sample.m)
 
 
@@ -222,7 +277,7 @@ def disagreement_mc(
         count = int(np.count_nonzero(ca != cb))
     elif isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
         idx = sample_support_indices(dist, trials, gen)
-        pos = np.array([cls.domain_position(p) for p in dist.support], dtype=np.uint64)[idx]
+        pos = np.array(cls.domain.find(dist.support.rows, dist.n), dtype=np.uint64)[idx]
         ta = np.uint64(cls.table_mask(a))
         tb = np.uint64(cls.table_mask(b))
         count = int(np.count_nonzero(((ta >> pos) ^ (tb >> pos)) & np.uint64(1)))
@@ -258,7 +313,7 @@ def exact_distance_fn(
         return lambda a, b: disagreement_exact_projections(dist, a, b)
     if isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
         # raises PointNotInDomainError if a support point is not in the domain
-        positions = [cls.domain_position(p) for p in dist.support]
+        positions = cls.domain.find(dist.support.rows, dist.n)
         return lambda a, b: disagreement_enumerate(cls, dist, a, b, positions)
     raise OracleUnavailableError(
         f"no exact oracle for {type(cls).__name__} under {type(dist).__name__}"

@@ -252,6 +252,32 @@ class TestLearn:
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("args", [
+        ["learn", "--config", {
+            "class": {"kind": "table", "domain": ["000", "110", "011", "101", "111"],
+                      "tables": ["00000", "10110", "01101", "11111", "10001"]},
+            "dist": {"kind": "finite", "support": ["011", "111", "000", "110"],
+                     "probs": [0.5, 0.25, 0.125, 0.125]},
+            "target": {"kind": "random-concept"}, "learner": "erm", "m": 2,
+            "eps_acc": 0.1, "trials": 150}],
+        ["no-gap", "--domain-size", "12", "--dist", "geometric", "--m-grid", "1,12,24",
+         "--trials", "150"],
+    ], ids=["table-document", "no-gap-12-points"])
+    def test_point_set_runs_keep_their_bytes_at_two_threads(self, runner, tmp_path, args):
+        # A support held in another order than its domain, and the no-gap grid.
+        if isinstance(args[-1], dict):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(args[-1]))
+            args = [*args[:-1], str(path)]
+        bodies = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.csv"
+            res = runner.invoke(main, ["--seed", "3", "--threads", threads, "--out", str(out),
+                                       *args])
+            assert res.exit_code == 0, res.output
+            bodies.append(out.read_bytes())
+        assert bodies[0] == bodies[1]
+
     def test_seed_changes_output(self, runner, tmp_path):
         base = ["learn", "--n", "32", "--m", "1", "--trials", "150"]
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
@@ -768,6 +794,36 @@ def test_bad_value_in_a_json_option_names_the_option(runner, tmp_path):
         assert res.exit_code == 2, res.output
         assert f"spec error: {command} key '{named}'" in res.output
         assert not out.exists()
+
+
+@pytest.mark.parametrize("points, reason", [
+    (["01", "0a"], "not a 0/1 string: '0a'"),
+    (["01", 5], "not a 0/1 string: 5"),
+    (["01", "011"], "points must share a dimension"),
+    (["01", "10", "01"], "points must be pairwise distinct"),
+], ids=["not-0/1", "not-a-string", "unequal-lengths", "repeated"])
+def test_bad_domain_or_support_exits_2_with_its_reason(runner, tmp_path, points, reason):
+    out = tmp_path / "x.csv"
+    probs = [1.0] + [0.0] * (len(points) - 1)
+    for command, option, value in (
+            ("vc", "--class-json", {"kind": "table", "domain": points, "tables": []}),
+            ("no-gap", "--dist-json", {"kind": "finite", "support": points, "probs": probs})):
+        res = runner.invoke(main, ["--out", str(out), command, option, json.dumps(value)])
+        assert res.exit_code == 2, res.output
+        key = "class_json.domain" if command == "vc" else "dist_json.support"
+        assert f"spec error: {command} key '{key}'" in res.output and reason in res.output
+        assert not out.exists()
+
+
+def test_support_point_outside_the_domain_exits_2_and_names_it(runner, tmp_path):
+    cls, law = wide_table(3)
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), "cover", "--class-json", json.dumps(cls),
+                               "--dist-json", json.dumps({**law, "support": ["00", "01", "11"]}),
+                               "--level", "0.3"])
+    assert res.exit_code == 2, res.output
+    assert "point '11' is not in the table domain" in res.output
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gaplab import concepts
 from gaplab.concepts import (
-    Point,
+    PointSet,
     ProjectionClass,
     TableClass,
     all_functions_class,
@@ -25,57 +25,95 @@ from gaplab.errors import (
     InvalidParameterError,
     PointNotInDomainError,
 )
-from reference import eval_concept, is_shattered, row_points
+from gaplab.distributions import FiniteSupportDistribution, distribution_from_json_dict
+from reference import Point, eval_concept, is_shattered, row_points
 
 
-class TestPoint:
-    @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 127, 128, 200])
-    def test_string_roundtrip_and_weight(self, n):
-        rng = np.random.default_rng(n)
-        bits = rng.integers(0, 2, size=n)
-        p = Point.from_bits(bits)
-        assert p.n == n
-        assert p.to_string() == "".join(str(b) for b in bits)
-        assert p.weight() == int(bits.sum())
-        assert Point.from_string(p.to_string()) == p
+def random_strings(count, n, seed):
+    """`count` distinct random 0/1 strings of length n, n >= 7."""
+    rng = np.random.default_rng(seed)
+    strings = {"".join(map(str, rng.integers(0, 2, n))) for _ in range(4 * count)}
+    return sorted(strings)[:count]
 
-    def test_bit_is_one_based(self):
-        p = Point.from_string("0010")
-        assert [p.bit(j) for j in (1, 2, 3, 4)] == [0, 0, 1, 0]
+
+class TestPointSet:
+    @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 127, 128, 130, 200])
+    def test_string_roundtrip(self, n):
+        strings = ["0", "1"] if n == 1 else random_strings(5, n, n)
+        points = PointSet(strings)
+        assert (points.n, len(points)) == (n, len(strings))
+        assert points.rows.shape == (len(strings), (n + 63) // 64)
+        assert not points.rows.flags.writeable
+        assert points.to_strings() == strings
+        assert [Point(row, n).to_string() for row in points.rows] == strings
+        assert PointSet.from_rows(points.rows, n) == points
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_json_domain_and_support_roundtrip(self, n):
+        strings = ["1", "0"] if n == 1 else random_strings(3, n, 7 * n)
+        table = {"kind": "table", "domain": strings,
+                 "tables": ["1" * len(strings), "0" * len(strings)]}
+        cls = class_from_json_dict(table)
+        assert cls.domain.to_strings() == strings and cls.to_json_dict() == table
+        probs = [0.5] * 2 if n == 1 else [0.5, 0.25, 0.25]
+        law = {"kind": "finite", "support": strings, "probs": probs}
+        dist = distribution_from_json_dict(law)
+        assert dist.n == n and dist.to_json_dict() == law
+        assert dist.support == cls.domain
+
+    def test_positions_are_found_by_row_and_n(self):
+        points = PointSet(["01", "10", "00"])
+        assert points.find(points.rows[[2, 0, 2]], 2) == [2, 0, 2]
+        with pytest.raises(PointNotInDomainError, match="point '11' is not in the table domain"):
+            points.find(PointSet(["11"]).rows, 2)
+        # "010" packs to the same word as "01", but is a point of another n.
+        with pytest.raises(PointNotInDomainError, match="'010'"):
+            points.find(PointSet(["010"]).rows, 3)
+
+    def test_empty_set(self):
+        points = PointSet([])
+        assert (points.n, len(points), points.to_strings()) == (0, 0, [])
+
+    @pytest.mark.parametrize("strings, error", [
+        (["01", "0a"], InvalidParameterError),
+        (["01", 1], InvalidParameterError),
+        (["01", "011"], DimensionMismatchError),
+        (["01", "10", "01"], InvalidParameterError),
+    ], ids=["not-0/1", "not-a-string", "unequal-lengths", "repeated"])
+    def test_bad_strings(self, strings, error):
+        with pytest.raises(error) as raised:
+            PointSet(strings)
+        assert type(raised.value) is error
+
+    @pytest.mark.parametrize("strings, error", [
+        (["01", "0a"], InvalidParameterError),
+        (["01", "011"], DimensionMismatchError),
+        (["01", "10", "01"], InvalidParameterError),
+    ], ids=["not-0/1", "unequal-lengths", "repeated"])
+    def test_bad_json_domain_and_support_keep_the_error_type(self, strings, error):
+        bad = [lambda: class_from_json_dict({"kind": "table", "domain": strings, "tables": []}),
+               lambda: distribution_from_json_dict(
+                   {"kind": "finite", "support": strings, "probs": [1.0] + [0.0] * 2})]
+        for build in bad:
+            with pytest.raises(error) as raised:
+                build()
+            assert type(raised.value) is error
+
+    def test_padding_bits_in_given_rows_are_refused(self):
+        with pytest.raises(InvalidParameterError, match="bits beyond n"):
+            PointSet.from_rows(np.array([[0b1000]], dtype=np.uint64), 3)
         with pytest.raises(DimensionMismatchError):
-            p.bit(0)
-        with pytest.raises(DimensionMismatchError):
-            p.bit(5)
+            PointSet.from_rows(np.zeros((2, 1), dtype=np.uint64), 65)
 
-    def test_trailing_bits_are_zero(self):
-        p = Point.from_string("1" * 65)
-        assert int(p.words[1]) == 1
-        bad = np.array([np.uint64(0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
-        with pytest.raises(InvalidParameterError):
-            Point(bad, 3)
+    def test_a_support_point_outside_the_domain_is_named(self):
+        from gaplab.metric_cover import oracle_positions
 
-    def test_from_int_matches_bit_order(self):
-        p = Point.from_int(0b1011, 6)
-        assert p.to_string() == "110100"
-
-    def test_hash_and_eq(self):
-        a = Point.from_string("0101")
-        b = Point.from_string("0101")
-        c = Point.from_string("0100")
-        assert a == b and hash(a) == hash(b)
-        assert a != c
-        assert a != Point.from_string("01010")
-
-    def test_immutable(self):
-        p = Point.from_string("01")
-        with pytest.raises(AttributeError):
-            p.n = 3
-
-    def test_pickle_roundtrip(self):
-        import pickle
-
-        p = Point.from_string("0110")
-        assert pickle.loads(pickle.dumps(p)) == p
+        cls = all_functions_class(PointSet(["00", "01"]))
+        # "010" packs to the same word as "01", but is a point of another n.
+        for support, outside in ((["01", "11"], "11"), (["010", "001"], "010")):
+            dist = FiniteSupportDistribution(PointSet(support), [0.5, 0.5])
+            with pytest.raises(PointNotInDomainError, match=f"point '{outside}'"):
+                oracle_positions(cls, dist)
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
@@ -99,12 +137,11 @@ class TestEvalConcept:
         assert eval_concept(c4, c4.concept(1), x) == 0
 
     def test_table_example(self):
-        domain = [Point.from_string("0"), Point.from_string("1")]
-        cls = all_functions_class(domain)
+        cls = all_functions_class(PointSet(["0", "1"]))
         mask = cls.table_from_string("10")
         cid = cls.concept(mask + 1)
-        assert eval_concept(cls, cid, domain[0]) == 1
-        assert eval_concept(cls, cid, domain[1]) == 0
+        assert eval_concept(cls, cid, Point.from_string("0")) == 1
+        assert eval_concept(cls, cid, Point.from_string("1")) == 0
 
     def test_dimension_mismatch_and_missing_point_are_distinct(self):
         c4 = ProjectionClass(4)
@@ -126,17 +163,16 @@ class TestEvalConcept:
 class TestLabelRows:
     def test_values_match_each_concept(self):
         dom = enumerated_domain(4)
-        rows = [dom[2], dom[0], dom[2], dom[3]]
-        words = np.stack([p.words for p in rows])
+        words = dom.rows[[2, 0, 2, 3]]
         for cls in (ProjectionClass(2), TableClass(dom, [0, 5, 6, 9, 15])):
             got = label_rows(cls, words, 2)
             want = [[eval_concept(cls, i, x) for i in range(1, cls.num_concepts + 1)]
-                    for x in rows]
+                    for x in row_points(words, 2)]
             assert got.tolist() == want
 
     def test_table_row_outside_the_domain_raises(self):
         dom = enumerated_domain(3)
-        words = np.stack([dom[1].words, Point.from_string("11").words])
+        words = np.stack([dom.rows[1], Point.from_string("11").words])
         with pytest.raises(PointNotInDomainError, match="'11'"):
             label_rows(all_functions_class(dom), words, 2)
 
@@ -165,11 +201,11 @@ class TestShattering:
         assert is_shattered(ProjectionClass(4), [])
 
     def test_zero_vector_not_shattered(self):
-        assert not is_shattered(ProjectionClass(4), [Point.from_int(0, 4)])
+        assert not is_shattered(ProjectionClass(4), [Point.from_string("0000")])
 
     def test_too_many_points(self):
         cls = ProjectionClass(40)
-        pts = [Point.from_int(0, 40)] * 31
+        pts = [Point.from_string("0" * 40)] * 31
         with pytest.raises(InvalidParameterError):
             is_shattered(cls, pts)
 
@@ -261,16 +297,11 @@ class TestTableClass:
     def test_all_functions_sizes(self):
         assert all_functions_class(enumerated_domain(2)).num_concepts == 4
         assert all_functions_class(enumerated_domain(3)).num_concepts == 8
-        assert all_functions_class([]).num_concepts == 1
+        assert all_functions_class(PointSet([])).num_concepts == 1
 
     def test_domain_cap(self):
         with pytest.raises(InvalidParameterError):
-            all_functions_class(enumerated_domain(21, n_bits=5))
-
-    def test_duplicate_domain_rejected(self):
-        p = Point.from_string("01")
-        with pytest.raises(InvalidParameterError):
-            TableClass([p, p], [0])
+            all_functions_class(enumerated_domain(21))
 
     def test_table_string_roundtrip(self):
         cls = all_functions_class(enumerated_domain(3))
@@ -287,9 +318,9 @@ def test_class_json_roundtrip():
     assert list(t2.tables) == list(t.tables)
 
 
-def test_enumerated_domain_distinct():
-    dom = enumerated_domain(12)
-    assert len(set(dom)) == 12
-    assert all(p.n == 4 for p in dom)
-    with pytest.raises(InvalidParameterError):
-        enumerated_domain(5, n_bits=2)
+@pytest.mark.parametrize("size, n", [(1, 1), (2, 1), (3, 2), (12, 4), (21, 5)])
+def test_enumerated_domain_is_the_first_hypercube_rows(size, n):
+    dom = enumerated_domain(size)
+    assert (dom.n, len(dom)) == (n, size)
+    assert np.array_equal(dom.rows, full_hypercube(n)[:size])
+    assert dom.to_strings() == [format(v, f"0{n}b")[::-1] for v in range(size)]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaplab import distributions
-from gaplab.concepts import Point, enumerated_domain, pack_bit_rows
+from gaplab.concepts import PointSet, enumerated_domain, pack_bit_rows
 from gaplab.distributions import (
     FiniteSupportDistribution,
     PneFamily,
@@ -27,19 +27,20 @@ from gaplab.distributions import (
     uniform_finite,
 )
 from gaplab.errors import DimensionMismatchError, InvalidParameterError
-from reference import hypercube_points, missing_mass, point_prob, sample_points
+from reference import (Point, hypercube_points, missing_mass, point_prob, row_points,
+                       sample_points, trial_seed)
 
 
 class TestRngSeed:
     def test_trial_seeds_are_pure_and_distinct(self):
         s = RngSeed(123, 5)
-        seeds = [s.trial_seed(t) for t in range(200)]
-        assert seeds == [RngSeed(123, 5).trial_seed(t) for t in range(200)]
+        seeds = [trial_seed(s, t) for t in range(200)]
+        assert seeds == [trial_seed(RngSeed(123, 5), t) for t in range(200)]
         assert len(set(seeds)) == 200
 
     def test_streams_differ(self):
-        a = RngSeed(7, 0).trial_seed(3)
-        b = RngSeed(7, 1).trial_seed(3)
+        a = trial_seed(RngSeed(7, 0), 3)
+        b = trial_seed(RngSeed(7, 1), 3)
         assert a != b
 
     def test_substream_is_deterministic(self):
@@ -67,11 +68,11 @@ class TestRngSeed:
 
 
 def _assert_generator_is_pcg64_of_trial_seed(seed: RngSeed, index: int) -> None:
-    trial_seed = seed.trial_seed(index)
-    reference = np.random.Generator(np.random.PCG64(trial_seed))
+    scalar = trial_seed(seed, index)
+    reference = np.random.Generator(np.random.PCG64(scalar))
     assert np.array_equal(seed.generator(index).random(8), reference.random(8))
     words = distributions._block_seed_words(seed.master, seed.stream, index >> 8)[index % 256]
-    assert np.array_equal(words, np.random.SeedSequence(trial_seed).generate_state(4, np.uint64))
+    assert np.array_equal(words, np.random.SeedSequence(scalar).generate_state(4, np.uint64))
 
 
 _EDGE_INDICES = (0, 255, 256, 257, 2**32, 2**64 - 1)
@@ -197,7 +198,7 @@ class TestSampling:
         dom = enumerated_domain(2)
         d = FiniteSupportDistribution(dom, [1.0, 0.0])
         pts = sample_points(d, 5, RngSeed(1))
-        assert pts == [dom[0]] * 5
+        assert pts == [Point.from_string("0")] * 5
 
     def test_deterministic_given_seed(self):
         d = make_pne(40, 0.2, 7)
@@ -407,15 +408,16 @@ class TestFiniteSupport:
         with pytest.raises(InvalidParameterError):
             FiniteSupportDistribution(dom, [-0.1, 1.1])
         with pytest.raises(InvalidParameterError):
-            FiniteSupportDistribution([dom[0], dom[0]], [0.5, 0.5])
+            FiniteSupportDistribution(PointSet([]), [])
 
     def test_missing_mass_examples(self):
         dom = enumerated_domain(2)
         u = uniform_finite(dom)
-        assert missing_mass(u, [dom[0]]) == 0.5
-        assert missing_mass(u, dom) == 0.0
+        points = row_points(dom.rows, dom.n)
+        assert missing_mass(u, points[:1]) == 0.5
+        assert missing_mass(u, points) == 0.0
         d3 = FiniteSupportDistribution(enumerated_domain(3), [0.7, 0.2, 0.1])
-        observed = [d3.support[0]]
+        observed = [Point.from_string("00")]
         direct = 0.2 + 0.1  # direct-summation oracle
         assert missing_mass(d3, observed) == pytest.approx(direct, abs=1e-12)
 
@@ -435,8 +437,8 @@ class TestFiniteSupport:
     @pytest.mark.parametrize("seen", [[3], [0, -1], ["point"]])
     def test_missing_mass_refuses_what_is_no_support_index(self, seen):
         d3 = FiniteSupportDistribution(enumerated_domain(3), [0.7, 0.2, 0.1])
-        # A Point, as an older caller passed, would otherwise count as unseen.
-        seen = [d3.support[0] if u == "point" else u for u in seen]
+        # A point, as an older caller passed, would otherwise count as unseen.
+        seen = [Point.from_string("00") if u == "point" else u for u in seen]
         with pytest.raises(InvalidParameterError, match="support indices in 0..2"):
             missing_mass_fraction(d3, seen)
 

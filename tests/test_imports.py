@@ -1,6 +1,7 @@
 """Every name a gaplab module imports is used by that module, every
-function and class a gaplab module defines is read by gaplab itself, and
-mc_harness.TrialPool is the only code that starts worker processes.
+function, class and method a gaplab module defines is read by gaplab itself,
+mc_harness.TrialPool is the only code that starts worker processes, and no
+module names `Point`: a point set is packed rows.
 
 No linter ships with the project, so these are its unused-import and
 unused-definition checks.  __init__.py is skipped: its imports are the
@@ -9,6 +10,8 @@ tests call belongs in tests/reference.py.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -47,14 +50,26 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unread_definitions(sources: dict[str, str]) -> list[str]:
-    """`module.name` of each top-level function and class in `sources`
-    (module name -> source) that no source reads as a name or attribute."""
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def unread_definitions(sources: dict[str, str], package: str) -> list[str]:
+    """`module.name` of each top-level function and class, and
+    `module.Class.name` of each of their methods, in `sources` (module name
+    -> source of `package.module`) that no source reads as a name or
+    attribute.  Dunders and overrides of a method a base class defines are
+    left out: their caller is Python or the base class."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        defined += [f"{module}.{node.name}" for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+                defined.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                bases = vars(importlib.import_module(f"{package}.{module}"))[node.name].__mro__[1:]
+                defined += [f"{module}.{node.name}.{item.name}" for item in node.body
+                            if isinstance(item, FUNCTIONS) and not item.name.startswith("__")
+                            and not any(hasattr(base, item.name) for base in bases)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
@@ -63,14 +78,42 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
     return [name for name in defined if name.rpartition(".")[2] not in read]
 
 
-def test_the_check_finds_an_unread_definition():
+def test_the_check_finds_an_unread_definition(tmp_path, monkeypatch):
     sources = {"a": "def f():\n    return g()\ndef g():\n    pass\nclass C:\n    pass\n",
-               "b": "import a\ndef h():\n    return a.f\n"}
-    assert unread_definitions(sources) == ["a.C", "b.h"]
+               "b": ("from . import a\ndef h():\n    return a.f\nclass D(dict):\n"
+                     "    def __init__(self):\n        self.keep()\n    def get(self):\n"
+                     "        pass\n    def keep(self):\n        pass\n    def put(self):\n"
+                     "        pass\n")}
+    (tmp_path / "unread_pkg").mkdir()
+    (tmp_path / "unread_pkg" / "__init__.py").write_text("")
+    for module, source in sources.items():
+        (tmp_path / "unread_pkg" / f"{module}.py").write_text(source)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    assert unread_definitions(sources, "unread_pkg") == ["a.C", "b.h", "b.D", "b.D.put"]
 
 
 def test_every_definition_is_read():
-    assert unread_definitions({p.stem: p.read_text() for p in MODULES}) == []
+    assert unread_definitions({p.stem: p.read_text() for p in MODULES}, "gaplab") == []
+
+
+def names_point(source: str) -> list[str]:
+    """The lines of `source` that name `Point`, in code, strings or comments."""
+    return [f"line {i}: {line.strip()}" for i, line in enumerate(source.splitlines(), 1)
+            if re.search(r"\bPoint\b", line)]
+
+
+def test_the_check_finds_a_point():
+    source = ("from .concepts import Point, PointSet\n# a Point per row\n"
+              "def f(s: PointSet, e: PointNotInDomainError):\n    return 'Point(x)'\n")
+    assert names_point(source) == [
+        "line 1: from .concepts import Point, PointSet", "line 2: # a Point per row",
+        "line 4: return 'Point(x)'",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_names_point(path):
+    assert names_point(path.read_text()) == []
 
 
 FANOUT_PACKAGES = {"concurrent", "multiprocessing", "contextvars"}

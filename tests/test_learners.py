@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaplab.concepts import (
-    Point,
+    PointSet,
     ProjectionClass,
     all_functions_class,
     enumerated_domain,
     full_hypercube,
     full_mask_words,
     pack_bit_rows,
+    packed_column,
 )
 from gaplab.distributions import (
     RngSeed,
@@ -21,7 +22,7 @@ from gaplab.distributions import (
     sample_bit_matrix,
     uniform_finite,
 )
-from gaplab.errors import InconsistentSampleError, InvalidParameterError
+from gaplab.errors import DimensionMismatchError, InconsistentSampleError, InvalidParameterError
 from gaplab.learners import (
     LabeledSample,
     consistent_memorizer,
@@ -33,10 +34,12 @@ from gaplab.learners import (
 )
 from gaplab.metric_cover import CoverResult, pne_small_cover
 from reference import (
+    Point,
     PosteriorState,
     bayes_bit_predictor,
     bayes_posterior_predict,
     empirical_error,
+    empty_sample,
     k_set_indices,
     point_prob,
     posterior_over_index,
@@ -45,15 +48,15 @@ from reference import (
 
 
 def sample_from(points, labels):
-    return LabeledSample.from_points([Point.from_string(s) for s in points], labels)
+    """The sample of 0/1 strings `points`, repeats allowed, labelled by `labels`."""
+    bits = np.array([[int(ch) for ch in s] for s in points], dtype=np.uint8)
+    return LabeledSample(pack_bit_rows(bits), labels, len(points[0]))
 
 
 def realizable_sample(n, i_target, m, seed, eps=0.1, i_dist=None):
     dist = make_pne(n, eps, i_dist if i_dist is not None else i_target)
     words = sample_bit_matrix(dist, m, RngSeed(seed).generator(0))
-    sample = LabeledSample(words, np.zeros(m, dtype=np.uint8), n)
-    labels = sample.column(i_target)
-    return LabeledSample(words, labels, n)
+    return LabeledSample(words, packed_column(words, i_target), n)
 
 
 def reference_column_match_mask(sample):
@@ -88,11 +91,24 @@ def test_column_match_mask_matches_row_loop(n, m, data):
 class TestLabeledSample:
     def test_column_extraction(self):
         s = sample_from(["101", "011"], [1, 0])
-        assert list(s.column(1)) == [1, 0]
-        assert list(s.column(3)) == [1, 1]
+        assert list(packed_column(s.words, 1)) == [1, 0]
+        assert list(packed_column(s.words, 3)) == [1, 1]
+
+    @pytest.mark.parametrize("indices", [[], [2], [0, 2, 0, 1]])
+    def test_from_points_takes_the_rows_at_the_drawn_indices(self, indices):
+        points = PointSet(["110", "011", "101"])
+        labels = [u % 2 for u in indices]
+        s = LabeledSample.from_points(points, indices, labels)
+        assert (s.n, s.m) == (3, len(indices))
+        assert s.words.tolist() == points.rows[indices].tolist()
+        assert s.labels.tolist() == labels
+
+    def test_from_points_needs_a_label_per_index(self):
+        with pytest.raises(InvalidParameterError):
+            LabeledSample.from_points(PointSet(["0", "1"]), [0, 1], [1])
 
     def test_k_set_on_empty_sample_is_everything(self):
-        s = LabeledSample.empty(5)
+        s = empty_sample(5)
         assert list(k_set_indices(s)) == [1, 2, 3, 4, 5]
 
     def test_k_set_matches_definition(self):
@@ -120,7 +136,7 @@ class TestEmpiricalError:
 
     def test_empty_sample(self):
         cls = ProjectionClass(3)
-        assert empirical_error(cls, cls.concept(1), LabeledSample.empty(3)) == 0
+        assert empirical_error(cls, cls.concept(1), empty_sample(3)) == 0
 
 
 class TestErm:
@@ -133,7 +149,7 @@ class TestErm:
 
     def test_empty_sample_tie_break(self):
         cls = ProjectionClass(5)
-        assert erm(cls, LabeledSample.empty(5)) == 1
+        assert erm(cls, empty_sample(5)) == 1
 
     def test_example_lowest_consistent(self):
         cls = ProjectionClass(3)
@@ -156,7 +172,7 @@ class TestErm:
     def test_table_class_erm(self):
         dom = enumerated_domain(3)
         cls = all_functions_class(dom)
-        s = LabeledSample.from_points([dom[0], dom[2]], [1, 0])
+        s = LabeledSample.from_points(dom, [0, 2], [1, 0])
         chosen = erm(cls, s)
         assert empirical_error(cls, chosen, s) == 0
         errors = [empirical_error(cls, i, s) for i in range(1, cls.num_concepts + 1)]
@@ -175,14 +191,14 @@ class TestErm:
 
         empty = TableClass(dom, [])
         with pytest.raises(InvalidParameterError):
-            erm(empty, LabeledSample.empty(1))
+            erm(empty, empty_sample(1))
 
 
 class TestCoverLearner:
     def test_empty_sample_returns_first_member(self):
         cls = ProjectionClass(8)
         cover = pne_small_cover(make_pne(8, 0.1, 5))
-        chosen = cover_learner(cls, cover, LabeledSample.empty(8))
+        chosen = cover_learner(cls, cover, empty_sample(8))
         assert chosen == 1
 
     def test_target_in_cover_wins(self):
@@ -194,7 +210,7 @@ class TestCoverLearner:
     def test_empty_cover_rejected(self):
         cls = ProjectionClass(4)
         with pytest.raises(InvalidParameterError):
-            cover_learner(cls, CoverResult((), 0.1), LabeledSample.empty(4))
+            cover_learner(cls, CoverResult((), 0.1), empty_sample(4))
 
     def test_returns_member_close_to_target(self):
         # Target outside the cover: the returned member sits within 2 eps.
@@ -204,8 +220,7 @@ class TestCoverLearner:
         cover = pne_small_cover(dist)
         target = 17
         words = sample_bit_matrix(dist, 1000, RngSeed(12).generator(0))
-        s0 = LabeledSample(words, np.zeros(1000, dtype=np.uint8), n)
-        s = LabeledSample(words, s0.column(target), n)
+        s = LabeledSample(words, packed_column(words, target), n)
         chosen = cover_learner(cls, cover, s)
         from gaplab.metric_cover import disagreement_exact_projections
 
@@ -214,7 +229,7 @@ class TestCoverLearner:
 
 class TestPosterior:
     def test_empty_sample_uniform_over_all(self):
-        post = posterior_over_index(LabeledSample.empty(4))
+        post = posterior_over_index(empty_sample(4))
         assert post == [(1, 0.25), (2, 0.25), (3, 0.25), (4, 0.25)]
 
     def test_unique_consistent_column(self):
@@ -322,11 +337,12 @@ class TestMemorizer:
     def test_contract(self):
         s = sample_from(["01", "10"], [1, 0])
         h = consistent_memorizer(s, default=0)
-        assert h.predict(Point.from_string("01")) == 1
-        assert h.predict(Point.from_string("10")) == 0
-        assert h.predict(Point.from_string("11")) == 0
+        points = PointSet(["01", "10", "11"])
+        assert h.predict(points) == [1, 0, 0]
         h1 = consistent_memorizer(s, default=1)
-        assert h1.predict(Point.from_string("11")) == 1
+        assert h1.predict(points) == [1, 0, 1]
+        with pytest.raises(DimensionMismatchError):
+            h.predict(PointSet(["011"]))
 
     def test_inconsistent_rejected(self):
         s = sample_from(["01", "01"], [1, 0])
@@ -335,18 +351,16 @@ class TestMemorizer:
 
     def test_inconsistent_after_repeats_names_the_point(self):
         s = sample_from(["011", "100", "011", "100", "011"], [1, 0, 1, 0, 0])
-        with pytest.raises(InconsistentSampleError, match="Point\\('011'\\)"):
+        with pytest.raises(InconsistentSampleError, match="point '011'"):
             consistent_memorizer(s)
 
     def test_one_entry_per_distinct_row(self):
         rows = ["0110", "1000", "0110", "0110", "1111", "1000"]
         labels = [1, 0, 1, 1, 0, 0]
         h = consistent_memorizer(sample_from(rows, labels))
-        want = {Point.from_string(r).words.tobytes(): y for r, y in zip(rows, labels)}
-        assert h.mapping == want
-        assert list(h.mapping) == [
-            Point.from_string(r).words.tobytes() for r in ("0110", "1000", "1111")
-        ]
+        keys = list(PointSet(["0110", "1000", "1111"]).keys())
+        assert h.mapping == dict(zip(keys, [1, 0, 0]))
+        assert list(h.mapping) == keys
         assert all(type(v) is int for v in h.mapping.values())
 
     def test_error_bounded_by_missing_mass_exactly(self):
@@ -359,17 +373,12 @@ class TestMemorizer:
             target = int(rng.integers(0, 256))
             m = int(rng.integers(0, 10))
             idx = rng.integers(0, 8, size=m)
-            points = [dom[int(t)] for t in idx]
-            labels = [(target >> cls.domain_position(p)) & 1 for p in points]
-            s = (
-                LabeledSample.from_points(points, labels)
-                if points
-                else LabeledSample.empty(dom[0].n)
-            )
+            positions = cls.domain.find(dom.rows[idx], dom.n)
+            s = LabeledSample.from_points(dom, idx, [(target >> u) & 1 for u in positions])
             h = consistent_memorizer(s, 0)
             d_frac = sum(
-                (prob_fracs[u] for u, p in enumerate(dom)
-                 if h.predict(p) != ((target >> u) & 1)),
+                (prob_fracs[u] for u, y in enumerate(h.predict(dom))
+                 if y != ((target >> u) & 1)),
                 Fraction(0),
             )
             z_frac = missing_mass_fraction(dist, idx)

@@ -13,7 +13,7 @@ import pytest
 
 from gaplab import mc_harness, metric_cover
 from gaplab.concepts import (
-    Point,
+    PointSet,
     ProjectionClass,
     TableClass,
     all_functions_class,
@@ -169,15 +169,14 @@ class TestPosteriorRuleError:
     def test_matches_exhaustive_enumeration(self, n, eps, i, m):
         # run the same sampling path, then enumerate all 2^n test points
         dist = make_pne(n, eps, i)
+        from gaplab.concepts import packed_column
         from gaplab.distributions import sample_bit_matrix
         from gaplab.learners import LabeledSample
         from reference import k_set_indices
 
         gen = RngSeed(42).generator(0)
         words = sample_bit_matrix(dist, m, gen)
-        shell = LabeledSample(words, np.zeros(m, dtype=np.uint8), n)
-        labels = shell.column(i) if m else shell.labels
-        sample = LabeledSample(words, labels, n)
+        sample = LabeledSample(words, packed_column(words, i), n)
         k = list(k_set_indices(sample))
         assert i in k
         state = PosteriorState(tuple(k), eps, m, n)
@@ -487,20 +486,19 @@ class TestNoGap:
         assert a == b
         assert [r.mean_missing_mass for r in a] == [r.mean_missing_mass for r in b]
 
-    def test_run_hashes_no_point(self, monkeypatch):
-        # A drawn point is named by its support index from the draw on.
+    def test_trials_build_and_search_no_point_set(self, monkeypatch):
+        # A drawn point is named by its support index from the draw on, and
+        # the memorizer reads the support's keys as they were built.
         dist = geometric_finite(enumerated_domain(6))
-        hashed = []
-        point_hash = Point.__hash__
-
-        def counting_hash(point):
-            hashed.append(point)
-            return point_hash(point)
-
-        monkeypatch.setattr(Point, "__hash__", counting_hash)
-        rows = no_gap_experiment(no_gap_configs(dist, [1, 8], 50, 0.1, RngSeed(3)))
+        configs = no_gap_configs(dist, [1, 8], 50, 0.1, RngSeed(3))
+        calls = []
+        for name in ("_hold", "find"):
+            method = getattr(PointSet, name)
+            monkeypatch.setattr(PointSet, name, lambda *args, method=method, name=name: (
+                calls.append(name), method(*args))[1])
+        rows = no_gap_experiment(configs)
         assert [row.trials for row in rows] == [50, 50]
-        assert hashed == []
+        assert calls == []
 
     def test_few_trials_run_serially(self, monkeypatch):
         # trials < 2 * workers never starts a pool, and gives the serial rows
