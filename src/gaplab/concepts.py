@@ -104,7 +104,7 @@ class PointSet:
 
     __slots__ = ("n", "rows", "_index")
 
-    def __init__(self, strings: Iterable[str] = ()):
+    def __init__(self, strings: Iterable[str]):
         strings = list(strings)
         for s in strings:
             if not isinstance(s, str) or set(s) - {"0", "1"}:
@@ -146,13 +146,14 @@ class PointSet:
         """Each point's key, in order: what a PointSet or a memorizer finds it by."""
         return self._index.keys()
 
-    def find(self, rows: np.ndarray, n: int) -> list[int]:
-        """The position of each packed n-bit row; a row outside the set raises
-        PointNotInDomainError, which names it."""
+    def find(self, keys: Iterable[tuple[int, bytes]]) -> list[int]:
+        """The position of each point key (from row_keys or keys()); a point
+        outside the set raises PointNotInDomainError, which names it."""
         try:
-            return [self._index[key] for key in row_keys(rows, n)]
+            return [self._index[key] for key in keys]
         except KeyError as missing:
-            row = np.frombuffer(missing.args[0][1], dtype=np.uint64)
+            n, raw = missing.args[0]
+            row = np.frombuffer(raw, dtype=np.uint64)
             raise PointNotInDomainError(
                 f"point {bit_string(row, n)!r} is not in the table domain") from None
 
@@ -314,7 +315,7 @@ def label_rows(cls: ConceptClass, words: np.ndarray, n: int) -> np.ndarray:
         if n != cls.n:
             raise DimensionMismatchError(f"rows have n={n}, the class has n={cls.n}")
         return unpack_bit_rows(words, n)
-    pos = np.array(cls.domain.find(words, n), dtype=np.uint64)
+    pos = np.array(cls.domain.find(row_keys(words, n)), dtype=np.uint64)
     return ((cls.table_array()[None, :] >> pos[:, None]) & np.uint64(1)).astype(np.uint8)
 
 

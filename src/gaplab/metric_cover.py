@@ -133,7 +133,7 @@ def oracle_positions(cls: ConceptClass, dist: Distribution) -> list[int] | None:
         check_same_n(cls, dist)
         return None
     if isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
-        return cls.domain.find(dist.support.rows, dist.support.n)
+        return cls.domain.find(dist.support.keys())
     raise OracleUnavailableError(
         f"no exact oracle for {type(cls).__name__} under {type(dist).__name__}"
     )

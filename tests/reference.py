@@ -28,8 +28,8 @@ from gaplab.concepts import (
     TableClass,
     bit_string,
     full_hypercube,
-    pack_bit_rows,
     packed_column,
+    row_keys,
     unpack_bit_rows,
     words_needed,
 )
@@ -67,41 +67,31 @@ from gaplab.metric_cover import (
 )
 
 
+@dataclass(frozen=True)
 class Point:
-    """A point of the Boolean hypercube {0,1}^n: one packed row of n bits."""
+    """A point of the Boolean hypercube {0,1}^n, held as its 0/1 string."""
 
-    __slots__ = ("n", "words")
-
-    def __init__(self, words: np.ndarray, n: int):
-        self.n = n
-        self.words = np.array(words, dtype=np.uint64)
+    bits: str
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "Point":
-        arr = np.fromiter((1 if b else 0 for b in bits), dtype=np.uint8)
-        return cls(pack_bit_rows(arr[None, :])[0], arr.size)
+        return cls("".join(str(int(b)) for b in bits))
 
-    @classmethod
-    def from_string(cls, s: str) -> "Point":
-        return cls(PointSet([s]).rows[0], len(s))
+    from_string = from_bits
+
+    @property
+    def n(self) -> int:
+        return len(self.bits)
+
+    @property
+    def words(self) -> np.ndarray:
+        return PointSet([self.bits]).rows[0]
 
     def bit(self, j: int) -> int:
         """Coordinate x[j], 1-based."""
         if not 1 <= j <= self.n:
             raise DimensionMismatchError(f"coordinate {j} out of range 1..{self.n}")
-        return int(packed_column(self.words[None, :], j)[0])
-
-    def to_string(self) -> str:
-        return bit_string(self.words, self.n)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Point) and self.to_string() == other.to_string()
-
-    def __hash__(self) -> int:
-        return hash(self.to_string())
-
-    def __repr__(self) -> str:
-        return f"Point({self.to_string()!r})"
+        return int(self.bits[j - 1])
 
 
 def trial_seed(seed: RngSeed, index: int) -> int:
@@ -125,7 +115,7 @@ def eval_concept(cls: ConceptClass, i: int, x: Point) -> int:
             raise DimensionMismatchError(f"point has n={x.n}, class has n={cls.n}")
         return x.bit(i)
     mask = cls.table_mask(i)
-    return (mask >> cls.domain.find(x.words[None, :], x.n)[0]) & 1
+    return (mask >> cls.domain.find(row_keys(x.words[None, :], x.n))[0]) & 1
 
 
 def is_shattered(cls: ConceptClass, points: Sequence[Point]) -> bool:
@@ -150,7 +140,7 @@ def is_shattered(cls: ConceptClass, points: Sequence[Point]) -> bool:
 
 def row_points(rows: np.ndarray, n: int) -> list[Point]:
     """The Points of the n-bit rows of a packed (rows, words) matrix."""
-    return [Point(row.copy(), n) for row in rows]
+    return [Point(bit_string(row, n)) for row in rows]
 
 
 def hypercube_points(n: int) -> list[Point]:
@@ -163,7 +153,7 @@ def sample_points(dist: Distribution, m: int, seed: RngSeed) -> list[Point]:
     gen = seed.generator(0)
     if isinstance(dist, ProductLaw):
         words = sample_bit_matrix(dist, m, gen)
-        return [Point(words[r].copy(), dist.n) for r in range(m)]
+        return row_points(words, dist.n)
     idx = sample_support_indices(dist, m, gen)
     return row_points(dist.support.rows[idx], dist.n)
 
@@ -277,7 +267,7 @@ def disagreement_mc(
         count = int(np.count_nonzero(ca != cb))
     elif isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
         idx = sample_support_indices(dist, trials, gen)
-        pos = np.array(cls.domain.find(dist.support.rows, dist.n), dtype=np.uint64)[idx]
+        pos = np.array(cls.domain.find(dist.support.keys()), dtype=np.uint64)[idx]
         ta = np.uint64(cls.table_mask(a))
         tb = np.uint64(cls.table_mask(b))
         count = int(np.count_nonzero(((ta >> pos) ^ (tb >> pos)) & np.uint64(1)))
@@ -313,7 +303,7 @@ def exact_distance_fn(
         return lambda a, b: disagreement_exact_projections(dist, a, b)
     if isinstance(cls, TableClass) and isinstance(dist, FiniteSupportDistribution):
         # raises PointNotInDomainError if a support point is not in the domain
-        positions = cls.domain.find(dist.support.rows, dist.n)
+        positions = cls.domain.find(dist.support.keys())
         return lambda a, b: disagreement_enumerate(cls, dist, a, b, positions)
     raise OracleUnavailableError(
         f"no exact oracle for {type(cls).__name__} under {type(dist).__name__}"

@@ -17,6 +17,7 @@ from gaplab.concepts import (
     full_mask_words,
     label_rows,
     pack_bit_rows,
+    row_keys,
     unpack_bit_rows,
     vc_dimension_bruteforce,
 )
@@ -45,7 +46,7 @@ class TestPointSet:
         assert points.rows.shape == (len(strings), (n + 63) // 64)
         assert not points.rows.flags.writeable
         assert points.to_strings() == strings
-        assert [Point(row, n).to_string() for row in points.rows] == strings
+        assert [p.bits for p in row_points(points.rows, n)] == strings
         assert PointSet.from_rows(points.rows, n) == points
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
@@ -63,12 +64,12 @@ class TestPointSet:
 
     def test_positions_are_found_by_row_and_n(self):
         points = PointSet(["01", "10", "00"])
-        assert points.find(points.rows[[2, 0, 2]], 2) == [2, 0, 2]
+        assert points.find(row_keys(points.rows[[2, 0, 2]], 2)) == [2, 0, 2]
         with pytest.raises(PointNotInDomainError, match="point '11' is not in the table domain"):
-            points.find(PointSet(["11"]).rows, 2)
+            points.find(PointSet(["11"]).keys())
         # "010" packs to the same word as "01", but is a point of another n.
         with pytest.raises(PointNotInDomainError, match="'010'"):
-            points.find(PointSet(["010"]).rows, 3)
+            points.find(row_keys(PointSet(["010"]).rows, 3))
 
     def test_empty_set(self):
         points = PointSet([])
@@ -184,9 +185,9 @@ class TestLabelRows:
 class TestShattering:
     def test_construction_examples(self):
         pts = row_points(build_shattered_set(4), 4)
-        assert [p.to_string() for p in pts] == ["0101", "0011"]
+        assert [p.bits for p in pts] == ["0101", "0011"]
         pts2 = row_points(build_shattered_set(2), 2)
-        assert [p.to_string() for p in pts2] == ["01"]
+        assert [p.bits for p in pts2] == ["01"]
         assert len(build_shattered_set(8)) == 3
 
     def test_construction_requires_n_at_least_2(self):

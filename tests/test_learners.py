@@ -14,6 +14,7 @@ from gaplab.concepts import (
     full_mask_words,
     pack_bit_rows,
     packed_column,
+    row_keys,
 )
 from gaplab.distributions import (
     RngSeed,
@@ -373,7 +374,7 @@ class TestMemorizer:
             target = int(rng.integers(0, 256))
             m = int(rng.integers(0, 10))
             idx = rng.integers(0, 8, size=m)
-            positions = cls.domain.find(dom.rows[idx], dom.n)
+            positions = cls.domain.find(row_keys(dom.rows[idx], dom.n))
             s = LabeledSample.from_points(dom, idx, [(target >> u) & 1 for u in positions])
             h = consistent_memorizer(s, 0)
             d_frac = sum(
