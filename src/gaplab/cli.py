@@ -510,11 +510,8 @@ def _run_ks_stats(obj: CLIContext, n, eps, m, trials, gamma):
     def rows():
         summary = ks_statistics_experiment(family, m, trials, RngSeed(obj.seed), gamma,
                                            obj.pool)
-        hist = ";".join(
-            f"{summary.sk_hist_edges[i]:.3f}:{summary.sk_hist_counts[i]}"
-            for i in range(len(summary.sk_hist_counts))
-            if summary.sk_hist_counts[i]
-        )
+        hist = ";".join(f"{edge:.3f}:{count}" for edge, count
+                        in zip(summary.sk_hist_edges, summary.sk_hist_counts) if count)
         return [(n, eps, m, trials, *summary.ratio_band,
                  summary.ratio_in_band.estimate, summary.ratio_in_band.radius,
                  summary.k_threshold, summary.k_tail.estimate, summary.k_tail.radius,

@@ -142,6 +142,10 @@ class PointSet:
     def __eq__(self, other) -> bool:
         return isinstance(other, PointSet) and list(self._index) == list(other._index)
 
+    def __reduce__(self):
+        # Rebuilt on unpickling, so a worker's copy keeps its rows read-only.
+        return PointSet.from_rows, (self.rows, self.n)
+
     def keys(self):
         """Each point's key, in order: what a PointSet or a memorizer finds it by."""
         return self._index.keys()
@@ -207,6 +211,9 @@ class TableClass:
         self.domain = domain
         self.tables = tables
         self._table_array = None
+
+    def __reduce__(self):
+        return TableClass, (self.domain, self.tables)
 
     @property
     def domain_size(self) -> int:

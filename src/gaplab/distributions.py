@@ -274,6 +274,9 @@ class FiniteSupportDistribution:
         cum[np.flatnonzero(p)[-1]:] = np.inf
         self._cum = cum
 
+    def __reduce__(self):
+        return FiniteSupportDistribution, (self.support, self.probs)
+
     @property
     def n(self) -> int:
         return self.support.n
@@ -570,8 +573,6 @@ def geometric_finite(support: PointSet) -> FiniteSupportDistribution:
     The masses sum to exactly 1 in floating point.
     """
     d = len(support)
-    if d == 1:
-        return FiniteSupportDistribution(support, np.array([1.0]))
     probs = np.array([2.0 ** -(t + 1) for t in range(d)])
     probs[-1] *= 2.0
     return FiniteSupportDistribution(support, probs)

@@ -457,10 +457,8 @@ def _table_trial_error(
 def _run_chunk(
     trial: Callable[..., tuple], args: tuple, dtypes: tuple[str, ...], lo: int, hi: int
 ) -> tuple[np.ndarray, ...]:
-    """trial(*args, t) for t in lo..hi-1; output k as one array of dtypes[k], in trial order.
-
-    The one chunk loop of every trial but K/S's.
-    """
+    """trial(*args, t) for t in lo..hi-1, output k as one array of dtypes[k] in
+    trial order: the package's one loop over trial indices."""
     rows = np.fromiter((trial(*args, t) for t in range(lo, hi)), count=hi - lo,
                        dtype=[(f"f{k}", d) for k, d in enumerate(dtypes)])
     return tuple(rows[name] for name in rows.dtype.names)
@@ -817,19 +815,18 @@ class KsSummary:
     sk_hist_counts: tuple[int, ...]
 
 
-def _ks_chunk(
-    family: PneFamily, m: int, seed: RngSeed, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    ks = np.empty(hi - lo, dtype=np.int64)
-    ss = np.empty(hi - lo, dtype=np.int64)
-    for t in range(lo, hi):
-        gen = seed.generator(t)
-        i, dist = _draw_member(family, gen)
-        mask = _projection_sample(dist, i, m, gen).column_match_mask()
-        z = sample_bit_matrix(dist, 1, gen)[0]
-        ks[t - lo] = _popcount(mask)
-        ss[t - lo] = _popcount(mask & z)
-    return ks, ss
+def _ks_trial(family: PneFamily, m: int, seed: RngSeed, t: int) -> tuple[int, int]:
+    """Trial t's K (candidates consistent with the sample) and S (those 1 at the test point)."""
+    gen = seed.generator(t)
+    i, dist = _draw_member(family, gen)
+    mask = _projection_sample(dist, i, m, gen).column_match_mask()
+    z = sample_bit_matrix(dist, 1, gen)[0]
+    return _popcount(mask), _popcount(mask & z)
+
+
+def _ks_chunk(family: PneFamily, m: int, seed: RngSeed, lo: int, hi: int) -> tuple:
+    """_ks_trial over lo..hi-1; it stays only because perfbench's TRIAL_PATH names it."""
+    return _run_chunk(_ks_trial, (family, m, seed), ("i8", "i8"), lo, hi)
 
 
 def ks_statistics_experiment(
@@ -857,9 +854,7 @@ def ks_statistics_experiment(
     in_band = int(np.count_nonzero((ratio >= band[0]) & (ratio <= band[1])))
     k_threshold = n ** (2.0 / 3.0) / 2.0
     k_tail = int(np.count_nonzero(ks >= k_threshold))
-    quantiles = tuple(
-        float(q) for q in np.quantile(ks, [0.0, 0.25, 0.5, 0.75, 1.0])
-    )
+    quantiles = tuple(float(q) for q in np.quantile(ks, [0.0, 0.25, 0.5, 0.75, 1.0]))
     edges = np.linspace(0.0, 1.0, 41)
     counts, _ = np.histogram(ratio, bins=edges)
     return KsSummary(

@@ -55,3 +55,24 @@ def test_workload_reaches_what_it_exercises(name, tmp_path):
     missing = [span for span in workload.exercises
                if span != bench_layers.POOL_SPAN and spans.get(span, {"calls": 0})["calls"] == 0]
     assert not missing, f"{name} records no calls of {missing}"
+
+
+def test_nested_trial_path_spans_count_once(tmp_path):
+    """_ks_chunk runs its trials through _run_chunk, and TRIAL_PATH traces both
+    under one span name; the busy time of the K/S trial path stays within the
+    experiment's, so the inner span is not counted a second time."""
+    (ks_stats,) = [inv for inv in bench_workloads.WORKLOADS["matched-pair"].invocations
+                   if inv.label == "ks-stats"]
+    tracer = bench_trace.Tracer()
+    with bench_trace.Patches() as patches:
+        bench_layers.trace_light(tracer, patches)
+        argv = ["--seed", "3", "--threads", "1", "--trials", str(SMALL_TRIALS["matched-pair"]),
+                "--out", str(tmp_path / "ks-stats.csv"), *ks_stats.args]
+        cli.main.main(args=argv, prog_name="gaplab", standalone_mode=False)
+    paths = {row["path"] for row in tracer.call_paths()}
+    assert ("mc_harness.ks_statistics_experiment > mc_harness.trial_path > "
+            "mc_harness.trial_path") in paths
+    spans = tracer.totals()
+    assert 0 < spans["mc_harness.trial_path"]["busy_s"]
+    assert spans["mc_harness.trial_path"]["busy_s"] <= (
+        spans["mc_harness.ks_statistics_experiment"]["busy_s"])

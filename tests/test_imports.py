@@ -53,15 +53,27 @@ def test_no_unused_imports(path):
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def attribute_root(node: ast.Attribute) -> str | None:
+    """The name an attribute chain starts from: `np` for `np.random.Generator`."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def unread_definitions(sources: dict[str, str], package: str) -> list[str]:
     """`module.name` of each top-level function and class, and
     `module.Class.name` of each of their methods, in `sources` (module name
     -> source of `package.module`) that no source reads as a name or
-    attribute.  Dunders and overrides of a method a base class defines are
-    left out: their caller is Python or the base class."""
+    attribute.  An attribute of a module bound by `import` from outside the
+    package (`np.empty`, `math.log`) is no read of a definition.  Dunders and
+    overrides of a method a base class defines are left out: their caller is
+    Python or the base class."""
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
+        outside = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name.split(".")[0] != package}
         for node in tree.body:
             if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
                 defined.append(f"{module}.{node.name}")
@@ -73,23 +85,25 @@ def unread_definitions(sources: dict[str, str], package: str) -> list[str]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and attribute_root(node) not in outside:
                 read.add(node.attr)
     return [name for name in defined if name.rpartition(".")[2] not in read]
 
 
 def test_the_check_finds_an_unread_definition(tmp_path, monkeypatch):
     sources = {"a": "def f():\n    return g()\ndef g():\n    pass\nclass C:\n    pass\n",
-               "b": ("from . import a\ndef h():\n    return a.f\nclass D(dict):\n"
-                     "    def __init__(self):\n        self.keep()\n    def get(self):\n"
-                     "        pass\n    def keep(self):\n        pass\n    def put(self):\n"
-                     "        pass\n")}
+               "b": ("import numpy as np\nfrom . import a\ndef h():\n    return a.f\n"
+                     "class D(dict):\n    def __init__(self):\n        self.keep()\n"
+                     "    def get(self):\n        pass\n    def keep(self):\n"
+                     "        return np.empty(0), np.random.empty\n    def put(self):\n"
+                     "        pass\n    def empty(self):\n        pass\n")}
     (tmp_path / "unread_pkg").mkdir()
     (tmp_path / "unread_pkg" / "__init__.py").write_text("")
     for module, source in sources.items():
         (tmp_path / "unread_pkg" / f"{module}.py").write_text(source)
     monkeypatch.syspath_prepend(str(tmp_path))
-    assert unread_definitions(sources, "unread_pkg") == ["a.C", "b.h", "b.D", "b.D.put"]
+    assert unread_definitions(sources, "unread_pkg") == [
+        "a.C", "b.h", "b.D", "b.D.put", "b.D.empty"]
 
 
 def test_every_definition_is_read():

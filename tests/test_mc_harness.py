@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import pickle
 import sys
 import threading
 import time
@@ -55,7 +56,7 @@ from gaplab.mc_harness import (
     TrialPool,
 )
 from reference import (PosteriorState, bayes_posterior_predict, full_count_search,
-                       hypercube_points, point_prob, tail_inequality_check)
+                       hypercube_points, point_prob, tail_inequality_check, trial_seed)
 
 
 def pne_cfg(n, eps, learner, m, eps_acc, trials, seed, target=None, **kw):
@@ -528,6 +529,16 @@ def _reference_no_gap_trial(dist, m, seed, t):
             dist.exact_mass(unseen))
 
 
+def _reference_ks_trial(family, m, seed, t):
+    """(K, S) of K/S trial t from its PCG64 seed: I, then m + 1 rows of n
+    uniforms row-major, the last row being the test point Z."""
+    gen = np.random.Generator(np.random.PCG64(trial_seed(seed, t)))
+    i = int(gen.integers(1, family.n + 1))
+    bits = gen.random((m + 1, family.n)) < family.member(i).marginals
+    candidates = (bits[:m] == bits[:m, i - 1 : i]).all(axis=0)
+    return int(candidates.sum()), int((candidates & bits[m]).sum())
+
+
 class TestOneChunkLoop:
     @pytest.fixture()
     def chunk_calls(self, monkeypatch):
@@ -555,6 +566,29 @@ class TestOneChunkLoop:
         dist = uniform_finite(enumerated_domain(4))
         no_gap_experiment(no_gap_configs(dist, [1, 3], 30, 0.1, RngSeed(3)))
         assert chunk_calls == [("_no_gap_trial", ("u1", "u1", "u1", "f8"), 0, 30)] * 2
+
+    def test_ks_statistics_maps_the_chunk_loop(self, chunk_calls):
+        ks_statistics_experiment(PneFamily(256, 0.2), 2, 30, RngSeed(4))
+        assert chunk_calls == [("_ks_trial", ("i8", "i8"), 0, 30)]
+
+    @pytest.mark.parametrize("n, eps, m", [(256, 0.2, 2), (1000, 0.1, 3)])
+    def test_ks_trial_matches_the_reference(self, n, eps, m):
+        family, seed = PneFamily(n, eps), RngSeed(13)
+        got = [mc_harness._ks_trial(family, m, seed, t) for t in range(100)]
+        ref = [_reference_ks_trial(family, m, seed, t) for t in range(100)]
+        assert got == ref
+        # Some trials see a candidate besides I, and some a candidate at 1 on Z.
+        assert max(k for k, _ in ref) > 1 and max(s for _, s in ref) > 0
+
+    def test_ks_chunks_join_to_the_trials(self):
+        family, seed = PneFamily(1000, 0.1), RngSeed(6)
+        trials = [mc_harness._ks_trial(family, 3, seed, t) for t in range(64)]
+        serial = mc_harness._map_trials(mc_harness._ks_chunk, (family, 3, seed), 64, None)
+        with TrialPool(2) as pool:
+            fanned = mc_harness._map_trials(mc_harness._ks_chunk, (family, 3, seed), 64, pool)
+        for ks, ss in (serial, fanned):
+            assert ks.dtype == ss.dtype == np.int64
+            assert list(zip(ks.tolist(), ss.tolist())) == trials
 
     def test_no_gap_trial_matches_the_reference(self):
         dist = uniform_finite(enumerated_domain(4))
@@ -610,6 +644,62 @@ def pool_exits(pool_starts, monkeypatch):
 
     monkeypatch.setattr(mc_harness, "ProcessPoolExecutor", ExitRecordingPool)
     return exits
+
+
+def _pickled(x):
+    return pickle.loads(pickle.dumps(x))
+
+
+class TestPickledToAWorker:
+    """A TrialConfig is pickled to a pool worker with each block: what it
+    holds comes back equal, and its arrays read-only."""
+
+    def test_point_set(self):
+        points = enumerated_domain(5)
+        copy = _pickled(points)
+        assert copy == points and copy.n == points.n
+        assert np.array_equal(copy.rows, points.rows) and not copy.rows.flags.writeable
+
+    def test_finite_law(self):
+        law = geometric_finite(enumerated_domain(6))
+        copy = _pickled(law)
+        assert copy.support == law.support and copy.to_json_dict() == law.to_json_dict()
+        assert (copy.numerators, copy.denominator) == (law.numerators, law.denominator)
+        assert not copy.probs.flags.writeable and not copy.support.rows.flags.writeable
+
+    @pytest.mark.parametrize("tables", [range(8), [5, 1, 6]], ids=["range", "list"])
+    def test_table_class(self, tables):
+        cls = TableClass(enumerated_domain(3), tables)
+        cls.table_array()  # cached before the class is pickled
+        copy = _pickled(cls)
+        assert copy.domain == cls.domain and copy.tables == cls.tables
+        assert copy.to_json_dict() == cls.to_json_dict()
+        assert np.array_equal(copy.table_array(), cls.table_array())
+        assert not copy.table_array().flags.writeable
+        assert not copy.domain.rows.flags.writeable
+
+    def test_no_gap_config_keeps_its_positions(self):
+        law = geometric_finite(PointSet(["110", "001", "011", "100"]))
+        (cfg,) = no_gap_configs(law, [3], 50, 0.1, RngSeed(2))
+        self.check_config(cfg, [0, 1, 2, 3])
+
+    def test_a_support_in_another_order_keeps_its_positions(self):
+        # enumerated_domain(4) holds 00, 10, 01, 11 in that order.
+        law = geometric_finite(PointSet(["11", "10", "01", "00"]))
+        cfg = TrialConfig(all_functions_class(enumerated_domain(4)), law, RandomConcept(),
+                          "memorizer", 3, 0.1, 50, RngSeed(2))
+        self.check_config(cfg, [3, 1, 2, 0])
+
+    @staticmethod
+    def check_config(cfg, positions):
+        copy = _pickled(cfg)
+        assert copy.positions == cfg.positions == positions
+        assert copy.to_json_dict() == cfg.to_json_dict()
+        assert not copy.dist.probs.flags.writeable
+        assert not copy.concept_class.domain.rows.flags.writeable
+        threshold = Fraction(1, 5)
+        assert ([mc_harness._no_gap_trial(copy, threshold, t) for t in range(50)]
+                == [mc_harness._no_gap_trial(cfg, threshold, t) for t in range(50)])
 
 
 class TestTrialPool:
