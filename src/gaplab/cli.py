@@ -54,7 +54,6 @@ from .distributions import (
 )
 from .errors import SPEC_FIELDS, GaplabError, InvalidParameterError, spec_value
 from .mc_harness import (
-    TrialConfig,
     config_from_json_dict,
     estimate_failure_prob,
     in_theorem_regime,
@@ -67,9 +66,6 @@ from .mc_harness import (
     no_gap_experiment,
     sample_complexity_search,
     TrialPool,
-    FixedTarget,
-    RandomPair,
-    RandomConcept,
 )
 from .metric_cover import (
     benedek_itai_m,
@@ -397,38 +393,17 @@ def _int_list(flag: str, text: str) -> list[int]:
     return values
 
 
-def _target_from_string(s: str):
-    if s == "random-pair":
-        return RandomPair()
-    if s == "random-concept":
-        return RandomConcept()
-    if s.startswith("fixed:"):
-        index = s.split(":", 1)[1]
-        try:
-            return FixedTarget(int(index))
-        except ValueError:
-            raise InvalidParameterError(
-                f"--target {s!r}: {index!r} is not a valid integer"
-            ) from None
-    raise InvalidParameterError(f"bad target spec {s!r}; use fixed:<i>, random-pair, random-concept")
-
-
 def _run_learn(obj: CLIContext, n, eps, target, learner, m, eps_acc, gamma, trials,
                document=None):
     """Estimate a learner's failure probability for one trial configuration."""
-    if document is not None:
-        cfg = config_from_json_dict({
-            "seed": {"master": obj.seed}, "trials": trials, "eps_acc": eps_acc,
-            "m": m, "learner": learner, "gamma": gamma, **document,
-        })
-    else:
-        tgt = _target_from_string(target)
-        if isinstance(tgt, RandomPair):
-            cfg = matched_pair_config(n, eps, learner, m, eps_acc, trials, RngSeed(obj.seed),
-                                      gamma)
-        else:
-            cfg = TrialConfig(ProjectionClass(n), make_pne(n, eps, 1), tgt, learner, m,
-                              eps_acc, trials, RngSeed(obj.seed), gamma)
+    if document is None:
+        member = {} if target == "random-pair" else {"i": 1}
+        document = {"class": {"kind": "projections", "n": n},
+                    "dist": {"kind": "pne", "n": n, "eps": eps, **member}, "target": target}
+    cfg = config_from_json_dict({
+        "seed": {"master": obj.seed}, "trials": trials, "eps_acc": eps_acc,
+        "m": m, "learner": learner, "gamma": gamma, **document,
+    })
 
     def rows():
         est = estimate_failure_prob(cfg, obj.pool)
@@ -597,7 +572,9 @@ COMMANDS = (
         (
             _opt("--n", int, 256),
             _opt("--eps", float, 0.1),
-            _opt("--target", str, "random-pair"),
+            _opt("--target", str, "random-pair",
+                 help="fixed:<i> (concept i), random-pair (c_I under P_I, I drawn) or "
+                      "random-concept; under P_1 unless random-pair."),
             _opt("--learner", click.Choice(["erm", "cover", "bayes-posterior"]), "erm"),
             _opt("--m", int, 10),
             _opt("--eps-acc", float, 0.0625),
@@ -608,7 +585,7 @@ COMMANDS = (
         ("learner", "m", "eps_acc", "trials", "gamma", "failures",
          "estimate", "radius", "ci_low", "ci_high"),
         config_help="TrialConfig JSON (object or list).",
-        document_keys=frozenset({"class", "dist", "target"}),
+        document_keys=frozenset({"class", "dist"}),
     ),
     Command(
         "separation",

@@ -648,6 +648,52 @@ def test_bad_fixed_target_exits_2(runner, tmp_path):
     assert not out.exists()
 
 
+def _learn_bytes(runner, tmp_path, name, args, config=None, threads="1"):
+    """The CSV a seeded `learn` run writes, from flags and, if given, a config."""
+    if config is not None:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        args = [*args, "--config", str(path)]
+    out = tmp_path / f"{name}.csv"
+    res = runner.invoke(main, ["--seed", "3", "--threads", threads, "--out", str(out),
+                               "learn", *args])
+    assert res.exit_code == 0, res.output
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("target, target_object, member", [
+    ("fixed:3", {"kind": "fixed", "i": 3}, {"i": 1}),
+    ("random-pair", {"kind": "random-pair"}, {}),
+    ("random-concept", {"kind": "random-concept"}, {"i": 1}),
+])
+def test_learn_flags_write_what_their_document_writes(runner, tmp_path, target,
+                                                      target_object, member, threads):
+    # The flags stand for the projections under the pne family, for
+    # random-pair, or under its member P_1; the CSV holds the spec hash.
+    flags = ["--n", "32", "--eps", "0.1", "--m", "3", "--trials", "150"]
+    doc = {"class": {"kind": "projections", "n": 32},
+           "dist": {"kind": "pne", "n": 32, "eps": 0.1, **member},
+           "target": target_object, "m": 3, "trials": 150}
+    from_flags = _learn_bytes(runner, tmp_path, "flags", [*flags, "--target", target],
+                              threads=threads)
+    assert from_flags == _learn_bytes(runner, tmp_path, "doc", [], doc, threads)
+
+
+def test_a_flat_entry_with_a_target_is_flag_values(runner, tmp_path):
+    entry = [{"n": 64, "target": "fixed:2", "m": 3, "trials": 50}]
+    from_config = _learn_bytes(runner, tmp_path, "flat", [], entry)
+    flags = ["--n", "64", "--target", "fixed:2", "--m", "3", "--trials", "50"]
+    assert from_config == _learn_bytes(runner, tmp_path, "flags", flags)
+
+
+def test_a_document_target_may_be_text(runner, tmp_path):
+    as_text = _learn_bytes(runner, tmp_path, "text", [],
+                           {**LEARN_DOCUMENT, "target": "random-pair", "trials": 60})
+    assert as_text == _learn_bytes(runner, tmp_path, "object", [],
+                                   {**LEARN_DOCUMENT, "trials": 60})
+
+
 @pytest.mark.parametrize(
     "key, value, named",
     [("m", "abc", "'m'"), ("eps_acc", "high", "'eps_acc'"), ("gamma", [1], "'gamma'"),
