@@ -19,6 +19,7 @@ from .errors import (
     InvalidParameterError,
     PointNotInDomainError,
     config_value,
+    spec_object,
     spec_value,
 )
 
@@ -274,19 +275,20 @@ def class_from_json_dict(
 ) -> ConceptClass:
     """The class a JSON object describes; `obj` sits at `key` of `where`,
     which a bad value's spec error names."""
-    kind = obj.get("kind")
-    if kind == "projections":
-        return ProjectionClass(spec_value(f"{key}.n", obj.get("n"), where))
-    if kind == "table":
-        domain = config_value(PointSet, obj.get("domain"), f"{key}.domain", where)
-        cls = TableClass(domain, [])
+    with spec_object(obj, key, where) as get:
+        kind = get("kind")
+        if kind == "projections":
+            return ProjectionClass(spec_value(f"{key}.n", get("n"), where))
+        if kind == "table":
+            domain = config_value(PointSet, get("domain"), f"{key}.domain", where)
+            cls = TableClass(domain, [])
 
-        def table_list(value) -> list[int]:
-            return [cls.table_from_string(s) for s in value]
+            def table_list(value) -> list[int]:
+                return [cls.table_from_string(s) for s in value]
 
-        tables = config_value(table_list, obj.get("tables"), f"{key}.tables", where)
-        return TableClass(domain, tables)
-    raise InvalidParameterError(f"unknown class kind {kind!r}")
+            tables = config_value(table_list, get("tables"), f"{key}.tables", where)
+            return TableClass(domain, tables)
+        raise InvalidParameterError(f"unknown class kind {kind!r}")
 
 
 def all_functions_class(domain: PointSet) -> TableClass:

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .concepts import WORD_BITS, PointSet, pack_bit_rows, words_needed
-from .errors import InvalidParameterError, config_value, spec_value
+from .errors import InvalidParameterError, config_value, spec_object, spec_value
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN64 = 0x9E3779B97F4A7C15
@@ -176,6 +176,9 @@ class ProductDistribution:
         m.setflags(write=False)
         object.__setattr__(self, "marginals", m)
 
+    def __reduce__(self):
+        return ProductDistribution, (self.marginals,)
+
     @property
     def n(self) -> int:
         return int(self.marginals.size)
@@ -326,23 +329,25 @@ def distribution_from_json_dict(
 ) -> Distribution | PneFamily:
     """The distribution a JSON object describes; `obj` sits at `key` of
     `where`, which a bad value's spec error names."""
-    def value(kind, name):
-        return config_value(kind, obj.get(name), f"{key}.{name}", where)
+    with spec_object(obj, key, where) as get:
+        def value(kind, name):
+            return config_value(kind, get(name), f"{key}.{name}", where)
 
-    def number(name):
-        return spec_value(f"{key}.{name}", obj.get(name), where)
+        def number(name):
+            return spec_value(f"{key}.{name}", get(name), where)
 
-    kind = obj.get("kind")
-    if kind == "product":
-        return ProductDistribution(value(float_vector, "marginals"))
-    if kind == "pne":
-        n, eps = number("n"), number("eps")
-        if obj.get("i") is not None:
-            return make_pne(n, eps, number("i"))
-        return PneFamily(n, eps)
-    if kind == "finite":
-        return FiniteSupportDistribution(value(PointSet, "support"), value(float_vector, "probs"))
-    raise InvalidParameterError(f"unknown distribution kind {kind!r}")
+        kind = get("kind")
+        if kind == "product":
+            return ProductDistribution(value(float_vector, "marginals"))
+        if kind == "pne":
+            n, eps = number("n"), number("eps")
+            if get("i") is not None:
+                return make_pne(n, eps, number("i"))
+            return PneFamily(n, eps)
+        if kind == "finite":
+            return FiniteSupportDistribution(value(PointSet, "support"),
+                                             value(float_vector, "probs"))
+        raise InvalidParameterError(f"unknown distribution kind {kind!r}")
 
 
 # sample_bit_matrix draws tiles of at most this many cells: row blocks, or a

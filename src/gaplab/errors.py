@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the package, and the table of numeric spec fields."""
 
+from contextlib import contextmanager
 from numbers import Integral, Real
 from typing import NamedTuple
 
@@ -104,3 +105,17 @@ def config_value(kind, value, key: str, where: str = "trial config"):
             f"{where} key {key!r}: {value!r} is not a valid {kind.__name__}"
             + (f": {exc}" if ours else "")
         ) from None
+
+
+@contextmanager
+def spec_object(value, key: str, where: str = "trial config"):
+    """Read the JSON object at `key` of `where` ("" for the whole of it)
+    through the getter this yields.  A value that is not an object, and a
+    key the reader leaves unread, is a spec error that names its dotted path."""
+    if not isinstance(value, dict):
+        raise InvalidParameterError(f"{where} key {key!r}: {value!r} is not a JSON object")
+    read = set()
+    yield lambda name, default=None: read.add(name) or value.get(name, default)
+    unread = [repr(f"{key}.{name}" if key else name) for name in value if name not in read]
+    if unread:
+        raise InvalidParameterError(f"{where} has unknown key {', '.join(unread)}")

@@ -53,6 +53,7 @@ from .errors import (
     InvalidParameterError,
     OracleUnavailableError,
     SearchBracketError,
+    spec_object,
     spec_value,
 )
 from .learners import (
@@ -125,14 +126,15 @@ def target_from_json_dict(obj: dict | str) -> TargetSpec:
                 f"bad target spec {obj!r}; use fixed:<i>, random-pair, random-concept"
             )
         obj = {"kind": obj}
-    kind = obj.get("kind")
-    if kind == "fixed":
-        return FixedTarget(spec_value("target.i", obj.get("i")))
-    if kind == "random-pair":
-        return RandomPair()
-    if kind == "random-concept":
-        return RandomConcept()
-    raise InvalidParameterError(f"unknown target kind {kind!r}")
+    with spec_object(obj, "target") as get:
+        kind = get("kind")
+        if kind == "fixed":
+            return FixedTarget(spec_value("target.i", get("i")))
+        if kind == "random-pair":
+            return RandomPair()
+        if kind == "random-concept":
+            return RandomConcept()
+        raise InvalidParameterError(f"unknown target kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -191,18 +193,21 @@ _NUMBER_FIELDS = ("m", "eps_acc", "trials", "gamma", "cover_level", "learner_eps
 
 
 def config_from_json_dict(obj: dict) -> TrialConfig:
-    missing = [key for key in _REQUIRED_CONFIG_KEYS if obj.get(key) is None]
-    if missing:
-        raise InvalidParameterError(f"trial config has no {', '.join(map(repr, missing))} key")
-    seed = obj.get("seed", {})
-    return TrialConfig(
-        concept_class=class_from_json_dict(obj["class"]),
-        dist=distribution_from_json_dict(obj["dist"]),
-        target=target_from_json_dict(obj["target"]),
-        learner=obj["learner"],
-        seed=RngSeed(seed.get("master", 0), seed.get("stream", 0)),
-        **{key: obj[key] for key in _NUMBER_FIELDS if key in obj},
-    )
+    with spec_object(obj, "") as get:
+        missing = [key for key in _REQUIRED_CONFIG_KEYS if get(key) is None]
+        if missing:
+            raise InvalidParameterError(f"trial config has no {', '.join(map(repr, missing))} key")
+        with spec_object(get("seed", {}), "seed") as seed:
+            rng_seed = RngSeed(seed("master", 0), seed("stream", 0))
+        fields = dict(
+            concept_class=class_from_json_dict(get("class")),
+            dist=distribution_from_json_dict(get("dist")),
+            target=target_from_json_dict(get("target")),
+            learner=get("learner"),
+            **{key: get(key) for key in _NUMBER_FIELDS if key in obj},
+        )
+    # Built after the unread-key check, since a cover learner's build scans the class.
+    return TrialConfig(seed=rng_seed, **fields)
 
 
 def validate_config(cfg: TrialConfig) -> None:

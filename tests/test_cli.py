@@ -842,6 +842,30 @@ def test_bad_value_in_a_json_option_names_the_option(runner, tmp_path):
         assert not out.exists()
 
 
+PNE_4 = '{"kind": "pne", "n": 4, "eps": 0.1, "i": 1}'
+
+
+@pytest.mark.parametrize("args, message", [
+    (["cover", "--class-json", '{"kind": "projections", "n": 4, "x": 1}',
+      "--dist-json", PNE_4, "--level", "0.1"], "cover has unknown key 'class_json.x'"),
+    (["cover", "--class-json", '{"kind": "projections", "n": 4}', "--dist-json",
+      '{"kind": "pne", "n": 4, "eps": 0.1, "i": 1, "zz": 3}', "--level", "0.1"],
+     "cover has unknown key 'dist_json.zz'"),
+    (["vc", "--class-json", '{"kind": "table", "domain": ["0", "1"], "tables": ["01"], '
+      '"extra": 1}'], "vc has unknown key 'class_json.extra'"),
+    (["cover", "--class-json", "[1]", "--dist-json", PNE_4, "--level", "0.1"],
+     "cover key 'class_json': [1] is not a JSON object"),
+    (["no-gap", "--dist-json", '"x"'], "no-gap key 'dist_json': 'x' is not a JSON object"),
+])
+def test_an_unread_key_or_a_non_object_in_a_json_option_exits_2(runner, tmp_path, args,
+                                                                 message):
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), *args])
+    assert res.exit_code == 2, res.output
+    assert f"spec error: {message}\n" in res.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("points, reason", [
     (["01", "0a"], "not a 0/1 string: '0a'"),
     (["01", 5], "not a 0/1 string: 5"),

@@ -65,45 +65,52 @@ def unread_definitions(sources: dict[str, str], package: str) -> list[str]:
     `module.Class.name` of each of their methods, in `sources` (module name
     -> source of `package.module`) that no source reads as a name or
     attribute.  An attribute of a module bound by `import` from outside the
-    package (`np.empty`, `math.log`) is no read of a definition.  Dunders and
-    overrides of a method a base class defines are left out: their caller is
-    Python or the base class."""
-    defined, read = [], set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
+    package (`np.empty`, `math.log`) is no read of a definition, and nor is a
+    read inside a function's or method's own body.  Dunders and overrides of
+    a method a base class defines are left out: their caller is Python or the
+    base class."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined, reads = {}, []  # definition -> ids of the nodes of its own body
+    for module, tree in trees.items():
         outside = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
                    if isinstance(node, ast.Import) for alias in node.names
                    if alias.name.split(".")[0] != package}
         for node in tree.body:
             if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
-                defined.append(f"{module}.{node.name}")
+                defined[f"{module}.{node.name}"] = (
+                    {id(n) for n in ast.walk(node)} if isinstance(node, FUNCTIONS) else set())
             if isinstance(node, ast.ClassDef):
                 bases = vars(importlib.import_module(f"{package}.{module}"))[node.name].__mro__[1:]
-                defined += [f"{module}.{node.name}.{item.name}" for item in node.body
-                            if isinstance(item, FUNCTIONS) and not item.name.startswith("__")
-                            and not any(hasattr(base, item.name) for base in bases)]
+                defined.update({f"{module}.{node.name}.{item.name}": {id(n) for n in ast.walk(item)}
+                                for item in node.body
+                                if isinstance(item, FUNCTIONS) and not item.name.startswith("__")
+                                and not any(hasattr(base, item.name) for base in bases)})
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                read.add(node.id)
+                reads.append((node.id, id(node)))
             elif isinstance(node, ast.Attribute) and attribute_root(node) not in outside:
-                read.add(node.attr)
-    return [name for name in defined if name.rpartition(".")[2] not in read]
+                reads.append((node.attr, id(node)))
+    return [name for name, body in defined.items()
+            if not any(read == name.rpartition(".")[2] and node not in body
+                       for read, node in reads)]
 
 
 def test_the_check_finds_an_unread_definition(tmp_path, monkeypatch):
-    sources = {"a": "def f():\n    return g()\ndef g():\n    pass\nclass C:\n    pass\n",
+    sources = {"a": ("def f():\n    return g()\ndef g():\n    pass\nclass C:\n    pass\n"
+                     "def r():\n    return r()\n"),
                "b": ("import numpy as np\nfrom . import a\ndef h():\n    return a.f\n"
                      "class D(dict):\n    def __init__(self):\n        self.keep()\n"
                      "    def get(self):\n        pass\n    def keep(self):\n"
                      "        return np.empty(0), np.random.empty\n    def put(self):\n"
-                     "        pass\n    def empty(self):\n        pass\n")}
+                     "        pass\n    def empty(self):\n        pass\n"
+                     "    def loop(self):\n        return self.loop()\n")}
     (tmp_path / "unread_pkg").mkdir()
     (tmp_path / "unread_pkg" / "__init__.py").write_text("")
     for module, source in sources.items():
         (tmp_path / "unread_pkg" / f"{module}.py").write_text(source)
     monkeypatch.syspath_prepend(str(tmp_path))
     assert unread_definitions(sources, "unread_pkg") == [
-        "a.C", "b.h", "b.D", "b.D.put", "b.D.empty"]
+        "a.C", "a.r", "b.h", "b.D", "b.D.put", "b.D.empty", "b.D.loop"]
 
 
 def test_every_definition_is_read():

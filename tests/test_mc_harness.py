@@ -23,6 +23,7 @@ from gaplab.concepts import (
 from gaplab.distributions import (
     FiniteSupportDistribution,
     PneFamily,
+    ProductDistribution,
     RngSeed,
     geometric_finite,
     make_pne,
@@ -666,6 +667,13 @@ class TestPickledToAWorker:
         assert copy.support == law.support and copy.to_json_dict() == law.to_json_dict()
         assert (copy.numerators, copy.denominator) == (law.numerators, law.denominator)
         assert not copy.probs.flags.writeable and not copy.support.rows.flags.writeable
+
+    def test_product_law(self):
+        law = ProductDistribution([0.1, 0.5, 0.25])
+        copy = _pickled(law)
+        assert copy.to_json_dict() == law.to_json_dict()
+        assert np.array_equal(copy.marginals, law.marginals)
+        assert not copy.marginals.flags.writeable
 
     @pytest.mark.parametrize("tables", [range(8), [5, 1, 6]], ids=["range", "list"])
     def test_table_class(self, tables):
