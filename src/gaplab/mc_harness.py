@@ -112,15 +112,15 @@ TargetSpec = FixedTarget | RandomPair | RandomConcept
 def target_from_json_dict(obj: dict | str) -> TargetSpec:
     """The target an object, or the text fixed:<i>, random-pair or
     random-concept, describes."""
-    if isinstance(obj, str) and obj.startswith("fixed:"):
-        index = obj.split(":", 1)[1]
-        try:
-            return FixedTarget(int(index))
-        except ValueError:
-            raise InvalidParameterError(
-                f"--target {obj!r}: {index!r} is not a valid integer"
-            ) from None
     if isinstance(obj, str):
+        if obj.startswith("fixed:"):
+            index = obj.split(":", 1)[1]
+            try:
+                return FixedTarget(int(index))
+            except ValueError:
+                raise InvalidParameterError(
+                    f"--target {obj!r}: {index!r} is not a valid integer"
+                ) from None
         if obj not in ("random-pair", "random-concept"):
             raise InvalidParameterError(
                 f"bad target spec {obj!r}; use fixed:<i>, random-pair, random-concept"
