@@ -4,13 +4,14 @@ Every result file embeds the master seed and a hash of the resolved
 experiment spec; re-running a command with the same spec and seed emits a
 byte-identical body.  Timestamps live only in the per-invocation manifest.
 
-Each subcommand is one row of COMMANDS: its flags, a runner and its CSV
-header.  A runner checks and builds one config entry and returns its spec
-and rows(), which runs the trials, the cover scan or the VC search.  One
-builder turns every row into a click command that resolves every entry,
-then builds every entry, then runs them, so a bad entry anywhere is a spec
-error before any work; config loading, flag resolution, the global --trials
-override, output and the manifest are shared by all commands.
+Each subcommand is one row of COMMANDS: its flags and a runner.  A runner
+checks and builds one config entry and returns its spec and rows(), which
+runs the trials, the cover scan or the VC search; each row is a dict whose
+keys are the columns.  One builder turns every row into a click command
+that resolves every entry, then builds every entry, then runs them, so a
+bad entry anywhere is a spec error before any work; config loading, flag
+resolution, the spec's kind, the global --trials override, output and the
+manifest are shared by all commands.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ from .distributions import (
 )
 from .errors import SPEC_FIELDS, GaplabError, InvalidParameterError, spec_value
 from .mc_harness import (
+    FAILURE_THRESHOLD_ONE_SIXTEENTH,
+    PROJECTION_LEARNERS,
     config_from_json_dict,
     estimate_failure_prob,
     in_theorem_regime,
@@ -78,9 +81,6 @@ from .metric_cover import (
 )
 
 DEFAULT_SEED = 0x5EED5EED
-DEFAULT_SEPARATION_NS = tuple(2**k for k in range(4, 17))
-
-SEPARATION_LEARNERS = ("erm", "cover", "bayes-posterior")
 
 
 def fmt_float(x: float) -> str:
@@ -111,49 +111,42 @@ class CLIContext:
     out: str | None
     fmt: str
     pool: TrialPool
+    started_at: str
 
-    started_at: str = ""
 
-
-def _write_table(obj: CLIContext, kind: str, header: tuple[str, ...], rows: list[tuple],
-                 digest: str) -> Path:
-    """Write rows (tuples in header order) as CSV, or as JSON with the meta fields."""
-    header = (*header, "seed", "spec_hash")
-    records = [dict(zip(header, (*row, obj.seed, digest), strict=True)) for row in rows]
+def _write_table(obj: CLIContext, kind: str, rows: list[dict], digest: str) -> Path:
+    """Write rows (dicts keyed by column, in column order) as CSV, or as JSON."""
     path = Path(obj.out or f"{kind}.{obj.fmt}")
     if obj.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([fmt_cell(v) for v in rec.values()] for rec in records)
+        writer.writerow(rows[0].keys())
+        writer.writerows([fmt_cell(v) for v in row.values()] for row in rows)
         path.write_text(buf.getvalue())
     else:
-        doc = {"seed": obj.seed, "spec_hash": digest, "kind": kind, "rows": records}
+        doc = {"seed": obj.seed, "spec_hash": digest, "kind": kind, "rows": rows}
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
 
 
-def _write_report(obj: CLIContext, kind: str, header: tuple[str, ...], rows: list[dict],
-                  digest: str) -> Path:
+def _write_report(obj: CLIContext, kind: str, rows: list[dict], digest: str) -> Path:
     """Write the one row, a dict, as a JSON document whatever --format says."""
     (doc,) = rows
-    doc["seed"] = obj.seed
-    doc["spec_hash"] = digest
     path = Path(obj.out or f"{kind}.json")
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
 
 
-def _write_manifest(ctx_obj: CLIContext, resolved, output: Path) -> None:
+def _write_manifest(ctx_obj: CLIContext, digest: str, output: Path) -> None:
     manifest_path = output.with_suffix(".manifest.json")
     doc = {
         "tool_version": __version__,
-        "spec_hash": spec_hash(resolved),
+        "spec_hash": digest,
         "master_seed": ctx_obj.seed,
         "started_at": ctx_obj.started_at,
         "finished_at": datetime.now(timezone.utc).isoformat(),
         "outputs": [str(output)],
-        "workers": ctx_obj.pool.workers,
+        "workers": ctx_obj.pool.workers if ctx_obj.pool.started else 1,
         "cpu_count": os.cpu_count(),
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
@@ -175,11 +168,12 @@ def _load_config_entries(config: str | None) -> list[dict]:
     if config is None:
         return [{}]
     obj = json.loads(Path(config).read_text())
-    if isinstance(obj, dict):
-        return [obj]
-    if isinstance(obj, list) and all(isinstance(e, dict) for e in obj):
-        return obj
-    raise InvalidParameterError("config must be a JSON object or a list of objects")
+    entries = [obj] if isinstance(obj, dict) else obj
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise InvalidParameterError("config must be a JSON object or a list of objects")
+    if not entries:
+        raise InvalidParameterError(f"config lists no entries: {config}")
+    return entries
 
 
 class JsonText(click.ParamType):
@@ -206,24 +200,21 @@ class Command:
 
     `run(obj, **values)` takes the typed values of one config entry, keyed by
     flag name, checks them, builds what the entry runs on, and returns
-    (resolved spec, rows); its docstring is the help.  `rows()` runs the
-    entry and returns an iterable of its rows.  Every entry is resolved,
-    then built, before the first runs, so a spec error comes before any
-    trial, and what building loads (scipy.special for the posterior rule)
-    loads before the pool forks.
-    `write` gets the rows of all entries: for `_write_table`, tuples in
-    header order.
+    (resolved spec but its kind, rows); its docstring is the help.  `rows()`
+    runs the entry and returns its rows, dicts keyed by column in column
+    order; `write` gets the rows of all entries, the seed and spec hash
+    appended.  Every entry is resolved, then built, before the first runs,
+    so a spec error comes before any trial, and what building loads
+    (scipy.special for the posterior rule) loads before the pool forks.
     """
 
     name: str
     options: tuple[click.Option, ...]
-    run: Callable[..., tuple[dict, Callable[[], Iterable]]]
-    header: tuple[str, ...] = ()
+    run: Callable[..., tuple[dict, Callable[[], Iterable[dict]]]]
     # The command runs one spec: its config holds one entry, and the
     # resolved spec is that entry's spec rather than a list of them.
     single: bool = False
     write: Callable[..., Path] = _write_table
-    config_help: str | None = None
     # An entry holding any of these keys is a whole document, not flag
     # values: it reaches the runner as `document`, and the flags keep their
     # command-line or default values.
@@ -332,8 +323,8 @@ def main(ctx, seed, trials, out, fmt, threads):
 
 def _run_cover(obj: CLIContext, n, eps, i, level, class_json, dist_json):
     """Build the greedy packing cover and report it next to the Dudley bound."""
-    if class_json or dist_json:
-        if not (class_json and dist_json):
+    if class_json is not None or dist_json is not None:
+        if class_json is None or dist_json is None:
             raise InvalidParameterError("give both --class-json and --dist-json")
         cls = class_from_json_dict(class_json, "class_json", "cover")
         dist = distribution_from_json_dict(dist_json, "dist_json", "cover")
@@ -349,10 +340,8 @@ def _run_cover(obj: CLIContext, n, eps, i, level, class_json, dist_json):
         raise InvalidParameterError("cannot cover an empty class")
     if isinstance(cls, TableClass):
         check_vc_search(cls)
-    spec = {
-        "kind": "cover", "class": cls.to_json_dict(), "dist": dist.to_json_dict(),
-        "level": level, "seed": obj.seed,
-    }
+    spec = {"class": cls.to_json_dict(), "dist": dist.to_json_dict(), "level": level,
+            "seed": obj.seed}
 
     def rows():
         result = build_cover(cls, dist, level)
@@ -360,23 +349,25 @@ def _run_cover(obj: CLIContext, n, eps, i, level, class_json, dist_json):
                 else cls.n.bit_length() - 1)
         bound = dudley_cover_bound(level, d_vc)
         members = "|".join(map(str, result.members))
-        return [(spec["class"]["kind"], cls.num_concepts, level, result.size, members,
-                 result.certificate, d_vc, bound.log_value, bound.value)]
+        return [{"class_kind": spec["class"]["kind"], "num_concepts": cls.num_concepts,
+                 "level": level, "size": result.size, "members": members,
+                 "certificate": result.certificate, "vc_dim": d_vc,
+                 "dudley_log": bound.log_value, "dudley_value": bound.value}]
 
     return spec, rows
 
 
 def _run_vc(obj: CLIContext, n, universe, d_max, class_json):
     """Brute-force VC dimension over an explicit universe."""
-    cls = (class_from_json_dict(class_json, "class_json", "vc") if class_json
-           else ProjectionClass(n))
-    points = full_hypercube(n) if universe == "full" and not class_json else None
+    explicit = class_json is not None
+    cls = class_from_json_dict(class_json, "class_json", "vc") if explicit else ProjectionClass(n)
+    points = full_hypercube(n) if universe == "full" and not explicit else None
     check_vc_search(cls, None if points is None else len(points))
-    spec = {"kind": "vc", "class": cls.to_json_dict(), "universe": universe,
-            "d_max": d_max, "seed": obj.seed}
-    shown = universe if not class_json else "default"
-    return spec, lambda: [(spec["class"]["kind"], cls.num_concepts, shown,
-                           vc_dimension_bruteforce(cls, points, d_max))]
+    spec = {"class": cls.to_json_dict(), "universe": universe, "d_max": d_max,
+            "seed": obj.seed}
+    return spec, lambda: [{"class_kind": spec["class"]["kind"], "num_concepts": cls.num_concepts,
+                           "universe": "default" if explicit else universe,
+                           "dimension": vc_dimension_bruteforce(cls, points, d_max)}]
 
 
 def _int_list(flag: str, text: str) -> list[int]:
@@ -407,11 +398,12 @@ def _run_learn(obj: CLIContext, n, eps, target, learner, m, eps_acc, gamma, tria
 
     def rows():
         est = estimate_failure_prob(cfg, obj.pool)
-        return [(cfg.learner, cfg.m, cfg.eps_acc, cfg.trials, cfg.gamma,
-                 round(est.estimate * cfg.trials), est.estimate, est.radius, est.lower,
-                 est.upper)]
+        return [{"learner": cfg.learner, "m": cfg.m, "eps_acc": cfg.eps_acc,
+                 "trials": cfg.trials, "gamma": cfg.gamma,
+                 "failures": round(est.estimate * cfg.trials), "estimate": est.estimate,
+                 "radius": est.radius, "ci_low": est.lower, "ci_high": est.upper}]
 
-    return {"kind": "learn", "config": cfg.to_json_dict()}, rows
+    return {"config": cfg.to_json_dict()}, rows
 
 
 def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, trials, m_max):
@@ -421,12 +413,11 @@ def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, tria
     if not learner_list:
         raise InvalidParameterError("learner list must not be empty")
     for name in learner_list:
-        if name not in SEPARATION_LEARNERS:
+        if name not in PROJECTION_LEARNERS:
             raise InvalidParameterError(f"unknown separation learner {name!r}")
     spec = {
-        "kind": "separation", "n_list": ns, "eps": eps, "eps_acc": eps_acc,
-        "delta": delta, "learners": learner_list, "trials": trials,
-        "m_max": m_max, "seed": obj.seed,
+        "n_list": ns, "eps": eps, "eps_acc": eps_acc, "delta": delta,
+        "learners": learner_list, "trials": trials, "m_max": m_max, "seed": obj.seed,
     }
     base = RngSeed(obj.seed)
     cells = [
@@ -448,8 +439,9 @@ def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, tria
                     f"warning: unresolved m values for n={n} {learner}: {unresolved}",
                     err=True,
                 )
-            yield (n, learner, result.m_star, est.lower, est.upper, result.bracket[0],
-                   unresolved, trials)
+            yield {"n": n, "learner": learner, "m_star": result.m_star, "ci_low": est.lower,
+                   "ci_high": est.upper, "m_low": result.bracket[0],
+                   "unresolved": unresolved, "trials": trials}
 
     return spec, rows
 
@@ -457,8 +449,8 @@ def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, tria
 def _run_lower_bound(obj: CLIContext, n, eps, learner, trials, gamma):
     """The matched-pair failure experiment at m = floor(ln n / (3 ln(1/eps)))."""
     cfg = lower_bound_config(n, eps, learner, trials, RngSeed(obj.seed), gamma)
-    spec = {"kind": "lower-bound", "n": n, "eps": eps, "learner": learner,
-            "trials": trials, "gamma": gamma, "seed": obj.seed}
+    spec = {"n": n, "eps": eps, "learner": learner, "trials": trials, "gamma": gamma,
+            "seed": obj.seed}
 
     def rows():
         with warnings.catch_warnings():
@@ -467,9 +459,11 @@ def _run_lower_bound(obj: CLIContext, n, eps, learner, trials, gamma):
             warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}",
                                                                   err=True)
             est = lower_bound_experiment(cfg, obj.pool)
-        return [(n, eps, cfg.m, learner, cfg.eps_acc, trials,
-                 est.estimate, est.radius, est.lower, est.upper,
-                 est.lower > cfg.eps_acc, not in_theorem_regime(n, eps))]
+        return [{"n": n, "eps": eps, "m": cfg.m, "learner": learner, "eps_acc": cfg.eps_acc,
+                 "trials": trials, "estimate": est.estimate, "radius": est.radius,
+                 "ci_low": est.lower, "ci_high": est.upper,
+                 "above_one_sixteenth": est.lower > cfg.eps_acc,
+                 "outside_regime": not in_theorem_regime(n, eps)}]
 
     return spec, rows
 
@@ -479,25 +473,28 @@ def _run_ks_stats(obj: CLIContext, n, eps, m, trials, gamma):
     if m is None:
         m = lower_bound_m(n, eps)
     family = PneFamily(n, eps)
-    spec = {"kind": "ks-stats", "n": n, "eps": eps, "m": m,
-            "trials": trials, "gamma": gamma, "seed": obj.seed}
+    spec = {"n": n, "eps": eps, "m": m, "trials": trials, "gamma": gamma, "seed": obj.seed}
 
     def rows():
         summary = ks_statistics_experiment(family, m, trials, RngSeed(obj.seed), gamma,
                                            obj.pool)
         hist = ";".join(f"{edge:.3f}:{count}" for edge, count
                         in zip(summary.sk_hist_edges, summary.sk_hist_counts) if count)
-        return [(n, eps, m, trials, *summary.ratio_band,
-                 summary.ratio_in_band.estimate, summary.ratio_in_band.radius,
-                 summary.k_threshold, summary.k_tail.estimate, summary.k_tail.radius,
-                 *summary.k_quantiles, hist)]
+        ratio_lo, ratio_hi = summary.ratio_band
+        k_min, k_q25, k_median, k_q75, k_max = summary.k_quantiles
+        return [{"n": n, "eps": eps, "m": m, "trials": trials, "ratio_lo": ratio_lo,
+                 "ratio_hi": ratio_hi, "ratio_freq": summary.ratio_in_band.estimate,
+                 "ratio_radius": summary.ratio_in_band.radius,
+                 "k_threshold": summary.k_threshold, "k_tail_freq": summary.k_tail.estimate,
+                 "k_tail_radius": summary.k_tail.radius, "k_min": k_min, "k_q25": k_q25,
+                 "k_median": k_median, "k_q75": k_q75, "k_max": k_max, "sk_hist": hist}]
 
     return spec, rows
 
 
 def _run_no_gap(obj: CLIContext, domain_size, dist, dist_json, m_grid, eps_acc, trials):
     """Memorizer error vs missing mass on the all-functions class."""
-    if dist_json:
+    if dist_json is not None:
         law = distribution_from_json_dict(dist_json, "dist_json", "no-gap")
         if not isinstance(law, FiniteSupportDistribution):
             raise InvalidParameterError("no-gap --dist-json needs a finite distribution")
@@ -507,12 +504,14 @@ def _run_no_gap(obj: CLIContext, domain_size, dist, dist_json, m_grid, eps_acc, 
         law = uniform_finite(domain) if dist == "uniform" else geometric_finite(domain)
     grid = _int_list("--m-grid", m_grid) if m_grid else list(range(1, 2 * domain_size + 1))
     configs = no_gap_configs(law, grid, trials, eps_acc, RngSeed(obj.seed))
-    spec = {"kind": "no-gap", "dist": law.to_json_dict(), "m_grid": grid,
-            "eps_acc": eps_acc, "trials": trials, "seed": obj.seed}
-    shown = dist if not dist_json else "custom"
+    spec = {"dist": law.to_json_dict(), "m_grid": grid, "eps_acc": eps_acc,
+            "trials": trials, "seed": obj.seed}
+    shown = dist if dist_json is None else "custom"
     return spec, lambda: [
-        (domain_size, shown, row.m, row.trials, row.violations, row.threshold,
-         row.z_ge_rate.estimate, row.fail_rate.estimate, row.mean_missing_mass)
+        {"domain_size": domain_size, "dist": shown, "m": row.m, "trials": row.trials,
+         "violations": row.violations, "threshold": row.threshold,
+         "z_ge_rate": row.z_ge_rate.estimate, "fail_rate": row.fail_rate.estimate,
+         "mean_missing_mass": row.mean_missing_mass}
         for row in no_gap_experiment(configs, obj.pool)
     ]
 
@@ -530,7 +529,7 @@ def _run_bounds(obj: CLIContext, cover_size, eps, delta, d, k):
         "sauer_bound": sauer_bound(k, d),
         "sauer_estimate": sauer_estimate(k, d) if 1 <= d <= k else None,
     }
-    return {"kind": "bounds", **inputs, "seed": obj.seed}, lambda: [report]
+    return {**inputs, "seed": obj.seed}, lambda: [report]
 
 
 def _opt(flags: str, type_, default=None, **kw) -> click.Option:
@@ -552,8 +551,6 @@ COMMANDS = (
             _opt("--dist-json", JSON_TEXT, help="Explicit distribution JSON."),
         ),
         _run_cover,
-        ("class_kind", "num_concepts", "level", "size", "members",
-         "certificate", "vc_dim", "dudley_log", "dudley_value"),
     ),
     Command(
         "vc",
@@ -565,7 +562,6 @@ COMMANDS = (
             _opt("--class-json", JSON_TEXT),
         ),
         _run_vc,
-        ("class_kind", "num_concepts", "universe", "dimension"),
     ),
     Command(
         "learn",
@@ -575,32 +571,28 @@ COMMANDS = (
             _opt("--target", str, "random-pair",
                  help="fixed:<i> (concept i), random-pair (c_I under P_I, I drawn) or "
                       "random-concept; under P_1 unless random-pair."),
-            _opt("--learner", click.Choice(["erm", "cover", "bayes-posterior"]), "erm"),
+            _opt("--learner", click.Choice(PROJECTION_LEARNERS), "erm"),
             _opt("--m", int, 10),
             _opt("--eps-acc", float, 0.0625),
             _opt("--gamma", float, 0.01),
             _opt("--trials", int, 2000),
         ),
         _run_learn,
-        ("learner", "m", "eps_acc", "trials", "gamma", "failures",
-         "estimate", "radius", "ci_low", "ci_high"),
-        config_help="TrialConfig JSON (object or list).",
         document_keys=frozenset({"class", "dist"}),
     ),
     Command(
         "separation",
         (
-            _opt("--n-list", str, ",".join(str(v) for v in DEFAULT_SEPARATION_NS),
+            _opt("--n-list", str, ",".join(str(2**k) for k in range(4, 17)),
                  help="Comma-separated hypercube dimensions."),
             _opt("--eps", float, 0.1),
-            _opt("--eps-acc", float, 1.0 / 16.0),
-            _opt("--delta", float, 1.0 / 16.0),
+            _opt("--eps-acc", float, FAILURE_THRESHOLD_ONE_SIXTEENTH),
+            _opt("--delta", float, FAILURE_THRESHOLD_ONE_SIXTEENTH),
             _opt("--learners", str, "erm,cover"),
             _opt("--trials", int, 4000),
             _opt("--m-max", int, 4096),
         ),
         _run_separation,
-        ("n", "learner", "m_star", "ci_low", "ci_high", "m_low", "unresolved", "trials"),
         single=True,
     ),
     Command(
@@ -608,14 +600,11 @@ COMMANDS = (
         (
             _opt("--n", int, 1 << 17),
             _opt("--eps", float, 0.2),
-            _opt("--learner", click.Choice(["erm", "bayes-posterior", "cover"]),
-                 "bayes-posterior"),
+            _opt("--learner", click.Choice(PROJECTION_LEARNERS), "bayes-posterior"),
             _opt("--trials", int, 20000),
             _opt("--gamma", float, 0.01),
         ),
         _run_lower_bound,
-        ("n", "eps", "m", "learner", "eps_acc", "trials", "estimate",
-         "radius", "ci_low", "ci_high", "above_one_sixteenth", "outside_regime"),
     ),
     Command(
         "ks-stats",
@@ -627,9 +616,6 @@ COMMANDS = (
             _opt("--gamma", float, 0.01),
         ),
         _run_ks_stats,
-        ("n", "eps", "m", "trials", "ratio_lo", "ratio_hi", "ratio_freq",
-         "ratio_radius", "k_threshold", "k_tail_freq", "k_tail_radius",
-         "k_min", "k_q25", "k_median", "k_q75", "k_max", "sk_hist"),
     ),
     Command(
         "no-gap",
@@ -642,8 +628,6 @@ COMMANDS = (
             _opt("--trials", int, 5000),
         ),
         _run_no_gap,
-        ("domain_size", "dist", "m", "trials", "violations", "threshold",
-         "z_ge_rate", "fail_rate", "mean_missing_mass"),
     ),
     Command(
         "bounds",
@@ -675,14 +659,18 @@ def _build(cmd: Command) -> click.Command:
                 f"{cmd.name} takes one config entry, the config has {len(entries)}"
             )
         values = [_resolve_entry(ctx, cmd, entry) for entry in entries]
-        built = [cmd.run(obj, **entry_values) for entry_values in values]
+        built = [({"kind": cmd.name, **spec}, entry_rows)
+                 for spec, entry_rows in (cmd.run(obj, **v) for v in values)]
         resolved = built[0][0] if cmd.single else [spec for spec, _ in built]
-        rows = [row for _, entry_rows in built for row in entry_rows()]
-        path = cmd.write(obj, cmd.name, cmd.header, rows, spec_hash(resolved))
+        digest = spec_hash(resolved)
+        rows = [{**row, "seed": obj.seed, "spec_hash": digest}
+                for _, entry_rows in built for row in entry_rows()]
+        path = cmd.write(obj, cmd.name, rows, digest)
         click.echo(f"wrote {path} ({len(rows)} row{'s' if len(rows) != 1 else ''})")
-        _write_manifest(obj, resolved, path)
+        _write_manifest(obj, digest, path)
 
-    config = click.Option(["--config"], type=click.Path(exists=True), help=cmd.config_help)
+    config = click.Option(["--config"], type=click.Path(exists=True),
+                          help="JSON config: an entry or a list of entries, keyed by flag name.")
     return click.Command(cmd.name, callback=callback, params=[config, *cmd.options],
                          help=cmd.run.__doc__)
 

@@ -288,7 +288,7 @@ def class_from_json_dict(
 
             tables = config_value(table_list, get("tables"), f"{key}.tables", where)
             return TableClass(domain, tables)
-        raise InvalidParameterError(f"unknown class kind {kind!r}")
+        raise InvalidParameterError(f"{where} key {key!r}: unknown class kind {kind!r}")
 
 
 def all_functions_class(domain: PointSet) -> TableClass:

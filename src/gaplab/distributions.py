@@ -347,7 +347,7 @@ def distribution_from_json_dict(
         if kind == "finite":
             return FiniteSupportDistribution(value(PointSet, "support"),
                                              value(float_vector, "probs"))
-        raise InvalidParameterError(f"unknown distribution kind {kind!r}")
+        raise InvalidParameterError(f"{where} key {key!r}: unknown distribution kind {kind!r}")
 
 
 # sample_bit_matrix draws tiles of at most this many cells: row blocks, or a

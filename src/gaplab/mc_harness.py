@@ -75,7 +75,8 @@ from .metric_cover import (
     pne_small_cover,
 )
 
-LEARNER_NAMES = ("erm", "cover", "bayes-posterior", "memorizer")
+PROJECTION_LEARNERS = ("erm", "cover", "bayes-posterior")
+LEARNER_NAMES = (*PROJECTION_LEARNERS, "memorizer")
 
 FAILURE_THRESHOLD_ONE_SIXTEENTH = 1.0 / 16.0
 
@@ -211,7 +212,8 @@ def config_from_json_dict(obj: dict) -> TrialConfig:
 
 
 def validate_config(cfg: TrialConfig) -> None:
-    """Refuse a config no exact oracle can score; set a table class's `positions`."""
+    """Refuse a config no exact oracle can score, or one that sets a key its
+    learner does not read; set a table class's `positions`."""
     if cfg.learner not in LEARNER_NAMES:
         raise InvalidParameterError(f"unknown learner {cfg.learner!r}")
 
@@ -256,6 +258,11 @@ def validate_config(cfg: TrialConfig) -> None:
         raise InvalidParameterError(
             "cover learning needs cover_level unless the distribution is pne"
         )
+    for key, reader in (("learner_eps", "bayes-posterior"), ("cover_level", "cover"),
+                        ("memorizer_default", "memorizer")):
+        if cfg.learner != reader and getattr(cfg, key) not in (None, 0):
+            raise InvalidParameterError(f"{key} is read only by the {reader} learner, "
+                                        f"not by {cfg.learner!r}")
 
 
 def _pne_eps(dist: Distribution | PneFamily) -> float | None:
@@ -505,14 +512,18 @@ class TrialPool:
     """The worker processes of one command, shared by every experiment it runs.
 
     `with TrialPool(threads) as pool:` holds `workers = resolve_workers(threads)`;
-    the process pool starts on the first run that fans out and stops when
-    the block exits.
+    the process pool starts on the first run that fans out, which sets
+    `started`, and stops when the block exits.
     """
 
     def __init__(self, threads: int):
         self.workers = resolve_workers(threads)
         self._stack = ExitStack()
         self._executor: ProcessPoolExecutor | None = None
+
+    @property
+    def started(self) -> bool:
+        return self._executor is not None
 
     def __enter__(self) -> TrialPool:
         return self

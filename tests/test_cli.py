@@ -233,6 +233,14 @@ class TestVc:
         assert runs["0"][0] == 1 and runs["2"][0] == 2
         assert runs["0"][1] == runs["2"][1]
 
+    def test_manifest_counts_the_workers_that_ran(self, runner, tmp_path):
+        # Three trials do not fan out over two workers, so the run stays serial.
+        out = tmp_path / "learn.csv"
+        res = runner.invoke(main, ["--threads", "2", "--trials", "3", "--out", str(out),
+                                   "learn", "--n", "32", "--m", "3"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(out.with_suffix(".manifest.json").read_text())["workers"] == 1
+
 
 class TestLearn:
     def test_basic_run_and_reproducibility(self, runner, tmp_path):
@@ -333,6 +341,21 @@ class TestLearn:
             main, ["--out", str(tmp_path / "x.csv"), "learn", "--n", "16", "--eps", "0.9"]
         )
         assert res.exit_code == 2
+
+    def test_config_without_entries_exits_2(self, runner, tmp_path):
+        path, out = tmp_path / "empty.json", tmp_path / "x.csv"
+        path.write_text("[]")
+        res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
+        assert res.exit_code == 2, res.output
+        assert f"spec error: config lists no entries: {path}\n" in res.output
+        assert not out.exists()
+
+    def test_learn_and_lower_bound_offer_the_projection_learners(self, runner):
+        choices = f"[{'|'.join(mc_harness.PROJECTION_LEARNERS)}]"
+        for command in ("learn", "lower-bound"):
+            res = runner.invoke(main, [command, "--help"])
+            assert res.exit_code == 0, res.output
+            assert f"--learner {choices}" in res.output
 
 
 class TestSeparation:
@@ -856,9 +879,15 @@ PNE_4 = '{"kind": "pne", "n": 4, "eps": 0.1, "i": 1}'
     (["cover", "--class-json", "[1]", "--dist-json", PNE_4, "--level", "0.1"],
      "cover key 'class_json': [1] is not a JSON object"),
     (["no-gap", "--dist-json", '"x"'], "no-gap key 'dist_json': 'x' is not a JSON object"),
+    # A falsy value is given, not absent.
+    (["vc", "--n", "4", "--class-json", "[]"], "vc key 'class_json': [] is not a JSON object"),
+    (["no-gap", "--dist-json", "0"], "no-gap key 'dist_json': 0 is not a JSON object"),
+    (["cover", "--n", "16", "--class-json", "{}", "--dist-json", "{}"],
+     "cover key 'class_json': unknown class kind None"),
 ])
-def test_an_unread_key_or_a_non_object_in_a_json_option_exits_2(runner, tmp_path, args,
-                                                                 message):
+def test_an_unread_key_or_a_non_object_in_a_json_option_exits_2(runner, tmp_path, monkeypatch,
+                                                                 args, message):
+    monkeypatch.setattr("gaplab.mc_harness._map_trials", _no_trial)
     out = tmp_path / "x.csv"
     res = runner.invoke(main, ["--out", str(out), *args])
     assert res.exit_code == 2, res.output
@@ -1083,6 +1112,27 @@ def test_a_lower_bound_entry_builds_its_trial_config_once(runner, tmp_path, monk
     assert built == [mc_harness.lower_bound_m(16, 0.2)]
 
 
+@pytest.mark.parametrize("key, value, learner, reader", [
+    ("learner_eps", 0.3, "erm", "bayes-posterior"),
+    ("learner_eps", 0.3, "cover", "bayes-posterior"),
+    ("cover_level", 0.5, "erm", "cover"),
+    ("cover_level", 0.5, "bayes-posterior", "cover"),
+    ("memorizer_default", 1, "erm", "memorizer"),
+    ("memorizer_default", 1, "cover", "memorizer"),
+])
+def test_a_key_the_learner_does_not_read_exits_2_before_any_trial(
+        runner, tmp_path, monkeypatch, key, value, learner, reader):
+    monkeypatch.setattr("gaplab.mc_harness._map_trials", _no_trial)
+    path, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+    path.write_text(json.dumps({**LEARN_DOCUMENT, "learner": learner, key: value,
+                                "trials": 20}))
+    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert (f"spec error: {key} is read only by the {reader} learner, not by {learner!r}\n"
+            in res.output)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "doc, named",
     [
@@ -1133,8 +1183,9 @@ def test_table_class_wider_than_64_points_exits_2(runner, tmp_path, command, poi
     cls, dist = wide_table(points)
     if command.startswith("learn"):
         learner = command.split("-")[1]
+        level = {"cover_level": 0.3} if learner == "cover" else {}
         doc = {"class": cls, "dist": dist, "target": {"kind": "fixed", "i": 3},
-               "learner": learner, "m": 3, "eps_acc": 0.1, "trials": 20, "cover_level": 0.3}
+               "learner": learner, "m": 3, "eps_acc": 0.1, "trials": 20, **level}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         args = ["learn", "--config", str(path)]
@@ -1279,6 +1330,34 @@ class TestJsonFormat:
         assert res.exit_code == 0
         doc = json.loads(out.read_text())
         assert doc["rows"][0]["dimension"] == 2
+
+
+# Small flags for every command that writes a table.
+TABLE_ARGS = {
+    "cover": ["--n", "64", "--eps", "0.05", "--i", "3"],
+    "vc": ["--n", "4"],
+    "learn": ["--n", "16", "--m", "2", "--trials", "20"],
+    "separation": ["--n-list", "16", "--eps-acc", "0.5", "--delta", "0.5",
+                   "--learners", "erm", "--trials", "20", "--m-max", "4"],
+    "lower-bound": ["--n", "16", "--learner", "erm", "--trials", "20"],
+    "ks-stats": ["--n", "16", "--m", "2", "--trials", "20"],
+    "no-gap": ["--domain-size", "4", "--m-grid", "1,2", "--trials", "20"],
+}
+
+
+@pytest.mark.parametrize("command", [cmd.name for cmd in cli.COMMANDS
+                                     if cmd.write is cli._write_table])
+def test_json_rows_have_the_csv_columns(runner, tmp_path, command):
+    csv_out, json_out = tmp_path / "x.csv", tmp_path / "x.json"
+    for fmt, out in (("csv", csv_out), ("json", json_out)):
+        res = runner.invoke(main, ["--format", fmt, "--out", str(out), command,
+                                   *TABLE_ARGS[command]])
+        assert res.exit_code == 0, res.output
+    with open(csv_out, newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header[-2:] == ["seed", "spec_hash"]
+    rows = json.loads(json_out.read_text())["rows"]
+    assert rows and all(sorted(row) == sorted(header) for row in rows)
 
 
 # Bodies of 20-trial random-pair cover documents whose cover holds every

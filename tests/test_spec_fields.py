@@ -62,8 +62,7 @@ READER_DOCUMENTS = [
     {"class": {"kind": "projections", "n": 16},
      "dist": {"kind": "pne", "n": 16, "eps": 0.1, "i": 3},
      "target": {"kind": "fixed", "i": 3}, "learner": "cover", "m": 2, "eps_acc": 0.1,
-     "trials": 5, "gamma": 0.01, "seed": {"master": 1, "stream": 2},
-     "cover_level": 0.3, "learner_eps": 0.1, "memorizer_default": 1},
+     "trials": 5, "gamma": 0.01, "seed": {"master": 1, "stream": 2}, "cover_level": 0.3},
     {"class": {"kind": "projections", "n": 2},
      "dist": {"kind": "product", "marginals": [0.5, 0.25]},
      "target": {"kind": "random-concept"}, "learner": "erm", "m": 2, "eps_acc": 0.1,
@@ -71,7 +70,11 @@ READER_DOCUMENTS = [
     {"class": {"kind": "table", "domain": ["0", "1"], "tables": ["01", "10"]},
      "dist": {"kind": "finite", "support": ["0", "1"], "probs": [0.5, 0.5]},
      "target": {"kind": "fixed", "i": 1}, "learner": "memorizer", "m": 2, "eps_acc": 0.1,
-     "trials": 5},
+     "trials": 5, "memorizer_default": 1},
+    {"class": {"kind": "projections", "n": 16},
+     "dist": {"kind": "pne", "n": 16, "eps": 0.1, "i": 3},
+     "target": {"kind": "fixed", "i": 3}, "learner": "bayes-posterior", "m": 2,
+     "eps_acc": 0.1, "trials": 5, "learner_eps": 0.1},
 ]
 
 
@@ -170,7 +173,17 @@ DOCUMENT = {
     "dist": {"kind": "pne", "n": 16, "eps": 0.1, "i": 3},
     "target": {"kind": "fixed", "i": 3}, "learner": "erm", "m": 2, "eps_acc": 0.0625,
     "trials": 20, "gamma": 0.01, "seed": {"master": 1, "stream": 2},
-    "cover_level": 0.3, "learner_eps": 0.1, "memorizer_default": 0,
+}
+# A key only one learner reads is varied in a document of that learner.
+LEARNER_DOCUMENTS = {
+    "cover_level": {**DOCUMENT, "learner": "cover", "cover_level": 0.3},
+    "learner_eps": {**DOCUMENT, "learner": "bayes-posterior", "learner_eps": 0.1},
+    "memorizer_default": {
+        "class": {"kind": "table", "domain": ["0", "1"], "tables": ["01", "10"]},
+        "dist": {"kind": "finite", "support": ["0", "1"], "probs": [0.5, 0.5]},
+        "target": {"kind": "fixed", "i": 1}, "learner": "memorizer", "m": 2,
+        "eps_acc": 0.0625, "trials": 20, "memorizer_default": 0,
+    },
 }
 # Valid values of the optional flags the flat entries leave out.
 VALID = {"level": 0.1, "d_max": 2}
@@ -180,13 +193,15 @@ CASES = (
      for form in ("flag", "flat")]
     + [("document", "learn", path) for path, value in _leaves(DOCUMENT)
        if isinstance(value, (int, float))]
+    + [("document", "learn", key) for key in LEARNER_DOCUMENTS]
 )
 ODD = [math.nan, math.inf, -math.inf, None, [], {}, True, "abc", 1e300]
 
 
 def _values(form: str, command: str, key: str) -> list:
     row = SPEC_FIELDS[key if key in SPEC_FIELDS else key.rpartition(".")[2]]
-    valid = dict(_leaves(DOCUMENT)) if form == "document" else {**VALID, **FLAT[command]}
+    document = LEARNER_DOCUMENTS.get(key, DOCUMENT)
+    valid = dict(_leaves(document)) if form == "document" else {**VALID, **FLAT[command]}
     # Every end of the interval but 2^63 - 1, 2^64 - 1 (too large a run) and inf.
     ends = [0.5 if end == "1/2" else int(end) for end in row.interval[1:-1].split(", ")
             if "^" not in end and end != "inf"]
@@ -208,7 +223,7 @@ def test_any_value_of_a_numeric_key_runs_or_is_a_spec_error_before_any_trial(
     elif form == "flat":
         entry[key] = value
     else:
-        entry = _with(DOCUMENT, key, value)
+        entry = _with(LEARNER_DOCUMENTS.get(key, DOCUMENT), key, value)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(entry))
     calls = []
