@@ -17,7 +17,6 @@ manifest are shared by all commands.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -216,9 +215,14 @@ class Command:
     single: bool = False
     write: Callable[..., Path] = _write_table
     # An entry holding any of these keys is a whole document, not flag
-    # values: it reaches the runner as `document`, and the flags keep their
-    # command-line or default values.
+    # values: it reaches the runner as `document`, and a flag fills only a
+    # key the document leaves out.  A flag given on the command line for a
+    # key the document sets, or one in _DOCUMENT_REPLACES, is refused.
     document_keys: frozenset[str] = frozenset()
+
+
+# The learn flags whose values a document's class, dist and target replace.
+_DOCUMENT_REPLACES = frozenset({"n", "eps", "target"})
 
 
 def _resolve_entry(ctx: click.Context, cmd: Command, entry: dict) -> dict:
@@ -238,13 +242,20 @@ def _resolve_entry(ctx: click.Context, cmd: Command, entry: dict) -> dict:
             f"{cmd.name} config has unknown key {', '.join(map(repr, unknown))}; "
             "config keys are the flag names"
         )
+    given = [name for name in params
+             if ctx.get_parameter_source(name) is click.core.ParameterSource.COMMANDLINE]
+    if document is not None:
+        for name in given:
+            if name in document or name in _DOCUMENT_REPLACES:
+                raise InvalidParameterError(
+                    f"{params[name].opts[0]} cannot be given with a {cmd.name} document, "
+                    f"which {'sets' if name in document else 'replaces'} it"
+                )
     values = {}
     for name, param in params.items():
         if name == "trials" and ctx.obj.trials is not None:
             values[name] = ctx.obj.trials
-        elif name in flat and (
-            ctx.get_parameter_source(name) is not click.core.ParameterSource.COMMANDLINE
-        ):
+        elif name in flat and name not in given:
             if name in SPEC_FIELDS:
                 value = spec_value(name, flat[name], f"{cmd.name} config")
                 values[name] = param.default if value is None else value
@@ -296,6 +307,11 @@ def _check_flag(ctx: click.Context, param: click.Parameter, value):
         raise click.BadParameter(str(exc), ctx, param) from None
 
 
+def _check_threads(ctx: click.Context, param: click.Parameter, value: int) -> int:
+    """--threads in [0, CPUs]: a process pool forks all its workers at its first task."""
+    return click.IntRange(0, os.cpu_count() or 1).convert(value, param, ctx)
+
+
 @click.group()
 @click.option("--seed", type=int, envvar="GAPLAB_SEED", default=DEFAULT_SEED,
               callback=_check_flag, show_default=True,
@@ -305,8 +321,8 @@ def _check_flag(ctx: click.Context, param: click.Parameter, value):
 @click.option("--out", type=str, default=None, help="Output file path.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True, help="Result format.")
-@click.option("--threads", type=click.IntRange(min=0), default=1, show_default=True,
-              help="Worker processes for trials (0 = auto).")
+@click.option("--threads", type=int, default=1, callback=_check_threads, show_default=True,
+              help="Worker processes for trials (0 = auto), at most one per CPU.")
 @click.version_option(version=__version__)
 @click.pass_context
 def main(ctx, seed, trials, out, fmt, threads):
@@ -428,10 +444,16 @@ def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, tria
     ]
 
     def rows():
-        # Every search at once; rows and warnings still come in cell order.
-        searches = [functools.partial(sample_complexity_search, cfg, delta, m_max, obj.pool)
-                    for _, _, cfg in cells]
-        for (n, learner, _), result in zip(cells, obj.pool.run_at_once(searches, trials)):
+        # With a search for each worker, each runs whole and serially on one,
+        # where its stop rule wastes no queued block; otherwise each fans its
+        # trial blocks out.  Rows and warnings come in cell order.
+        pool = obj.pool
+        if len(cells) >= pool.workers and pool.fans_out(trials):
+            results = pool.imap(sample_complexity_search,
+                                [(cfg, delta, m_max) for _, _, cfg in cells])
+        else:
+            results = (sample_complexity_search(cfg, delta, m_max, pool) for _, _, cfg in cells)
+        for (n, learner, _), result in zip(cells, results):
             est = result.estimate_at(result.m_star)
             unresolved = ";".join(str(v) for v in result.unresolved_ms)
             if unresolved:

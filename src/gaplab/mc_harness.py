@@ -17,7 +17,7 @@ import math
 import os
 import warnings
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -499,10 +499,6 @@ def resolve_workers(threads: int) -> int:
     return threads or os.cpu_count() or 1
 
 
-# Parent threads of one TrialPool.run_at_once, at most: a long separation grid
-# queues its later searches rather than starting a thread for each.
-_PARENT_THREADS = 32
-
 # A run is cut into this many equal blocks, set by its trial count alone, so a
 # stop rule ends it after the same trials at any worker count.
 _BLOCKS = 16
@@ -544,12 +540,13 @@ class TrialPool:
         return self._executor
 
     def imap(self, fn: Callable, arg_tuples: Iterable[tuple]) -> Iterator:
-        """fn(*args) for each of arg_tuples, run on the workers and yielded in order.
+        """fn(*args) for each of arg_tuples, run on the workers and yielded in order;
+        a call that raised re-raises when its turn comes.
 
-        At most 2 * workers calls are in flight: a call already queued to a
-        worker cannot be cancelled, so the cap bounds what a run closed early
-        (by a stop rule) wastes; closing cancels the rest.  The first call
-        starts the workers.
+        fn must be a module-level function.  At most 2 * workers calls are in
+        flight: a call already queued to a worker cannot be cancelled, so the
+        cap bounds what a run closed early (by a stop rule) wastes; closing
+        cancels the rest.  The first call starts the workers.
         """
         executor = self._start()
         queued = iter(arg_tuples)
@@ -564,31 +561,6 @@ class TrialPool:
         finally:
             for future in in_flight:
                 future.cancel()
-
-    def run_at_once(self, calls: Sequence[Callable[[], object]], trials: int) -> Iterator:
-        """call() for each of calls, yielded in call order; a call that raised
-        re-raises when its turn comes.
-
-        When a run of `trials` trials fans out, the calls run at once, each in
-        a parent thread (at most _PARENT_THREADS), so that while one waits on
-        its next block the others keep the workers fed.  Otherwise they run one
-        after another in this thread as they are taken.  The workers are forked
-        from this thread before any parent thread starts: a fork-start process
-        pool forks on its first submit, and a fork beside running threads can
-        copy a lock one of them holds.
-        """
-        if len(calls) < 2 or not self.fans_out(trials):
-            yield from (call() for call in calls)
-            return
-        self._start().submit(int)  # forks the workers, from this thread
-        with ThreadPoolExecutor(max_workers=min(len(calls), _PARENT_THREADS)) as threads:
-            futures = [threads.submit(call) for call in calls]
-            try:
-                for future in futures:
-                    yield future.result()
-            finally:
-                for future in futures:
-                    future.cancel()
 
 
 def _map_trials(

@@ -3,7 +3,6 @@ import hashlib
 import json
 import os
 import platform
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -662,6 +661,30 @@ def test_global_trials_overrides_a_learn_document(runner, tmp_path):
     assert [r["trials"] for r in read_csv(out)] == ["25", "25"]
 
 
+@pytest.mark.parametrize("flag, value, refused", [
+    ("--n", "64", "replaces"),
+    ("--eps", "0.3", "replaces"),
+    ("--target", "fixed:2", "sets"),
+    ("--m", "9", "sets"),
+    ("--trials", "30", "sets"),
+    ("--gamma", "0.05", None),
+])
+def test_a_learn_document_refuses_a_flag_it_sets_or_replaces(runner, tmp_path, flag, value,
+                                                             refused):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**LEARN_DOCUMENT, "trials": 20}))
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path), flag, value])
+    if refused is None:  # the document leaves gamma out: the flag fills it
+        assert res.exit_code == 0, res.output
+        assert read_csv(out)[0]["gamma"] == value
+    else:
+        assert res.exit_code == 2
+        assert (f"spec error: {flag} cannot be given with a learn document, which {refused} it"
+                in res.output)
+        assert not out.exists()
+
+
 def test_bad_fixed_target_exits_2(runner, tmp_path):
     out = tmp_path / "x.csv"
     res = runner.invoke(main, ["--out", str(out), "learn", "--n", "16",
@@ -1236,6 +1259,15 @@ SEPARATION_WARNINGS = [
 ]
 
 
+# The process ids of the calls of cli's search made in this process.
+_SEARCH_PIDS = []
+
+
+def _recording_search(*args):
+    _SEARCH_PIDS.append(os.getpid())
+    return mc_harness.sample_complexity_search(*args)
+
+
 @pytest.mark.parametrize("m_max, code, last", [
     ("16", 0, "warning: unresolved m values for n=4096 erm: 8;9"),
     ("8", 3, "runtime failure: no m <= 8 reached a failure CI upper bound <= 0.25"),
@@ -1243,20 +1275,13 @@ SEPARATION_WARNINGS = [
 def test_separation_on_two_workers_writes_the_serial_rows_and_warnings(runner, tmp_path,
                                                                        monkeypatch, m_max,
                                                                        code, last):
-    # Two workers run every search at once, each from a parent thread; rows
-    # and warnings keep cell order, and the n=4096 erm search, the last cell,
+    # Two workers run the six searches whole, none in this process; rows and
+    # warnings keep cell order, and the n=4096 erm search, the last cell,
     # fails at m_max 8.
-    search = cli.sample_complexity_search
-    callers = []
-
-    def recording_search(*args):
-        callers.append(threading.get_ident())
-        return search(*args)
-
-    monkeypatch.setattr(cli, "sample_complexity_search", recording_search)
+    monkeypatch.setattr(cli, "sample_complexity_search", _recording_search)
     runs = {}
     for threads in ("1", "2"):
-        callers.clear()
+        _SEARCH_PIDS.clear()
         out = tmp_path / f"t{threads}.csv"
         res = runner.invoke(main, ["--seed", "3", "--threads", threads, "--out", str(out),
                                    "separation", "--n-list", "16,256,4096", "--learners",
@@ -1266,12 +1291,63 @@ def test_separation_on_two_workers_writes_the_serial_rows_and_warnings(runner, t
         lines = [line for line in res.output.splitlines()
                  if not line.startswith(("wrote ", "manifest: "))]
         runs[threads] = lines, out.read_bytes() if out.exists() else None
-        assert len(callers) == 6
-        on_main = {ident == threading.get_ident() for ident in callers}
-        assert on_main == ({True} if threads == "1" else {False})
+        assert _SEARCH_PIDS == ([os.getpid()] * 6 if threads == "1" else [])
     assert runs["1"] == runs["2"]
     assert runs["1"][0] == SEPARATION_WARNINGS + [last]
     assert (runs["1"][1] is None) == (code != 0)
+
+
+@pytest.mark.parametrize("n_list, learners, whole", [
+    ("16,256", "cover,erm", True),
+    ("256", "erm", False),
+])
+def test_separation_runs_a_search_per_worker_whole_else_fans_out_its_blocks(
+        runner, tmp_path, monkeypatch, n_list, learners, whole):
+    # With at least as many searches as workers, the parent sends each search
+    # to a worker and runs no trial block itself; a one-cell grid sends blocks.
+    submitted = []
+
+    class RecordingPool(mc_harness.ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(fn.__name__)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(mc_harness, "ProcessPoolExecutor", RecordingPool)
+    bodies = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.csv"
+        res = runner.invoke(main, ["--seed", "3", "--threads", threads, "--out", str(out),
+                                   "separation", "--n-list", n_list, "--learners", learners,
+                                   "--trials", "300", "--delta", "0.25", "--m-max", "64"])
+        assert res.exit_code == 0, res.output
+        bodies.append(out.read_bytes())
+    cells = len(n_list.split(",")) * len(learners.split(","))
+    if whole:
+        assert submitted == ["sample_complexity_search"] * cells
+    else:
+        assert submitted and set(submitted) == {"_run_chunk"}
+    assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("cpus, threads", [(3, 4), (None, 2)])
+def test_threads_above_the_cpu_count_exits_2_before_any_pool(runner, tmp_path, monkeypatch,
+                                                             cpus, threads):
+    # A fork-start process pool forks all its workers at its first task.
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(mc_harness, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--threads", str(threads), "--out", str(out), "learn",
+                               "--n", "16", "--trials", "400"])
+    assert res.exit_code == 2
+    assert "Invalid value for '--threads'" in res.output
+    assert not out.exists()
+    res = runner.invoke(main, ["--threads", str(threads - 1), "--out", str(out),
+                               "vc", "--n", "4"])
+    assert res.exit_code == 0, res.output
 
 
 def test_negative_threads_exits_2(runner, tmp_path):

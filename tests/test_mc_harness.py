@@ -1,11 +1,8 @@
-import functools
 import math
-import os
 import pickle
-import sys
-import threading
 import time
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import replace
 from fractions import Fraction
 
@@ -772,79 +769,48 @@ class TestTrialPool:
         assert submitted == [(0, 10), (10, 20), (20, 30), (30, 40), (40, 50)]
         assert errors.tolist() == [run_trial(cfg, t).error for t in range(10)]
 
-    def test_run_at_once_yields_in_call_order(self, pool_starts):
-        def call(k):
-            def run():
-                time.sleep(0.05 * (3 - k))  # the last call ends first
-                return k, threading.get_ident()
-            return run
-
+    def test_imap_yields_in_argument_order(self):
+        # The last call ends first.
+        calls = [(k, 0.05 * (3 - k), False) for k in range(4)]
         with TrialPool(2) as pool:
-            results = list(pool.run_at_once([call(k) for k in range(4)], trials=100))
-        assert [k for k, _ in results] == [0, 1, 2, 3]
-        assert threading.get_ident() not in {ident for _, ident in results}
-        assert pool_starts == [2]
+            assert list(pool.imap(_after_sleep, calls)) == [0, 1, 2, 3]
 
-    def test_run_at_once_raises_the_first_error_in_call_order(self):
-        def fail(message, delay):
-            def run():
-                time.sleep(delay)
-                raise SearchBracketError(message)
-            return run
+    def test_imap_raises_the_first_error_in_argument_order(self, monkeypatch):
+        submitted, cancelled = {}, []
 
+        class RecordingPool(mc_harness.ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                future = super().submit(fn, *args, **kwargs)
+                submitted[args[0]] = future
+                return future
+
+        cancel = Future.cancel
+
+        def recording_cancel(future):
+            cancelled.append(future)
+            return cancel(future)
+
+        monkeypatch.setattr(mc_harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(Future, "cancel", recording_cancel)
+        # Call 2 fails at once, call 1 later; calls 2-4, in flight, are
+        # cancelled, and calls 5 on are never sent.
+        calls = [(k, 0.3 if k == 1 else 0.0, k in (1, 2)) for k in range(12)]
         taken = []
         with TrialPool(2) as pool:
-            with pytest.raises(SearchBracketError, match="^second$"):
-                for result in pool.run_at_once(
-                        [lambda: "first", fail("second", 0.1), fail("third", 0.0)], trials=100):
+            with pytest.raises(SearchBracketError, match="^call 1$"):
+                for result in pool.imap(_after_sleep, calls):
                     taken.append(result)
-        assert taken == ["first"]
+        assert taken == [0]
+        assert list(submitted) == [0, 1, 2, 3, 4]
+        assert cancelled == [submitted[k] for k in (2, 3, 4)]
 
-    def test_run_at_once_forks_before_any_parent_thread(self, monkeypatch, pool_starts):
-        threads_at_fork = []
-        fork = os.fork
 
-        def recording_fork():
-            threads_at_fork.append(threading.active_count())
-            return fork()
-
-        monkeypatch.setattr(os, "fork", recording_fork)
-        cfg = pne_cfg(32, 0.1, "erm", 3, 1 / 16, 40, 5)
-        serial = run_trials(cfg)[1]
-        with TrialPool(2) as pool:
-            runs = list(pool.run_at_once([lambda: run_trials(cfg, pool)[1]] * 3, trials=40))
-        assert threads_at_fork == [1, 1]
-        assert pool_starts == [2]
-        assert all(np.array_equal(fails, serial) for fails in runs)
-
-    def test_run_at_once_shares_the_workers_under_thread_switching(self, pool_starts):
-        # More workers than this machine's cores, many parent threads, and a
-        # thread switch every few bytecodes: each stopped run keeps its prefix.
-        configs = [pne_cfg(32, 0.1, "erm", m, 1 / 16, 96, 5) for m in range(8)]
-
-        def stop_at(trials):
-            return lambda outputs: outputs[1].size >= trials
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with TrialPool(3) as pool:
-                runs = list(pool.run_at_once(
-                    [functools.partial(run_trials, cfg, pool, stop_at(6 * (m + 1)))
-                     for m, cfg in enumerate(configs)], trials=96))
-        finally:
-            sys.setswitchinterval(interval)
-        assert pool_starts == [3]
-        for m, (cfg, (errors, _)) in enumerate(zip(configs, runs)):
-            assert errors.tolist() == [run_trial(cfg, t).error for t in range(6 * (m + 1))]
-
-    @pytest.mark.parametrize("threads, trials", [(1, 40), (2, 3)])
-    def test_run_at_once_starts_no_thread_unless_trials_fan_out(self, pool_starts, threads,
-                                                                trials):
-        with TrialPool(threads) as pool:
-            counts = list(pool.run_at_once([threading.active_count] * 3, trials))
-        assert counts == [threading.active_count()] * 3
-        assert pool_starts == []
+def _after_sleep(k: int, delay: float, fail: bool) -> int:
+    """k after `delay` seconds, or a SearchBracketError naming it if `fail`."""
+    time.sleep(delay)
+    if fail:
+        raise SearchBracketError(f"call {k}")
+    return k
 
 
 class TestTailInequality:
