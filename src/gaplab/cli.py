@@ -444,11 +444,16 @@ def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, tria
     ]
 
     def rows():
-        # With a search for each worker, each runs whole and serially on one,
-        # where its stop rule wastes no queued block; otherwise each fans its
-        # trial blocks out.  Rows and warnings come in cell order.
+        # Each search runs whole and serially on one worker, where its stop rule
+        # wastes no queued block, when the searches, each counted as its n over
+        # the largest n (a trial's cost grows with n), come to at least one and
+        # a half per worker; the half covers the learners' costs at one n, which
+        # differ several-fold.  With fewer, the costliest search would run alone
+        # while the other workers sit idle, so each search in turn fans its
+        # trial blocks out instead.  Rows and warnings come in cell order.
         pool = obj.pool
-        if len(cells) >= pool.workers and pool.fans_out(trials):
+        searches = sum(n for n, _, _ in cells) / max(ns)
+        if pool.fans_out(trials) and searches >= 1.5 * pool.workers:
             results = pool.imap(sample_complexity_search,
                                 [(cfg, delta, m_max) for _, _, cfg in cells])
         else:

@@ -1253,8 +1253,10 @@ def test_separation_starts_one_pool(runner, tmp_path, monkeypatch):
 SEPARATION_WARNINGS = [
     "warning: unresolved m values for n=16 cover: 2",
     "warning: unresolved m values for n=16 erm: 3;4",
+    "warning: unresolved m values for n=16 bayes-posterior: 3",
     "warning: unresolved m values for n=256 cover: 2",
     "warning: unresolved m values for n=256 erm: 6",
+    "warning: unresolved m values for n=256 bayes-posterior: 6;7",
     "warning: unresolved m values for n=4096 cover: 2",
 ]
 
@@ -1268,16 +1270,17 @@ def _recording_search(*args):
     return mc_harness.sample_complexity_search(*args)
 
 
-@pytest.mark.parametrize("m_max, code, last", [
-    ("16", 0, "warning: unresolved m values for n=4096 erm: 8;9"),
-    ("8", 3, "runtime failure: no m <= 8 reached a failure CI upper bound <= 0.25"),
+@pytest.mark.parametrize("m_max, code, searches, last", [
+    ("16", 0, 9, "warning: unresolved m values for n=4096 erm: 8;9\n"
+              "warning: unresolved m values for n=4096 bayes-posterior: 9"),
+    ("8", 3, 8, "runtime failure: no m <= 8 reached a failure CI upper bound <= 0.25"),
 ])
 def test_separation_on_two_workers_writes_the_serial_rows_and_warnings(runner, tmp_path,
                                                                        monkeypatch, m_max,
-                                                                       code, last):
-    # Two workers run the six searches whole, none in this process; rows and
-    # warnings keep cell order, and the n=4096 erm search, the last cell,
-    # fails at m_max 8.
+                                                                       code, searches, last):
+    # Two workers run the nine searches whole, none in this process; rows and
+    # warnings keep cell order, and the n=4096 erm search fails at m_max 8, so
+    # the last search is not run.
     monkeypatch.setattr(cli, "sample_complexity_search", _recording_search)
     runs = {}
     for threads in ("1", "2"):
@@ -1285,26 +1288,30 @@ def test_separation_on_two_workers_writes_the_serial_rows_and_warnings(runner, t
         out = tmp_path / f"t{threads}.csv"
         res = runner.invoke(main, ["--seed", "3", "--threads", threads, "--out", str(out),
                                    "separation", "--n-list", "16,256,4096", "--learners",
-                                   "cover,erm", "--trials", "300", "--delta", "0.25",
-                                   "--m-max", m_max])
+                                   "cover,erm,bayes-posterior", "--trials", "300",
+                                   "--delta", "0.25", "--m-max", m_max])
         assert res.exit_code == code, res.output
         lines = [line for line in res.output.splitlines()
                  if not line.startswith(("wrote ", "manifest: "))]
         runs[threads] = lines, out.read_bytes() if out.exists() else None
-        assert _SEARCH_PIDS == ([os.getpid()] * 6 if threads == "1" else [])
+        assert _SEARCH_PIDS == ([os.getpid()] * searches if threads == "1" else [])
     assert runs["1"] == runs["2"]
-    assert runs["1"][0] == SEPARATION_WARNINGS + [last]
+    assert runs["1"][0] == SEPARATION_WARNINGS + last.split("\n")
     assert (runs["1"][1] is None) == (code != 0)
 
 
 @pytest.mark.parametrize("n_list, learners, whole", [
-    ("16,256", "cover,erm", True),
+    ("16,256", "cover,erm,bayes-posterior", True),
+    ("256", "cover,erm,bayes-posterior", True),
     ("256", "erm", False),
+    ("256", "cover,erm", False),
+    ("16,256", "cover,erm", False),
 ])
 def test_separation_runs_a_search_per_worker_whole_else_fans_out_its_blocks(
         runner, tmp_path, monkeypatch, n_list, learners, whole):
-    # With at least as many searches as workers, the parent sends each search
-    # to a worker and runs no trial block itself; a one-cell grid sends blocks.
+    # When the searches, each counted as its n over the largest n, come to at
+    # least 1.5 per worker, the parent sends each search to a worker and runs
+    # no trial block itself; otherwise it sends blocks.
     submitted = []
 
     class RecordingPool(mc_harness.ProcessPoolExecutor):

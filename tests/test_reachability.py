@@ -72,8 +72,10 @@ def gaplab_corpus(workdir: Path) -> None:
     from test_bench_contract import EXTRA_FLAGS, SMALL_TRIALS, bench_workloads
     from test_golden import DOCUMENTS, GOLDEN
 
+    from conftest import at_least_two_cpus
     from gaplab import cli
 
+    os.cpu_count = at_least_two_cpus  # --threads 2 on a 1-CPU machine
     runs = []
     for name, (args, _) in sorted(GOLDEN.items()):
         for threads in ("1", "2"):

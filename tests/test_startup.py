@@ -79,6 +79,7 @@ def _run_python(code: str, cwd: Path) -> str:
 
 
 POOL_START_SCRIPT = """
+import os
 import sys
 from gaplab import mc_harness
 from gaplab.cli import main
@@ -91,6 +92,8 @@ class RecordingPool(mc_harness.ProcessPoolExecutor):
         super().__init__(*args, **kwargs)
 
 mc_harness.ProcessPoolExecutor = RecordingPool
+cpus = os.cpu_count
+os.cpu_count = lambda: max(2, cpus() or 1)  # --threads 2 on a 1-CPU machine
 main({args!r}, standalone_mode=False)
 """
 
