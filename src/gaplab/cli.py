@@ -24,18 +24,18 @@ import os
 import platform
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable
 
 import click
+from click.core import ParameterSource
 import numpy as np
 import scipy
 
 from . import __version__
 from .concepts import (
-    ProjectionClass,
     TableClass,
     check_vc_search,
     class_from_json_dict,
@@ -49,7 +49,6 @@ from .distributions import (
     RngSeed,
     distribution_from_json_dict,
     geometric_finite,
-    make_pne,
     uniform_finite,
 )
 from .errors import SPEC_FIELDS, GaplabError, InvalidParameterError, spec_value
@@ -214,15 +213,9 @@ class Command:
     # resolved spec is that entry's spec rather than a list of them.
     single: bool = False
     write: Callable[..., Path] = _write_table
-    # An entry holding any of these keys is a whole document, not flag
-    # values: it reaches the runner as `document`, and a flag fills only a
-    # key the document leaves out.  A flag given on the command line for a
-    # key the document sets, or one in _DOCUMENT_REPLACES, is refused.
-    document_keys: frozenset[str] = frozenset()
-
-
-# The learn flags whose values a document's class, dist and target replace.
-_DOCUMENT_REPLACES = frozenset({"n", "eps", "target"})
+    # Each input that stands in for flags -> the flags it replaces.  An entry holding
+    # one that is not a flag is a document, passed as `document`; flags fill its gaps.
+    replaces: dict[str, set[str]] = field(default_factory=dict)
 
 
 def _resolve_entry(ctx: click.Context, cmd: Command, entry: dict) -> dict:
@@ -233,46 +226,49 @@ def _resolve_entry(ctx: click.Context, cmd: Command, entry: dict) -> dict:
     2.7 and True; any other by its flag's click type.  The global --trials
     wins over all three, and over the `trials` of a document.
     """
-    document = entry if cmd.document_keys & entry.keys() else None
-    flat = {} if document is not None else entry
     params = {p.name: p for p in ctx.command.params if p.name != "config"}
+    document = entry if entry.keys() & (cmd.replaces.keys() - params.keys()) else None
+    flat = {} if document is not None else entry
     unknown = [key for key in flat if key not in params]
     if unknown:
         raise InvalidParameterError(
             f"{cmd.name} config has unknown key {', '.join(map(repr, unknown))}; "
             "config keys are the flag names"
         )
-    given = [name for name in params
-             if ctx.get_parameter_source(name) is click.core.ParameterSource.COMMANDLINE]
-    if document is not None:
-        for name in given:
-            if name in document or name in _DOCUMENT_REPLACES:
-                raise InvalidParameterError(
-                    f"{params[name].opts[0]} cannot be given with a {cmd.name} document, "
-                    f"which {'sets' if name in document else 'replaces'} it"
-                )
     values = {}
     for name, param in params.items():
         if name == "trials" and ctx.obj.trials is not None:
             values[name] = ctx.obj.trials
-        elif name in flat and name not in given:
-            if name in SPEC_FIELDS:
-                value = spec_value(name, flat[name], f"{cmd.name} config")
-                values[name] = param.default if value is None else value
-                continue
+        elif name not in flat or ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE:
+            values[name] = ctx.params[name]
+        elif name in SPEC_FIELDS:
+            value = spec_value(name, flat[name], f"{cmd.name} config")
+            values[name] = param.default if value is None else value
+        else:
             try:
                 values[name] = param.type_cast_value(ctx, flat[name])
             except click.BadParameter as exc:
                 raise InvalidParameterError(
                     f"{cmd.name} config key {name!r}: {exc.message}"
                 ) from None
-        else:
-            values[name] = ctx.params[name]
     if document is not None:
-        if ctx.obj.trials is not None:
-            document = {**document, "trials": ctx.obj.trials}
-        values["document"] = document
+        values["document"] = {**document, "trials": ctx.obj.trials} if ctx.obj.trials else document
     return values
+
+
+def _refuse_replaced(ctx: click.Context, cmd: Command, entry: dict, values: dict) -> None:
+    """Refuse each flag that an input in use replaces, and a flag a document sets."""
+    document = "document" in values
+    params = {p.name: p for p in ctx.command.params}
+    for key in [key for key in cmd.replaces if values.get(key, entry.get(key)) is not None]:
+        by = f"a {cmd.name} document" if document else params[key].opts[0]
+        for name, param in params.items():
+            given = ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE
+            sets = given and document and name in entry
+            if sets or name in cmd.replaces[key] and (given or name in entry):
+                flag = param.opts[0] if given else f"{cmd.name} config key {name!r}"
+                raise InvalidParameterError(
+                    f"{flag} cannot be given with {by}, which {'sets' if sets else 'replaces'} it")
 
 
 def _handle_errors(fn):
@@ -339,18 +335,16 @@ def main(ctx, seed, trials, out, fmt, threads):
 
 def _run_cover(obj: CLIContext, n, eps, i, level, class_json, dist_json):
     """Build the greedy packing cover and report it next to the Dudley bound."""
-    if class_json is not None or dist_json is not None:
-        if class_json is None or dist_json is None:
-            raise InvalidParameterError("give both --class-json and --dist-json")
-        cls = class_from_json_dict(class_json, "class_json", "cover")
-        dist = distribution_from_json_dict(dist_json, "dist_json", "cover")
-        if level is None:
-            raise InvalidParameterError("--level is required for explicit specs")
-    else:
-        cls = ProjectionClass(n)
-        dist = make_pne(n, eps, i)
-        if level is None:
-            level = 2.0 * eps
+    if (class_json is None) != (dist_json is None):
+        raise InvalidParameterError("give both --class-json and --dist-json")
+    if class_json is None:  # the flags stand for the projections under P_i
+        class_json = {"kind": "projections", "n": n}
+        dist_json = {"kind": "pne", "n": n, "eps": eps, "i": i}
+        level = 2.0 * eps if level is None else level
+    cls = class_from_json_dict(class_json, "class_json", "cover")
+    dist = distribution_from_json_dict(dist_json, "dist_json", "cover")
+    if level is None:
+        raise InvalidParameterError("--level is required for explicit specs")
     oracle_positions(cls, dist)
     if cls.num_concepts == 0:
         raise InvalidParameterError("cannot cover an empty class")
@@ -376,7 +370,8 @@ def _run_cover(obj: CLIContext, n, eps, i, level, class_json, dist_json):
 def _run_vc(obj: CLIContext, n, universe, d_max, class_json):
     """Brute-force VC dimension over an explicit universe."""
     explicit = class_json is not None
-    cls = class_from_json_dict(class_json, "class_json", "vc") if explicit else ProjectionClass(n)
+    cls = class_from_json_dict(class_json if explicit else {"kind": "projections", "n": n},
+                               "class_json", "vc")
     points = full_hypercube(n) if universe == "full" and not explicit else None
     check_vc_search(cls, None if points is None else len(points))
     spec = {"class": cls.to_json_dict(), "universe": universe, "d_max": d_max,
@@ -387,8 +382,8 @@ def _run_vc(obj: CLIContext, n, universe, d_max, class_json):
 
 
 def _int_list(flag: str, text: str) -> list[int]:
-    """The integers of a comma-separated flag value; a bad one, or none at
-    all, is a spec error that names the flag."""
+    """The integers of a comma-separated flag value; a bad one, a repeated
+    one, or none at all, is a spec error that names the flag."""
     try:
         values = [int(v) for v in text.split(",") if v]
     except ValueError:
@@ -397,6 +392,8 @@ def _int_list(flag: str, text: str) -> list[int]:
         ) from None
     if not values:
         raise InvalidParameterError(f"{flag} {text!r} lists no integers")
+    if len(set(values)) != len(values):
+        raise InvalidParameterError(f"{flag} {text!r} lists a value twice")
     return values
 
 
@@ -428,6 +425,8 @@ def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, tria
     learner_list = [s for s in learners.split(",") if s]
     if not learner_list:
         raise InvalidParameterError("learner list must not be empty")
+    if len(set(learner_list)) != len(learner_list):
+        raise InvalidParameterError(f"--learners {learners!r} lists a learner twice")
     for name in learner_list:
         if name not in PROJECTION_LEARNERS:
             raise InvalidParameterError(f"unknown separation learner {name!r}")
@@ -578,6 +577,7 @@ COMMANDS = (
             _opt("--dist-json", JSON_TEXT, help="Explicit distribution JSON."),
         ),
         _run_cover,
+        replaces={"class_json": {"n"}, "dist_json": {"n", "eps", "i"}},
     ),
     Command(
         "vc",
@@ -589,6 +589,7 @@ COMMANDS = (
             _opt("--class-json", JSON_TEXT),
         ),
         _run_vc,
+        replaces={"class_json": {"n", "universe"}},
     ),
     Command(
         "learn",
@@ -605,7 +606,7 @@ COMMANDS = (
             _opt("--trials", int, 2000),
         ),
         _run_learn,
-        document_keys=frozenset({"class", "dist"}),
+        replaces={"class": {"n"}, "dist": {"n", "eps"}},
     ),
     Command(
         "separation",
@@ -655,6 +656,7 @@ COMMANDS = (
             _opt("--trials", int, 5000),
         ),
         _run_no_gap,
+        replaces={"dist_json": {"domain_size", "dist"}},
     ),
     Command(
         "bounds",
@@ -688,6 +690,8 @@ def _build(cmd: Command) -> click.Command:
         values = [_resolve_entry(ctx, cmd, entry) for entry in entries]
         built = [({"kind": cmd.name, **spec}, entry_rows)
                  for spec, entry_rows in (cmd.run(obj, **v) for v in values)]
+        for entry, v in zip(entries, values):  # after the build, so a bad input is named first
+            _refuse_replaced(ctx, cmd, entry, v)
         resolved = built[0][0] if cmd.single else [spec for spec, _ in built]
         digest = spec_hash(resolved)
         rows = [{**row, "seed": obj.seed, "spec_hash": digest}

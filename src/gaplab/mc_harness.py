@@ -18,7 +18,7 @@ import os
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, closing
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -514,7 +514,6 @@ class TrialPool:
 
     def __init__(self, threads: int):
         self.workers = resolve_workers(threads)
-        self._stack = ExitStack()
         self._executor: ProcessPoolExecutor | None = None
 
     @property
@@ -524,8 +523,9 @@ class TrialPool:
     def __enter__(self) -> TrialPool:
         return self
 
-    def __exit__(self, *exc) -> bool:
-        return self._stack.__exit__(*exc)
+    def __exit__(self, *exc) -> None:
+        if self._executor is not None:
+            self._executor.__exit__(*exc)
 
     def fans_out(self, trials: int) -> bool:
         """Whether a run of `trials` trials is split across the workers: there
@@ -534,9 +534,7 @@ class TrialPool:
 
     def _start(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            self._executor = self._stack.enter_context(
-                ProcessPoolExecutor(max_workers=self.workers)
-            )
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
         return self._executor
 
     def imap(self, fn: Callable, arg_tuples: Iterable[tuple]) -> Iterator:

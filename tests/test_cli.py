@@ -918,6 +918,80 @@ def test_an_unread_key_or_a_non_object_in_a_json_option_exits_2(runner, tmp_path
     assert not out.exists()
 
 
+PROJECTIONS_4 = '{"kind": "projections", "n": 4}'
+FINITE_2 = '{"kind": "finite", "support": ["00", "01"], "probs": [0.5, 0.5]}'
+COVER_BODY = (
+    "class_kind,num_concepts,level,size,members,certificate,vc_dim,dudley_log,dudley_value,"
+    "seed,spec_hash\n"
+    "projections,4,0.3,2,1|2,0.18,2,11.3594381,85771.1562,1592614637,fe5604899d8ed516\n"
+)
+# A spec whose inputs stand in for flags: its arguments, its config entry (None
+# for none) and the body it writes.  Before these flags were refused, the spec
+# with them added wrote this same body and left them unread.
+REPLACING_SPECS = {
+    "vc": (["vc", "--class-json", PROJECTIONS_4], None,
+           "class_kind,num_concepts,universe,dimension,seed,spec_hash\n"
+           "projections,4,default,2,1592614637,3a86cbf2af1cad42\n"),
+    "cover": (["cover", "--class-json", PROJECTIONS_4, "--dist-json", PNE_4, "--level", "0.3"],
+              None, COVER_BODY),
+    "cover-config": (["cover"], {"class_json": json.loads(PROJECTIONS_4),
+                                 "dist_json": json.loads(PNE_4), "level": 0.3}, COVER_BODY),
+    "no-gap": (["no-gap", "--dist-json", FINITE_2, "--m-grid", "1,2", "--trials", "200"], None,
+               "domain_size,dist,m,trials,violations,threshold,z_ge_rate,fail_rate,"
+               "mean_missing_mass,seed,spec_hash\n"
+               "2,custom,1,200,0,0.2,1,0.52,0.5,1592614637,e2e7dd06109b52a0\n"
+               "2,custom,2,200,0,0.2,0.53,0.29,0.265,1592614637,e2e7dd06109b52a0\n"),
+}
+
+
+@pytest.mark.parametrize("spec, added, refused", [
+    ("vc", ["--n", "7", "--universe", "full"], "--n cannot be given with --class-json"),
+    ("vc", ["--universe", "full"], "--universe cannot be given with --class-json"),
+    ("cover", ["--n", "64", "--eps", "0.3", "--i", "9"],
+     "--n cannot be given with --class-json"),
+    ("cover", ["--eps", "0.3"], "--eps cannot be given with --dist-json"),
+    ("cover", ["--i", "9"], "--i cannot be given with --dist-json"),
+    ("cover-config", {"n": 64}, "cover config key 'n' cannot be given with --class-json"),
+    ("cover-config", {"eps": 0.3}, "cover config key 'eps' cannot be given with --dist-json"),
+    ("no-gap", ["--domain-size", "9", "--dist", "geometric"],
+     "--domain-size cannot be given with --dist-json"),
+    ("no-gap", ["--dist", "geometric"], "--dist cannot be given with --dist-json"),
+])
+def test_an_input_refuses_the_flags_it_replaces(runner, tmp_path, spec, added, refused):
+    args, entry, body = REPLACING_SPECS[spec]
+    out = tmp_path / "x.csv"
+
+    def invoke(extra):
+        if entry is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({**entry, **extra}))
+            extra = ["--config", str(path)]
+        return runner.invoke(main, ["--out", str(out), *args, *extra])
+
+    res = invoke(added)
+    assert res.exit_code == 2, res.output
+    assert f"spec error: {refused}, which replaces it\n" in res.output
+    assert not out.exists()
+    res = invoke({} if entry is not None else [])
+    assert res.exit_code == 0, res.output
+    assert out.read_text() == body
+
+
+@pytest.mark.parametrize("cmd", [cmd for cmd in cli.COMMANDS if cmd.replaces],
+                         ids=lambda cmd: cmd.name)
+def test_every_name_in_a_replaces_column_is_read(cmd):
+    # An input is a flag of the command or, for learn, a key of a document that
+    # config_from_json_dict reads (it refuses a key it leaves unread); what an
+    # input replaces is a flag.  So a typo in the table fails here.
+    flags = {option.name for option in cmd.options}
+    document = {**LEARN_DOCUMENT, "learner": "erm", "eps_acc": 0.1, "trials": 5}
+    mc_harness.config_from_json_dict(document)
+    inputs = flags | (document.keys() if cmd.name == "learn" else set())
+    for key, replaced in cmd.replaces.items():
+        assert key in inputs, f"{cmd.name} reads no input {key!r}"
+        assert replaced <= flags, f"{cmd.name} has no flag {sorted(replaced - flags)}"
+
+
 @pytest.mark.parametrize("points, reason", [
     (["01", "0a"], "not a 0/1 string: '0a'"),
     (["01", 5], "not a 0/1 string: 5"),
@@ -967,6 +1041,21 @@ def test_comma_list_without_integers_exits_2(runner, tmp_path, command, flag):
     res = runner.invoke(main, ["--out", str(out), command, flag, ",", "--trials", "10"])
     assert res.exit_code == 2, res.output
     assert f"spec error: {flag} ',' lists no integers" in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value, named", [
+    ("separation", "--n-list", "16,16", "--n-list '16,16' lists a value twice"),
+    ("no-gap", "--m-grid", "1,2,1", "--m-grid '1,2,1' lists a value twice"),
+    ("separation", "--learners", "erm,erm", "--learners 'erm,erm' lists a learner twice"),
+])
+def test_a_repeated_list_value_exits_2(runner, tmp_path, monkeypatch, command, flag, value,
+                                       named):
+    monkeypatch.setattr("gaplab.mc_harness._map_trials", _no_trial)
+    out = tmp_path / "x.csv"
+    res = runner.invoke(main, ["--out", str(out), command, flag, value])
+    assert res.exit_code == 2, res.output
+    assert f"spec error: {named}\n" in res.output
     assert not out.exists()
 
 
@@ -1071,6 +1160,13 @@ LATER_BUILD_RULE = {
         {"class_json": {"kind": "table", "domain": ["0", "1"], "tables": []},
          "dist_json": wide_table(2)[1], "level": 0.3},
         "cannot cover an empty class"),
+    "cover-class-json-beside-n": (
+        "cover", {"n": 64, "eps": 0.05},
+        {"class_json": wide_table(3)[0], "dist_json": wide_table(3)[1], "level": 0.3, "n": 8},
+        "cover config key 'n' cannot be given with --class-json, which replaces it"),
+    "vc-class-json-beside-universe": (
+        "vc", {"n": 4}, {"class_json": wide_table(3)[0], "universe": "full"},
+        "vc config key 'universe' cannot be given with --class-json, which replaces it"),
     "vc-default-universe-cells": (
         "vc", {"n": 4}, {"n": 3500000, "universe": "default"},
         "universe x class too large for the exhaustive search (85 x 3500000)"),
