@@ -23,7 +23,6 @@ import json
 import os
 import platform
 import sys
-import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -381,17 +380,17 @@ def _run_vc(obj: CLIContext, n, universe, d_max, class_json):
                            "dimension": vc_dimension_bruteforce(cls, points, d_max)}]
 
 
-def _int_list(flag: str, text: str) -> list[int]:
-    """The integers of a comma-separated flag value; a bad one, a repeated
-    one, or none at all, is a spec error that names the flag."""
+def _comma_list(flag: str, text: str, item: Callable = int, items: str = "integers") -> list:
+    """The `items` of a comma-separated flag value, each read by `item`; one it refuses
+    with ValueError, a repeated one, or none at all, is a spec error naming the flag."""
     try:
-        values = [int(v) for v in text.split(",") if v]
+        values = [item(v) for v in text.split(",") if v]
     except ValueError:
         raise InvalidParameterError(
-            f"{flag} {text!r} is not a comma-separated list of integers"
+            f"{flag} {text!r} is not a comma-separated list of {items}"
         ) from None
     if not values:
-        raise InvalidParameterError(f"{flag} {text!r} lists no integers")
+        raise InvalidParameterError(f"{flag} {text!r} lists no {items}")
     if len(set(values)) != len(values):
         raise InvalidParameterError(f"{flag} {text!r} lists a value twice")
     return values
@@ -419,17 +418,17 @@ def _run_learn(obj: CLIContext, n, eps, target, learner, m, eps_acc, gamma, tria
     return {"config": cfg.to_json_dict()}, rows
 
 
+def _projection_learner(name: str) -> str:
+    if name not in PROJECTION_LEARNERS:
+        raise ValueError(name)
+    return name
+
+
 def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, trials, m_max):
     """Empirical sample-size curve per learner across n: the separation run."""
-    ns = [spec_value("n", n, label="--n-list") for n in _int_list("--n-list", n_list)]
-    learner_list = [s for s in learners.split(",") if s]
-    if not learner_list:
-        raise InvalidParameterError("learner list must not be empty")
-    if len(set(learner_list)) != len(learner_list):
-        raise InvalidParameterError(f"--learners {learners!r} lists a learner twice")
-    for name in learner_list:
-        if name not in PROJECTION_LEARNERS:
-            raise InvalidParameterError(f"unknown separation learner {name!r}")
+    ns = [spec_value("n", n, label="--n-list") for n in _comma_list("--n-list", n_list)]
+    learner_list = _comma_list("--learners", learners, _projection_learner,
+                               f"learners ({', '.join(PROJECTION_LEARNERS)})")
     spec = {
         "n_list": ns, "eps": eps, "eps_acc": eps_acc, "delta": delta,
         "learners": learner_list, "trials": trials, "m_max": m_max, "seed": obj.seed,
@@ -449,7 +448,7 @@ def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, tria
         # a half per worker; the half covers the learners' costs at one n, which
         # differ several-fold.  With fewer, the costliest search would run alone
         # while the other workers sit idle, so each search in turn fans its
-        # trial blocks out instead.  Rows and warnings come in cell order.
+        # trial blocks out instead.  Rows and warning lines come in cell order.
         pool = obj.pool
         searches = sum(n for n, _, _ in cells) / max(ns)
         if pool.fans_out(trials) and searches >= 1.5 * pool.workers:
@@ -479,17 +478,16 @@ def _run_lower_bound(obj: CLIContext, n, eps, learner, trials, gamma):
             "seed": obj.seed}
 
     def rows():
-        with warnings.catch_warnings():
-            # The regime warning is one line on stderr, as separation's are.
-            warnings.simplefilter("always")
-            warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}",
-                                                                  err=True)
-            est = lower_bound_experiment(cfg, obj.pool)
+        outside = not in_theorem_regime(n, eps)
+        if outside:
+            click.echo(f"warning: n={n} is below 600/eps^3 = {600.0 / eps**3:.0f}; "
+                       "outside the regime the bound assumes", err=True)
+        est = lower_bound_experiment(cfg, obj.pool)
         return [{"n": n, "eps": eps, "m": cfg.m, "learner": learner, "eps_acc": cfg.eps_acc,
                  "trials": trials, "estimate": est.estimate, "radius": est.radius,
                  "ci_low": est.lower, "ci_high": est.upper,
                  "above_one_sixteenth": est.lower > cfg.eps_acc,
-                 "outside_regime": not in_theorem_regime(n, eps)}]
+                 "outside_regime": outside}]
 
     return spec, rows
 
@@ -528,7 +526,7 @@ def _run_no_gap(obj: CLIContext, domain_size, dist, dist_json, m_grid, eps_acc, 
     else:
         domain = enumerated_domain(domain_size)
         law = uniform_finite(domain) if dist == "uniform" else geometric_finite(domain)
-    grid = _int_list("--m-grid", m_grid) if m_grid else list(range(1, 2 * domain_size + 1))
+    grid = _comma_list("--m-grid", m_grid) if m_grid else list(range(1, 2 * domain_size + 1))
     configs = no_gap_configs(law, grid, trials, eps_acc, RngSeed(obj.seed))
     spec = {"dist": law.to_json_dict(), "m_grid": grid, "eps_acc": eps_acc,
             "trials": trials, "seed": obj.seed}

@@ -413,4 +413,4 @@ def full_count_search(cfg: TrialConfig, delta: float, m_max: int) -> SampleCompl
                 confirmed_lo = mid
             soft_lo = mid
     per_m = tuple(evaluated[k] for k in sorted(evaluated))
-    return SampleComplexityResult(hi, (confirmed_lo, hi), per_m, delta)
+    return SampleComplexityResult(hi, (confirmed_lo, hi), per_m)

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -538,6 +540,30 @@ def test_lower_bound_outside_the_regime_warns_in_one_line(runner, tmp_path):
         "warning: n=4 is below 600/eps^3 = 75000; outside the regime the bound assumes"]
 
 
+# gaplab.cli's main with at least two CPUs, as conftest gives this process.
+_MAIN_ON_TWO_CPUS = ("import os; cpus = os.cpu_count; os.cpu_count = lambda: max(2, cpus() or 1)"
+                     "; from gaplab.cli import main; main()")
+
+
+@pytest.mark.parametrize("entries, bounds", [
+    ([{"n": 4, "eps": 0.2}], [(4, 75000)]),
+    ([{"n": 4, "eps": 0.2}, {"n": 16, "eps": 0.1}], [(4, 75000), (16, 600000)]),
+], ids=["one-entry", "two-entries"])
+def test_lower_bound_on_two_workers_writes_one_regime_line_per_entry(tmp_path, entries, bounds):
+    # A new process, so that a line a worker wrote to stderr would show too.
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps([{**entry, "trials": 30} for entry in entries]))
+    paths = (str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run([sys.executable, "-c", _MAIN_ON_TWO_CPUS, "--threads", "2", "--out",
+                           str(tmp_path / "lb.csv"), "lower-bound", "--config", str(config)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"warning: n={n} is below 600/eps^3 = {bound}; outside the regime the bound assumes"
+        for n, bound in bounds]
+
+
 def _run_out_of_memory(*args, **kwargs):
     raise MemoryError()
 
@@ -907,12 +933,20 @@ PNE_4 = '{"kind": "pne", "n": 4, "eps": 0.1, "i": 1}'
     (["no-gap", "--dist-json", "0"], "no-gap key 'dist_json': 0 is not a JSON object"),
     (["cover", "--n", "16", "--class-json", "{}", "--dist-json", "{}"],
      "cover key 'class_json': unknown class kind None"),
+    # A dict stands for a config file holding it.
+    (["learn", "--config", {**LEARN_DOCUMENT, "target": {"kind": "nope"}}],
+     "trial config key 'target': unknown target kind 'nope'"),
 ])
 def test_an_unread_key_or_a_non_object_in_a_json_option_exits_2(runner, tmp_path, monkeypatch,
                                                                  args, message):
     monkeypatch.setattr("gaplab.mc_harness._map_trials", _no_trial)
+    config = tmp_path / "cfg.json"
+    for arg in args:
+        if isinstance(arg, dict):
+            config.write_text(json.dumps(arg))
     out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), *args])
+    res = runner.invoke(main, ["--out", str(out),
+                               *(str(config) if isinstance(a, dict) else a for a in args)])
     assert res.exit_code == 2, res.output
     assert f"spec error: {message}\n" in res.output
     assert not out.exists()
@@ -1047,7 +1081,11 @@ def test_comma_list_without_integers_exits_2(runner, tmp_path, command, flag):
 @pytest.mark.parametrize("command, flag, value, named", [
     ("separation", "--n-list", "16,16", "--n-list '16,16' lists a value twice"),
     ("no-gap", "--m-grid", "1,2,1", "--m-grid '1,2,1' lists a value twice"),
-    ("separation", "--learners", "erm,erm", "--learners 'erm,erm' lists a learner twice"),
+    ("separation", "--learners", "erm,erm", "--learners 'erm,erm' lists a value twice"),
+    ("separation", "--learners", "", "--learners '' lists no learners (erm, cover, "
+     "bayes-posterior)"),
+    ("separation", "--learners", "erm,x", "--learners 'erm,x' is not a comma-separated list "
+     "of learners (erm, cover, bayes-posterior)"),
 ])
 def test_a_repeated_list_value_exits_2(runner, tmp_path, monkeypatch, command, flag, value,
                                        named):

@@ -1,7 +1,8 @@
 """Every name a gaplab module imports is used by that module, every
 function, class and method a gaplab module defines is read by gaplab itself,
-mc_harness.TrialPool is the only code that starts worker processes, and no
-module names `Point`: a point set is packed rows.
+mc_harness.TrialPool is the only code that starts worker processes, cli is
+the only module that writes to the user, and no module names `Point`: a
+point set is packed rows.
 
 No linter ships with the project, so these are its unused-import and
 unused-definition checks.  __init__.py is skipped: its imports are the
@@ -137,6 +138,15 @@ def test_no_module_names_point(path):
     assert names_point(path.read_text()) == []
 
 
+def imported(node: ast.AST) -> list[str]:
+    """The modules `node` imports if it is an import statement, else none."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or ""]
+    return []
+
+
 FANOUT_PACKAGES = {"concurrent", "multiprocessing", "contextvars"}
 
 
@@ -151,13 +161,7 @@ def fan_out_outside_trial_pool(module: str, source: str) -> list[str]:
                for node in ast.walk(cls)}
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            packages = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            packages = [node.module or ""]
-        else:
-            packages = []
-        found += [f"line {node.lineno}: imports {name}" for name in packages
+        found += [f"line {node.lineno}: imports {name}" for name in imported(node)
                   if module != "mc_harness" and name.split(".")[0] in FANOUT_PACKAGES]
         named = (node.id if isinstance(node, ast.Name)
                  else node.attr if isinstance(node, ast.Attribute) else None)
@@ -182,3 +186,36 @@ def test_the_check_finds_fan_out_outside_the_pool():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_trial_pool_fans_out(path):
     assert fan_out_outside_trial_pool(path.stem, path.read_text()) == []
+
+
+REPORTING_PACKAGES = {"warnings", "logging", "click", "sys"}
+
+
+def reports_outside_cli(module: str, source: str) -> list[str]:
+    """Where `source`, the module `module`, may write to the user: an import
+    of warnings, logging, click or sys, and a call of print, anywhere but in
+    cli.  The engine returns what it found; cli alone reports it."""
+    if module == "cli":
+        return []
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        found += [f"line {node.lineno}: imports {name}" for name in imported(node)
+                  if name.split(".")[0] in REPORTING_PACKAGES]
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+            found.append(f"line {node.lineno}: calls print")
+    return found
+
+
+def test_the_check_finds_reporting_outside_the_cli():
+    source = ("import sys, logging\nfrom warnings import warn\nimport click.testing\n"
+              "def f(log):\n    print('x', file=sys.stderr)\n    return log.print()\n")
+    assert reports_outside_cli("mc_harness", source) == [
+        "line 1: imports sys", "line 1: imports logging", "line 2: imports warnings",
+        "line 3: imports click.testing", "line 5: calls print",
+    ]
+    assert reports_outside_cli("cli", source) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_cli_reports(path):
+    assert reports_outside_cli(path.stem, path.read_text()) == []

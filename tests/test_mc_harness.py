@@ -365,17 +365,9 @@ class TestLowerBound:
         assert in_theorem_regime(1 << 17, 0.2)
         assert not in_theorem_regime(1 << 10, 0.1)
 
-    def test_warns_outside_regime(self):
-        with pytest.warns(UserWarning):
-            lower_bound_experiment(lower_bound_config(256, 0.2, "erm", 30, RngSeed(3)))
-
     def test_small_scale_failure_is_high(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            est = lower_bound_experiment(
-                lower_bound_config(4096, 0.2, "bayes-posterior", 300, RngSeed(5)))
+        est = lower_bound_experiment(
+            lower_bound_config(4096, 0.2, "bayes-posterior", 300, RngSeed(5)))
         assert est.estimate > 1 / 16
 
     def test_eps_range(self):
@@ -384,14 +376,10 @@ class TestLowerBound:
 
     def test_erm_fails_at_least_as_often_as_posterior_rule(self):
         # the posterior rule is Bayes-optimal for the matched-pair prior
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            bayes = lower_bound_experiment(
-                lower_bound_config(2048, 0.2, "bayes-posterior", 400, RngSeed(37)))
-            erm_est = lower_bound_experiment(
-                lower_bound_config(2048, 0.2, "erm", 400, RngSeed(37)))
+        bayes = lower_bound_experiment(
+            lower_bound_config(2048, 0.2, "bayes-posterior", 400, RngSeed(37)))
+        erm_est = lower_bound_experiment(
+            lower_bound_config(2048, 0.2, "erm", 400, RngSeed(37)))
         assert erm_est.estimate >= bayes.estimate - (bayes.radius + erm_est.radius)
 
 
