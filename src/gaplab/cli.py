@@ -31,7 +31,6 @@ from typing import Callable, Iterable
 import click
 from click.core import ParameterSource
 import numpy as np
-import scipy
 
 from . import __version__
 from .concepts import (
@@ -65,6 +64,7 @@ from .mc_harness import (
     no_gap_configs,
     no_gap_experiment,
     sample_complexity_search,
+    target_from_json_dict,
     TrialPool,
 )
 from .metric_cover import (
@@ -147,7 +147,6 @@ def _write_manifest(ctx_obj: CLIContext, digest: str, output: Path) -> None:
         "cpu_count": os.cpu_count(),
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
     }
     manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     click.echo(f"manifest: {manifest_path}")
@@ -201,8 +200,7 @@ class Command:
     runs the entry and returns its rows, dicts keyed by column in column
     order; `write` gets the rows of all entries, the seed and spec hash
     appended.  Every entry is resolved, then built, before the first runs,
-    so a spec error comes before any trial, and what building loads
-    (scipy.special for the posterior rule) loads before the pool forks.
+    so a spec error comes before any trial.
     """
 
     name: str
@@ -381,10 +379,11 @@ def _run_vc(obj: CLIContext, n, universe, d_max, class_json):
 
 
 def _comma_list(flag: str, text: str, item: Callable = int, items: str = "integers") -> list:
-    """The `items` of a comma-separated flag value, each read by `item`; one it refuses
-    with ValueError, a repeated one, or none at all, is a spec error naming the flag."""
+    """The `items` of a comma-separated flag value, each stripped and read by `item`, a
+    blank one skipped; one it refuses with ValueError, a repeated one, or none at all, is
+    a spec error naming the flag."""
     try:
-        values = [item(v) for v in text.split(",") if v]
+        values = [item(v.strip()) for v in text.split(",") if v.strip()]
     except ValueError:
         raise InvalidParameterError(
             f"{flag} {text!r} is not a comma-separated list of {items}"
@@ -400,6 +399,7 @@ def _run_learn(obj: CLIContext, n, eps, target, learner, m, eps_acc, gamma, tria
                document=None):
     """Estimate a learner's failure probability for one trial configuration."""
     if document is None:
+        target_from_json_dict(target, "--target")  # a bad one names the flag
         member = {} if target == "random-pair" else {"i": 1}
         document = {"class": {"kind": "projections", "n": n},
                     "dist": {"kind": "pne", "n": n, "eps": eps, **member}, "target": target}

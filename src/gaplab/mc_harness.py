@@ -11,7 +11,6 @@ Errors are computed by exact oracles, never by an inner Monte Carlo loop.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -109,9 +108,10 @@ class RandomConcept:
 TargetSpec = FixedTarget | RandomPair | RandomConcept
 
 
-def target_from_json_dict(obj: dict | str) -> TargetSpec:
+def target_from_json_dict(obj: dict | str, label: str = "trial config key 'target'"
+                          ) -> TargetSpec:
     """The target an object, or the text fixed:<i>, random-pair or
-    random-concept, describes."""
+    random-concept, describes; `label` names where bad text came from."""
     if isinstance(obj, str):
         if obj.startswith("fixed:"):
             index = obj.split(":", 1)[1]
@@ -119,11 +119,11 @@ def target_from_json_dict(obj: dict | str) -> TargetSpec:
                 return FixedTarget(int(index))
             except ValueError:
                 raise InvalidParameterError(
-                    f"--target {obj!r}: {index!r} is not a valid integer"
+                    f"{label} {obj!r}: {index!r} is not a valid integer"
                 ) from None
         if obj not in ("random-pair", "random-concept"):
             raise InvalidParameterError(
-                f"bad target spec {obj!r}; use fixed:<i>, random-pair, random-concept"
+                f"{label}: bad target spec {obj!r}; use fixed:<i>, random-pair, random-concept"
             )
         obj = {"kind": obj}
     with spec_object(obj, "target") as get:
@@ -244,9 +244,6 @@ def validate_config(cfg: TrialConfig) -> None:
                 f"the posterior rule's exact error needs target fixed:{dist.i}, "
                 f"the pne member's fair coordinate"
             )
-        # Load it here, in the process that builds the config, so that a
-        # worker pool forked later inherits it instead of importing it.
-        _bdtr()
     if cfg.learner == "memorizer" and not isinstance(cls, TableClass):
         raise OracleUnavailableError(
             "the memorizer's exact error needs an enumerable domain"
@@ -280,37 +277,61 @@ def _popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
 
 
-@functools.cache
-def _bdtr() -> Callable[[float, int, float], float]:
-    """scipy.special.bdtr, imported on first use.
+def _stirlerr(k: int) -> float:
+    """log(k!) - log(sqrt(2 pi k) (k / e)^k), Stirling's error, for k >= 1.
 
-    scipy.special is about half of gaplab's start-up time and only the
-    posterior rule needs it.
-    """
-    from scipy.special import bdtr
+    Up to 15 the lgamma difference is still exact to about 1e-14; above, the
+    first five terms of the asymptotic series are."""
+    if k <= 15:
+        return math.lgamma(k + 1) - (k + 0.5) * math.log(k) + k - 0.5 * math.log(2 * math.pi)
+    kk = k * k
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * kk)) / kk) / kk) / kk) / k
 
-    return bdtr
+
+def _bd0(x: int, mean: float) -> float:
+    """x log(x / mean) + mean - x, by its Taylor series in (x - mean) / (x + mean)
+    when x is near mean, where the closed form cancels."""
+    if abs(x - mean) >= 0.1 * (x + mean):
+        return x * math.log(x / mean) + mean - x
+    v = (x - mean) / (x + mean)
+    total, term, j = (x - mean) * v, 2 * x * v, 1
+    while True:
+        term *= v * v
+        step = total + term / (2 * j + 1)
+        if step == total:
+            return total
+        total, j = step, j + 1
 
 
-def _binom_cdf(k: int, trials: int, p: float) -> float:
-    if k < 0:
+def _binom_pmf(j: int, trials: int, p: float) -> float:
+    """Pr[Binomial(trials, p) = j] for 0 < p < 1, within 1e-12 relative.
+
+    Loader's saddle-point form (Loader 2000, as in R's dbinom_raw): the log
+    of the pmf is split into Stirling errors and bd0 terms that are each
+    computed without cancellation, where a difference of lgammas of size
+    trials log(trials) would lose about 1e-10 at trials near 10^5."""
+    if not 0 <= j <= trials:
         return 0.0
-    if k >= trials:
-        return 1.0
-    return float(_bdtr()(float(k), trials, p))
+    if j == 0:
+        return math.exp(trials * math.log1p(-p))
+    if j == trials:
+        return math.exp(trials * math.log(p))
+    log_core = (_stirlerr(trials) - _stirlerr(j) - _stirlerr(trials - j)
+                - _bd0(j, trials * p) - _bd0(trials - j, trials * (1.0 - p)))
+    log_spread = math.log(2 * math.pi) + math.log(j) + math.log1p(-j / trials)
+    return math.exp(log_core - 0.5 * log_spread)
 
 
 def posterior_rule_error(k_size: int, threshold: int, eps: float) -> float:
     """Exact disagreement of the posterior rule with the target under P_i.
 
     The rule depends on the test point only through S = Z[i] + B with
-    B ~ Binomial(K - 1, eps), so
-    error = (Pr[1 + B < S*] + Pr[B >= S*]) / 2.
+    B ~ Binomial(K - 1, eps): it predicts 1 iff S >= S*.  It is wrong when
+    Z[i] = 1 and B < S* - 1, or Z[i] = 0 and B >= S*, each with Z[i]'s
+    probability 1/2, so
+    error = (Pr[B <= S* - 2] + Pr[B >= S*]) / 2 = (1 - Pr[B = S* - 1]) / 2.
     """
-    nb = k_size - 1
-    wrong_if_one = _binom_cdf(threshold - 2, nb, eps)
-    wrong_if_zero = 1.0 - _binom_cdf(threshold - 1, nb, eps)
-    return 0.5 * (wrong_if_one + wrong_if_zero)
+    return 0.5 * (1.0 - _binom_pmf(threshold - 1, k_size - 1, eps))
 
 
 class TrialResult(NamedTuple):

@@ -1,8 +1,9 @@
 """Every name a gaplab module imports is used by that module, every
 function, class and method a gaplab module defines is read by gaplab itself,
 mc_harness.TrialPool is the only code that starts worker processes, cli is
-the only module that writes to the user, and no module names `Point`: a
-point set is packed rows.
+the only module that writes to the user, no module names `Point` (a point
+set is packed rows), and the third-party modules gaplab imports are exactly
+the dependencies pyproject.toml lists.
 
 No linter ships with the project, so these are its unused-import and
 unused-definition checks.  __init__.py is skipped: its imports are the
@@ -13,6 +14,7 @@ tests call belongs in tests/reference.py.
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -219,3 +221,26 @@ def test_the_check_finds_reporting_outside_the_cli():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_cli_reports(path):
     assert reports_outside_cli(path.stem, path.read_text()) == []
+
+
+def third_party_imports(source: str) -> set[str]:
+    """The top-level names of the modules `source` imports from outside the
+    standard library and the package itself."""
+    return {name.split(".")[0] for node in ast.walk(ast.parse(source))
+            for name in imported(node)
+            if name and not getattr(node, "level", 0)
+            and name.split(".")[0] not in sys.stdlib_module_names}
+
+
+def test_the_check_finds_a_third_party_import():
+    source = ("import os, numpy.linalg as la\nfrom . import errors\nfrom .concepts import x\n"
+              "from scipy.special import bdtr\nfrom collections import deque\n")
+    assert third_party_imports(source) == {"numpy", "scipy"}
+
+
+def test_the_package_imports_exactly_its_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())["project"]
+    dependencies = {re.match(r"[\w.-]+", spec)[0] for spec in project["dependencies"]}
+    imports = set().union(*(third_party_imports(p.read_text()) for p in SRC.glob("*.py")))
+    assert imports == dependencies

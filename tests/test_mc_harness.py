@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 import time
 import tracemalloc
 from concurrent.futures import Future
@@ -192,7 +193,67 @@ class TestPosteriorRuleError:
 
     def test_never_predicting_one_costs_half(self):
         # threshold above K means the rule is constantly 0
-        assert posterior_rule_error(5, 6, 0.2) == pytest.approx(0.5, abs=1e-15)
+        assert posterior_rule_error(5, 6, 0.2) == 0.5
+
+
+PMF_EPS = (0.05, 0.1, 0.125, 0.2, 0.3, 0.45)
+
+
+def exact_pmf(j, trials, eps):
+    """Pr[Binomial(trials, eps) = j] for the float eps, rounded once: math.comb
+    times eps's exact ratio of integers, as Fraction(eps) holds it."""
+    num, den = Fraction(eps).as_integer_ratio()
+    return math.comb(trials, j) * num**j * (den - num) ** (trials - j) / den**trials
+
+
+def assert_pmf_close(j, trials, eps, want):
+    got = mc_harness._binom_pmf(j, trials, eps)
+    if want >= sys.float_info.min:
+        assert abs(got - want) <= 1e-12 * want, (j, trials, eps, got, want)
+    else:  # below the normal range only the exponent is left to check
+        assert got < 2 * sys.float_info.min, (j, trials, eps, got, want)
+
+
+class TestBinomialPmf:
+    @pytest.mark.parametrize("eps", PMF_EPS)
+    def test_every_j_up_to_300_trials_is_within_1e_12_of_the_exact_value(self, eps):
+        # The numerators of exact_pmf, row by row by Pascal's rule.
+        num, den = Fraction(eps).as_integer_ratio()
+        row = [1]
+        for trials in range(301):
+            total = den**trials
+            for j, count in enumerate(row):
+                assert_pmf_close(j, trials, eps, count / total)
+            row = [(den - num) * same + num * one_less
+                   for same, one_less in zip(row + [0], [0] + row)]
+
+    @pytest.mark.parametrize("eps", PMF_EPS)
+    def test_near_the_mean_below_4000_trials_is_within_1e_12(self, eps):
+        for trials in range(301, 4000, 199):
+            mean, sd = trials * eps, math.sqrt(trials * eps * (1 - eps))
+            for z in (-4, -2, -1, -0.5, 0, 0.5, 1, 2, 4):
+                j = round(mean + z * sd)
+                assert_pmf_close(j, trials, eps, exact_pmf(j, trials, eps))
+
+
+def test_posterior_rule_decides_as_the_two_cdf_form():
+    # The rule's failure decision, error > eps_acc, against the form it
+    # replaced, (F(S* - 2) + 1 - F(S* - 1)) / 2 with F scipy's binomial CDF.
+    from scipy.special import bdtr  # the test extra's oracle; gaplab does not import scipy
+
+    def cdf(k, trials, eps):
+        return 0.0 if k < 0 else 1.0 if k >= trials else float(bdtr(float(k), trials, eps))
+
+    points = 0
+    for eps in (0.1, 0.2):
+        for k in [*range(1, 4097), *range(4097, 2**17 + 1, 97)]:
+            threshold = posterior_threshold(k, eps)
+            new = posterior_rule_error(k, threshold, eps)
+            old = 0.5 * (cdf(threshold - 2, k - 1, eps) + 1.0 - cdf(threshold - 1, k - 1, eps))
+            for eps_acc in (1 / 16, 0.1, 0.25):
+                assert (new > eps_acc) == (old > eps_acc), (k, eps, eps_acc, new, old)
+            points += 1
+    assert points == 10_812
 
 
 class TestEstimateFailure:

@@ -1,7 +1,7 @@
 """What a fresh gaplab process imports.
 
-scipy.special is about half of gaplab's start-up time, and only the
-posterior rule uses it.  numpy.random is needed only by a command that
+No command imports scipy: the import alone costs about 19 MiB and a
+quarter of a second.  numpy.random is needed only by a command that
 draws.  Each check runs in a new interpreter, because this test session may
 already have imported them.
 """
@@ -25,10 +25,11 @@ def _env() -> dict[str, str]:
     return env
 
 
-def imported_modules(args: list[str], cwd: Path) -> set[str]:
-    """Every module `python -m gaplab.cli args` imports, from -X importtime."""
+def imported_modules(args: list[str], cwd: Path,
+                     program: tuple[str, ...] = ("-m", "gaplab.cli")) -> set[str]:
+    """Every module `python program args` imports, from -X importtime."""
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "gaplab.cli", *args],
+        [sys.executable, "-X", "importtime", *program, *args],
         cwd=cwd, env=_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -62,61 +63,31 @@ def test_version_does_not_import_numpy_random(tmp_path):
     assert "numpy.random" not in modules
 
 
-def test_posterior_rule_imports_scipy_special(tmp_path):
-    modules = imported_modules(
-        ["--out", str(tmp_path / "out.csv"), "lower-bound", "--n", "1024", "--eps", "0.2",
-         "--trials", "50"],
-        tmp_path,
-    )
-    assert "scipy.special" in modules
-
-
-def _run_python(code: str, cwd: Path) -> str:
-    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    return proc.stdout
-
-
-POOL_START_SCRIPT = """
+# gaplab.cli's main with os.cpu_count() at least 2, so that --threads 2 runs
+# on a 1-CPU machine.
+LIFTED_CPUS_MAIN = """
 import os
 import sys
-from gaplab import mc_harness
-from gaplab.cli import main
-
-print("loaded at import:", "scipy.special" in sys.modules)
-
-class RecordingPool(mc_harness.ProcessPoolExecutor):
-    def __init__(self, *args, **kwargs):
-        print("loaded at pool start:", "scipy.special" in sys.modules)
-        super().__init__(*args, **kwargs)
-
-mc_harness.ProcessPoolExecutor = RecordingPool
 cpus = os.cpu_count
-os.cpu_count = lambda: max(2, cpus() or 1)  # --threads 2 on a 1-CPU machine
-main({args!r}, standalone_mode=False)
+os.cpu_count = lambda: max(2, cpus() or 1)
+from gaplab.cli import main
+main(sys.argv[1:])
 """
 
 
-def _scipy_special_at_pool_start(args: list[str], cwd: Path) -> list[str]:
-    out = _run_python(POOL_START_SCRIPT.format(args=args), cwd)
-    return [line for line in out.splitlines() if line.startswith("loaded at")]
-
-
-def test_separation_loads_scipy_special_before_the_pool_starts(tmp_path):
-    lines = _scipy_special_at_pool_start(
-        ["--threads", "2", "--out", "sep.csv", "separation", "--n-list", "16,64",
-         "--learners", "erm,bayes-posterior", "--trials", "300", "--delta", "0.25",
-         "--m-max", "64"],
-        tmp_path,
-    )
-    assert lines == ["loaded at import: False", "loaded at pool start: True"]
-    assert (tmp_path / "sep.csv").read_text().count("bayes-posterior") == 2
-
-
-def test_learn_list_loads_scipy_special_before_the_pool_starts(tmp_path):
-    # The erm entry runs first and starts the pool; the posterior entry's
-    # config must already have loaded scipy.special by then.
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["lower-bound", "--n", "1024", "--eps", "0.2", "--trials", "200"],
+        ["separation", "--n-list", "16,64", "--learners", "erm,bayes-posterior",
+         "--trials", "300", "--delta", "0.25", "--m-max", "64"],
+        ["learn", "--config", "learn.json"],
+    ],
+    ids=["lower-bound-posterior", "separation", "learn-list"],
+)
+def test_no_command_imports_scipy(tmp_path, args):
+    # Each runs the posterior rule on two workers; -X importtime reports the
+    # workers' imports too.  The learn list's erm entry starts the pool.
     document = {
         "class": {"kind": "projections", "n": 64},
         "dist": {"kind": "pne", "n": 64, "eps": 0.1},
@@ -126,31 +97,8 @@ def test_learn_list_loads_scipy_special_before_the_pool_starts(tmp_path):
     (tmp_path / "learn.json").write_text(json.dumps(
         [{**document, "learner": "erm"}, {**document, "learner": "bayes-posterior"}]
     ))
-    lines = _scipy_special_at_pool_start(
-        ["--threads", "2", "--out", "learn.csv", "learn", "--config", "learn.json"], tmp_path
-    )
-    assert lines == ["loaded at import: False", "loaded at pool start: True"]
-    assert (tmp_path / "learn.csv").read_text().count("bayes-posterior") == 1
-
-
-def test_lower_bound_list_loads_scipy_special_before_the_pool_starts(tmp_path):
-    # As for learn: the erm entry starts the pool before the posterior entry runs.
-    entry = {"n": 1024, "eps": 0.2, "trials": 200}
-    (tmp_path / "lower-bound.json").write_text(json.dumps(
-        [{**entry, "learner": "erm"}, {**entry, "learner": "bayes-posterior"}]
-    ))
-    lines = _scipy_special_at_pool_start(
-        ["--threads", "2", "--out", "lb.csv", "lower-bound", "--config", "lower-bound.json"],
-        tmp_path,
-    )
-    assert lines == ["loaded at import: False", "loaded at pool start: True"]
-    assert (tmp_path / "lb.csv").read_text().count("bayes-posterior") == 1
-
-
-def test_direct_posterior_rule_error_loads_bdtr(tmp_path):
-    out = _run_python(
-        "from gaplab.mc_harness import posterior_rule_error\n"
-        "print(posterior_rule_error(5, 2, 0.1))\n",
-        tmp_path,
-    )
-    assert 0.0 < float(out) < 1.0
+    modules = imported_modules(["--threads", "2", "--out", "out.csv", *args], tmp_path,
+                               ("-c", LIFTED_CPUS_MAIN))
+    assert "gaplab.mc_harness" in modules
+    assert not {name for name in modules if name.split(".")[0] == "scipy"}
+    assert "bayes-posterior" in (tmp_path / "out.csv").read_text()
