@@ -53,6 +53,7 @@ from .errors import SPEC_FIELDS, GaplabError, InvalidParameterError, spec_value
 from .mc_harness import (
     FAILURE_THRESHOLD_ONE_SIXTEENTH,
     PROJECTION_LEARNERS,
+    check_search,
     config_from_json_dict,
     estimate_failure_prob,
     in_theorem_regime,
@@ -163,7 +164,10 @@ def _check_out(out: str | None) -> None:
 def _load_config_entries(config: str | None) -> list[dict]:
     if config is None:
         return [{}]
-    obj = json.loads(Path(config).read_text())
+    try:
+        obj = json.loads(Path(config).read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise InvalidParameterError(f"config is not UTF-8 text: {config}") from None
     entries = [obj] if isinstance(obj, dict) else obj
     if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
         raise InvalidParameterError("config must be a JSON object or a list of objects")
@@ -221,7 +225,9 @@ def _resolve_entry(ctx: click.Context, cmd: Command, entry: dict) -> dict:
     Config keys are the flag names.  A numeric value is read by its spec-field
     row (None is the flag's default), not by click's int(), which truncates
     2.7 and True; any other by its flag's click type.  The global --trials
-    wins over all three, and over the `trials` of a document.
+    wins over all three, and over the `trials` of a document.  Text that a
+    reader of _TEXT_READERS reads further is named by the flag or the config
+    key it came from.
     """
     params = {p.name: p for p in ctx.command.params if p.name != "config"}
     document = entry if entry.keys() & (cmd.replaces.keys() - params.keys()) else None
@@ -234,20 +240,23 @@ def _resolve_entry(ctx: click.Context, cmd: Command, entry: dict) -> dict:
         )
     values = {}
     for name, param in params.items():
+        label = param.opts[0]
         if name == "trials" and ctx.obj.trials is not None:
             values[name] = ctx.obj.trials
         elif name not in flat or ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE:
             values[name] = ctx.params[name]
-        elif name in SPEC_FIELDS:
-            value = spec_value(name, flat[name], f"{cmd.name} config")
-            values[name] = param.default if value is None else value
         else:
-            try:
-                values[name] = param.type_cast_value(ctx, flat[name])
-            except click.BadParameter as exc:
-                raise InvalidParameterError(
-                    f"{cmd.name} config key {name!r}: {exc.message}"
-                ) from None
+            label = f"{cmd.name} config key {name!r}"
+            if name in SPEC_FIELDS:
+                value = spec_value(name, flat[name], f"{cmd.name} config")
+                values[name] = param.default if value is None else value
+            else:
+                try:
+                    values[name] = param.type_cast_value(ctx, flat[name])
+                except click.BadParameter as exc:
+                    raise InvalidParameterError(f"{label}: {exc.message}") from None
+        if name in _TEXT_READERS and values[name] is not None and document is None:
+            values[name] = _TEXT_READERS[name](label, values[name])
     if document is not None:
         values["document"] = {**document, "trials": ctx.obj.trials} if ctx.obj.trials else document
     return values
@@ -378,28 +387,50 @@ def _run_vc(obj: CLIContext, n, universe, d_max, class_json):
                            "dimension": vc_dimension_bruteforce(cls, points, d_max)}]
 
 
-def _comma_list(flag: str, text: str, item: Callable = int, items: str = "integers") -> list:
-    """The `items` of a comma-separated flag value, each stripped and read by `item`, a
-    blank one skipped; one it refuses with ValueError, a repeated one, or none at all, is
-    a spec error naming the flag."""
+def _comma_list(label: str, text: str, item: Callable = int, items: str = "integers") -> list:
+    """The `items` of a comma-separated text, each stripped and read by `item`, a blank
+    one skipped; one it refuses with ValueError, a repeated one, or none at all, is a
+    spec error naming `label`, the flag or config key the text came from."""
     try:
         values = [item(v.strip()) for v in text.split(",") if v.strip()]
     except ValueError:
         raise InvalidParameterError(
-            f"{flag} {text!r} is not a comma-separated list of {items}"
+            f"{label} {text!r} is not a comma-separated list of {items}"
         ) from None
     if not values:
-        raise InvalidParameterError(f"{flag} {text!r} lists no {items}")
+        raise InvalidParameterError(f"{label} {text!r} lists no {items}")
     if len(set(values)) != len(values):
-        raise InvalidParameterError(f"{flag} {text!r} lists a value twice")
+        raise InvalidParameterError(f"{label} {text!r} lists a value twice")
     return values
+
+
+def _projection_learner(name: str) -> str:
+    if name not in PROJECTION_LEARNERS:
+        raise ValueError(name)
+    return name
+
+
+def _target_text(label: str, text: str) -> str:
+    target_from_json_dict(text, label)
+    return text
+
+
+# Text flags read further than their click type, by flag name: reader(label,
+# text), where label names the flag or config key the text came from.
+_TEXT_READERS = {
+    "n_list": lambda label, text: [spec_value("n", n, label=label)
+                                   for n in _comma_list(label, text)],
+    "m_grid": _comma_list,
+    "learners": lambda label, text: _comma_list(
+        label, text, _projection_learner, f"learners ({', '.join(PROJECTION_LEARNERS)})"),
+    "target": _target_text,
+}
 
 
 def _run_learn(obj: CLIContext, n, eps, target, learner, m, eps_acc, gamma, trials,
                document=None):
     """Estimate a learner's failure probability for one trial configuration."""
     if document is None:
-        target_from_json_dict(target, "--target")  # a bad one names the flag
         member = {} if target == "random-pair" else {"i": 1}
         document = {"class": {"kind": "projections", "n": n},
                     "dist": {"kind": "pne", "n": n, "eps": eps, **member}, "target": target}
@@ -418,28 +449,21 @@ def _run_learn(obj: CLIContext, n, eps, target, learner, m, eps_acc, gamma, tria
     return {"config": cfg.to_json_dict()}, rows
 
 
-def _projection_learner(name: str) -> str:
-    if name not in PROJECTION_LEARNERS:
-        raise ValueError(name)
-    return name
-
-
 def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, trials, m_max):
     """Empirical sample-size curve per learner across n: the separation run."""
-    ns = [spec_value("n", n, label="--n-list") for n in _comma_list("--n-list", n_list)]
-    learner_list = _comma_list("--learners", learners, _projection_learner,
-                               f"learners ({', '.join(PROJECTION_LEARNERS)})")
     spec = {
-        "n_list": ns, "eps": eps, "eps_acc": eps_acc, "delta": delta,
-        "learners": learner_list, "trials": trials, "m_max": m_max, "seed": obj.seed,
+        "n_list": n_list, "eps": eps, "eps_acc": eps_acc, "delta": delta,
+        "learners": learners, "trials": trials, "m_max": m_max, "seed": obj.seed,
     }
     base = RngSeed(obj.seed)
     cells = [
         (n, learner, matched_pair_config(n, eps, learner, 1, eps_acc, trials,
                                          base.substream(n).substream(li)))
-        for n in ns
-        for li, learner in enumerate(learner_list)
+        for n in n_list
+        for li, learner in enumerate(learners)
     ]
+    for _, _, cfg in cells:
+        check_search(cfg, delta)
 
     def rows():
         # Each search runs whole and serially on one worker, where its stop rule
@@ -450,7 +474,7 @@ def _run_separation(obj: CLIContext, n_list, eps, eps_acc, delta, learners, tria
         # while the other workers sit idle, so each search in turn fans its
         # trial blocks out instead.  Rows and warning lines come in cell order.
         pool = obj.pool
-        searches = sum(n for n, _, _ in cells) / max(ns)
+        searches = sum(n for n, _, _ in cells) / max(n_list)
         if pool.fans_out(trials) and searches >= 1.5 * pool.workers:
             results = pool.imap(sample_complexity_search,
                                 [(cfg, delta, m_max) for _, _, cfg in cells])
@@ -526,7 +550,7 @@ def _run_no_gap(obj: CLIContext, domain_size, dist, dist_json, m_grid, eps_acc, 
     else:
         domain = enumerated_domain(domain_size)
         law = uniform_finite(domain) if dist == "uniform" else geometric_finite(domain)
-    grid = _comma_list("--m-grid", m_grid) if m_grid else list(range(1, 2 * domain_size + 1))
+    grid = m_grid or list(range(1, 2 * domain_size + 1))
     configs = no_gap_configs(law, grid, trials, eps_acc, RngSeed(obj.seed))
     spec = {"dist": law.to_json_dict(), "m_grid": grid, "eps_acc": eps_acc,
             "trials": trials, "seed": obj.seed}
@@ -698,7 +722,7 @@ def _build(cmd: Command) -> click.Command:
         click.echo(f"wrote {path} ({len(rows)} row{'s' if len(rows) != 1 else ''})")
         _write_manifest(obj, digest, path)
 
-    config = click.Option(["--config"], type=click.Path(exists=True),
+    config = click.Option(["--config"], type=click.Path(exists=True, dir_okay=False),
                           help="JSON config: an entry or a list of entries, keyed by flag name.")
     return click.Command(cmd.name, callback=callback, params=[config, *cmd.options],
                          help=cmd.run.__doc__)

@@ -716,6 +716,17 @@ def _search_point(cfg: TrialConfig, delta: float, pool: TrialPool | None) -> MEs
                      fails.size, stopped)
 
 
+def check_search(cfg: TrialConfig, delta: float) -> None:
+    """Refuse a search whose CI radius at cfg's trials is at least delta: no
+    point of it could succeed."""
+    radius = hoeffding_radius(cfg.trials, cfg.gamma)
+    if radius >= delta:
+        raise InvalidParameterError(
+            f"CI radius {radius:.4f} at {cfg.trials} trials can never certify "
+            f"failure <= {delta}; increase trials or delta"
+        )
+
+
 def sample_complexity_search(
     cfg: TrialConfig, delta: float, m_max: int, pool: TrialPool | None = None
 ) -> SampleComplexityResult:
@@ -725,12 +736,7 @@ def sample_complexity_search(
     _search_point.  An unresolved point moves the bisection right without
     confirming a bracket edge.
     """
-    radius = hoeffding_radius(cfg.trials, cfg.gamma)
-    if radius >= delta:
-        raise InvalidParameterError(
-            f"CI radius {radius:.4f} at {cfg.trials} trials can never certify "
-            f"failure <= {delta}; increase trials or delta"
-        )
+    check_search(cfg, delta)
 
     evaluated: dict[int, MEstimate] = {}
 

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 from gaplab import cli, mc_harness
 from gaplab.cli import main
+from refusals import LEARN_DOCUMENT, PNE_4, wide_table
 
 
 @pytest.fixture()
@@ -64,11 +65,6 @@ class TestCover:
         row = read_csv(out)[0]
         assert float(row["certificate"]) <= 0.3
 
-    def test_invalid_spec_exits_2(self, runner, tmp_path):
-        res = runner.invoke(
-            main, ["--out", str(tmp_path / "x.csv"), "cover", "--n", "1", "--eps", "0.05"]
-        )
-        assert res.exit_code == 2
 
     def test_table_class_from_config_objects(self, runner, tmp_path):
         entry = {
@@ -85,13 +81,6 @@ class TestCover:
         assert res.exit_code == 0, res.output
         assert read_csv(out)[0]["class_kind"] == "table"
 
-    def test_malformed_class_json_exits_2(self, runner, tmp_path):
-        res = runner.invoke(
-            main, ["--out", str(tmp_path / "x.csv"), "cover", "--class-json", "{",
-                   "--dist-json", "{}", "--level", "0.3"]
-        )
-        assert res.exit_code == 2
-        assert "--class-json" in res.output
 
     def test_pne_flags_use_the_closed_form(self, runner, tmp_path, monkeypatch):
         # The flag path always builds a pne member, so the greedy scan never
@@ -128,75 +117,9 @@ class TestCover:
         assert bodies["json"] == bodies["flags"]
         assert read_csv(tmp_path / "json.csv")[0]["members"] == "1|3"
 
-    @pytest.mark.parametrize("level", ["0", "1.5", "-0.1"])
-    @pytest.mark.parametrize("explicit", [False, True])
-    def test_level_out_of_range_exits_2_before_any_cover(
-            self, runner, tmp_path, monkeypatch, level, explicit):
-        monkeypatch.setattr("gaplab.cli.build_cover", _no_scan)
-        spec = (["--class-json", json.dumps({"kind": "projections", "n": 8}),
-                 "--dist-json", json.dumps({"kind": "pne", "n": 8, "eps": 0.1, "i": 2})]
-                if explicit else ["--n", "64"])
-        out = tmp_path / "x.csv"
-        res = runner.invoke(main, ["--out", str(out), "cover", *spec, "--level", level])
-        assert res.exit_code == 2, res.output
-        assert f"--level must lie in (0, 1], got {float(level)}" in res.output
-        assert not out.exists()
-
-    def test_nan_marginal_exits_2_before_any_cover(self, runner, tmp_path, monkeypatch):
-        monkeypatch.setattr("gaplab.cli.build_cover", _no_scan)
-        out = tmp_path / "x.csv"
-        res = runner.invoke(
-            main, ["--out", str(out), "cover", "--level", "0.1",
-                   "--class-json", json.dumps({"kind": "projections", "n": 2}),
-                   "--dist-json", '{"kind": "product", "marginals": [NaN, 0.5]}']
-        )
-        assert res.exit_code == 2, res.output
-        assert "spec error: cover key 'dist_json.marginals'" in res.output
-        assert not out.exists()
-
-    @pytest.mark.parametrize("dist", [
-        {"kind": "pne", "n": 16, "eps": 0.05, "i": 3},
-        {"kind": "product", "marginals": [0.5] * 16},
-    ])
-    def test_class_and_law_of_different_n_exit_2(self, runner, tmp_path, dist):
-        out = tmp_path / "x.csv"
-        res = runner.invoke(
-            main, ["--out", str(out), "cover", "--level", "0.1",
-                   "--class-json", json.dumps({"kind": "projections", "n": 8}),
-                   "--dist-json", json.dumps(dist)]
-        )
-        assert res.exit_code == 2, res.output
-        assert "the class has n=8, the distribution has n=16" in res.output
-        assert not out.exists()
-
 
 def _no_scan(*args, **kwargs):
     raise AssertionError("a cover was built")
-
-
-@pytest.mark.parametrize("dist", [
-    {"kind": "pne", "n": 16, "eps": 0.05, "i": 3},
-    {"kind": "product", "marginals": [0.5] * 16},
-])
-def test_learn_and_cover_reject_different_n_with_one_message(runner, tmp_path, dist):
-    cls = {"kind": "projections", "n": 8}
-    doc = {"class": cls, "dist": dist, "target": {"kind": "fixed", "i": 3},
-           "learner": "erm", "m": 2, "eps_acc": 0.1, "trials": 10}
-    path = tmp_path / "learn.json"
-    path.write_text(json.dumps(doc))
-    runs = {
-        "learn": ["learn", "--config", str(path)],
-        "cover": ["cover", "--level", "0.1", "--class-json", json.dumps(cls),
-                  "--dist-json", json.dumps(dist)],
-    }
-    errors = {}
-    for command, args in runs.items():
-        res = runner.invoke(main, ["--out", str(tmp_path / f"{command}.csv"), *args])
-        assert res.exit_code == 2, res.output
-        errors[command] = [line for line in res.output.splitlines()
-                           if line.startswith("spec error:")]
-    assert errors["learn"] == errors["cover"] == [
-        "spec error: the class has n=8, the distribution has n=16"]
 
 
 class TestVc:
@@ -336,19 +259,6 @@ class TestLearn:
         assert [r["m"] for r in rows] == ["1", "3", "5"]
         assert all(r["trials"] == "40" for r in rows)
 
-    def test_bad_spec_exits_2(self, runner, tmp_path):
-        res = runner.invoke(
-            main, ["--out", str(tmp_path / "x.csv"), "learn", "--n", "16", "--eps", "0.9"]
-        )
-        assert res.exit_code == 2
-
-    def test_config_without_entries_exits_2(self, runner, tmp_path):
-        path, out = tmp_path / "empty.json", tmp_path / "x.csv"
-        path.write_text("[]")
-        res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
-        assert res.exit_code == 2, res.output
-        assert f"spec error: config lists no entries: {path}\n" in res.output
-        assert not out.exists()
 
     def test_learn_and_lower_bound_offer_the_projection_learners(self, runner):
         choices = f"[{'|'.join(mc_harness.PROJECTION_LEARNERS)}]"
@@ -373,12 +283,6 @@ class TestSeparation:
         assert all(int(r["m_star"]) >= 1 for r in rows)
         assert set(rows[0]) >= {"n", "learner", "m_star", "ci_low", "ci_high"}
 
-    def test_empty_learners_exits_2(self, runner, tmp_path):
-        res = runner.invoke(
-            main,
-            ["--out", str(tmp_path / "x.csv"), "separation", "--learners", ""],
-        )
-        assert res.exit_code == 2
 
     def test_unbracketed_search_exits_3(self, runner, tmp_path):
         res = runner.invoke(
@@ -442,33 +346,6 @@ class TestNoGap:
 
 
 @pytest.mark.parametrize(
-    "args",
-    [
-        ["--trials", "0", "no-gap", "--domain-size", "4", "--m-grid", "1"],
-        ["--trials", "-3", "learn", "--n", "16"],
-        ["no-gap", "--domain-size", "4", "--m-grid", "1", "--trials", "0"],
-        ["ks-stats", "--n", "256", "--trials", "0"],
-        ["separation", "--n-list", "16", "--trials", "0"],
-    ],
-)
-def test_trials_below_one_exits_2(runner, tmp_path, args):
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out)] + args)
-    assert res.exit_code == 2
-    assert "--trials" in res.output
-    assert not out.exists()
-
-
-def test_trials_zero_in_config_exits_2(runner, tmp_path):
-    path = tmp_path / "ng.json"
-    path.write_text(json.dumps({"domain_size": 4, "m_grid": "1", "trials": 0}))
-    res = runner.invoke(main, ["--out", str(tmp_path / "x.csv"), "no-gap",
-                               "--config", str(path)])
-    assert res.exit_code == 2
-    assert "trials" in res.output
-
-
-@pytest.mark.parametrize(
     "command, entry",
     [
         ("separation", {"n_list": "16", "learners": "cover", "delta": 0.9, "m_max": 64}),
@@ -485,17 +362,6 @@ def test_trials_key_in_config(runner, tmp_path, command, entry):
     res = runner.invoke(main, ["--out", str(out), command, "--config", str(path)])
     assert res.exit_code == 0, res.output
     assert {r["trials"] for r in read_csv(out)} == {"7"}
-
-
-@pytest.mark.parametrize("command", ["separation", "bounds"])
-def test_extra_config_entries_exit_2(runner, tmp_path, command):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps([{"n_list": "16"}, {"n_list": "32"}, {"eps": 0.1}]))
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), command, "--config", str(path)])
-    assert res.exit_code == 2
-    assert f"{command} takes one config entry, the config has 3" in res.output
-    assert not out.exists()
 
 
 def test_single_entry_list_keeps_spec_hash(runner, tmp_path):
@@ -517,18 +383,6 @@ def test_unexpected_error_exits_3(runner, tmp_path, monkeypatch):
     res = runner.invoke(main, ["--out", str(tmp_path / "x.csv"), "learn", "--n", "16"])
     assert res.exit_code == 3
     assert "runtime failure: unexpected failure" in res.output
-
-
-@pytest.mark.parametrize("out, named", [
-    ("missing/x.csv", "no directory"), (".", "is a directory"),
-])
-def test_unwritable_out_exits_2_before_any_trial(runner, tmp_path, monkeypatch, out, named):
-    monkeypatch.setattr(mc_harness, "_map_trials", _fail_unexpectedly)
-    res = runner.invoke(main, ["--out", str(tmp_path / out), "lower-bound", "--n", "4096",
-                               "--eps", "0.2", "--trials", "3000"])
-    assert res.exit_code == 2, res.output
-    assert res.stderr.startswith("spec error: --out ") and named in res.stderr
-    assert not list(tmp_path.rglob("*.manifest.json"))
 
 
 def test_lower_bound_outside_the_regime_warns_in_one_line(runner, tmp_path):
@@ -582,36 +436,6 @@ def test_debug_switch_reraises_unexpected_error(runner, tmp_path, monkeypatch):
     assert "runtime failure" not in res.output
 
 
-@pytest.mark.parametrize("command", ["learn", "lower-bound", "ks-stats", "cover", "vc"])
-def test_bad_config_value_is_a_spec_error(runner, tmp_path, command):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"n": "abc"}))
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), command, "--config", str(path)])
-    assert res.exit_code == 2
-    assert f"spec error: {command} config key 'n': 'abc' is not a valid integer" in res.output
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "command, entry, key",
-    [
-        ("no-gap", {"domain_size": 4, "m_grid": "1", "dist_kind": "geometric"}, "dist_kind"),
-        ("cover", {"n": 64, "i_special": 3}, "i_special"),
-        ("bounds", {"k_size": 4}, "k_size"),
-        ("learn", {"n": 16, "trials_opt": 5}, "trials_opt"),
-    ],
-)
-def test_unknown_config_key_exits_2(runner, tmp_path, command, entry, key):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(entry))
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), command, "--config", str(path)])
-    assert res.exit_code == 2
-    assert f"{command} config has unknown key {key!r}" in res.output
-    assert not out.exists()
-
-
 def test_config_dist_key_is_honoured(runner, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"domain_size": 4, "m_grid": "1", "trials": 50,
@@ -640,41 +464,6 @@ def test_config_k_key_is_honoured(runner, tmp_path):
     assert json.loads(out.read_text())["inputs"]["K"] == 4
 
 
-def test_config_value_uses_the_flag_type(runner, tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"domain_size": 4, "m_grid": "1", "trials": 50,
-                                "dist": "poisson"}))
-    res = runner.invoke(main, ["--out", str(tmp_path / "x.csv"), "no-gap",
-                               "--config", str(path)])
-    assert res.exit_code == 2
-    assert "no-gap config key 'dist'" in res.output
-
-
-@pytest.mark.parametrize("key", ["class", "dist", "target"])
-def test_learn_document_without_key_exits_2(runner, tmp_path, key):
-    doc = {
-        "class": {"kind": "projections", "n": 16},
-        "dist": {"kind": "pne", "n": 16, "eps": 0.1},
-        "target": {"kind": "random-pair"},
-        "m": 2,
-    }
-    del doc[key]
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    res = runner.invoke(main, ["--out", str(tmp_path / "x.csv"), "learn",
-                               "--config", str(path)])
-    assert res.exit_code == 2
-    assert f"trial config has no {key!r} key" in res.output
-
-
-LEARN_DOCUMENT = {
-    "class": {"kind": "projections", "n": 16},
-    "dist": {"kind": "pne", "n": 16, "eps": 0.1},
-    "target": {"kind": "random-pair"},
-    "m": 2,
-}
-
-
 def test_global_trials_overrides_a_learn_document(runner, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps([{**LEARN_DOCUMENT, "trials": 60},
@@ -686,37 +475,14 @@ def test_global_trials_overrides_a_learn_document(runner, tmp_path):
     assert [r["trials"] for r in read_csv(out)] == ["25", "25"]
 
 
-@pytest.mark.parametrize("flag, value, refused", [
-    ("--n", "64", "replaces"),
-    ("--eps", "0.3", "replaces"),
-    ("--target", "fixed:2", "sets"),
-    ("--m", "9", "sets"),
-    ("--trials", "30", "sets"),
-    ("--gamma", "0.05", None),
-])
-def test_a_learn_document_refuses_a_flag_it_sets_or_replaces(runner, tmp_path, flag, value,
-                                                             refused):
+def test_a_flag_fills_a_key_a_learn_document_leaves_out(runner, tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({**LEARN_DOCUMENT, "trials": 20}))
     out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path), flag, value])
-    if refused is None:  # the document leaves gamma out: the flag fills it
-        assert res.exit_code == 0, res.output
-        assert read_csv(out)[0]["gamma"] == value
-    else:
-        assert res.exit_code == 2
-        assert (f"spec error: {flag} cannot be given with a learn document, which {refused} it"
-                in res.output)
-        assert not out.exists()
-
-
-def test_bad_fixed_target_exits_2(runner, tmp_path):
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), "learn", "--n", "16",
-                               "--target", "fixed:x"])
-    assert res.exit_code == 2
-    assert "spec error: --target 'fixed:x': 'x' is not a valid integer" in res.output
-    assert not out.exists()
+    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path),
+                               "--gamma", "0.05"])
+    assert res.exit_code == 0, res.output
+    assert read_csv(out)[0]["gamma"] == "0.05"
 
 
 def _learn_bytes(runner, tmp_path, name, args, config=None, threads="1"):
@@ -765,66 +531,6 @@ def test_a_document_target_may_be_text(runner, tmp_path):
                                    {**LEARN_DOCUMENT, "trials": 60})
 
 
-@pytest.mark.parametrize(
-    "key, value, named",
-    [("m", "abc", "'m'"), ("eps_acc", "high", "'eps_acc'"), ("gamma", [1], "'gamma'"),
-     ("seed", {"master": "x"}, "'seed.master'")],
-)
-def test_bad_learn_document_value_exits_2(runner, tmp_path, key, value, named):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**LEARN_DOCUMENT, key: value}))
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
-    assert res.exit_code == 2
-    assert f"spec error: trial config key {named}" in res.output
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "command, entry, key",
-    [("learn", {"n": 16, "m": 2.7}, "m"), ("learn", {"n": 16, "m": True}, "m"),
-     ("learn", {"n": 16, "trials": 40.9}, "trials"), ("ks-stats", {"n": 64, "m": 2.5}, "m")],
-)
-def test_flat_int_key_refuses_what_int_would_truncate(runner, tmp_path, command, entry, key):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(entry))
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), command, "--config", str(path)])
-    assert res.exit_code == 2, res.output
-    assert (f"spec error: {command} config key {key!r}: {entry[key]!r} is not a valid integer"
-            in res.output)
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("key, value", [("m", 2.7), ("m", True), ("trials", 40.9)])
-def test_learn_document_int_key_refuses_what_int_would_truncate(runner, tmp_path, key,
-                                                                 value):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**LEARN_DOCUMENT, key: value}))
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
-    assert res.exit_code == 2, res.output
-    assert f"spec error: trial config key {key!r}: {value!r} is not a valid int" in res.output
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "entry, named",
-    [({"n": 16, "m": 2, "trials": 5, "eps_acc": True}, "learn config key 'eps_acc'"),
-     ({**LEARN_DOCUMENT, "eps_acc": True}, "trial config key 'eps_acc'"),
-     ({**LEARN_DOCUMENT, "dist": {**LEARN_DOCUMENT["dist"], "eps": True}},
-      "trial config key 'dist.eps'")],
-)
-def test_float_key_refuses_a_bool(runner, tmp_path, entry, named):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(entry))
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
-    assert res.exit_code == 2, res.output
-    assert f"spec error: {named}: True is not a valid float" in res.output
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("document", [False, True])
 def test_whole_float_int_key_runs_as_its_int(runner, tmp_path, document):
     base = {**LEARN_DOCUMENT, "trials": 20} if document else {"n": 16, "m": 2, "trials": 20}
@@ -837,126 +543,6 @@ def test_whole_float_int_key_runs_as_its_int(runner, tmp_path, document):
         assert res.exit_code == 0, res.output
         bodies.append(out.read_text())
     assert bodies[0] == bodies[1]
-
-
-@pytest.mark.parametrize("key, learner", [("cover_level", "cover"),
-                                          ("learner_eps", "bayes-posterior")])
-def test_learn_document_number_key_must_be_a_number(runner, tmp_path, key, learner):
-    doc = {**LEARN_DOCUMENT, "learner": learner, key: "abc", "trials": 20}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
-    assert res.exit_code == 2, res.output
-    assert f"spec error: trial config key {key!r}: 'abc' is not a number" in res.output
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "key, value, learner, bounds",
-    [("learner_eps", v, "bayes-posterior", "(0, 1/2)") for v in (-1, 0, 0.5, 0.7, 5)]
-    + [("cover_level", v, "cover", "(0, 1]") for v in (0, -0.0, 1.5)],
-)
-def test_learn_document_number_key_out_of_range_exits_2_before_any_trial(
-        runner, tmp_path, monkeypatch, key, value, learner, bounds):
-    monkeypatch.setattr("gaplab.mc_harness._map_trials", _no_trial)
-    doc = {**LEARN_DOCUMENT, "learner": learner, key: value, "trials": 20}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
-    assert res.exit_code == 2, res.output
-    assert f"spec error: {key} must lie in {bounds}, got {value!r}" in res.output
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "part, field, value, named",
-    [("dist", "n", "abc", "'dist.n'"), ("dist", "eps", "low", "'dist.eps'"),
-     ("dist", "i", [3], "'dist.i'"), ("class", "n", "abc", "'class.n'")],
-)
-def test_bad_value_inside_a_learn_document_part_exits_2(runner, tmp_path, part, field,
-                                                        value, named):
-    doc = {**LEARN_DOCUMENT, part: {**LEARN_DOCUMENT[part], field: value}}
-    if part == "dist" and field == "i":
-        doc = {**doc, "target": {"kind": "fixed", "i": 1}}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
-    assert res.exit_code == 2, res.output
-    assert f"spec error: trial config key {named}: {value!r} is not a valid" in res.output
-    assert not out.exists()
-
-
-def test_bad_value_in_a_json_option_names_the_option(runner, tmp_path):
-    out = tmp_path / "x.csv"
-    cases = [
-        ("no-gap", "--dist-json",
-         {"kind": "finite", "support": ["0", "1"], "probs": ["half", 0.5]}, "dist_json.probs"),
-        ("no-gap", "--dist-json",
-         {"kind": "finite", "support": [5, 1], "probs": [0.5, 0.5]}, "dist_json.support"),
-        ("no-gap", "--dist-json", {"kind": "finite", "probs": [0.5, 0.5]}, "dist_json.support"),
-        ("no-gap", "--dist-json",
-         {"kind": "finite", "support": ["0", "1"], "probs": [float("nan"), 1]},
-         "dist_json.probs"),
-        ("no-gap", "--dist-json",
-         {"kind": "finite", "support": ["0", "1"], "probs": [None, 1]}, "dist_json.probs"),
-        ("vc", "--class-json", {"kind": "table", "tables": ["01"]}, "class_json.domain"),
-        ("vc", "--class-json", {"kind": "table", "domain": ["0", "1"], "tables": ["012"]},
-         "class_json.tables"),
-    ]
-    for command, option, value, named in cases:
-        res = runner.invoke(main, ["--out", str(out), command, option, json.dumps(value)])
-        assert res.exit_code == 2, res.output
-        assert f"spec error: {command} key '{named}'" in res.output
-        assert not out.exists()
-
-
-PNE_4 = '{"kind": "pne", "n": 4, "eps": 0.1, "i": 1}'
-
-
-@pytest.mark.parametrize("args, message", [
-    (["cover", "--class-json", '{"kind": "projections", "n": 4, "x": 1}',
-      "--dist-json", PNE_4, "--level", "0.1"], "cover has unknown key 'class_json.x'"),
-    (["cover", "--class-json", '{"kind": "projections", "n": 4}', "--dist-json",
-      '{"kind": "pne", "n": 4, "eps": 0.1, "i": 1, "zz": 3}', "--level", "0.1"],
-     "cover has unknown key 'dist_json.zz'"),
-    (["vc", "--class-json", '{"kind": "table", "domain": ["0", "1"], "tables": ["01"], '
-      '"extra": 1}'], "vc has unknown key 'class_json.extra'"),
-    (["cover", "--class-json", "[1]", "--dist-json", PNE_4, "--level", "0.1"],
-     "cover key 'class_json': [1] is not a JSON object"),
-    (["no-gap", "--dist-json", '"x"'], "no-gap key 'dist_json': 'x' is not a JSON object"),
-    # A falsy value is given, not absent.
-    (["vc", "--n", "4", "--class-json", "[]"], "vc key 'class_json': [] is not a JSON object"),
-    (["no-gap", "--dist-json", "0"], "no-gap key 'dist_json': 0 is not a JSON object"),
-    (["cover", "--n", "16", "--class-json", "{}", "--dist-json", "{}"],
-     "cover key 'class_json': unknown class kind None"),
-    # A dict stands for a config file holding it.
-    (["learn", "--config", {**LEARN_DOCUMENT, "target": {"kind": "nope"}}],
-     "trial config key 'target': unknown target kind 'nope'"),
-    # Target text names the flag or the key it came from.
-    (["learn", "--n", "16", "--target", "nope"],
-     "--target: bad target spec 'nope'; use fixed:<i>, random-pair, random-concept"),
-    (["learn", "--config", {**LEARN_DOCUMENT, "target": "nope"}],
-     "trial config key 'target': bad target spec 'nope'; use fixed:<i>, random-pair, "
-     "random-concept"),
-    (["learn", "--config", {**LEARN_DOCUMENT, "target": "fixed:x"}],
-     "trial config key 'target' 'fixed:x': 'x' is not a valid integer"),
-])
-def test_an_unread_key_or_a_non_object_in_a_json_option_exits_2(runner, tmp_path, monkeypatch,
-                                                                 args, message):
-    monkeypatch.setattr("gaplab.mc_harness._map_trials", _no_trial)
-    config = tmp_path / "cfg.json"
-    for arg in args:
-        if isinstance(arg, dict):
-            config.write_text(json.dumps(arg))
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out),
-                               *(str(config) if isinstance(a, dict) else a for a in args)])
-    assert res.exit_code == 2, res.output
-    assert f"spec error: {message}\n" in res.output
-    assert not out.exists()
 
 
 PROJECTIONS_4 = '{"kind": "projections", "n": 4}'
@@ -1033,58 +619,6 @@ def test_every_name_in_a_replaces_column_is_read(cmd):
         assert replaced <= flags, f"{cmd.name} has no flag {sorted(replaced - flags)}"
 
 
-@pytest.mark.parametrize("points, reason", [
-    (["01", "0a"], "not a 0/1 string: '0a'"),
-    (["01", 5], "not a 0/1 string: 5"),
-    (["01", "011"], "points must share a dimension"),
-    (["01", "10", "01"], "points must be pairwise distinct"),
-], ids=["not-0/1", "not-a-string", "unequal-lengths", "repeated"])
-def test_bad_domain_or_support_exits_2_with_its_reason(runner, tmp_path, points, reason):
-    out = tmp_path / "x.csv"
-    probs = [1.0] + [0.0] * (len(points) - 1)
-    for command, option, value in (
-            ("vc", "--class-json", {"kind": "table", "domain": points, "tables": []}),
-            ("no-gap", "--dist-json", {"kind": "finite", "support": points, "probs": probs})):
-        res = runner.invoke(main, ["--out", str(out), command, option, json.dumps(value)])
-        assert res.exit_code == 2, res.output
-        key = "class_json.domain" if command == "vc" else "dist_json.support"
-        assert f"spec error: {command} key '{key}'" in res.output and reason in res.output
-        assert not out.exists()
-
-
-def test_support_point_outside_the_domain_exits_2_and_names_it(runner, tmp_path):
-    cls, law = wide_table(3)
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), "cover", "--class-json", json.dumps(cls),
-                               "--dist-json", json.dumps({**law, "support": ["00", "01", "11"]}),
-                               "--level", "0.3"])
-    assert res.exit_code == 2, res.output
-    assert "point '11' is not in the table domain" in res.output
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "command, flag, value",
-    [("separation", "--n-list", "16,abc"), ("separation", "--n-list", "1.5"),
-     ("no-gap", "--m-grid", "1,x"), ("no-gap", "--m-grid", "2,,1e3")],
-)
-def test_bad_comma_list_names_the_flag(runner, tmp_path, command, flag, value):
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), command, flag, value])
-    assert res.exit_code == 2, res.output
-    assert f"spec error: {flag} {value!r} is not a comma-separated list of integers" in res.output
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, flag", [("no-gap", "--m-grid"), ("separation", "--n-list")])
-def test_comma_list_without_integers_exits_2(runner, tmp_path, command, flag):
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), command, flag, ",", "--trials", "10"])
-    assert res.exit_code == 2, res.output
-    assert f"spec error: {flag} ',' lists no integers" in res.output
-    assert not out.exists()
-
-
 SEPARATION_SMALL = ["--trials", "300", "--delta", "0.25", "--m-max", "64"]
 
 
@@ -1105,162 +639,11 @@ def test_a_comma_list_reads_each_item_stripped(runner, tmp_path, command, flag, 
     assert bodies[0] == bodies[1]
 
 
-@pytest.mark.parametrize("command, flag, value, named", [
-    ("separation", "--n-list", "16,16", "--n-list '16,16' lists a value twice"),
-    ("no-gap", "--m-grid", "1,2,1", "--m-grid '1,2,1' lists a value twice"),
-    ("separation", "--learners", "erm,erm", "--learners 'erm,erm' lists a value twice"),
-    ("separation", "--learners", "", "--learners '' lists no learners (erm, cover, "
-     "bayes-posterior)"),
-    ("separation", "--learners", "erm,x", "--learners 'erm,x' is not a comma-separated list "
-     "of learners (erm, cover, bayes-posterior)"),
-])
-def test_a_repeated_list_value_exits_2(runner, tmp_path, monkeypatch, command, flag, value,
-                                       named):
-    monkeypatch.setattr("gaplab.mc_harness._map_trials", _no_trial)
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), command, flag, value])
-    assert res.exit_code == 2, res.output
-    assert f"spec error: {named}\n" in res.output
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("seed", ["-1", str(2**64)])
-@pytest.mark.parametrize("from_env", [False, True])
-@pytest.mark.parametrize("args", [["cover", "--n", "8"], ["vc", "--n", "3"], ["bounds"]],
-                         ids=["cover", "vc", "bounds"])
-def test_seed_outside_u64_exits_2(runner, tmp_path, seed, from_env, args):
-    out = tmp_path / "x.csv"
-    flags = [] if from_env else ["--seed", seed]
-    res = runner.invoke(main, [*flags, "--out", str(out), *args],
-                        env={"GAPLAB_SEED": seed} if from_env else {})
-    assert res.exit_code == 2, res.output
-    assert "Invalid value for '--seed'" in res.output
-    assert not out.exists()
-
-
 def test_largest_seed_is_accepted(runner, tmp_path):
     out = tmp_path / "vc.csv"
     res = runner.invoke(main, ["--seed", str(2**64 - 1), "--out", str(out), "vc", "--n", "3"])
     assert res.exit_code == 0, res.output
     assert read_csv(out)[0]["seed"] == str(2**64 - 1)
-
-
-def test_negative_d_max_exits_2(runner, tmp_path):
-    out = tmp_path / "vc.csv"
-    res = runner.invoke(main, ["--out", str(out), "vc", "--n", "4", "--d-max", "-1"])
-    assert res.exit_code == 2, res.output
-    assert "Invalid value for '--d-max'" in res.output
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "law",
-    [{"kind": "pne", "n": 4, "eps": 0.1}, {"kind": "pne", "n": 4, "eps": 0.1, "i": 2},
-     {"kind": "product", "marginals": [0.5, 0.1]}],
-)
-def test_no_gap_rejects_a_law_without_finite_support(runner, tmp_path, law):
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), "no-gap", "--dist-json", json.dumps(law)])
-    assert res.exit_code == 2, res.output
-    assert "spec error: no-gap --dist-json needs a finite distribution" in res.output
-    assert not out.exists()
-
-
-PRODUCT_DIST = {"kind": "product", "marginals": [0.5, 0.1, 0.1, 0.1]}
-
-
-def wide_table(points: int) -> tuple[dict, dict]:
-    """A table class over `points` domain points (tables all zeros, all ones
-    and a one at the last point) and the uniform law on its domain."""
-    domain = [format(k, f"0{(points - 1).bit_length()}b") for k in range(points)]
-    tables = ["0" * points, "1" * points, "0" * (points - 1) + "1"]
-    return ({"kind": "table", "domain": domain, "tables": tables},
-            {"kind": "finite", "support": domain, "probs": [1 / points] * points})
-
-
-WIDE_TABLE_REFUSAL = "a table class of 65 domain points has tables wider than 64 bits"
-
-
-def _no_trial(*args, **kwargs):
-    raise AssertionError("a trial ran")
-
-
-# A good first entry, a second entry that breaks a rule, and the rule.
-LATER_BAD_ENTRY = {
-    "learn": ({"n": 16, "m": 2, "trials": 20},
-              {"class": {"kind": "projections", "n": 16},
-               "dist": {"kind": "pne", "n": 16, "eps": 0.1, "i": 2},
-               "target": {"kind": "fixed", "i": 2}, "learner": "memorizer", "m": 2,
-               "eps_acc": 0.1, "trials": 20},
-              "the memorizer's exact error needs an enumerable domain"),
-    "lower-bound": ({"n": 16, "eps": 0.2, "learner": "erm", "trials": 20},
-                    {"n": 16, "eps": 0.3, "learner": "erm", "trials": 20},
-                    "eps must lie in (0, 1/4), got 0.3"),
-    "ks-stats": ({"n": 16, "eps": 0.2, "m": 2, "trials": 20},
-                 {"n": 16, "eps": 0.6, "m": 2, "trials": 20},
-                 "eps must lie in (0, 1/2), got 0.6"),
-    "no-gap": ({"domain_size": 4, "m_grid": "1", "trials": 20},
-               {"dist_json": {"kind": "pne", "n": 4, "eps": 0.1}, "m_grid": "1", "trials": 20},
-               "no-gap --dist-json needs a finite distribution"),
-    "cover": ({"n": 64, "eps": 0.05},
-              {"class_json": {"kind": "projections", "n": 8}, "level": 0.3},
-              "give both --class-json and --dist-json"),
-    "vc": ({"n": 4}, {"n": 21}, "full hypercube enumeration capped at n = 20"),
-}
-
-
-# Rules of cover and vc checked on types and sizes in the build step: a
-# command, a good first entry, a second entry that breaks a rule, and the rule.
-LATER_BUILD_RULE = {
-    "cover-table-under-product": (
-        "cover",
-        {"class_json": wide_table(3)[0], "dist_json": wide_table(3)[1], "level": 0.3},
-        {"class_json": wide_table(4)[0], "dist_json": PRODUCT_DIST, "level": 0.3},
-        "no exact oracle for TableClass under ProductDistribution"),
-    "vc-65-point-table": ("vc", {"n": 4}, {"class_json": wide_table(65)[0]},
-                          WIDE_TABLE_REFUSAL),
-    "cover-empty-table-class": (
-        "cover",
-        {"class_json": wide_table(2)[0], "dist_json": wide_table(2)[1], "level": 0.3},
-        {"class_json": {"kind": "table", "domain": ["0", "1"], "tables": []},
-         "dist_json": wide_table(2)[1], "level": 0.3},
-        "cannot cover an empty class"),
-    "cover-class-json-beside-n": (
-        "cover", {"n": 64, "eps": 0.05},
-        {"class_json": wide_table(3)[0], "dist_json": wide_table(3)[1], "level": 0.3, "n": 8},
-        "cover config key 'n' cannot be given with --class-json, which replaces it"),
-    "vc-class-json-beside-universe": (
-        "vc", {"n": 4}, {"class_json": wide_table(3)[0], "universe": "full"},
-        "vc config key 'universe' cannot be given with --class-json, which replaces it"),
-    "vc-default-universe-cells": (
-        "vc", {"n": 4}, {"n": 3500000, "universe": "default"},
-        "universe x class too large for the exhaustive search (85 x 3500000)"),
-}
-
-
-@pytest.mark.parametrize("command", sorted(LATER_BAD_ENTRY))
-def test_a_bad_later_entry_exits_2_before_the_first_entry_runs(runner, tmp_path, monkeypatch,
-                                                               command):
-    _refuses_before_any_run(runner, tmp_path, monkeypatch, command, *LATER_BAD_ENTRY[command])
-
-
-@pytest.mark.parametrize("case", sorted(LATER_BUILD_RULE))
-def test_a_cover_or_vc_rule_exits_2_before_the_first_entry_runs(runner, tmp_path, monkeypatch,
-                                                                case):
-    _refuses_before_any_run(runner, tmp_path, monkeypatch, *LATER_BUILD_RULE[case])
-
-
-def _refuses_before_any_run(runner, tmp_path, monkeypatch, command, good, bad, named):
-    for name in ("gaplab.mc_harness._map_trials", "gaplab.cli.build_cover",
-                 "gaplab.cli.vc_dimension_bruteforce"):
-        monkeypatch.setattr(name, _no_trial)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps([good, bad]))
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), command, "--config", str(path)])
-    assert res.exit_code == 2, res.output
-    assert f"spec error: {named}" in res.output
-    assert not out.exists() and not out.with_suffix(".manifest.json").exists()
 
 
 def test_a_bad_later_key_exits_2_before_any_entry_is_built(runner, tmp_path, monkeypatch):
@@ -1296,74 +679,14 @@ def test_a_lower_bound_entry_builds_its_trial_config_once(runner, tmp_path, monk
     assert built == [mc_harness.lower_bound_m(16, 0.2)]
 
 
-@pytest.mark.parametrize("key, value, learner, reader", [
-    ("learner_eps", 0.3, "erm", "bayes-posterior"),
-    ("learner_eps", 0.3, "cover", "bayes-posterior"),
-    ("cover_level", 0.5, "erm", "cover"),
-    ("cover_level", 0.5, "bayes-posterior", "cover"),
-    ("memorizer_default", 1, "erm", "memorizer"),
-    ("memorizer_default", 1, "cover", "memorizer"),
+@pytest.mark.parametrize("command, points", [
+    *((command, 64) for command in ("learn-erm", "learn-cover", "learn-memorizer", "cover", "vc")),
+    ("learn-memorizer", 65),
 ])
-def test_a_key_the_learner_does_not_read_exits_2_before_any_trial(
-        runner, tmp_path, monkeypatch, key, value, learner, reader):
-    monkeypatch.setattr("gaplab.mc_harness._map_trials", _no_trial)
-    path, out = tmp_path / "cfg.json", tmp_path / "x.csv"
-    path.write_text(json.dumps({**LEARN_DOCUMENT, "learner": learner, key: value,
-                                "trials": 20}))
-    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
-    assert res.exit_code == 2, res.output
-    assert (f"spec error: {key} is read only by the {reader} learner, not by {learner!r}\n"
-            in res.output)
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "doc, named",
-    [
-        ({"class": {"kind": "projections", "n": 16},
-          "dist": {"kind": "pne", "n": 16, "eps": 0.1, "i": 2},
-          "target": {"kind": "fixed", "i": 2}, "learner": "memorizer"},
-         "the memorizer's exact error needs an enumerable domain"),
-        ({"class": {"kind": "projections", "n": 4}, "dist": PRODUCT_DIST,
-          "target": {"kind": "fixed", "i": 1}, "learner": "bayes-posterior",
-          "learner_eps": 0.1},
-         "the posterior rule's exact error needs a pne distribution"),
-        ({"class": {"kind": "projections", "n": 4}, "dist": PRODUCT_DIST,
-          "target": {"kind": "fixed", "i": 1}, "learner": "cover"},
-         "cover learning needs cover_level unless the distribution is pne"),
-        ({"class": {"kind": "projections", "n": 16},
-          "dist": {"kind": "pne", "n": 16, "eps": 0.2, "i": 1},
-          "target": {"kind": "fixed", "i": 3}, "learner": "bayes-posterior"},
-         "the posterior rule's exact error needs target fixed:1"),
-        ({"class": {"kind": "projections", "n": 16},
-          "dist": {"kind": "pne", "n": 16, "eps": 0.2, "i": 4},
-          "target": {"kind": "random-concept"}, "learner": "bayes-posterior"},
-         "the posterior rule's exact error needs target fixed:4"),
-        ({"class": wide_table(65)[0], "dist": wide_table(65)[1],
-          "target": {"kind": "fixed", "i": 3}, "learner": "erm"}, WIDE_TABLE_REFUSAL),
-        ({"class": wide_table(65)[0], "dist": wide_table(65)[1],
-          "target": {"kind": "fixed", "i": 3}, "learner": "cover", "cover_level": 0.3},
-         WIDE_TABLE_REFUSAL),
-    ],
-)
-def test_learn_document_without_an_exact_oracle_exits_2_before_any_trial(
-        runner, tmp_path, monkeypatch, doc, named):
-    monkeypatch.setattr("gaplab.mc_harness._map_trials", _no_trial)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({**doc, "m": 2, "eps_acc": 0.1, "trials": 50}))
-    out = tmp_path / "x.csv"
-    res = runner.invoke(main, ["--out", str(out), "learn", "--config", str(path)])
-    assert res.exit_code == 2, res.output
-    assert f"spec error: {named}" in res.output
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("points", [64, 65])
-@pytest.mark.parametrize("command", ["learn-erm", "learn-cover", "learn-memorizer", "cover",
-                                     "vc"])
-def test_table_class_wider_than_64_points_exits_2(runner, tmp_path, command, points):
-    # Tables are uint64 words for ERM, covers and the VC dimension; the
-    # memorizer reads them as Python ints and takes any width.
+def test_a_table_class_of_64_points_runs_and_the_memorizer_takes_any_width(
+        runner, tmp_path, command, points):
+    # Tables are uint64 words for ERM, covers and the VC dimension, which refuse
+    # 65 points; the memorizer reads them as Python ints.
     cls, dist = wide_table(points)
     if command.startswith("learn"):
         learner = command.split("-")[1]
@@ -1380,13 +703,8 @@ def test_table_class_wider_than_64_points_exits_2(runner, tmp_path, command, poi
         args = ["vc", "--class-json", json.dumps(cls)]
     out = tmp_path / "x.csv"
     res = runner.invoke(main, ["--out", str(out), *args])
-    if points == 64 or command == "learn-memorizer":
-        assert res.exit_code == 0, res.output
-        assert out.exists()
-    else:
-        assert res.exit_code == 2, res.output
-        assert f"spec error: {WIDE_TABLE_REFUSAL}" in res.output
-        assert not out.exists()
+    assert res.exit_code == 0, res.output
+    assert out.exists()
 
 
 def test_separation_starts_one_pool(runner, tmp_path, monkeypatch):
@@ -1518,13 +836,6 @@ def test_threads_above_the_cpu_count_exits_2_before_any_pool(runner, tmp_path, m
     assert res.exit_code == 0, res.output
 
 
-def test_negative_threads_exits_2(runner, tmp_path):
-    res = runner.invoke(main, ["--threads", "-1", "--out", str(tmp_path / "x.csv"),
-                               "vc", "--n", "4"])
-    assert res.exit_code == 2
-    assert "--threads" in res.output
-
-
 class TestBounds:
     def test_json_values(self, runner, tmp_path):
         out = tmp_path / "bounds.json"
@@ -1550,21 +861,6 @@ class TestBounds:
         res = runner.invoke(main, ["--out", str(out), "bounds", "--k", "14000", "--d", "1000"])
         assert res.exit_code == 0, res.output
         assert '"sauer_estimate": Infinity' in out.read_text()
-
-    def test_range_violation_exits_2(self, runner, tmp_path):
-        res = runner.invoke(
-            main, ["--out", str(tmp_path / "b.json"), "bounds", "--eps", "2.0"]
-        )
-        assert res.exit_code == 2
-
-    @pytest.mark.parametrize("k, d", [(20000, 10000), (100000000, 50000000),
-                                      (9223372036854775807, 300)])
-    def test_sum_past_the_digit_limit_exits_2_before_summing(self, runner, tmp_path, k, d):
-        out = tmp_path / "b.json"
-        res = runner.invoke(main, ["--out", str(out), "bounds", "--k", str(k), "--d", str(d)])
-        assert res.exit_code == 2, res.output
-        assert f"spec error: the Sauer sum for K={k}, d={d} may pass 4300 digits" in res.output
-        assert not out.exists()
 
 
 class TestJsonFormat:

@@ -110,33 +110,6 @@ def test_every_numeric_document_key_has_a_row_and_is_checked_by_it():
                 config_from_json_dict(_with(doc, path, True))
 
 
-def _objects(doc: dict) -> list[str]:
-    """The dotted path of every object of a reader document, "" for the whole."""
-    return [""] + [key for key, value in doc.items() if isinstance(value, dict)]
-
-
-@pytest.mark.parametrize("d, path, form", [
-    (d, path, form) for d, doc in enumerate(READER_DOCUMENTS) for path in _objects(doc)
-    for form in ("unknown key", "number") if path or form == "unknown key"
-])
-def test_an_unread_key_or_a_non_object_is_a_spec_error_before_any_trial(
-        tmp_path, d, path, form):
-    if form == "number":
-        doc = _with(READER_DOCUMENTS[d], path, 5)
-        message = f"trial config key {path!r}: 5 is not a JSON object"
-    else:
-        dotted = f"{path}.zz" if path else "zz"
-        doc = _with(READER_DOCUMENTS[d], dotted, 1)
-        message = f"trial config has unknown key {dotted!r}"
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc))
-    with mock.patch.object(mc_harness, "_map_trials", side_effect=AssertionError("a trial ran")):
-        res = CliRunner().invoke(main, ["--out", str(tmp_path / "out"), "learn",
-                                        "--config", str(config)])
-    assert res.exit_code == 2, res.output
-    assert f"spec error: {message}\n" in res.output
-
-
 def _readme_rows() -> dict[str, tuple[str, str, bool]]:
     section = README.read_text().split("### Spec fields", 1)[1].split("\n#", 1)[0]
     rows = {}
