@@ -45,7 +45,6 @@ from .learners import (
     LabeledSample,
     MemorizerPredictor,
     consistent_memorizer,
-    cover_learner,
     erm,
 )
 from .metric_cover import (

@@ -168,6 +168,8 @@ def _load_config_entries(config: str | None) -> list[dict]:
         obj = json.loads(Path(config).read_text(encoding="utf-8"))
     except UnicodeDecodeError:
         raise InvalidParameterError(f"config is not UTF-8 text: {config}") from None
+    except json.JSONDecodeError as exc:
+        raise InvalidParameterError(f"config is not valid JSON: {config}: {exc}") from None
     entries = [obj] if isinstance(obj, dict) else obj
     if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
         raise InvalidParameterError("config must be a JSON object or a list of objects")
@@ -248,7 +250,7 @@ def _resolve_entry(ctx: click.Context, cmd: Command, entry: dict) -> dict:
         else:
             label = f"{cmd.name} config key {name!r}"
             if name in SPEC_FIELDS:
-                value = spec_value(name, flat[name], f"{cmd.name} config")
+                value = spec_value(name, flat[name], f"{cmd.name} config", label)
                 values[name] = param.default if value is None else value
             else:
                 try:
@@ -281,7 +283,7 @@ def _handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (InvalidParameterError, json.JSONDecodeError) as exc:
+        except InvalidParameterError as exc:
             click.echo(f"spec error: {exc}", err=True)
             sys.exit(2)
         except click.ClickException:

@@ -314,20 +314,6 @@ def build_shattered_set(n: int) -> np.ndarray:
                                    for i in range(n.bit_length() - 1)]))
 
 
-def label_rows(cls: ConceptClass, words: np.ndarray, n: int) -> np.ndarray:
-    """(rows, concepts) uint8 matrix of every concept's value on packed n-bit rows.
-
-    A table class finds each row in its domain; a row outside it raises
-    PointNotInDomainError.
-    """
-    if isinstance(cls, ProjectionClass):
-        if n != cls.n:
-            raise DimensionMismatchError(f"rows have n={n}, the class has n={cls.n}")
-        return unpack_bit_rows(words, n)
-    pos = np.array(cls.domain.find(row_keys(words, n)), dtype=np.uint64)
-    return ((cls.table_array()[None, :] >> pos[:, None]) & np.uint64(1)).astype(np.uint8)
-
-
 def _find_shattered(labels: np.ndarray, k: int) -> bool:
     """DFS for k universe rows whose label columns realize all 2^k patterns.
 
@@ -374,11 +360,9 @@ def check_vc_search(cls: ConceptClass, rows: int | None = None) -> None:
         )
 
 
-def _default_universe(cls: ConceptClass) -> np.ndarray:
-    """A table class's domain, or for the projections the shattered set and
-    then the fixed-seed random points, repeats dropped, first occurrences kept."""
-    if isinstance(cls, TableClass):
-        return cls.domain.rows
+def _default_universe(cls: ProjectionClass) -> np.ndarray:
+    """The shattered set and then the fixed-seed random points, repeats
+    dropped, first occurrences kept."""
     gen = np.random.Generator(np.random.PCG64(_VC_UNIVERSE_SEED))
     # One row at a time: the same stream as a single (points, n) draw.
     rows = [pack_bit_rows(gen.random((1, cls.n)) < 0.5)
@@ -396,25 +380,31 @@ def vc_dimension_bruteforce(
     d_max: int | None = None,
 ) -> int:
     """Size of the largest shattered subset of `universe`, a (rows, words)
-    uint64 matrix of packed points, found by exhaustive search.
+    uint64 matrix of packed points, found by exhaustive search.  A table
+    class's universe is its domain, and it takes no other.
 
     The search is capped a priori at floor(log2 |C|): a shattered set of size
     d needs 2^d distinct concept restrictions.  With the full 2^n universe
     this makes the result exact for the projection class.
     """
+    if isinstance(cls, TableClass) and universe is not None:
+        raise InvalidParameterError("a table class's VC universe is its domain; pass none")
     check_vc_search(cls, None if universe is None else len(universe))
-    if universe is None:
-        universe = _default_universe(cls)
     nc = cls.num_concepts
     if nc == 0:
         return 0
-    cap = min(len(universe), nc.bit_length() - 1)
+    if isinstance(cls, TableClass):
+        positions = np.arange(cls.domain_size, dtype=np.uint64)[:, None]
+        labels = ((cls.table_array()[None, :] >> positions) & np.uint64(1)).astype(np.uint8)
+    else:
+        if universe is None:
+            universe = _default_universe(cls)
+        if universe.shape[1:] != (words_needed(cls.n),):
+            raise DimensionMismatchError(f"universe rows must pack {cls.n}-bit points")
+        labels = unpack_bit_rows(universe, cls.n)
+    cap = min(len(labels), nc.bit_length() - 1)
     if d_max is not None:
         cap = min(cap, d_max)
-    n = cls.n if isinstance(cls, ProjectionClass) else cls.domain.n
-    if universe.shape[1:] != (words_needed(n),):
-        raise DimensionMismatchError(f"universe rows must pack {n}-bit points")
-    labels = label_rows(cls, universe, n)
     for k in range(cap, 0, -1):
         if _find_shattered(labels, k):
             return k

@@ -1,4 +1,4 @@
-"""Learners: ERM, the cover learner, the posterior rule for projections, the memorizer.
+"""Learners: ERM and the posterior rule for projections, the memorizer.
 
 A labeled sample is held as a bit-packed m x n matrix plus an m-vector of
 labels, matching the matrix view of the hypercube experiments: row r is the
@@ -12,12 +12,10 @@ from typing import Sequence
 import numpy as np
 
 from .concepts import (
-    ConceptClass,
     PointSet,
     ProjectionClass,
     bit_string,
     full_mask_words,
-    label_rows,
     row_keys,
     words_needed,
 )
@@ -26,10 +24,6 @@ from .errors import (
     InconsistentSampleError,
     InvalidParameterError,
 )
-from .metric_cover import CoverResult
-
-# Row-block budget for the dense label matrix of the mistake counts.
-_DENSE_CELL_BUDGET = 1 << 26
 
 # XOR mask per label bit: a row labelled 0 is complemented, one labelled 1 kept.
 _LABEL_FLIP = np.array([~np.uint64(0), np.uint64(0)], dtype=np.uint64)
@@ -60,10 +54,6 @@ class LabeledSample:
         """The points at `indices` of a point set, in that order, labelled by `labels`."""
         return cls(points.rows[np.asarray(indices, dtype=np.intp)], labels, points.n)
 
-    @property
-    def m(self) -> int:
-        return int(self.words.shape[0])
-
     def column_match_mask(self) -> np.ndarray:
         """Packed mask over coordinates whose column equals the label vector.
 
@@ -75,57 +65,17 @@ class LabeledSample:
         return np.bitwise_and.reduce(self.words ^ flip, axis=0) & full_mask_words(self.n)
 
 
-def _first_set_index(mask: np.ndarray) -> int | None:
-    """1-based position of the lowest set bit of a packed mask, or None."""
+def erm(cls: ProjectionClass, sample: LabeledSample) -> int:
+    """1-based index of the lowest projection consistent with the sample, read
+    off the column-match mask in O(m n / 64); InconsistentSampleError if none is."""
+    if sample.n != cls.n:
+        raise DimensionMismatchError("sample dimension does not match the class")
+    mask = sample.column_match_mask()
     nz = np.flatnonzero(mask)
     if nz.size == 0:
-        return None
-    w = int(nz[0])
-    word = int(mask[w])
-    return w * 64 + (word & -word).bit_length()
-
-
-def mistake_counts(cls: ConceptClass, sample: LabeledSample) -> np.ndarray:
-    """Number of sample rows each concept labels differently from Y, by
-    0-based concept index.
-
-    Counted on the class's label matrix of the sample, in row blocks that
-    bound the dense buffer.
-    """
-    counts = np.zeros(cls.num_concepts, dtype=np.int64)
-    block = max(1, _DENSE_CELL_BUDGET // max(cls.num_concepts, 1))
-    for lo in range(0, sample.m, block):
-        hi = min(sample.m, lo + block)
-        values = label_rows(cls, sample.words[lo:hi], sample.n)
-        counts += (values != sample.labels[lo:hi, None]).sum(axis=0)
-    return counts
-
-
-def erm(cls: ConceptClass, sample: LabeledSample) -> int:
-    """1-based index of the concept of minimal empirical error, ties broken by
-    lowest index.
-
-    For projections the realizable case is resolved in O(m n / 64) by the
-    column-match mask; the mistake counts are only needed when no column
-    matches the labels exactly.
-    """
-    if cls.num_concepts == 0:
-        raise InvalidParameterError("cannot run ERM over an empty class")
-    if isinstance(cls, ProjectionClass):
-        if sample.n != cls.n:
-            raise DimensionMismatchError("sample dimension does not match the class")
-        first = _first_set_index(sample.column_match_mask())
-        if first is not None:
-            return first
-    return int(np.argmin(mistake_counts(cls, sample))) + 1
-
-
-def cover_learner(cls: ConceptClass, cover: CoverResult, sample: LabeledSample) -> int:
-    """argmin of empirical error over the cover members, ties to the lowest index."""
-    if not cover.members:
-        raise InvalidParameterError("cover must be non-empty")
-    counts = mistake_counts(cls, sample)
-    return min(cover.members, key=lambda i: (counts[i - 1], i))
+        raise InconsistentSampleError("no projection is consistent with the sample")
+    word = int(mask[nz[0]])
+    return int(nz[0]) * 64 + (word & -word).bit_length()
 
 
 def posterior_mean_label(k_size: int, s: int, eps: float) -> float:

@@ -57,7 +57,6 @@ from .errors import (
 from .learners import (
     LabeledSample,
     consistent_memorizer,
-    cover_learner,
     erm,
     posterior_threshold,
 )
@@ -367,21 +366,19 @@ def _projection_sample(
 
 def _table_sample(
     cfg: TrialConfig, target: int, gen: np.random.Generator
-) -> tuple[int, list[int], LabeledSample]:
-    """The target's truth table, the support indices of cfg.m drawn points,
-    and those points labelled by the target."""
-    dist, positions = cfg.dist, cfg.positions
-    target_mask = cfg.concept_class.table_mask(target)
-    drawn = sample_support_indices(dist, cfg.m, gen)
-    idx = drawn.tolist()
-    labels = [(target_mask >> positions[u]) & 1 for u in idx]
-    return target_mask, idx, LabeledSample.from_points(dist.support, drawn, labels)
+) -> tuple[int, np.ndarray]:
+    """The target's truth table and the support indices of cfg.m drawn points."""
+    return cfg.concept_class.table_mask(target), sample_support_indices(cfg.dist, cfg.m, gen)
 
 
-def _memorizer_misses(cfg: TrialConfig, sample: LabeledSample, target_mask: int) -> list[int]:
-    """Support indices, in support order, where the memorizer disagrees with the target."""
-    predicted = consistent_memorizer(sample, cfg.memorizer_default).predict(cfg.dist.support)
-    return [u for u, (y, pos) in enumerate(zip(predicted, cfg.positions))
+def _memorizer_misses(cfg: TrialConfig, drawn: np.ndarray, target_mask: int) -> list[int]:
+    """Support indices, in support order, where the memorizer trained on the
+    drawn points, labelled by the target, disagrees with the target."""
+    positions, support = cfg.positions, cfg.dist.support
+    labels = [(target_mask >> positions[u]) & 1 for u in drawn.tolist()]
+    sample = LabeledSample.from_points(support, drawn, labels)
+    predicted = consistent_memorizer(sample, cfg.memorizer_default).predict(support)
+    return [u for u, (y, pos) in enumerate(zip(predicted, positions))
             if y != (target_mask >> pos) & 1]
 
 
@@ -453,7 +450,7 @@ def _projection_trial_error(
 ) -> float:
     if cfg.learner == "cover":
         # Only the member and target columns are drawn, in ascending order,
-        # so argmin keeps cover_learner's lowest-index tie-break.
+        # so argmin keeps the lowest-index tie-break.
         cover = cfg.cover
         if cover is None:  # random-pair: the cover of this trial's member P_I
             cover = pne_small_cover(dist, cfg.cover_level)
@@ -492,13 +489,21 @@ def _table_trial_error(
     target: int,
     gen: np.random.Generator,
 ) -> float:
-    target_mask, _, sample = _table_sample(cfg, target, gen)
+    target_mask, drawn = _table_sample(cfg, target, gen)
     if cfg.learner == "memorizer":
-        return dist.mass(_memorizer_misses(cfg, sample, target_mask))
+        return dist.mass(_memorizer_misses(cfg, drawn, target_mask))
+    # Concept c errs on every draw of support point u where its table and the
+    # target's differ at u's domain position: one pass over the points seen.
+    wrong = cls.table_array() ^ np.uint64(target_mask)
+    mistakes = np.zeros(cls.num_concepts, dtype=np.int64)
+    times_drawn = np.bincount(drawn, minlength=len(cfg.positions))
+    for u in np.flatnonzero(times_drawn).tolist():
+        bit = (wrong >> np.uint64(cfg.positions[u])) & np.uint64(1)
+        mistakes += int(times_drawn[u]) * bit.astype(np.int64)
     if cfg.learner == "erm":
-        chosen = erm(cls, sample)
+        chosen = int(np.argmin(mistakes)) + 1
     else:  # the cover learner: validate_config admits no other on tables
-        chosen = cover_learner(cls, cfg.cover, sample)
+        chosen = min(cfg.cover.members, key=lambda i: (mistakes[i - 1], i))
     return disagreement_enumerate(cls, dist, chosen, target, cfg.positions)
 
 
@@ -908,9 +913,9 @@ def _no_gap_trial(cfg: TrialConfig, threshold: Fraction, t: int) -> tuple:
     """
     gen = cfg.seed.generator(t)
     _, target = _resolve_target(cfg, gen)
-    target_mask, seen, sample = _table_sample(cfg, target, gen)
-    d = cfg.dist.exact_mass(_memorizer_misses(cfg, sample, target_mask))
-    z = missing_mass_fraction(cfg.dist, seen)
+    target_mask, drawn = _table_sample(cfg, target, gen)
+    d = cfg.dist.exact_mass(_memorizer_misses(cfg, drawn, target_mask))
+    z = missing_mass_fraction(cfg.dist, drawn.tolist())
     return d > z, z >= threshold, d > threshold, float(z)
 
 

@@ -4,11 +4,11 @@ No command runs these.  Each is a direct, slow transcription of a definition
 (a point's probability, the posterior over the hidden index, the rule that
 thresholds it, a Monte Carlo disagreement, the greedy packing scan and its
 pairwise distance oracle, the sample-size search with every point run to its
-full count, the scalar seed of a trial), so that the fast paths of the
-package can be compared with it, or a formula the paper's proofs use (the optimal
-single-bit predictor, Bernoulli KL and its quadratic lower bound, the tail
-inequality of the no-gap argument), so that the acceptance tests can check
-it numerically.  `Point` is one hypercube point, the scalar form these
+full count, the scalar seed of a trial, a whole table-class trial), so that
+the fast paths of the package can be compared with it, or a formula the
+paper's proofs use (the optimal single-bit predictor, Bernoulli KL and its
+quadratic lower bound, the tail inequality of the no-gap argument), so that
+the acceptance tests can check it numerically.  `Point` is one hypercube point, the scalar form these
 oracles read and write.
 """
 
@@ -53,6 +53,7 @@ from gaplab.errors import (
 )
 from gaplab.learners import LabeledSample, posterior_mean_label
 from gaplab.mc_harness import (
+    FixedTarget,
     MEstimate,
     SampleComplexityResult,
     TrialConfig,
@@ -105,6 +106,50 @@ def empty_sample(n: int) -> LabeledSample:
     """The labelled sample of no points of {0,1}^n."""
     return LabeledSample(np.zeros((0, words_needed(n)), dtype=np.uint64),
                          np.zeros(0, dtype=np.uint8), n)
+
+
+def reference_table_trial(cfg: TrialConfig, t: int) -> tuple[float, int]:
+    """(error, failed) of trial t of a table-class config, one point at a time.
+
+    The generator is PCG64 of the trial's seed.  It draws the target, unless
+    it is fixed, then m points, each by inversion of the cumulative masses,
+    whose tail from the last point of positive mass on is +inf.  Each
+    concept's value on a point is looked up by the point's place in the
+    domain.  ERM takes the concept of fewest mistakes, cover the member of
+    fewest, ties to the lowest index; the memorizer is a dict of the drawn
+    points' labels.  The error is the mass of the support points the choice
+    gets wrong, added in support order.
+    """
+    cls, dist = cfg.concept_class, cfg.dist
+    gen = np.random.Generator(np.random.PCG64(trial_seed(cfg.seed, t)))
+    if isinstance(cfg.target, FixedTarget):
+        target = cfg.target.index
+    else:
+        target = int(gen.integers(1, cls.num_concepts + 1))
+    cum = np.cumsum(dist.probs)
+    cum[np.flatnonzero(dist.probs)[-1]:] = np.inf
+    drawn = np.searchsorted(cum, gen.random(cfg.m), side="right").tolist()
+
+    domain, support = cls.domain.to_strings(), dist.support.to_strings()
+
+    def value(i: int, x: str) -> int:
+        return (cls.table_mask(i) >> domain.index(x)) & 1
+
+    truth = [value(target, x) for x in support]
+    if cfg.learner == "memorizer":
+        memory = {support[u]: truth[u] for u in drawn}
+        predicted = [memory.get(x, cfg.memorizer_default) for x in support]
+    else:
+        concepts = range(1, cls.num_concepts + 1)
+        mistakes = {i: sum(value(i, support[u]) != truth[u] for u in drawn) for i in concepts}
+        candidates = cfg.cover.members if cfg.learner == "cover" else concepts
+        chosen = min(candidates, key=lambda i: (mistakes[i], i))
+        predicted = [value(chosen, x) for x in support]
+    error = 0.0
+    for p, y, want in zip(dist.probs.tolist(), predicted, truth):
+        if y != want:
+            error += p
+    return error, int(error > cfg.eps_acc)
 
 
 def eval_concept(cls: ConceptClass, i: int, x: Point) -> int:
@@ -179,11 +224,11 @@ def missing_mass(dist: FiniteSupportDistribution, observed: Iterable[Point]) -> 
 
 def empirical_error(cls: ConceptClass, i: int, sample: LabeledSample) -> Fraction:
     """err_T(c_i): the fraction of sample labels concept i gets wrong; 0 on empty samples."""
-    if sample.m == 0:
+    if not len(sample.labels):
         return Fraction(0)
     mistakes = sum(eval_concept(cls, i, x) != y for x, y in
                    zip(row_points(sample.words, sample.n), sample.labels))
-    return Fraction(int(mistakes), sample.m)
+    return Fraction(int(mistakes), len(sample.labels))
 
 
 def k_set_indices(sample: LabeledSample) -> np.ndarray:
@@ -226,7 +271,7 @@ def posterior_state(sample: LabeledSample, eps: float) -> PosteriorState:
         raise InconsistentSampleError(
             "sample is inconsistent with every projection (empty candidate set)"
         )
-    return PosteriorState(tuple(int(i) for i in idx), eps, sample.m, sample.n)
+    return PosteriorState(tuple(int(i) for i in idx), eps, len(sample.labels), sample.n)
 
 
 def posterior_over_index(sample: LabeledSample) -> list[tuple[int, float]]:

@@ -105,13 +105,18 @@ CONFIG_FILES = [
             "Invalid value for '--config': File '.' is a directory"),
     Refusal("config-not-utf8", ["learn"], b'\xff{"n": 16}',
             "spec error: config is not UTF-8 text: cfg.json\n"),
+    Refusal("config-not-json", ["learn"], b"{",
+            "spec error: config is not valid JSON: cfg.json: Expecting property name enclosed "
+            "in double quotes: line 1 column 2 (char 1)\n"),
     *(Refusal(f"{command}-takes-one-entry", [command],
               [{"n_list": "16"}, {"n_list": "32"}, {"eps": 0.1}],
               f"spec error: {command} takes one config entry, the config has 3\n")
       for command in ("separation", "bounds")),
     Refusal("no-gap-config-trials-0", ["no-gap"],
             {"domain_size": 4, "m_grid": "1", "trials": 0},
-            "spec error: trials must lie in [1, 2^63 - 1], got 0\n"),
+            "spec error: no-gap config key 'trials' must lie in [1, 2^63 - 1], got 0\n"),
+    Refusal("learn-config-eps-acc-negative", ["learn"], {"n": 16, "eps_acc": -0.5},
+            "spec error: learn config key 'eps_acc' must lie in (0, inf), got -0.5\n"),
     *(Refusal(f"{command}-config-n-not-an-integer", [command], {"n": "abc"},
               f"spec error: {command} config key 'n': 'abc' is not a valid integer\n")
       for command in ("learn", "lower-bound", "ks-stats", "cover", "vc")),

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,6 @@ from gaplab.concepts import (
     enumerated_domain,
     full_hypercube,
     full_mask_words,
-    label_rows,
     pack_bit_rows,
     row_keys,
     unpack_bit_rows,
@@ -161,27 +161,6 @@ class TestEvalConcept:
         assert eval_concept(ProjectionClass(n), ProjectionClass(n).concept(i), x) == bits[i - 1]
 
 
-class TestLabelRows:
-    def test_values_match_each_concept(self):
-        dom = enumerated_domain(4)
-        words = dom.rows[[2, 0, 2, 3]]
-        for cls in (ProjectionClass(2), TableClass(dom, [0, 5, 6, 9, 15])):
-            got = label_rows(cls, words, 2)
-            want = [[eval_concept(cls, i, x) for i in range(1, cls.num_concepts + 1)]
-                    for x in row_points(words, 2)]
-            assert got.tolist() == want
-
-    def test_table_row_outside_the_domain_raises(self):
-        dom = enumerated_domain(3)
-        words = np.stack([dom.rows[1], Point.from_string("11").words])
-        with pytest.raises(PointNotInDomainError, match="'11'"):
-            label_rows(all_functions_class(dom), words, 2)
-
-    def test_projection_dimension_must_match(self):
-        with pytest.raises(DimensionMismatchError):
-            label_rows(ProjectionClass(3), Point.from_string("01").words[None, :], 2)
-
-
 class TestShattering:
     def test_construction_examples(self):
         pts = row_points(build_shattered_set(4), 4)
@@ -231,6 +210,23 @@ class TestVCDimension:
     def test_empty_universe(self):
         with pytest.raises(InvalidParameterError):
             vc_dimension_bruteforce(ProjectionClass(4), [])
+
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_table_class_is_searched_over_its_domain(self, d, data):
+        # The domain is listed out of order: the search reads table bit t as
+        # the value on domain point t.
+        dom = PointSet(data.draw(st.permutations(enumerated_domain(d).to_strings())))
+        cls = TableClass(dom, data.draw(st.lists(st.integers(0, (1 << d) - 1), max_size=12)))
+        points = row_points(dom.rows, dom.n)
+        want = max(k for k in range(d + 1) for subset in itertools.combinations(points, k)
+                   if is_shattered(cls, subset))
+        assert vc_dimension_bruteforce(cls) == want
+
+    def test_a_table_class_takes_no_universe(self):
+        cls = all_functions_class(enumerated_domain(3))
+        with pytest.raises(InvalidParameterError, match="VC universe is its domain"):
+            vc_dimension_bruteforce(cls, cls.domain.rows)
 
     def test_d_max_caps_result(self):
         cls = all_functions_class(enumerated_domain(5))

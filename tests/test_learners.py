@@ -27,13 +27,10 @@ from gaplab.errors import DimensionMismatchError, InconsistentSampleError, Inval
 from gaplab.learners import (
     LabeledSample,
     consistent_memorizer,
-    cover_learner,
     erm,
-    mistake_counts,
     posterior_mean_label,
     posterior_threshold,
 )
-from gaplab.metric_cover import CoverResult, pne_small_cover
 from reference import (
     Point,
     PosteriorState,
@@ -63,7 +60,7 @@ def realizable_sample(n, i_target, m, seed, eps=0.1, i_dist=None):
 def reference_column_match_mask(sample):
     """Per-row loop: AND each row, or its complement when the label is 0."""
     acc = full_mask_words(sample.n).copy()
-    for r in range(sample.m):
+    for r in range(len(sample.labels)):
         row = sample.words[r]
         acc &= row if sample.labels[r] else ~row
     return acc
@@ -100,7 +97,7 @@ class TestLabeledSample:
         points = PointSet(["110", "011", "101"])
         labels = [u % 2 for u in indices]
         s = LabeledSample.from_points(points, indices, labels)
-        assert (s.n, s.m) == (3, len(indices))
+        assert s.n == 3
         assert s.words.tolist() == points.rows[indices].tolist()
         assert s.labels.tolist() == labels
 
@@ -157,75 +154,18 @@ class TestErm:
         s = sample_from(["101"], [1])
         assert erm(cls, s) == 1
 
-    def test_non_realizable_matches_brute_force(self):
-        cls = ProjectionClass(9)
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            m = int(rng.integers(1, 8))
-            words = sample_bit_matrix(make_pne(9, 0.3, 4), m, RngSeed(int(rng.integers(1e6))).generator(0))
-            labels = rng.integers(0, 2, m).astype(np.uint8)
-            s = LabeledSample(words, labels, 9)
-            chosen = erm(cls, s)
-            errors = [empirical_error(cls, cls.concept(i), s) for i in range(1, 10)]
-            assert list(mistake_counts(cls, s)) == [e * m for e in errors]
-            assert chosen == int(np.argmin(errors)) + 1
-
-    def test_table_class_erm(self):
-        dom = enumerated_domain(3)
-        cls = all_functions_class(dom)
-        s = LabeledSample.from_points(dom, [0, 2], [1, 0])
-        chosen = erm(cls, s)
-        assert empirical_error(cls, chosen, s) == 0
-        errors = [empirical_error(cls, i, s) for i in range(1, cls.num_concepts + 1)]
-        assert list(mistake_counts(cls, s)) == [e * s.m for e in errors]
-        # lowest index among zero-error tables: bit0 = 1, bit2 = 0, bit1 free -> mask 0b001
-        assert chosen == 0b001 + 1
-
     def test_deterministic(self):
         cls = ProjectionClass(16)
         s = realizable_sample(16, 3, 6, seed=9)
         assert erm(cls, s) == erm(cls, s)
 
-    def test_empty_class_rejected(self):
-        dom = enumerated_domain(2)
-        from gaplab.concepts import TableClass
+    def test_inconsistent_sample_raises(self):
+        with pytest.raises(InconsistentSampleError):
+            erm(ProjectionClass(2), sample_from(["01", "10"], [1, 1]))
 
-        empty = TableClass(dom, [])
-        with pytest.raises(InvalidParameterError):
-            erm(empty, empty_sample(1))
-
-
-class TestCoverLearner:
-    def test_empty_sample_returns_first_member(self):
-        cls = ProjectionClass(8)
-        cover = pne_small_cover(make_pne(8, 0.1, 5))
-        chosen = cover_learner(cls, cover, empty_sample(8))
-        assert chosen == 1
-
-    def test_target_in_cover_wins(self):
-        cls = ProjectionClass(8)
-        cover = pne_small_cover(make_pne(8, 0.1, 5))  # members 1 and 5
-        s = sample_from(["00001000"], [1])  # row where c_5 = 1 but c_1 = 0
-        assert cover_learner(cls, cover, s) == 5
-
-    def test_empty_cover_rejected(self):
-        cls = ProjectionClass(4)
-        with pytest.raises(InvalidParameterError):
-            cover_learner(cls, CoverResult((), 0.1), empty_sample(4))
-
-    def test_returns_member_close_to_target(self):
-        # Target outside the cover: the returned member sits within 2 eps.
-        n, eps, i = 64, 0.05, 3
-        cls = ProjectionClass(n)
-        dist = make_pne(n, eps, i)
-        cover = pne_small_cover(dist)
-        target = 17
-        words = sample_bit_matrix(dist, 1000, RngSeed(12).generator(0))
-        s = LabeledSample(words, packed_column(words, target), n)
-        chosen = cover_learner(cls, cover, s)
-        from gaplab.metric_cover import disagreement_exact_projections
-
-        assert disagreement_exact_projections(dist, chosen, target) <= 2 * eps
+    def test_dimension_must_match(self):
+        with pytest.raises(DimensionMismatchError):
+            erm(ProjectionClass(3), sample_from(["01"], [1]))
 
 
 class TestPosterior:

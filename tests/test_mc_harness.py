@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gaplab import mc_harness, metric_cover
+from gaplab import concepts, mc_harness, metric_cover
 from gaplab.concepts import (
     PointSet,
     ProjectionClass,
@@ -33,7 +34,7 @@ from gaplab.errors import (
     OracleUnavailableError,
     SearchBracketError,
 )
-from gaplab.learners import posterior_threshold
+from gaplab.learners import LabeledSample, posterior_threshold
 from gaplab.mc_harness import (
     FixedTarget,
     RandomConcept,
@@ -55,7 +56,9 @@ from gaplab.mc_harness import (
     TrialPool,
 )
 from reference import (PosteriorState, bayes_posterior_predict, full_count_search,
-                       hypercube_points, point_prob, tail_inequality_check, trial_seed)
+                       hypercube_points, point_prob, reference_table_trial,
+                       tail_inequality_check, trial_seed)
+from test_golden import DOCUMENTS
 
 
 def pne_cfg(n, eps, learner, m, eps_acc, trials, seed, target=None, **kw):
@@ -146,6 +149,76 @@ class TestRunTrial:
         )
         res = run_trial(cfg, 0)
         assert 0.0 <= res.error <= 1.0
+
+
+@st.composite
+def table_configs(draw):
+    """A table-class trial config of at most 8 domain points (3-bit strings),
+    under a law whose support is listed in another order than the domain,
+    with zero masses among its points; ERM, cover or the memorizer."""
+    d = draw(st.integers(2, 8))
+    domain = draw(st.permutations([format(v, "03b") for v in range(8)]))[:d]
+    order = draw(st.permutations(range(d)))[:draw(st.integers(2, d))]
+    if order == sorted(order):
+        order.reverse()
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(order), max_size=len(order)))
+    weights[draw(st.integers(0, len(order) - 1))] += 1
+    dist = FiniteSupportDistribution(PointSet([domain[k] for k in order]),
+                                     [w / sum(weights) for w in weights])
+    if draw(st.booleans()):
+        cls = all_functions_class(PointSet(domain))
+    else:
+        cls = TableClass(PointSet(domain), draw(st.lists(st.integers(0, (1 << d) - 1),
+                                                         min_size=1, max_size=10)))
+    learner = draw(st.sampled_from(["erm", "cover", "memorizer"]))
+    target = draw(st.one_of(st.just(RandomConcept()),
+                            st.integers(1, cls.num_concepts).map(FixedTarget)))
+    keys = ({"cover_level": draw(st.sampled_from([0.1, 0.25, 0.4, 0.6]))}
+            if learner == "cover" else
+            {"memorizer_default": draw(st.integers(0, 1))} if learner == "memorizer" else {})
+    return TrialConfig(cls, dist, target, learner, draw(st.integers(0, 6)),
+                       draw(st.sampled_from([0.05, 0.2, 0.4])), 20,
+                       RngSeed(draw(st.integers(0, 2**32))), **keys)
+
+
+@given(table_configs())
+@settings(max_examples=150, deadline=None)
+def test_a_table_trial_matches_the_reference(cfg):
+    for t in range(cfg.trials):
+        got = tuple(run_trial(cfg, t))
+        assert got == reference_table_trial(cfg, t), f"spec {cfg.to_json_dict()}, trial {t}"
+
+
+@pytest.mark.parametrize("name", ["learn-table-erm", "learn-table-cover"])
+def test_a_table_erm_or_cover_trial_never_looks_a_point_up_by_its_bytes(monkeypatch, name):
+    cfg = config_from_json_dict(DOCUMENTS[name])
+    want = run_trials(cfg)
+
+    def refuse(*args):
+        raise AssertionError("a point was looked up by its bytes")
+
+    monkeypatch.setattr(LabeledSample, "from_points", refuse)
+    monkeypatch.setattr(PointSet, "find", refuse)
+    monkeypatch.setattr(concepts, "row_keys", refuse)
+    got = run_trials(cfg)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_a_table_trial_holds_no_array_of_draws_by_concepts():
+    # 4096 draws against the 65,536 tables of a 16-point domain: a draws x
+    # concepts label matrix would be 256 MiB, one concept vector is 512 KiB.
+    dom = enumerated_domain(16)
+    cls = all_functions_class(dom)
+    cfg = TrialConfig(cls, uniform_finite(dom), FixedTarget(12345), "erm", 4096, 0.1, 2,
+                      RngSeed(3))
+    run_trial(cfg, 0)
+    tracemalloc.start()
+    try:
+        run_trial(cfg, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * cls.num_concepts
 
 
 @pytest.mark.parametrize("learner", ["erm", "bayes-posterior", "cover"])
