@@ -10,6 +10,13 @@ for the class of all functions.
 
 __version__ = "0.1.0"
 
+import os
+
+# gaplab makes no BLAS call, yet numpy's OpenBLAS starts a thread per CPU that
+# spins for about 0.13 s of CPU in every process.  Set before numpy loads; a
+# value the user set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .concepts import (
     PointSet,
     ProjectionClass,

@@ -17,11 +17,15 @@ manifest are shared by all commands.
 from __future__ import annotations
 
 import csv
+# At module level although only spec_hash calls it: numpy.random loads it too
+# (secrets, then hmac), and mapped in the parent before a pool forks, OpenSSL
+# is shared by every worker instead of mapped again in each.
 import hashlib
 import io
 import json
 import os
 import platform
+import resource
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -135,6 +139,12 @@ def _write_report(obj: CLIContext, kind: str, rows: list[dict], digest: str) -> 
     return path
 
 
+def _peak_rss_mib() -> float:
+    """This process's peak resident set size in MiB; a worker's is not in it."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, KiB elsewhere
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
+
+
 def _write_manifest(ctx_obj: CLIContext, digest: str, output: Path) -> None:
     manifest_path = output.with_suffix(".manifest.json")
     doc = {
@@ -148,6 +158,7 @@ def _write_manifest(ctx_obj: CLIContext, digest: str, output: Path) -> None:
         "cpu_count": os.cpu_count(),
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
+        "peak_rss_mib": _peak_rss_mib(),
     }
     manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     click.echo(f"manifest: {manifest_path}")

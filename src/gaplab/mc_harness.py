@@ -15,11 +15,10 @@ import itertools
 import math
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,6 +70,9 @@ from .metric_cover import (
     oracle_positions,
     pne_small_cover,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 PROJECTION_LEARNERS = ("erm", "cover", "bayes-posterior")
 LEARNER_NAMES = (*PROJECTION_LEARNERS, "memorizer")
@@ -557,9 +559,19 @@ class TrialPool:
         are two or more, and at least two trials per worker."""
         return self.workers > 1 and trials >= 2 * self.workers
 
+    @staticmethod
+    def _executor_class() -> type[ProcessPoolExecutor]:
+        """mc_harness.ProcessPoolExecutor, imported on the first pool start
+        or lookup and then bound there, where a test or a benchmark may
+        replace it; a process that never fans out maps neither
+        concurrent.futures.process nor multiprocessing."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        return globals().setdefault("ProcessPoolExecutor", ProcessPoolExecutor)
+
     def _start(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            self._executor = self._executor_class()(max_workers=self.workers)
         return self._executor
 
     def imap(self, fn: Callable, arg_tuples: Iterable[tuple]) -> Iterator:
@@ -586,6 +598,13 @@ class TrialPool:
         finally:
             for future in in_flight:
                 future.cancel()
+
+
+def __getattr__(name: str) -> type:
+    """The module's one lazy attribute, ProcessPoolExecutor (PEP 562)."""
+    if name == "ProcessPoolExecutor":
+        return TrialPool._executor_class()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _map_trials(
@@ -838,6 +857,26 @@ class KsSummary:
     sk_hist_counts: tuple[int, ...]
 
 
+def five_quantiles(values: np.ndarray) -> tuple[float, float, float, float, float]:
+    """The 0, 1/4, 1/2, 3/4 and 1 quantiles of integer `values` by numpy's
+    linear rule, equal to np.quantile's bit for bit.
+
+    np.quantile loads numpy.ma (through np.unique) for this, about 0.7 MiB
+    on the peak of a ks-stats parent.  With T values, quantile q sits at
+    h = (T - 1) q, whose fractional part is 0, 1/4, 1/2 or 3/4, so every
+    step below is exact in float64 for integers below 2^50.
+    """
+    ordered = np.sort(values)
+    top = len(ordered) - 1
+    out = []
+    for q in (0.0, 0.25, 0.5, 0.75, 1.0):
+        h = top * q
+        lo = math.floor(h)
+        below, above = int(ordered[lo]), int(ordered[min(lo + 1, top)])
+        out.append(below + (h - lo) * (above - below))
+    return tuple(out)
+
+
 def _ks_trial(family: PneFamily, m: int, seed: RngSeed, t: int) -> tuple[int, int]:
     """Trial t's K (candidates consistent with the sample) and S (those 1 at the test point)."""
     gen = seed.generator(t)
@@ -877,7 +916,6 @@ def ks_statistics_experiment(
     in_band = int(np.count_nonzero((ratio >= band[0]) & (ratio <= band[1])))
     k_threshold = n ** (2.0 / 3.0) / 2.0
     k_tail = int(np.count_nonzero(ks >= k_threshold))
-    quantiles = tuple(float(q) for q in np.quantile(ks, [0.0, 0.25, 0.5, 0.75, 1.0]))
     edges = np.linspace(0.0, 1.0, 41)
     counts, _ = np.histogram(ratio, bins=edges)
     return KsSummary(
@@ -885,7 +923,7 @@ def ks_statistics_experiment(
         ratio_in_band=EstimateWithCI.from_count(in_band, trials, gamma),
         k_threshold=k_threshold,
         k_tail=EstimateWithCI.from_count(k_tail, trials, gamma),
-        k_quantiles=quantiles,
+        k_quantiles=five_quantiles(ks),
         sk_hist_edges=tuple(float(e) for e in edges),
         sk_hist_counts=tuple(int(c) for c in counts),
     )

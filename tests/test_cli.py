@@ -141,6 +141,8 @@ class TestVc:
         assert manifest["python_version"] == platform.python_version()
         assert manifest["numpy_version"] == np.__version__
         assert "scipy_version" not in manifest  # no number depends on scipy
+        # this process's own peak; the test session's, so only its type and sign are known
+        assert type(manifest["peak_rss_mib"]) is float and manifest["peak_rss_mib"] > 0
 
     def test_manifest_resolves_auto_workers(self, runner, tmp_path, monkeypatch):
         # --threads 0 counts the CPUs this process may run on, not the machine's.

@@ -69,9 +69,10 @@ def unread_definitions(sources: dict[str, str], package: str) -> list[str]:
     -> source of `package.module`) that no source reads as a name or
     attribute.  An attribute of a module bound by `import` from outside the
     package (`np.empty`, `math.log`) is no read of a definition, and nor is a
-    read inside a function's or method's own body.  Dunders and overrides of
-    a method a base class defines are left out: their caller is Python or the
-    base class."""
+    read inside a function's or method's own body.  Dunders, a module's
+    `__getattr__` as well as a class's methods, and overrides of a method a
+    base class defines are left out: their caller is Python or the base
+    class."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     defined, reads = {}, []  # definition -> ids of the nodes of its own body
     for module, tree in trees.items():
@@ -79,7 +80,7 @@ def unread_definitions(sources: dict[str, str], package: str) -> list[str]:
                    if isinstance(node, ast.Import) for alias in node.names
                    if alias.name.split(".")[0] != package}
         for node in tree.body:
-            if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            if isinstance(node, FUNCTIONS + (ast.ClassDef,)) and not node.name.startswith("__"):
                 defined[f"{module}.{node.name}"] = (
                     {id(n) for n in ast.walk(node)} if isinstance(node, FUNCTIONS) else set())
             if isinstance(node, ast.ClassDef):
@@ -100,7 +101,7 @@ def unread_definitions(sources: dict[str, str], package: str) -> list[str]:
 
 def test_the_check_finds_an_unread_definition(tmp_path, monkeypatch):
     sources = {"a": ("def f():\n    return g()\ndef g():\n    pass\nclass C:\n    pass\n"
-                     "def r():\n    return r()\n"),
+                     "def r():\n    return r()\ndef __getattr__(name):\n    return name\n"),
                "b": ("import numpy as np\nfrom . import a\ndef h():\n    return a.f\n"
                      "class D(dict):\n    def __init__(self):\n        self.keep()\n"
                      "    def get(self):\n        pass\n    def keep(self):\n"

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gaplab import concepts, mc_harness, metric_cover
 from gaplab.concepts import (
@@ -42,6 +43,7 @@ from gaplab.mc_harness import (
     TrialConfig,
     config_from_json_dict,
     estimate_failure_prob,
+    five_quantiles,
     in_theorem_regime,
     ks_statistics_experiment,
     lower_bound_config,
@@ -534,6 +536,16 @@ class TestKsStats:
             b = ks_statistics_experiment(PneFamily(256, 0.2), 2, 80, RngSeed(11), pool=pool)
         assert pool_starts == [2]
         assert a == b
+
+    @given(arrays(np.int64, st.integers(1, 3000), elements=st.integers(0, 2**40)))
+    @example(np.array([5], dtype=np.int64))
+    @settings(max_examples=150, deadline=None)
+    def test_five_quantiles_equal_np_quantile(self, values):
+        # np.quantile loads numpy.ma, which a test may do and gaplab may not.
+        expected = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
+        got = five_quantiles(values)
+        assert all(type(q) is float for q in got)
+        assert got == tuple(float(q) for q in expected)
 
 
 @pytest.mark.parametrize("trials, gamma, m", [(0, 0.01, 2), (100, 1.5, 2), (100, 0.01, -1)])

@@ -1,9 +1,22 @@
-"""What a fresh gaplab process imports.
+"""What a fresh gaplab process imports, and what its parent keeps.
 
-No command imports scipy: the import alone costs about 19 MiB and a
-quarter of a second.  numpy.random is needed only by a command that
-draws.  Each check runs in a new interpreter, because this test session may
-already have imported them.
+Each check runs in a new interpreter, because this test session may
+already have imported them.  The costs are medians over fresh
+interpreters on a 2-CPU x86-64 Linux VM (Python 3.11, numpy 2.4):
+
+- scipy: no command imports it; the import alone costs about 19 MiB and a
+  quarter of a second.
+- numpy.random (1.9 MiB): needed only by a process that draws, so a parent
+  whose trials all run on its workers never loads it.
+- numpy.ma (0.5 MiB to import, 0.7 MiB off the peak of a matched-pair
+  ks-stats parent): np.quantile reaches it through np.unique; no command
+  loads it.
+- concurrent.futures.process and multiprocessing (1.1 MiB, 13 ms): they
+  load with the process pool, so --version and a --threads 1 run skip them.
+- OpenBLAS threads: numpy's OpenBLAS starts a thread per CPU that spins for
+  about 0.13 s of CPU although gaplab makes no BLAS call (`gaplab
+  --version` took 0.39 s of CPU, 0.22 s with one thread).  Importing gaplab
+  sets OPENBLAS_NUM_THREADS to 1 unless the user set it.
 """
 
 import json
@@ -44,7 +57,7 @@ def imported_modules(args: list[str], cwd: Path,
     "args",
     [
         ["--version"],
-        ["no-gap", "--domain-size", "4", "--m-grid", "1,2", "--trials", "50"],
+        ["--threads", "1", "no-gap", "--domain-size", "4", "--m-grid", "1,2", "--trials", "50"],
         ["lower-bound", "--n", "1024", "--eps", "0.2", "--learner", "erm",
          "--trials", "50"],
         ["ks-stats", "--n", "1024", "--eps", "0.2", "--trials", "50"],
@@ -52,9 +65,12 @@ def imported_modules(args: list[str], cwd: Path,
     ids=["version", "no-gap", "lower-bound-erm", "ks-stats"],
 )
 def test_command_does_not_import_scipy_special(tmp_path, args):
+    # None of these runs fans out: --threads is 1, the default.
     modules = imported_modules(["--out", str(tmp_path / "out.csv"), *args], tmp_path)
     assert "gaplab.mc_harness" in modules
     assert "scipy.special" not in modules
+    assert "numpy.ma" not in modules
+    assert "concurrent.futures.process" not in modules
 
 
 def test_version_does_not_import_numpy_random(tmp_path):
@@ -101,4 +117,52 @@ def test_no_command_imports_scipy(tmp_path, args):
                                ("-c", LIFTED_CPUS_MAIN))
     assert "gaplab.mc_harness" in modules
     assert not {name for name in modules if name.split(".")[0] == "scipy"}
+    assert "numpy.ma" not in modules
     assert "bayes-posterior" in (tmp_path / "out.csv").read_text()
+
+
+# LIFTED_CPUS_MAIN, then the last line of stdout lists which of numpy.random
+# and numpy.ma this process holds as it exits.  A forked worker leaves
+# through os._exit, so only the parent prints.
+HELD_AT_EXIT_MAIN = LIFTED_CPUS_MAIN.replace("main(sys.argv[1:])", """
+try:
+    main(sys.argv[1:])
+finally:
+    print(sorted({"numpy.random", "numpy.ma"} & set(sys.modules)))
+""")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["lower-bound", "--n", "1024", "--eps", "0.2", "--trials", "200"],
+        ["ks-stats", "--n", "1024", "--eps", "0.2", "--trials", "200"],
+        ["separation", "--n-list", "16,64", "--learners", "erm,bayes-posterior",
+         "--trials", "300", "--delta", "0.25", "--m-max", "64"],
+        ["no-gap", "--domain-size", "4", "--m-grid", "1,2", "--trials", "200"],
+    ],
+    ids=["lower-bound", "ks-stats", "separation", "no-gap"],
+)
+def test_a_parent_whose_trials_all_fan_out_loads_neither_numpy_random_nor_numpy_ma(
+        tmp_path, args):
+    # Every trial runs on the two workers, so the parent, which sets a
+    # command's peak RSS, draws nothing.
+    proc = subprocess.run(
+        [sys.executable, "-c", HELD_AT_EXIT_MAIN, "--threads", "2", "--out", "out.csv", *args],
+        cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_importing_gaplab_holds_openblas_to_one_thread_unless_set():
+    code = "import os, gaplab; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    for preset, expected in ((None, "1"), ("3", "3")):
+        env = _env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
